@@ -63,7 +63,6 @@ def blas_threads():
 
 def run(args):
     import ahho.cli as cli
-    from ahho.adaptivity import EstimatorParams, run_ahho
     from ahho.benchmarks import get_benchmark
 
     from tracing import Tracer
@@ -99,44 +98,26 @@ def run(args):
             return result
         return call
 
-    max_ndof = w.max_ndof[args.size]
     out = Path(args.out)
     errors = []
-    if w.cli:
-        cli.register_benchmarks = lambda: {w.benchmark: lambda: bench}
-        cli.run_ahho = timed("solve", "adaptivity.run_ahho", cli.run_ahho)
-        cli.build_reports = timed("report", "cli.build_reports",
-                                  cli.build_reports)
-        argv = ["run", "--benchmark", w.benchmark, "--degree", str(w.k),
-                "--variant", w.variant, "--theta", repr(w.theta),
-                "--max-ndof", str(max_ndof), "--out", str(out)]
-        text = io.StringIO()
-        t0 = time.perf_counter()
-        with contextlib.redirect_stdout(text):
-            code = cli.main(argv)
-        wall = time.perf_counter() - t0
-        if code != 0:
-            errors.append(f"ahho run exited with code {code}")
-        printed = [ln for ln in text.getvalue().splitlines()
-                   if ln.startswith("level ")]
-        if len(printed) != len(records):
-            errors.append(f"ahho run printed {len(printed)} level lines "
-                          f"for {len(records)} levels")
-    else:
-        params = EstimatorParams(eps=w.eps, theta=w.theta,
-                                 kind=bench.indicator_kind)
-        solve = timed("solve", "adaptivity.run_ahho", run_ahho)
-        report = timed("report", "cli.build_reports", cli.build_reports)
-        t0 = time.perf_counter()
-        recs = solve(bench, w.k, params, max_ndof=max_ndof,
-                     max_levels=w.max_levels, variant=w.variant)
-        reports = report(recs, bench)
-        out.mkdir(parents=True, exist_ok=True)
-        cli.write_csv(reports, out / "convergence.csv")
-        for rec in recs:
-            cli.write_mesh(rec.problem.space.mesh,
-                           out / f"level_{rec.level:03d}.mesh")
-        wall = time.perf_counter() - t0
+    cli.register_benchmarks = lambda: {w.benchmark: lambda: bench}
+    cli.run_ahho = timed("solve", "adaptivity.run_ahho", cli.run_ahho)
+    cli.build_reports = timed("report", "cli.build_reports", cli.build_reports)
+    argv = ["run", "--benchmark", w.benchmark, "--degree", str(w.k),
+            "--variant", w.variant, "--theta", repr(w.theta),
+            "--max-ndof", str(w.max_ndof[args.size]), "--out", str(out)]
+    text = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stdout(text):
+        code = cli.main(argv)
+    wall = time.perf_counter() - t0
+    if code != 0:
+        errors.append(f"ahho run exited with code {code}")
+    printed = [ln for ln in text.getvalue().splitlines()
+               if ln.startswith("level ")]
+    if len(printed) != len(records):
+        errors.append(f"ahho run printed {len(printed)} level lines "
+                      f"for {len(records)} levels")
 
     levels = [level_row(r) for r in records]
     energy_err = abs(levels[-1]["energy"] - bench.reference_energy) \
@@ -156,11 +137,8 @@ def run(args):
         "env": environment(), "layers": None,
     }
     if tracer is not None:
-        layers = tracer.layer_metrics()
-        layers["levels"] = len(levels)
-        layers["ndof_final"] = levels[-1]["ndof"] if levels else 0
-        layers["ndof_sum"] = sum(r["ndof"] for r in levels)
-        result["layers"] = layers
+        result["layers"] = tracer.layer_metrics()
+        result["work"] = tracer.work_done()
         tracer.dump(args.spans)
     return result
 

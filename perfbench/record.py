@@ -3,8 +3,9 @@
     python3 perfbench/record.py
 
 Runs every workload once per size with seed 0 and stores its per-level
-ndof and energy and its final |E - reference energy|.  Re-record only when
-a change is meant to alter the discrete answer, and say so.
+ndof, triangle count and energy and its final |E - reference energy|.
+Re-record only when a change is meant to alter the discrete answer, and
+say so.
 """
 
 import json
@@ -40,6 +41,7 @@ def main():
                 sys.exit(f"{name} {size}: {r['errors']}")
             expected[name][size] = {
                 "ndof": [lv["ndof"] for lv in r["levels"]],
+                "ntriangles": [lv["ntriangles"] for lv in r["levels"]],
                 "energy": [lv["energy"] for lv in r["levels"]],
                 "energy_err": r["energy_err"],
                 "energy_err_bound": ENERGY_ERR_FACTOR * r["energy_err"],

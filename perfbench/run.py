@@ -28,19 +28,17 @@ OUT = HERE / "out"
 # a benchmark run ends within this many seconds, even if a repetition hangs
 RUN_LIMIT_S = 170.0
 
-# metric -> (unit, statistic over the run's repetitions).  The workload
-# timings are the best repetition: on a shared host, contention slows
-# whole repetitions by up to 1.5x for 10-20 s at a time, which moves the
-# median of a 30 s run by up to a third but rarely its fastest repetition.
-END_TO_END = {"wall_s": ("s", "best"), "solve_s": ("s", "best"),
-              "report_s": ("s", "best"), "setup_s": ("s", "median"),
-              "peak_rss_mb": ("MB", "median"), "energy_err": ("1", "median")}
+# metric -> unit; each is reported as the median over the first
+# ``Workload.reps`` repetitions, so that every program is summarised over
+# the same number of samples however many more it fits into the run
+END_TO_END = {"wall_s": "s", "solve_s": "s", "report_s": "s",
+              "setup_s": "s", "peak_rss_mb": "MB", "energy_err": "1"}
 
 
 def layer_unit(name):
     if name.endswith("_s"):
         return "s"
-    if name in ("solver.evals_per_iter", "adaptivity.marked_fraction"):
+    if name == "solver.evals_per_iter":
         return "ratio"
     if name == "cli.bytes_written":
         return "B"
@@ -60,8 +58,8 @@ def tail(values):
 
 
 def summary(values):
-    return {"best": min(values), "median": statistics.median(values),
-            "n": len(values), "tail": tail(values)}
+    return {"median": statistics.median(values), "n": len(values),
+            "tail": tail(values)}
 
 
 def run_op(args, index, traced, timeout):
@@ -116,6 +114,8 @@ def main():
     if args.workload not in WORKLOADS:
         sys.exit(f"error: unknown workload {args.workload!r}; known: "
                  + ", ".join(WORKLOADS))
+    # traced and untraced repetitions share the run
+    window = max(1, WORKLOADS[args.workload].reps // (1 + args.trace))
 
     ops = []
     begin = time.monotonic()
@@ -133,10 +133,11 @@ def main():
         if not o["ok"]:
             failed += 1
             print(f"failed run: {o['errors']}", file=sys.stderr)
-    # a run whose answer is wrong was still measured
+    # a run whose answer is wrong was still measured; repetitions beyond
+    # the window are recorded for information only
     measured = [o for o in ops if "wall_s" in o]
-    plain = [o for o in measured if not o["traced"]]
-    traced = [o for o in measured if o["traced"]]
+    plain = [o for o in measured if not o["traced"]][:window]
+    traced = [o for o in measured if o["traced"]][:window]
     if not plain or (args.trace and not traced):
         sys.exit("error: no run completed")
 
@@ -149,26 +150,24 @@ def main():
         stats["trace.overhead_s"] = summary(
             [statistics.median(o["wall_s"] for o in traced)
              - stats["wall_s"]["median"]])
-        reported = {n: (layer_unit(n), "median")
-                    for n in names + ["trace.overhead_s"]}
+        reported = {n: layer_unit(n) for n in names + ["trace.overhead_s"]}
     else:
         reported = END_TO_END
-    metrics = {n: {"value": stats[n][stat], "unit": unit}
-               for n, (unit, stat) in reported.items()}
+    metrics = {n: {"value": stats[n]["median"], "unit": unit}
+               for n, unit in reported.items()}
 
     OUT.mkdir(exist_ok=True)
     record = OUT / f"{args.workload}-seed{args.seed}-trace{args.trace}.json"
     with open(record, "w", encoding="utf-8") as fh:
         json.dump({"workload": args.workload, "seed": args.seed,
                    "seconds": args.seconds, "trace": args.trace,
-                   "size": args.size, "env": measured[0]["env"],
-                   "stats": stats, "reported": dict(END_TO_END, **reported),
+                   "size": args.size, "window": window,
+                   "env": measured[0]["env"],
+                   "stats": stats, "units": dict(END_TO_END, **reported),
                    "runs": ops}, fh, indent=1)
-    for n, (unit, stat) in reported.items():
+    for n, unit in reported.items():
         s = stats[n]
-        line = f"{n:32s} {s[stat]:.6g} {unit}  ({stat} of {s['n']}"
-        if stat != "median":
-            line += f"; median {s['median']:.6g}"
+        line = f"{n:32s} {s['median']:.6g} {unit}  (median of {s['n']}"
         if s["tail"]:
             line += f"; p{s['tail']['pct']:g} {s['tail']['value']:.6g}"
         print(line + ")")

@@ -26,25 +26,22 @@ class Workload:
     benchmark: str
     k: int
     variant: str
-    cli: bool
     max_ndof: dict           # size name -> max_ndof
+    # repetitions a run summarises: what a 60 s run fits with room for a
+    # 1.3x slower program or host; later ones are recorded, not reported
+    reps: int
     theta: float = 0.5
-    max_levels: int = 30
-
-    @property
-    def eps(self):
-        return (self.k + 1) / 100.0      # the library's eps = "auto"
 
 
 WORKLOADS = {w.name: w for w in (
     # The command users run: operator construction, prolongation and the
     # diagnostics dominate; Newton needs 4 iterations per level.
-    Workload("plap-k1-cli", "p-laplace-lshape", 1, "rt", True,
-             {"full": 3000, "tiny": 300}),
+    Workload("plap-k1-cli", "p-laplace-lshape", 1, "rt",
+             {"full": 3000, "tiny": 300}, 10),
     # Degenerate density: many Newton steps, line-search trials and
     # linear solves; the only workload with the L2 term.
-    Workload("twowell-k0", "two-well-rect", 0, "rt", False,
-             {"full": 2500, "tiny": 300}),
+    Workload("twowell-k0", "two-well-rect", 0, "rt",
+             {"full": 2500, "tiny": 300}, 8),
 )}
 
 
@@ -103,9 +100,13 @@ def check_levels(levels, energy_err, expected, seed):
                       f"{bound!r}")
     if seed == 0:
         ndofs = [r["ndof"] for r in levels]
+        tris = [r["ntriangles"] for r in levels]
         if ndofs != expected["ndof"]:
             errors.append(f"ndof sequence {ndofs} != recorded "
                           f"{expected['ndof']}")
+        elif tris != expected["ntriangles"]:
+            errors.append(f"triangle counts {tris} != recorded "
+                          f"{expected['ntriangles']}")
         else:
             for r, e in zip(levels, expected["energy"]):
                 if abs(r["energy"] - e) > ENERGY_RTOL * abs(e):
