@@ -1,5 +1,15 @@
 """Adaptive hybrid high-order methods for convex minimization problems."""
 
+import os
+
+# BLAS reads its thread count when numpy is first imported, so the cap
+# from AHHO_THREADS goes into the environment before any submodule
+# imports numpy; thread variables that are already set win.
+if os.environ.get("AHHO_THREADS"):
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                 "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, os.environ["AHHO_THREADS"])
+
 from .adaptivity import EstimatorParams, estimate, mark_doerfler, prolong, \
     run_ahho
 from .benchmarks import get_benchmark, register_benchmarks

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -244,10 +243,6 @@ def build_argparser():
 
 
 def main(argv=None):
-    if os.environ.get("AHHO_THREADS"):
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, os.environ["AHHO_THREADS"])
     parser = build_argparser()
     args = parser.parse_args(argv)
     if args.command == "run":

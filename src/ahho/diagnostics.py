@@ -3,6 +3,7 @@ the conforming Courant P1 probe."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -11,7 +12,8 @@ import scipy.sparse as sp
 
 from .densities import UnsupportedConjugate
 from .hho import STABILIZED, _as_components, _batch_eval
-from .poly import reference_segment_rule, reference_triangle_rule
+from .poly import _read_only, reference_segment_rule, \
+    reference_triangle_rule
 from .solver import SolverSettings, _lbfgs, _newton, eval_neumann
 
 
@@ -62,48 +64,50 @@ def _exact_grad_values(exact, pts, m):
     return g.reshape(pts.shape[:-1] + (m, 2))
 
 
-def _graded_corner_rule(corners, v_loc, degree, levels=36):
-    """Quadrature on a triangle with an integrable point singularity at
-    local vertex ``v_loc``: dyadic grading toward the corner restores the
-    accuracy a fixed-degree rule loses there."""
-    ref_pts, ref_w = reference_triangle_rule(degree)
-
-    def rule_on(tri):
-        p0 = tri[0]
-        jac = np.stack([tri[1] - p0, tri[2] - p0], axis=1)
-        det = abs(np.linalg.det(jac))
-        return ref_pts @ jac.T + p0, ref_w * det
-
-    order = [v_loc, (v_loc + 1) % 3, (v_loc + 2) % 3]
-    tri = np.asarray(corners, dtype=float)[order]
-    pts_all, w_all = [], []
+@functools.lru_cache(maxsize=None)
+def _graded_reference_rule(degree, levels):
+    """Dyadically graded rule on the reference triangle (0,0), (1,0),
+    (0,1), graded toward the origin: ``levels`` times, the three children
+    away from the origin get the degree-``degree`` rule and the child at
+    the origin is split again; the last one gets the rule too."""
+    tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+    children = []
     for _ in range(levels):
         m01 = 0.5 * (tri[0] + tri[1])
         m02 = 0.5 * (tri[0] + tri[2])
         m12 = 0.5 * (tri[1] + tri[2])
-        for child in ((m01, tri[1], m12), (m02, m12, tri[2]),
-                      (m01, m12, m02)):
-            p, w = rule_on(np.array(child))
-            pts_all.append(p)
-            w_all.append(w)
+        children += [(m01, tri[1], m12), (m02, m12, tri[2]), (m01, m12, m02)]
         tri = np.array([tri[0], m01, m02])
-    p, w = rule_on(tri)
-    pts_all.append(p)
-    w_all.append(w)
-    return np.vstack(pts_all), np.concatenate(w_all)
+    children = np.array(children + [tri])                  # (nc, 3, 2)
+    e1 = children[:, 1] - children[:, 0]
+    e2 = children[:, 2] - children[:, 0]
+    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+    ref_pts, ref_w = reference_triangle_rule(degree)
+    pts = (children[:, None, 0] + ref_pts[None, :, 0:1] * e1[:, None]
+           + ref_pts[None, :, 1:2] * e2[:, None])
+    w = det[:, None] * ref_w[None, :]
+    return _read_only(pts.reshape(-1, 2), w.reshape(-1))
+
+
+def _graded_corner_rule(corners, v_loc, degree, levels=36):
+    """Quadrature on a triangle with an integrable point singularity at
+    local vertex ``v_loc``: dyadic grading toward the corner restores the
+    accuracy a fixed-degree rule loses there.  The graded rule is built
+    once on the reference triangle and mapped affinely."""
+    order = [v_loc, (v_loc + 1) % 3, (v_loc + 2) % 3]
+    tri = np.asarray(corners, dtype=float)[order]
+    ref_pts, ref_w = _graded_reference_rule(degree, levels)
+    jac = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
+    return ref_pts @ jac.T + tri[0], ref_w * abs(np.linalg.det(jac))
 
 
 def _singular_triangles(mesh, singular_point):
     """Triangles with a vertex at the singular point, with its local index."""
-    out = []
-    for t in range(mesh.num_triangles):
-        for loc in range(3):
-            v = mesh.vertices[mesh.triangles[t, loc]]
-            if np.hypot(v[0] - singular_point[0],
-                        v[1] - singular_point[1]) < 1e-12:
-                out.append((t, loc))
-                break
-    return out
+    v = mesh.vertices[mesh.triangles]                      # (nt, 3, 2)
+    hit = np.hypot(v[..., 0] - singular_point[0],
+                   v[..., 1] - singular_point[1]) < 1e-12
+    t = np.nonzero(hit.any(axis=1))[0]
+    return list(zip(t.tolist(), hit[t].argmax(axis=1).tolist()))
 
 
 def error_norms(problem, u, exact, degree=None, singular_point=None):
@@ -503,9 +507,10 @@ def courant_p1_minimize(courant, settings=None):
     x.reshape(-1, courant.m)[:] = courant.values
     free = np.nonzero(courant.free)[0]
 
-    def fun_grad(xf):
+    def fun_grad(xf, energy=True, gradient=True):
         x[free] = xf
-        return courant.energy(x), courant.gradient(x)[free]
+        return (courant.energy(x) if energy else None,
+                courant.gradient(x)[free] if gradient else None)
 
     method = settings.method
     if method == "auto":

@@ -22,21 +22,46 @@ RT = "rt"
 STABILIZED = "stabilized"
 
 
+def _powers(x, n):
+    """x**0, ..., x**n by running products, shape x.shape + (n + 1,)."""
+    out = np.empty(x.shape + (n + 1,))
+    out[..., 0] = 1.0
+    for j in range(1, n + 1):
+        np.multiply(out[..., j - 1], x, out=out[..., j])
+    return out
+
+
+def _power_tables(exps, loc):
+    """Running-product tables of the x and y powers the exponents use."""
+    n = int(exps.max(initial=0))
+    return _powers(loc[..., 0], n), _powers(loc[..., 1], n)
+
+
 def _batch_eval(exps, loc):
     """Scaled monomial values; loc (..., 2) -> (..., ndim)."""
+    xp, yp = _power_tables(exps, loc)
+    return xp[..., exps[:, 0]] * yp[..., exps[:, 1]]
+
+
+def _batch_grad(exps, loc, h):
+    """Scaled monomial gradients; loc (nt, ..., 2) -> (nt, ..., ndim, 2)."""
     a = exps[:, 0]
     b = exps[:, 1]
-    return loc[..., 0:1] ** a * loc[..., 1:2] ** b
+    xp, yp = _power_tables(exps, loc)
+    g = np.empty(loc.shape[:-1] + (len(exps), 2))
+    g[..., 0] = a * xp[..., np.maximum(a - 1, 0)] * yp[..., b]
+    g[..., 1] = b * xp[..., a] * yp[..., np.maximum(b - 1, 0)]
+    return g / h.reshape(h.shape + (1,) * (g.ndim - h.ndim))
 
 
 def _batch_laplace(exps, loc, h):
+    """Scaled monomial Laplacians; loc (nt, ..., 2) -> (nt, ..., ndim)."""
     a = exps[:, 0]
     b = exps[:, 1]
-    x = loc[..., 0:1]
-    y = loc[..., 1:2]
-    dxx = np.where(a > 1, a * (a - 1) * x ** np.maximum(a - 2, 0) * y ** b, 0.0)
-    dyy = np.where(b > 1, b * (b - 1) * x ** a * y ** np.maximum(b - 2, 0), 0.0)
-    return (dxx + dyy) / (h ** 2)[..., None, None]
+    xp, yp = _power_tables(exps, loc)
+    dxx = a * (a - 1) * xp[..., np.maximum(a - 2, 0)] * yp[..., b]
+    dyy = b * (b - 1) * xp[..., a] * yp[..., np.maximum(b - 2, 0)]
+    return (dxx + dyy) / (h ** 2).reshape(h.shape + (1,) * (dxx.ndim - 1))
 
 
 def lattice_nodes(degree):
@@ -128,17 +153,7 @@ class SpaceOps:
         return _batch_eval(exps, self.local_coords(pts))
 
     def cell_grad(self, exps, pts):
-        loc = self.local_coords(pts)
-        a = exps[:, 0]
-        b = exps[:, 1]
-        x = loc[..., 0:1]
-        y = loc[..., 1:2]
-        gx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y ** b, 0.0)
-        gy = np.where(b > 0, b * x ** a * y ** np.maximum(b - 1, 0), 0.0)
-        g = np.stack([gx, gy], axis=-1)
-        extra = pts.ndim - 2
-        h = self.h_t.reshape((-1,) + (1,) * (extra + 2))
-        return g / h
+        return _batch_grad(exps, self.local_coords(pts), self.h_t)
 
     # -- RT / gradient-space basis --------------------------------------------
 
@@ -149,45 +164,32 @@ class SpaceOps:
 
     def grad_basis_eval(self, pts):
         """Vector fields of the local gradient space, (nt, ..., ng, 2)."""
-        k = self.space.k
-        phi = self.cell_eval(self.exps_k, pts)
-        shape = phi.shape[:-1]
+        loc = self.local_coords(pts)
+        phi = _batch_eval(self.exps_k, loc)
+        ncb = self.ncb
+        out = np.zeros(phi.shape[:-1] + (self.grad_space_dim(), 2))
+        out[..., :ncb, 0] = phi
+        out[..., ncb:2 * ncb, 1] = phi
         if self.space.variant == RT:
-            ng = (k + 1) * (k + 3)
-            out = np.zeros(shape + (ng, 2))
-            out[..., :self.ncb, 0] = phi
-            out[..., self.ncb:2 * self.ncb, 1] = phi
-            loc = self.local_coords(pts)
-            hom = np.array([(k - b, b) for b in range(k + 1)], dtype=np.int64)
-            q = _batch_eval(hom, loc)
-            out[..., 2 * self.ncb:, 0] = loc[..., 0:1] * q
-            out[..., 2 * self.ncb:, 1] = loc[..., 1:2] * q
-        else:
-            out = np.zeros(shape + (2 * self.ncb, 2))
-            out[..., :self.ncb, 0] = phi
-            out[..., self.ncb:, 1] = phi
+            # the homogeneous degree-k monomials are the last k+1 of P_k
+            q = phi[..., ncb - self.nsb:]
+            out[..., 2 * ncb:, 0] = loc[..., 0:1] * q
+            out[..., 2 * ncb:, 1] = loc[..., 1:2] * q
         return out
 
     def grad_basis_div(self, pts):
-        """Divergence of the gradient-space fields (RT variant only)."""
-        k = self.space.k
-        gphi = self.cell_grad(self.exps_k, pts)
-        shape = gphi.shape[:-2]
-        if self.space.variant != RT:
-            out = np.zeros(shape + (2 * self.ncb,))
-            out[..., :self.ncb] = gphi[..., 0]
-            out[..., self.ncb:] = gphi[..., 1]
-            return out
-        ng = (k + 1) * (k + 3)
-        out = np.zeros(shape + (ng,))
-        out[..., :self.ncb] = gphi[..., 0]
-        out[..., self.ncb:2 * self.ncb] = gphi[..., 1]
+        """Divergence of the gradient-space fields; the last k+1 (RT)
+        fields have divergence (k+2) q / h_T."""
         loc = self.local_coords(pts)
-        hom = np.array([(k - b, b) for b in range(k + 1)], dtype=np.int64)
-        q = _batch_eval(hom, loc)
-        extra = pts.ndim - 2
-        h = self.h_t.reshape((-1,) + (1,) * (extra + 1))
-        out[..., 2 * self.ncb:] = (2 + k) * q / h
+        gphi = _batch_grad(self.exps_k, loc, self.h_t)
+        ncb = self.ncb
+        out = np.empty(gphi.shape[:-2] + (self.grad_space_dim(),))
+        out[..., :ncb] = gphi[..., 0]
+        out[..., ncb:2 * ncb] = gphi[..., 1]
+        if self.space.variant == RT:
+            hom = self.exps_k[ncb - self.nsb:]
+            h = self.h_t.reshape((-1,) + (1,) * (pts.ndim - 1))
+            out[..., 2 * ncb:] = (2 + self.space.k) * _batch_eval(hom, loc) / h
         return out
 
     # -- local dof bookkeeping -------------------------------------------------
@@ -215,7 +217,8 @@ class SpaceOps:
         return data[self.loc2glob]
 
     def scatter_add(self, out, local):
-        np.add.at(out, self.loc2glob, local)
+        out += np.bincount(self.loc2glob.reshape(-1), local.reshape(-1),
+                           minlength=len(out))
 
     # -- projections and Gram matrices ------------------------------------------
 
@@ -471,16 +474,14 @@ class GradField:
         ops = self.space.ops
         k = self.space.k
         loc = (pts - ops.centroid[t]) / ops.h_t[t]
-        phi = _batch_eval(monomial_exponents(k), loc)
+        phi = _batch_eval(ops.exps_k, loc)
         ncb = phi.shape[-1]
         out = np.zeros((len(pts), self.space.m, 2))
         out[..., 0] += np.einsum("qi,mi->qm", phi, self.coeffs[t, :, :ncb])
         out[..., 1] += np.einsum("qi,mi->qm", phi,
                                  self.coeffs[t, :, ncb:2 * ncb])
         if self.space.variant == RT:
-            hom = np.array([(k - b, b) for b in range(k + 1)],
-                           dtype=np.int64)
-            q = _batch_eval(hom, loc)
+            q = phi[:, ncb - (k + 1):]
             rad = np.einsum("qi,mi->qm", q, self.coeffs[t, :, 2 * ncb:])
             out += rad[..., None] * loc[:, None, :]
         return out
@@ -650,13 +651,10 @@ class HhoSpace:
             return total, per_elem, per_side
         return total
 
-    def companion(self, v, dirichlet_data=None):
+    def companion(self, v):
         """Conforming post-processing J v: globally continuous, preserves
-        all cell and side moments of degree <= k.
-
-        ``dirichlet_data`` is accepted for interface symmetry; the moment
-        conditions determine J completely.
-        """
+        all cell and side moments of degree <= k; the moment conditions
+        determine J completely."""
         ops = self.ops
         geom = self._companion_geometry()
         m = self.m
@@ -665,11 +663,11 @@ class HhoSpace:
 
         R = self.potential_reconstruction(v)
         r_nodes = R.at_points(geom.nodes_k1)                 # (nt, nn1, m)
-        acc = np.zeros((geom.n_global, m))
-        cnt = np.zeros(geom.n_global)
-        np.add.at(acc, geom.node_gid, r_nodes)
-        np.add.at(cnt, geom.node_gid, 1.0)
-        avg = acc / cnt[:, None]
+        gid = geom.node_gid.reshape(-1)
+        cnt = np.bincount(gid, minlength=geom.n_global)
+        avg = np.stack([np.bincount(gid, r_nodes[..., c].reshape(-1),
+                                    minlength=geom.n_global)
+                        for c in range(m)], axis=-1) / cnt[:, None]
         w_nodal = avg[geom.node_gid]                         # (nt, nn1, m)
         w_coef = np.linalg.solve(geom.vand_k1[:, None],
                                  w_nodal.transpose(0, 2, 1)[..., None]
@@ -698,7 +696,7 @@ class HhoSpace:
                                                           + (2,)),
                                    ops.s_tang[s]) / ops.h_f[s].reshape(
                                        (nt,) + (1,) * (pts.ndim - 2)))
-                chi = t_par[..., None] ** np.arange(self.k + 1)
+                chi = _powers(t_par, self.k)
                 qvals = np.einsum("t...n,tnm->t...m", chi, qF[s])
                 out += bub[..., None] * qvals
             return out
@@ -760,7 +758,8 @@ def _as_components(vals, m):
 
 
 def _safe_pow(mag, e):
-    """mag**e with the p < 2 singularity at 0 regularized to 0."""
+    """mag**e with the singularity at 0 of a negative exponent (p < 2 in
+    the energy, p < 4 in its Hessian) regularized to 0."""
     if e == 0:
         return np.ones_like(mag)
     if e > 0:

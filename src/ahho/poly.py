@@ -9,6 +9,8 @@ over points.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
@@ -166,17 +168,24 @@ class QuadratureRule:
         return self.weights @ f(self.points)
 
 
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 _REF_RULES = {
-    0: (np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
-    1: (np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
-    2: (np.array([[2 / 3, 1 / 6], [1 / 6, 2 / 3], [1 / 6, 1 / 6]]),
-        np.full(3, 1 / 6)),
+    0: _read_only(np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
+    1: _read_only(np.array([[1 / 3, 1 / 3]]), np.array([0.5])),
+    2: _read_only(np.array([[2 / 3, 1 / 6], [1 / 6, 2 / 3],
+                            [1 / 6, 1 / 6]]), np.full(3, 1 / 6)),
 }
 
 
+@functools.lru_cache(maxsize=None)
 def _collapsed_rule(d):
     """Gauss-Jacobi x Gauss-Legendre rule on the reference triangle,
-    exact for total degree <= d."""
+    exact for total degree <= d; built once per degree, read-only."""
     n = d // 2 + 1
     xs, ws = roots_jacobi(n, 1.0, 0.0)  # weight (1 - s) on [-1, 1]
     xt, wt = roots_legendre(n)
@@ -188,7 +197,7 @@ def _collapsed_rule(d):
     W = np.outer(ws, wt)
     x = S.ravel()
     y = (T * (1.0 - S)).ravel()
-    return np.stack([x, y], axis=1), W.ravel()
+    return _read_only(np.stack([x, y], axis=1), W.ravel())
 
 
 def reference_triangle_rule(d):
@@ -222,11 +231,13 @@ def triangles_quadrature(corners, d):
     return pts, w
 
 
+@functools.lru_cache(maxsize=None)
 def reference_segment_rule(d):
-    """Gauss-Legendre points and weights on [-1/2, 1/2]."""
+    """Gauss-Legendre points and weights on [-1/2, 1/2]; built once per
+    degree, read-only."""
     n = d // 2 + 1
     x, w = roots_legendre(n)
-    return 0.5 * x, 0.5 * w
+    return _read_only(0.5 * x, 0.5 * w)
 
 
 def side_quadrature(a, b, d):

@@ -14,7 +14,8 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .hho import STABILIZED, GradField, HhoVector, _as_components
+from .hho import STABILIZED, GradField, HhoVector, _as_components, \
+    _safe_pow
 from .poly import reference_segment_rule
 
 
@@ -75,6 +76,7 @@ class DiscreteProblem:
         self.l2_data = l2_data
         self.stabilized = space.variant == STABILIZED
         self.p = density.p
+        self._hess_pattern = None
 
         k = space.k
         self.energy_degree = max(density.quad_growth * (k + 1), 2 * (k + 1))
@@ -223,7 +225,7 @@ class DiscreteProblem:
         p = self.p
         S = self._stab_values(v)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        fac = _pow_safe(mag, p - 2)
+        fac = _safe_pow(mag, p - 2)
         h = ops.h_f[ops.sot]
         wq = h[..., None] * self._stab_wref * h[..., None] ** (1.0 - p)
         g_loc = np.einsum("tjq,tjq,tjmq,tjql->tml", wq, fac, S, self._stab_B)
@@ -232,12 +234,10 @@ class DiscreteProblem:
         return grad
 
     def energy_hessian(self, v):
-        """Sparse Hessian over all dofs (regularized where the density
-        needs it); used by the Newton fast path."""
-        space = self.space
-        ops = space.ops
-        m = space.m
-        nloc = ops.nloc
+        """Sparse CSC Hessian over the free dofs (regularized where the
+        density needs it); used by the Newton fast path."""
+        ops = self.space.ops
+        m = self.space.m
         Gv = self._grad_values(v)
         d2 = self.density.d2w(Gv)
         wd2 = self._ed["w"][..., None, None, None, None] * d2
@@ -250,21 +250,47 @@ class DiscreteProblem:
                                            self.cell_gram))
         if self.stabilized:
             Hloc = Hloc + self._stab_hessian_local(v)
-        idx = ops.loc2glob  # (nt, m, nloc)
-        rows = np.broadcast_to(idx[:, :, :, None, None],
-                               Hloc.shape).reshape(-1)
-        cols = np.broadcast_to(idx[:, None, None, :, :],
-                               Hloc.shape).reshape(-1)
-        H = sp.coo_matrix((Hloc.reshape(-1), (rows, cols)),
-                          shape=(space.ndof, space.ndof)).tocsc()
-        return H
+        indptr, indices, slot = self._hessian_pattern()
+        nnz = len(indices)
+        # entries in a constrained row or column land in the dropped
+        # slot nnz
+        data = np.bincount(slot, Hloc.reshape(-1), minlength=nnz + 1)[:nnz]
+        nfree = len(self.free_idx)
+        return sp.csc_matrix((data, indices, indptr), shape=(nfree, nfree))
+
+    def _hessian_pattern(self):
+        """Free x free CSC structure of the Hessian, built on first use:
+        ``indptr``, sorted row ``indices``, and the nonzero slot of every
+        entry of the local Hessians (nnz where a constrained dof drops
+        it), all int32."""
+        if self._hess_pattern is None:
+            ops = self.space.ops
+            nfree = len(self.free_idx)
+            pos = np.full(self.space.ndof, -1, dtype=np.int32)
+            pos[self.free_idx] = np.arange(nfree, dtype=np.int32)
+            loc = pos[ops.loc2glob].reshape(len(ops.loc2glob), -1)
+            n = loc.shape[1]
+            rows = np.broadcast_to(loc[:, :, None], (len(loc), n, n))
+            cols = np.broadcast_to(loc[:, None, :], (len(loc), n, n))
+            kept = ((rows >= 0) & (cols >= 0)).reshape(-1)
+            key = (cols.reshape(-1)[kept].astype(np.int64) * nfree
+                   + rows.reshape(-1)[kept])
+            key, kept_slot = np.unique(key, return_inverse=True)
+            slot = np.full(kept.shape, len(key), dtype=np.int32)
+            slot[kept] = kept_slot
+            indices = (key % nfree).astype(np.int32)
+            per_col = np.bincount(key // nfree, minlength=nfree)
+            indptr = np.zeros(nfree + 1, dtype=np.int32)
+            np.cumsum(per_col, out=indptr[1:])
+            self._hess_pattern = (indptr, indices, slot)
+        return self._hess_pattern
 
     def _stab_hessian_local(self, v):
         ops = self.space.ops
         p = self.p
         S = self._stab_values(v)                       # (nt,3,m,q)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        f1 = _pow_safe(mag, p - 2)
+        f1 = _safe_pow(mag, p - 2)
         h = ops.h_f[ops.sot]
         wq = h[..., None] ** (2.0 - p) * self._stab_wref
         m = self.space.m
@@ -272,7 +298,7 @@ class DiscreteProblem:
         term1 = np.einsum("tjq,tjq,mn,tjql,tjqf->tmlnf", wq, f1, eye_m,
                           self._stab_B, self._stab_B, optimize=True)
         if p != 2:
-            f2 = (p - 2) * _pow_safe(mag, p - 4)
+            f2 = (p - 2) * _safe_pow(mag, p - 4)
             term1 += np.einsum("tjq,tjq,tjmq,tjnq,tjql,tjqf->tmlnf", wq, f2,
                                S, S, self._stab_B, self._stab_B,
                                optimize=True)
@@ -290,17 +316,6 @@ class DiscreteProblem:
         rhs = np.einsum("tq,tqid,tqmd->tim", self._ed["w"], tau, dW)
         coeffs = np.linalg.solve(ops.grad_gram, rhs).transpose(0, 2, 1)
         return GradField(self.space, coeffs)
-
-
-def _pow_safe(mag, e):
-    if e == 0:
-        return np.ones_like(mag)
-    if e > 0:
-        return mag ** e
-    out = np.zeros_like(mag)
-    nz = mag > 0
-    out[nz] = mag[nz] ** e
-    return out
 
 
 def eval_neumann(g, side_points, side_normals, m):
@@ -384,7 +399,10 @@ def _lbfgs(fun_grad, x0, settings):
 
 
 def _newton(fun_grad, hess, x0, settings):
-    """Damped Newton with a regularization ladder and Armijo search."""
+    """Damped Newton with a regularization ladder and Armijo search.
+
+    ``fun_grad(x, energy=True, gradient=True)`` returns the pair
+    (energy, gradient), with None in place of a part not asked for."""
     x = x0.copy()
     E, g = fun_grad(x)
     n_iter = 0
@@ -426,17 +444,21 @@ def _newton(fun_grad, hess, x0, settings):
             gnorm = np.linalg.norm(g)
             n_iter += 1
             continue
+        # Armijo trials need the energy only; the gradient is taken at
+        # the accepted point
         step = 1.0
         ok = False
         for _ in range(settings.max_backtracks):
             x_new = x + step * d
-            E_new, g_new = fun_grad(x_new)
+            E_new, _ = fun_grad(x_new, gradient=False)
             if np.isfinite(E_new) and \
                     E_new <= E + settings.armijo_c1 * step * gd:
                 ok = True
                 break
             step *= settings.backtrack
-        if not ok:
+        if ok:
+            _, g_new = fun_grad(x_new, energy=False)
+        else:
             # fall back to a gradient step before giving up
             step = 1.0 / max(gnorm, 1.0)
             x_new = x - step * g
@@ -472,10 +494,11 @@ def minimize(problem, initial=None, settings=None):
     full = v.data.copy()
     free = problem.free_idx
 
-    def fun_grad(xf):
+    def fun_grad(xf, energy=True, gradient=True):
         full[free] = xf
         w = HhoVector(problem.space, full)
-        return problem.energy(w), problem.energy_gradient(w)
+        return (problem.energy(w) if energy else None,
+                problem.energy_gradient(w) if gradient else None)
 
     method = settings.method
     if method == "auto":
@@ -484,12 +507,13 @@ def minimize(problem, initial=None, settings=None):
     if method == "newton":
         def hess(xf):
             full[free] = xf
-            w = HhoVector(problem.space, full)
-            H = problem.energy_hessian(w).tocsr()
-            return H[free][:, free].tocsc()
+            return problem.energy_hessian(HhoVector(problem.space, full))
 
         x, E, it, gnorm, conv = _newton(fun_grad, hess, v.data[free],
                                         settings)
+        # the adaptive loop keeps every level's problem: the Hessian
+        # structure lives only as long as the solve that uses it
+        problem._hess_pattern = None
     elif method == "lbfgs":
         x, E, it, gnorm, conv = _lbfgs(fun_grad, v.data[free], settings)
     else:

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -187,3 +191,51 @@ def test_solver_failure_nonzero_exit_partial_csv(tmp_path):
     assert code == 1
     csv = (tmp_path / "fail" / "convergence.csv").read_text().splitlines()
     assert len(csv) == 2  # header + the single flagged level
+
+
+# Imports ahho in a fresh interpreter and prints the BLAS thread variable
+# and the thread count OpenBLAS reports (None where numpy's OpenBLAS does
+# not export the query).
+_THREADS_PROBE = """
+import ctypes, glob, json, os
+import ahho
+import numpy
+threads = None
+libdir = os.path.dirname(numpy.__file__) + ".libs"
+for lib in sorted(glob.glob(os.path.join(libdir, "*openblas*"))):
+    handle = ctypes.CDLL(lib)
+    for sym in ("scipy_openblas_get_num_threads64_",
+                "openblas_get_num_threads64_", "openblas_get_num_threads"):
+        fn = getattr(handle, sym, None)
+        if fn is not None and threads is None:
+            fn.argtypes = []
+            fn.restype = ctypes.c_int
+            threads = fn()
+print(json.dumps([os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
+@pytest.fixture(scope="module")
+def threads_probe():
+    """AHHO_THREADS=1 with no BLAS thread variable set."""
+    import ahho
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                        "MKL_NUM_THREADS")}
+    env["AHHO_THREADS"] = "1"
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(ahho.__file__).resolve().parents[1])]
+        + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", _THREADS_PROBE], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_ahho_threads_sets_blas_env_on_import(threads_probe):
+    assert threads_probe[0] == "1"
+
+
+def test_ahho_threads_reaches_openblas(threads_probe):
+    if threads_probe[1] is None:
+        pytest.skip("numpy's OpenBLAS does not export a thread-count query")
+    assert threads_probe[1] == 1

@@ -22,6 +22,66 @@ def solve_benchmark(name, k=0, nref=0, variant="rt"):
     return bench, problem, sol, sigma
 
 
+# -- graded corner rule ----------------------------------------------------------------
+
+def _graded_rule_per_triangle(corners, v_loc, degree, levels=36):
+    """Oracle: the graded rule built child by child in physical
+    coordinates."""
+    from ahho.poly import triangle_quadrature
+    tri = np.asarray(corners, dtype=float)[[v_loc, (v_loc + 1) % 3,
+                                            (v_loc + 2) % 3]]
+    children = []
+    for _ in range(levels):
+        m01 = 0.5 * (tri[0] + tri[1])
+        m02 = 0.5 * (tri[0] + tri[2])
+        m12 = 0.5 * (tri[1] + tri[2])
+        children += [(m01, tri[1], m12), (m02, m12, tri[2]), (m01, m12, m02)]
+        tri = np.array([tri[0], m01, m02])
+    rules = [triangle_quadrature(np.array(c), degree) for c in children + [tri]]
+    return (np.vstack([r.points for r in rules]),
+            np.concatenate([r.weights for r in rules]))
+
+
+@pytest.mark.parametrize("degree", [4, 9])
+def test_graded_corner_rule_matches_per_triangle_construction(degree):
+    from ahho.diagnostics import _graded_corner_rule
+    from ahho.poly import triangle_quadrature
+    corners = np.array([[0.2, -0.1], [1.7, 0.4], [0.5, 0.9]])   # skewed
+    area = 0.5 * abs(np.linalg.det(np.stack([corners[1] - corners[0],
+                                             corners[2] - corners[0]])))
+    exact = triangle_quadrature(corners, degree)
+    for v_loc in range(3):
+        pts, w = _graded_corner_rule(corners, v_loc, degree)
+        ref_pts, ref_w = _graded_rule_per_triangle(corners, v_loc, degree)
+        assert pts.shape == ref_pts.shape and w.shape == ref_w.shape
+        assert np.max(np.abs(pts - ref_pts)) <= 1e-14 * np.abs(corners).max()
+        assert np.max(np.abs(w - ref_w)) <= 1e-14 * area
+        # the corner it grades toward is the local vertex v_loc
+        assert np.min(np.hypot(*(pts - corners[v_loc]).T)) < 1e-10
+        for a in range(degree + 1):
+            for b in range(degree + 1 - a):
+                f = pts[:, 0] ** a * pts[:, 1] ** b
+                want = exact.integrate(lambda p: p[:, 0] ** a * p[:, 1] ** b)
+                assert abs(w @ f - want) <= 1e-13 * max(abs(want), area)
+
+
+def test_singular_triangles_vectorized_matches_loop():
+    from ahho.diagnostics import _singular_triangles
+    mesh = get_benchmark("p-laplace-lshape").initial_mesh()
+    for _ in range(3):
+        mesh = refine_uniform(mesh)
+    point = (0.0, 0.0)
+    loop = []
+    for t in range(mesh.num_triangles):
+        for loc in range(3):
+            v = mesh.vertices[mesh.triangles[t, loc]]
+            if np.hypot(v[0] - point[0], v[1] - point[1]) < 1e-12:
+                loop.append((t, loc))
+                break
+    assert len(loop) >= 6
+    assert _singular_triangles(mesh, point) == loop
+
+
 # -- error norms ------------------------------------------------------------------
 
 def test_error_norms_vanish_on_manufactured():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from ahho.hho import RT, STABILIZED, HhoSpace, HhoVector, _batch_laplace
+from ahho.hho import (RT, STABILIZED, HhoSpace, HhoVector, _batch_eval,
+                      _batch_grad, _batch_laplace)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
-from ahho.poly import (CellBasis, cell_dim, l2_project_side, rt_project,
+from ahho.poly import (CellBasis, cell_dim, l2_project_side,
+                       monomial_exponents, rt_project,
                        side_quadrature, triangle_quadrature)
 
 
@@ -29,6 +31,29 @@ def lshape_mesh():
 
 def random_vector(space, rng):
     return HhoVector(space, rng.standard_normal(space.ndof))
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_running_product_kernels_match_cell_basis(k):
+    """Values, gradients and Laplacians built from running-product power
+    tables agree with the per-element basis evaluated by integer powers,
+    also where a local coordinate is 0 (0**0 and zero exponents)."""
+    rng = np.random.default_rng(5 + k)
+    centroid, h = np.array([0.3, -0.2]), 0.7
+    pts = centroid + h * rng.uniform(-1.0, 1.0, (40, 2))
+    pts[:8, 0] = centroid[0]          # local x = 0
+    pts[8:16, 1] = centroid[1]        # local y = 0
+    pts[16] = centroid                # both 0
+    basis = CellBasis(k, centroid, h)
+    exps = monomial_exponents(k)
+    loc = ((pts - centroid) / h)[None]
+    hh = np.array([h])
+    for got, want in ((_batch_eval(exps, loc)[0], basis.eval(pts)),
+                      (_batch_grad(exps, loc, hh)[0], basis.grad(pts)),
+                      (_batch_laplace(exps, loc, hh)[0], basis.laplace(pts))):
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(want)))
 
 
 def test_ndof_layout():

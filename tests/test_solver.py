@@ -373,3 +373,137 @@ def test_initial_guess_structure():
     assert np.allclose(v.sides[free_sides, :, 0], 1.0)
     assert np.allclose(v.sides[free_sides, :, 1:], 0.0)
     assert np.array_equal(v.data[prob.dirichlet_idx], prob.dirichlet_values)
+
+
+# -- Hessian pattern and Newton line search ----------------------------------------
+
+def _hessian_full_coo(prob, v):
+    """Oracle: every local Hessian block scattered into an ndof x ndof COO
+    matrix, converted and then restricted to the free dofs."""
+    import scipy.sparse as sp
+    ops = prob.space.ops
+    m = prob.space.m
+    B = prob._ed["B"]
+    wd2 = prob._ed["w"][..., None, None, None, None] \
+        * prob.density.d2w(prob._grad_values(v))
+    Hloc = np.einsum("tqdl,tqmdne,tqef->tmlnf", B, wd2, B)
+    if prob.l2_weight > 0.0:
+        Hloc[:, :, :ops.ncb, :, :ops.ncb] += prob.l2_weight * np.einsum(
+            "mn,tij->tminj", np.eye(m), prob.cell_gram)
+    if prob.stabilized:
+        Hloc = Hloc + prob._stab_hessian_local(v)
+    idx = ops.loc2glob
+    rows = np.broadcast_to(idx[:, :, :, None, None], Hloc.shape).reshape(-1)
+    cols = np.broadcast_to(idx[:, None, None, :, :], Hloc.shape).reshape(-1)
+    n = prob.space.ndof
+    H = sp.coo_matrix((Hloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return H[prob.free_idx][:, prob.free_idx]
+
+
+def _hessian_cases():
+    from ahho.benchmarks import get_benchmark
+    mesh = square_mesh(1)
+    for k, variant in ((1, RT), (0, STABILIZED)):
+        space = HhoSpace(mesh, k, variant=variant,
+                         dirichlet_mask=dirichlet_mask_from_labels(mesh, 1))
+        prob = DiscreteProblem(space, p_laplace(4.0),
+                               f=lambda p: np.ones(len(p)),
+                               u_dirichlet=affine)
+        yield prob
+    bench = get_benchmark("two-well-rect")
+    yield bench.make_problem(refine_uniform(bench.initial_mesh()), 0)
+
+
+def test_hessian_pattern_matches_full_assembly():
+    """RT p-Laplace k = 1, the stabilization Hessian (k = 0) and the L2
+    term of the two-well problem (k = 0)."""
+    rng = np.random.default_rng(23)
+    for prob in _hessian_cases():
+        v = prob.initial_guess()
+        v.data[prob.free_idx] += 0.3 * rng.standard_normal(
+            len(prob.free_idx))
+        H = prob.energy_hessian(v)
+        ref = _hessian_full_coo(prob, v)
+        assert H.format == "csc" and H.shape == ref.shape
+        assert H.nnz == ref.nnz and H.has_sorted_indices
+        assert H.indices.dtype == H.indptr.dtype == np.int32
+        scale = np.abs(ref).max()
+        assert np.abs(H - ref).max() <= 1e-13 * scale
+
+
+def test_hessian_pattern_built_once_per_problem():
+    rng = np.random.default_rng(29)
+    prob = next(_hessian_cases())
+    v = prob.initial_guess()
+    prob.energy_hessian(v)
+    pattern = prob._hess_pattern
+    assert all(a.dtype == np.int32 for a in pattern)
+    v.data[prob.free_idx] += rng.standard_normal(len(prob.free_idx))
+    prob.energy_hessian(v)
+    assert prob._hess_pattern is pattern
+    # the adaptive loop keeps every level's problem alive: a solve
+    # releases the structure it built
+    minimize(prob)
+    assert prob._hess_pattern is None
+
+
+def _eager_newton(fun, grad, hess, x0):
+    """Newton with the energy and the gradient at every line-search
+    trial, as the fun_grad closures worked before."""
+    from ahho.solver import _newton
+
+    def fun_grad(x, energy=True, gradient=True):
+        return fun(x), grad(x)
+    return _newton(fun_grad, hess, x0, SolverSettings())
+
+
+def test_newton_gradients_only_at_accepted_points():
+    from ahho.benchmarks import get_benchmark
+    from ahho.hho import HhoVector
+    bench = get_benchmark("two-well-rect")
+    prob = bench.make_problem(refine_uniform(bench.initial_mesh()), 0)
+    calls = []
+    gradient = prob.energy_gradient
+    prob.energy_gradient = lambda v: calls.append(1) or gradient(v)
+    sol = minimize(prob)
+    lazy = len(calls)
+
+    full = prob.initial_guess().data
+    free = prob.free_idx
+
+    def at(xf):
+        full[free] = xf
+        return HhoVector(prob.space, full)
+    del calls[:]
+    x, E, it, gnorm, conv = _eager_newton(
+        lambda xf: prob.energy(at(xf)), lambda xf: prob.energy_gradient(at(xf)),
+        lambda xf: prob.energy_hessian(at(xf)), full[free].copy())
+    assert sol.converged and conv
+    assert sol.iterations == it
+    assert abs(sol.energy - E) <= 1e-14 * abs(E)
+    assert lazy == it + 1 < len(calls)
+
+
+def test_courant_p1_minimize_converges_with_lazy_gradients():
+    from ahho.benchmarks import get_benchmark
+    from ahho.diagnostics import courant_p1_minimize
+    bench = get_benchmark("two-well-rect")
+    courant = bench.make_courant(refine_uniform(bench.initial_mesh()))
+    E, x, conv = courant_p1_minimize(courant)
+    assert conv
+
+    free = np.nonzero(courant.free)[0]
+    full = np.zeros(courant.mesh.num_vertices * courant.m)
+    full.reshape(-1, courant.m)[:] = courant.values
+
+    def at(xf):
+        full[free] = xf
+        return full
+    x_ref, E_ref, _, _, conv_ref = _eager_newton(
+        lambda xf: courant.energy(at(xf)),
+        lambda xf: courant.gradient(at(xf))[free],
+        lambda xf: courant.hessian(at(xf))[free][:, free].tocsc(),
+        full[free].copy())
+    assert conv_ref
+    assert abs(E - E_ref) <= 1e-14 * abs(E_ref)
+    assert np.array_equal(x.reshape(-1)[free], x_ref)
