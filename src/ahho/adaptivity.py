@@ -10,9 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .hho import RT, STABILIZED, _as_components
-from .poly import reference_segment_rule
-from .solver import eval_neumann, minimize
+from .hho import RT, STABILIZED
+from .solver import minimize
 
 STANDARD = "standard"
 TWO_WELL = "two-well"
@@ -65,12 +64,11 @@ def estimate(space, problem, u, sigma, params):
     """
     mesh = space.mesh
     ops = space.ops
-    m = space.m
     k = space.k
     p = problem.p
     pp = p / (p - 1.0)
     eps = params.eps
-    if params.kind == FHM_VARIANT and m < 2:
+    if params.kind == FHM_VARIANT and space.m < 2:
         raise ValueError("componentwise indicator needs a vector problem")
 
     area = ops.area
@@ -80,22 +78,17 @@ def estimate(space, problem, u, sigma, params):
     pdeg = int(np.ceil(p)) * (k + 1)
     e_pts, e_w = ops._volume_rule(pdeg)
     phi_k_e = ops.cell_eval(ops.exps_k, e_pts)
-    t_e, w_e = reference_segment_rule(pdeg)
-    chi_e = t_e[:, None] ** np.arange(k + 1)
-    d_all = (mesh.vertices[mesh.sides[:, 1]] - mesh.vertices[mesh.sides[:, 0]])
-    spts_e = ops.s_mid[:, None, :] + t_e[None, :, None] * d_all[:, None, :]
+    spts_e, w_e, chi_e = ops.side_rule(pdeg)
 
     # volume residual |T|^((eps*p - p)/2) || Pi_T^k (R u - u_T) ||_p^p
-    r_vol = R.at_points(ops.vol_pts)
-    mom = np.einsum("tq,tqi,tqm->tim", ops.vol_w, ops.phi_k_vol, r_vol)
-    r_proj = np.linalg.solve(ops.gram_k, mom).transpose(0, 2, 1)
     if space.variant == STABILIZED:
         # the polytopal indicator uses the unprojected volume residual
         diff_vals = (R.at_points(e_pts)
                      - np.einsum("tmi,tqi->tqm", u.cells, phi_k_e))
     else:
-        diff = r_proj - u.cells
-        diff_vals = np.einsum("tmi,tqi->tqm", diff, phi_k_e)
+        _, r_proj = ops.project_cells(ops.vol_w, ops.phi_k_vol,
+                                      R.at_points(ops.vol_pts))
+        diff_vals = np.einsum("tmi,tqi->tqm", r_proj - u.cells, phi_k_e)
     mag = np.sqrt(np.einsum("tqm,tqm->tq", diff_vals, diff_vals))
     vol_term = area ** ((eps * p - p) / 2.0) \
         * np.einsum("tq,tq->t", e_w, mag ** p)
@@ -114,42 +107,10 @@ def estimate(space, problem, u, sigma, params):
         stress_term = area ** (eps * pp / 2.0) \
             * np.einsum("tq,tq->t", ed["w"], dmag ** pp)
 
-    # data oscillations
-    f_term = np.zeros(mesh.num_triangles)
-    if problem.f is not None:
-        pts, w = ops._volume_rule(problem.data_degree)
-        fv = _as_components(problem.f(pts.reshape(-1, 2)), m)
-        fv = fv.reshape(pts.shape[0], pts.shape[1], m)
-        phi = ops.cell_eval(ops.exps_k, pts)
-        momf = np.einsum("tq,tqi,tqm->tim", w, phi, fv)
-        gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-        pif = np.linalg.solve(gram, momf).transpose(0, 2, 1)
-        resid = fv - np.einsum("tmi,tqi->tqm", pif, phi)
-        magf = np.sqrt(np.einsum("tqm,tqm->tq", resid, resid))
-        f_term = area ** (pp / 2.0) * np.einsum("tq,tq->t", w, magf ** pp)
-
-    g_term = np.zeros(mesh.num_triangles)
-    neumann = mesh.boundary_sides("neumann")
-    if problem.g is not None and len(neumann):
-        t_ref, w_ref = reference_segment_rule(problem.data_degree)
-        chi = t_ref[:, None] ** np.arange(k + 1)
-        d = (mesh.vertices[mesh.sides[neumann, 1]]
-             - mesh.vertices[mesh.sides[neumann, 0]])
-        spts = (ops.s_mid[neumann][:, None, :]
-                + t_ref[None, :, None] * d[:, None, :])
-        gv = eval_neumann(problem.g, spts, mesh.normals[neumann], m)
-        gram_s = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
-        mom_g = np.einsum("q,qi,sqm->smi", w_ref, chi, gv)
-        pig = np.linalg.solve(gram_s, mom_g[..., None])[..., 0]
-        resid = gv - np.einsum("smi,qi->sqm", pig, chi)
-        magg = np.sqrt(np.einsum("sqm,sqm->sq", resid, resid))
-        osc_per_side = ops.h_f[neumann] * np.einsum(
-            "q,sq->s", w_ref, magg ** pp)
-        per_side_full = np.zeros(mesh.num_sides)
-        per_side_full[neumann] = osc_per_side / ops.h_f[neumann]
-        # assign to the adjacent triangle with weight |T|^(1/2) * int ...
-        g_term = area ** 0.5 * (per_side_full[ops.sot]
-                                * ops.h_f[ops.sot]).sum(axis=1)
+    # data oscillations, integrated once by the problem; the Neumann
+    # sides of T enter with weight |T|^(1/2)
+    f_term = area ** (pp / 2.0) * problem.f_osc
+    g_term = area ** 0.5 * problem.g_osc[ops.sot].sum(axis=1)
 
     # side terms evaluated at the exact-degree side points
     spts_e_t = spts_e[ops.sot]                            # (nt, 3, nqe, 2)
@@ -160,12 +121,11 @@ def estimate(space, problem, u, sigma, params):
     # interior jumps || [R u]_F ||_p^p, counted once per adjacent triangle
     tplus = mesh.adjacency[:, 0]
     tminus = mesh.adjacency[:, 1]
-    r_plus = R.at_points_of(tplus, spts_e)                # (ns, nqe, m)
     interior = mesh.interior_sides()
     jump_per_side = np.zeros(mesh.num_sides)
     if len(interior):
-        r_minus = R.at_points_of(tminus[interior], spts_e[interior])
-        jmp = r_plus[interior] - r_minus
+        jmp = (R.at_points_of(tplus[interior], spts_e[interior])
+               - R.at_points_of(tminus[interior], spts_e[interior]))
         magj = np.sqrt(np.einsum("sqm,sqm->sq", jmp, jmp))
         jump_per_side[interior] = (ops.h_f[interior][:, None] * w_e
                                    * magj ** p).sum(axis=1)
@@ -180,46 +140,34 @@ def estimate(space, problem, u, sigma, params):
     else:
         r_side_g = R.at_points(ops.side_pts_t)
         uF_g = np.einsum("smn,qn->sqm", u.sides, ops.chi_ref)[ops.sot]
-        mom_tr = np.einsum("q,qi,tjqm->tjim", ops.side_wref, ops.chi_ref,
-                           r_side_g - uF_g)
-        coef_tr = np.linalg.solve(ops.gram_side_ref, mom_tr)
-        trace_vals = np.einsum("tjim,qi->tjqm", coef_tr, chi_e)
+        _, coef_tr = ops.project_sides(ops.side_wref, ops.chi_ref,
+                                       r_side_g - uF_g)
+        trace_vals = np.einsum("tjmi,qi->tjqm", coef_tr, chi_e)
     magt = np.sqrt(np.einsum("tjqm,tjqm->tjq", trace_vals, trace_vals))
     trace_term_sides = np.einsum("tjq,tjq->t", w_phys, magt ** p)
 
-    # Dirichlet / boundary-condition residual terms
-    t_data, w_data = reference_segment_rule(problem.data_degree)
-    spts_data = (ops.s_mid[:, None, :]
-                 + t_data[None, :, None] * d_all[:, None, :])
-    r_plus_data = R.at_points_of(tplus, spts_data)        # (ns, nqd, m)
-    w_data_phys = ops.h_f[:, None] * w_data
-
+    # boundary-condition residuals || (R u)_comps - target ||_p^p on the
+    # sides with ``label``; the target is u_D, or zero
     dir_per_side = np.zeros(mesh.num_sides)
+
+    def boundary_residual(label, comps, dirichlet):
+        sel = mesh.boundary_sides(label)
+        if len(sel) == 0 or (dirichlet and problem.u_dirichlet is None):
+            return
+        pts, w_ref, _ = ops.side_rule(problem.data_degree, sel)
+        diff = R.at_points_of(tplus[sel], pts)[..., comps]
+        if dirichlet:
+            diff = diff - problem.dirichlet_data_on(sel)
+        mag = np.sqrt(np.einsum("sqm,sqm->sq", diff, diff))
+        dir_per_side[sel] = (ops.h_f[sel][:, None] * w_ref * mag ** p
+                             ).sum(axis=1)
+
     if params.kind == FHM_VARIANT:
-        for label, comp in (("gamma1", 0), ("gamma2", 1)):
-            sel = mesh.boundary_sides(label)
-            if len(sel) == 0:
-                continue
-            vals = r_plus_data[sel][:, :, comp]
-            dir_per_side[sel] = (w_data_phys[sel] * np.abs(vals) ** p
-                                 ).sum(axis=1)
-        sel = mesh.boundary_sides("gamma3")
-        if len(sel) and problem.u_dirichlet is not None:
-            ud = _as_components(problem.u_dirichlet(
-                spts_data[sel].reshape(-1, 2)), m)
-            ud = ud.reshape(len(sel), len(t_data), m)
-            diffd = r_plus_data[sel] - ud
-            magd = np.sqrt(np.einsum("sqm,sqm->sq", diffd, diffd))
-            dir_per_side[sel] = (w_data_phys[sel] * magd ** p).sum(axis=1)
+        boundary_residual("gamma1", [0], False)
+        boundary_residual("gamma2", [1], False)
+        boundary_residual("gamma3", slice(None), True)
     else:
-        sel = mesh.boundary_sides("dirichlet")
-        if len(sel) and problem.u_dirichlet is not None:
-            ud = _as_components(problem.u_dirichlet(
-                spts_data[sel].reshape(-1, 2)), m)
-            ud = ud.reshape(len(sel), len(t_data), m)
-            diffd = r_plus_data[sel] - ud
-            magd = np.sqrt(np.einsum("sqm,sqm->sq", diffd, diffd))
-            dir_per_side[sel] = (w_data_phys[sel] * magd ** p).sum(axis=1)
+        boundary_residual("dirichlet", slice(None), True)
     dir_term_sides = dir_per_side[ops.sot].sum(axis=1)
 
     side_weight = area ** ((eps * p + 1 - p) / 2.0)
@@ -227,18 +175,8 @@ def estimate(space, problem, u, sigma, params):
     jump_term = side_weight * jump_term_sides
     trace_term = side_weight * trace_term_sides
 
-    lower_term = np.zeros(mesh.num_triangles)
-    if params.kind == TWO_WELL and problem.l2_weight > 0.0:
-        pts, w = ops._volume_rule(problem.data_degree)
-        zv = _as_components(problem.l2_data(pts.reshape(-1, 2)), m)
-        zv = zv.reshape(pts.shape[0], pts.shape[1], m)
-        phi = ops.cell_eval(ops.exps_k, pts)
-        momz = np.einsum("tq,tqi,tqm->tim", w, phi, zv)
-        gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-        piz = np.linalg.solve(gram, momz).transpose(0, 2, 1)
-        residz = zv - np.einsum("tmi,tqi->tqm", piz, phi)
-        magz = np.sqrt(np.einsum("tqm,tqm->tq", residz, residz))
-        lower_term = area * np.einsum("tq,tq->t", w, magz ** 2)
+    lower_term = (area * problem.zeta_osc if params.kind == TWO_WELL
+                  else np.zeros(mesh.num_triangles))
 
     total = (vol_term + stress_term + f_term + g_term + dirichlet_term
              + jump_term + trace_term + lower_term)
@@ -274,27 +212,17 @@ def prolong(fine_space, coarse_solution, problem=None):
     J = coarse_space.companion(coarse_solution)
     mesh = fine_space.mesh
     ops = fine_space.ops
-    parent = mesh.parent
+    degree = 2 * (coarse_space.k + 3)
+    pts, w = ops._volume_rule(degree)
+    spts, w_ref, chi = ops.side_rule(degree)
 
     v = fine_space.zero_vector()
     # cell projections from the coarse polynomial
-    pts, w = ops._volume_rule(2 * (coarse_space.k + 3))
-    vals = J.at_points_of(parent, pts)
-    phi = ops.cell_eval(ops.exps_k, pts)
-    mom = np.einsum("tq,tqi,tqm->tim", w, phi, vals)
-    gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-    v.cells[:] = np.linalg.solve(gram, mom).transpose(0, 2, 1)
-
+    v.cells[:] = ops.project_cells(w, ops.cell_eval(ops.exps_k, pts),
+                                   J.at_points_of(mesh.parent, pts))[1]
     # side projections: evaluate through T_plus's coarse ancestor
-    t_ref, w_ref = reference_segment_rule(2 * (coarse_space.k + 3))
-    chi = t_ref[:, None] ** np.arange(fine_space.k + 1)
-    d = (mesh.vertices[mesh.sides[:, 1]] - mesh.vertices[mesh.sides[:, 0]])
-    spts = ops.s_mid[:, None, :] + t_ref[None, :, None] * d[:, None, :]
-    anc = parent[mesh.adjacency[:, 0]]
-    svals = J.at_points_of(anc, spts)
-    gram_s = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
-    mom_s = np.einsum("q,qi,sqm->smi", w_ref, chi, svals)
-    v.sides[:] = np.linalg.solve(gram_s, mom_s[..., None])[..., 0]
+    anc = mesh.parent[mesh.adjacency[:, 0]]
+    v.sides[:] = ops.project_sides(w_ref, chi, J.at_points_of(anc, spts))[1]
 
     if problem is not None:
         problem.apply_dirichlet(v)
@@ -312,6 +240,7 @@ class LevelRecord:
     stab: Optional[float]
     solution: object
     problem: object
+    sigma: object
     estimates: ElementEstimate
     seconds: float
     converged: bool
@@ -351,7 +280,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         if variant == STABILIZED:
             stab = space.stabilization(sol.u, sol.u, problem.p)
         rec = LevelRecord(level, space.ndof, mesh.num_triangles, sol.energy,
-                          eta, stab, sol, problem, est,
+                          eta, stab, sol, problem, sigma, est,
                           time.perf_counter() - t0, sol.converged)
         records.append(rec)
         if callback is not None:

@@ -141,9 +141,8 @@ def build_reports(records, bench):
     """Enrich raw driver records with error norms and certified bounds."""
     reports = []
     for rec in records:
-        problem = rec.problem
+        problem, sigma = rec.problem, rec.sigma
         u = rec.solution.u
-        sigma = problem.discrete_stress(u)
         err_grad = err_stress = err_vol = err_energy = None
         leb = leb_no = rhs = None
         exact = bench.exact

@@ -259,7 +259,7 @@ _REGISTRY = {
 
 
 def by_name(name, params=None):
-    """Density lookup used by the run configuration."""
+    """Density by registry name; public as ``ahho.density_by_name``."""
     if name not in _REGISTRY:
         raise KeyError(f"unknown density {name!r}")
     return _REGISTRY[name](params or {})

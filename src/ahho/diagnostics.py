@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .densities import UnsupportedConjugate
-from .hho import STABILIZED, _as_components, _batch_eval
+from .hho import STABILIZED, _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
 from .solver import SolverSettings, _lbfgs, _newton, eval_neumann
@@ -57,8 +57,9 @@ class LevelReport:
     converged: bool = True
 
 
-def _exact_grad_values(exact, pts, m):
-    g = np.asarray(exact.grad_u(pts.reshape(-1, 2)), dtype=float)
+def _matrix_values(fn, pts, m):
+    """An (m, 2)-valued closure at points (..., 2) -> (..., m, 2)."""
+    g = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
     if g.ndim == 2:
         g = g[:, None, :]
     return g.reshape(pts.shape[:-1] + (m, 2))
@@ -90,15 +91,21 @@ def _graded_reference_rule(degree, levels):
 
 
 def _graded_corner_rule(corners, v_loc, degree, levels=36):
-    """Quadrature on a triangle with an integrable point singularity at
-    local vertex ``v_loc``: dyadic grading toward the corner restores the
-    accuracy a fixed-degree rule loses there.  The graded rule is built
-    once on the reference triangle and mapped affinely."""
-    order = [v_loc, (v_loc + 1) % 3, (v_loc + 2) % 3]
-    tri = np.asarray(corners, dtype=float)[order]
+    """Quadrature on triangles (..., 3, 2) with an integrable point
+    singularity at local vertex ``v_loc`` (...,): dyadic grading toward the
+    corner restores the accuracy a fixed-degree rule loses there.  The
+    graded rule is built once on the reference triangle and mapped
+    affinely; points (..., nq, 2), weights (..., nq)."""
+    order = (np.asarray(v_loc)[..., None] + np.arange(3)) % 3
+    tri = np.take_along_axis(np.asarray(corners, dtype=float),
+                             order[..., None], axis=-2)
     ref_pts, ref_w = _graded_reference_rule(degree, levels)
-    jac = np.stack([tri[1] - tri[0], tri[2] - tri[0]], axis=1)
-    return ref_pts @ jac.T + tri[0], ref_w * abs(np.linalg.det(jac))
+    e1 = tri[..., 1, :] - tri[..., 0, :]
+    e2 = tri[..., 2, :] - tri[..., 0, :]
+    pts = (tri[..., None, 0, :] + ref_pts[:, 0:1] * e1[..., None, :]
+           + ref_pts[:, 1:2] * e2[..., None, :])
+    det = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    return pts, det[..., None] * ref_w
 
 
 def _singular_triangles(mesh, singular_point):
@@ -119,64 +126,44 @@ def error_norms(problem, u, exact, degree=None, singular_point=None):
     """
     space = problem.space
     ops = space.ops
-    mesh = space.mesh
     m = space.m
     p = problem.p
     pp = p / (p - 1.0)
     degree = degree or (problem.energy_degree + 4)
-    pts, w = ops._volume_rule(degree)
-
     g = space.gradient_reconstruction(u) if exact.grad_u is not None else None
-    grad_pp = stress_pp = vol_pp = None
-    if exact.grad_u is not None:
-        tau = ops.grad_basis_eval(pts)
-        Gu = np.einsum("tqid,tmi->tqmd", tau, g.coeffs)
-        ge = _exact_grad_values(exact, pts, m)
-        diff = ge - Gu
-        mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
-        grad_pp = np.einsum("tq,tq->t", w, mag ** p)
-        if exact.sigma is not None:
-            se = np.asarray(exact.sigma(pts.reshape(-1, 2)), dtype=float)
-            if se.ndim == 2:
-                se = se[:, None, :]
-            se = se.reshape(pts.shape[0], pts.shape[1], m, 2)
-            dW = problem.density.dw(Gu)
-            dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", se - dW, se - dW))
-            stress_pp = np.einsum("tq,tq->t", w, dmag ** pp)
-    if exact.u is not None:
-        ue = _as_components(exact.u(pts.reshape(-1, 2)), m)
-        ue = ue.reshape(pts.shape[0], pts.shape[1], m)
-        phi = ops.cell_eval(ops.exps_k, pts)
-        uT = np.einsum("tmi,tqi->tqm", u.cells, phi)
-        dmag = np.einsum("tqm,tqm->tq", ue - uT, ue - uT)
-        vol_pp = np.einsum("tq,tq->t", w, dmag)
 
+    def per_element(pts, w, tri):
+        """int |grad u - G u|^p, int |sigma - DW(G u)|^p' and
+        int |u - u_T|^2 on the triangles ``tri`` with the rule (pts, w)."""
+        grad_pp = stress_pp = vol_pp = None
+        if exact.grad_u is not None:
+            Gu = np.matmul(g.coeffs[tri][:, None],
+                           ops.grad_basis_eval(pts, tri))      # (n,nq,m,2)
+            diff = _matrix_values(exact.grad_u, pts, m) - Gu
+            mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
+            grad_pp = np.einsum("tq,tq->t", w, mag ** p)
+            if exact.sigma is not None:
+                diff = (_matrix_values(exact.sigma, pts, m)
+                        - problem.density.dw(Gu))
+                dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
+                stress_pp = np.einsum("tq,tq->t", w, dmag ** pp)
+        if exact.u is not None:
+            uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
+                           ops.cell_eval(ops.exps_k, pts, tri))
+            diff = _values_at(exact.u, pts, m) - uT
+            vol_pp = np.einsum("tq,tqm,tqm->t", w, diff, diff)
+        return grad_pp, stress_pp, vol_pp
+
+    terms = per_element(*ops._volume_rule(degree), slice(None))
     if singular_point is not None:
-        corners = mesh.corners()
-        for t, loc in _singular_triangles(mesh, singular_point):
-            gpts, gw = _graded_corner_rule(corners[t], loc, degree)
-            if grad_pp is not None:
-                Gu_t = g.at_points_of(t, gpts)
-                ge_t = _exact_grad_values(exact, gpts[None], m)[0]
-                dmag = np.sqrt(np.einsum("qmd,qmd->q", ge_t - Gu_t,
-                                         ge_t - Gu_t))
-                grad_pp[t] = gw @ dmag ** p
-                if stress_pp is not None:
-                    se_t = np.asarray(exact.sigma(gpts), dtype=float)
-                    if se_t.ndim == 2:
-                        se_t = se_t[:, None, :]
-                    dW_t = problem.density.dw(Gu_t)
-                    dmag = np.sqrt(np.einsum("qmd,qmd->q", se_t - dW_t,
-                                             se_t - dW_t))
-                    stress_pp[t] = gw @ dmag ** pp
-            if vol_pp is not None:
-                ue_t = _as_components(exact.u(gpts), m)
-                cb_loc = (gpts - ops.centroid[t]) / ops.h_t[t]
-                phi_t = _batch_eval(ops.exps_k, cb_loc)
-                uT_t = np.einsum("mi,qi->qm", u.cells[t], phi_t)
-                vol_pp[t] = gw @ np.einsum("qm,qm->q", ue_t - uT_t,
-                                           ue_t - uT_t)
+        tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
+                              dtype=np.int64).reshape(-1, 2).T
+        gpts, gw = _graded_corner_rule(ops.corners[tri], v_loc, degree)
+        for term, graded in zip(terms, per_element(gpts, gw, tri)):
+            if term is not None:
+                term[tri] = graded
 
+    grad_pp, stress_pp, vol_pp = terms
     err_grad = float(grad_pp.sum() ** (1.0 / p)) if grad_pp is not None \
         else None
     err_stress = float(stress_pp.sum() ** (1.0 / pp)) \
@@ -186,56 +173,15 @@ def error_norms(problem, u, exact, degree=None, singular_point=None):
 
 
 def data_oscillations(problem):
-    """osc(f, T) and osc_N(g, F(Gamma_N)) with the h_T / h_F weights."""
-    space = problem.space
-    ops = space.ops
-    m = space.m
+    """osc(f, T) and osc_N(g, F(Gamma_N)) with the h_T / h_F weights, and
+    the oscillation of the lower-order datum, from the per-element
+    integrals the problem computed with its load."""
+    ops = problem.space.ops
     pp = problem.p / (problem.p - 1.0)
-    osc_f = 0.0
-    if problem.f is not None:
-        pts, w = ops._volume_rule(problem.data_degree)
-        fv = _as_components(problem.f(pts.reshape(-1, 2)), m)
-        fv = fv.reshape(pts.shape[0], pts.shape[1], m)
-        phi = ops.cell_eval(ops.exps_k, pts)
-        mom = np.einsum("tq,tqi,tqm->tim", w, phi, fv)
-        gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-        pif = np.linalg.solve(gram, mom).transpose(0, 2, 1)
-        resid = fv - np.einsum("tmi,tqi->tqm", pif, phi)
-        mag = np.sqrt(np.einsum("tqm,tqm->tq", resid, resid))
-        per_t = np.einsum("tq,tq->t", w, mag ** pp)
-        osc_f = float(np.sum(ops.h_t * per_t) ** (1.0 / pp))
-    osc_g = 0.0
-    mesh = space.mesh
-    neumann = mesh.boundary_sides("neumann")
-    if problem.g is not None and len(neumann):
-        t_ref, w_ref = reference_segment_rule(problem.data_degree)
-        chi = t_ref[:, None] ** np.arange(space.k + 1)
-        d = (mesh.vertices[mesh.sides[neumann, 1]]
-             - mesh.vertices[mesh.sides[neumann, 0]])
-        spts = (ops.s_mid[neumann][:, None, :]
-                + t_ref[None, :, None] * d[:, None, :])
-        gv = eval_neumann(problem.g, spts, mesh.normals[neumann], m)
-        gram_s = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
-        mom = np.einsum("q,qi,sqm->smi", w_ref, chi, gv)
-        pig = np.linalg.solve(gram_s, mom[..., None])[..., 0]
-        resid = gv - np.einsum("smi,qi->sqm", pig, chi)
-        mag = np.sqrt(np.einsum("sqm,sqm->sq", resid, resid))
-        per_s = ops.h_f[neumann] * np.einsum("q,sq->s", w_ref, mag ** pp)
-        osc_g = float(np.sum(ops.h_f[neumann] * per_s) ** (1.0 / pp))
-    osc_zeta = 0.0
-    if problem.l2_weight > 0.0:
-        pts, w = ops._volume_rule(problem.data_degree)
-        zv = _as_components(problem.l2_data(pts.reshape(-1, 2)), m)
-        zv = zv.reshape(pts.shape[0], pts.shape[1], m)
-        phi = ops.cell_eval(ops.exps_k, pts)
-        mom = np.einsum("tq,tqi,tqm->tim", w, phi, zv)
-        gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-        piz = np.linalg.solve(gram, mom).transpose(0, 2, 1)
-        resid = zv - np.einsum("tmi,tqi->tqm", piz, phi)
-        mag2 = np.einsum("tqm,tqm->tq", resid, resid)
-        per_t = np.einsum("tq,tq->t", w, mag2)
-        osc_zeta = problem.l2_weight \
-            * float(np.sqrt(np.sum(ops.h_t ** 2 * per_t)))
+    osc_f = float(np.sum(ops.h_t * problem.f_osc) ** (1.0 / pp))
+    osc_g = float(np.sum(ops.h_f * problem.g_osc) ** (1.0 / pp))
+    osc_zeta = problem.l2_weight \
+        * float(np.sqrt(np.sum(ops.h_t ** 2 * problem.zeta_osc)))
     return osc_f, osc_g, osc_zeta
 
 
@@ -258,7 +204,7 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
     Gu = np.einsum("tqid,tmi->tqmd", tau, g.coeffs)
     dW = problem.density.dw(Gu)
     sig = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
-    ge = _exact_grad_values(exact, pts, m)
+    ge = _matrix_values(exact.grad_u, pts, m)
     corr = float(np.einsum("tq,tqmd,tqmd->", w, dW - sig, ge))
     base = E + corr
     if space.variant == STABILIZED:
@@ -395,7 +341,7 @@ class CourantProblem:
         self.values = np.zeros((nv, m))
         if self.u_dirichlet is not None and mask.any():
             nodes = np.nonzero(mask.any(axis=1))[0]
-            vals = _as_components(self.u_dirichlet(mesh.vertices[nodes]), m)
+            vals = _values_at(self.u_dirichlet, mesh.vertices[nodes], m)
             for i, vtx in enumerate(nodes):
                 for c in range(m):
                     if mask[vtx, c]:
@@ -405,7 +351,6 @@ class CourantProblem:
         # load vector
         degree = max(int(np.ceil(self.density.p)) + 2, 6)
         self.load = np.zeros(nv * m)
-        from .poly import reference_triangle_rule
         ref_pts, ref_w = reference_triangle_rule(degree)
         lam = np.stack([1 - ref_pts[:, 0] - ref_pts[:, 1],
                         ref_pts[:, 0], ref_pts[:, 1]], axis=1)
@@ -414,13 +359,12 @@ class CourantProblem:
         self._vol_pts = pts
         self._vol_w = wq
         self._lam = lam
+        # dof of each (triangle, local vertex, component)
+        self._dof = mesh.triangles[:, :, None] * m + np.arange(m)
         if self.f is not None:
-            fv = _as_components(self.f(pts.reshape(-1, 2)), m)
-            fv = fv.reshape(pts.shape[0], pts.shape[1], m)
-            mom = np.einsum("tq,qj,tqm->tjm", wq, lam, fv)
-            np.add.at(self.load.reshape(nv, m),
-                      mesh.triangles.reshape(-1),
-                      mom.reshape(-1, m))
+            fv = _values_at(self.f, pts, m)
+            self.load += self._scatter(
+                np.einsum("tq,qj,tqm->tjm", wq, lam, fv))
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
             t_ref, w_ref = reference_segment_rule(degree)
@@ -434,11 +378,18 @@ class CourantProblem:
             lam_b = 0.5 + t_ref
             mom_a = np.einsum("q,q,sqm->sm", w_ref, lam_a, gv) * h[:, None]
             mom_b = np.einsum("q,q,sqm->sm", w_ref, lam_b, gv) * h[:, None]
-            np.add.at(self.load.reshape(nv, m), mesh.sides[neumann, 0], mom_a)
-            np.add.at(self.load.reshape(nv, m), mesh.sides[neumann, 1], mom_b)
+            dof = mesh.sides[neumann][:, :, None] * m + np.arange(m)
+            self.load += np.bincount(
+                dof.reshape(-1), np.stack([mom_a, mom_b], axis=1).reshape(-1),
+                minlength=nv * m)
         if self.l2_weight > 0.0:
-            zv = _as_components(self.l2_data(pts.reshape(-1, 2)), m)
-            self._zeta = zv.reshape(pts.shape[0], pts.shape[1], m)
+            self._zeta = _values_at(self.l2_data, pts, m)
+
+    def _scatter(self, per_node):
+        """Sum per-(triangle, local vertex, component) values into the
+        nodal dofs."""
+        return np.bincount(self._dof.reshape(-1), per_node.reshape(-1),
+                           minlength=self.load.size)
 
     def _gradients(self, x):
         v = x.reshape(-1, self.m)
@@ -461,21 +412,13 @@ class CourantProblem:
         dW = self.density.dw(G)
         per_node = np.einsum("t,tmd,tjd->tjm", self.area, dW,
                              self.grad_lambda)
-        out = np.zeros_like(x).reshape(-1, self.m)
-        np.add.at(out, self.mesh.triangles.reshape(-1),
-                  per_node.reshape(-1, self.m))
-        grad = out.reshape(-1) - self.load
         if self.l2_weight > 0.0:
             v = x.reshape(-1, self.m)[self.mesh.triangles]
             vals = np.einsum("qj,tjm->tqm", self._lam, v)
             diff = vals - self._zeta
-            mom = self.l2_weight * np.einsum("tq,qj,tqm->tjm", self._vol_w,
-                                             self._lam, diff)
-            out2 = np.zeros_like(x).reshape(-1, self.m)
-            np.add.at(out2, self.mesh.triangles.reshape(-1),
-                      mom.reshape(-1, self.m))
-            grad += out2.reshape(-1)
-        return grad
+            per_node += self.l2_weight * np.einsum(
+                "tq,qj,tqm->tjm", self._vol_w, self._lam, diff)
+        return self._scatter(per_node) - self.load
 
     def hessian(self, x):
         m = self.m
@@ -488,8 +431,7 @@ class CourantProblem:
                              self._lam)
             Hloc += self.l2_weight * np.einsum("tjk,mn->tjmkn", mass,
                                                np.eye(m))
-        tri = self.mesh.triangles
-        idx = (tri[:, :, None] * m + np.arange(m)[None, None, :])
+        idx = self._dof
         rows = np.broadcast_to(idx[:, :, :, None, None], Hloc.shape)
         cols = np.broadcast_to(idx[:, None, None, :, :], Hloc.shape)
         n = self.mesh.num_vertices * m

@@ -91,6 +91,7 @@ class SpaceOps:
         self.h_f = np.sqrt(np.einsum("sd,sd->s", d, d))
         self.s_mid = 0.5 * (mesh.vertices[mesh.sides[:, 0]]
                             + mesh.vertices[mesh.sides[:, 1]])
+        self.s_vec = d
         self.s_tang = d / self.h_f[:, None]
 
         self.sot = mesh.side_of_triangle
@@ -113,14 +114,9 @@ class SpaceOps:
         self.vol_pts, self.vol_w = self._volume_rule(self.vol_deg)
         # side geometry rule, exact to degree 2k+2
         self.side_deg = 2 * k + 2
-        t_ref, w_ref = reference_segment_rule(self.side_deg)
-        self.side_t = t_ref
-        self.side_wref = w_ref
-        self.side_pts = (self.s_mid[:, None, :]
-                         + t_ref[None, :, None]
-                         * (d[:, None, :]))          # (ns, nqs, 2)
-        self.side_w = self.h_f[:, None] * w_ref[None, :]
-        self.chi_ref = t_ref[:, None] ** np.arange(self.nsb)  # (nqs, nsb)
+        self.side_pts, self.side_wref, self.chi_ref = self.side_rule(
+            self.side_deg)
+        self.side_w = self.h_f[:, None] * self.side_wref[None, :]
 
         self._build_local_maps()
         self._build_projections()
@@ -142,15 +138,26 @@ class SpaceOps:
                + ref_pts[None, :, 1:2] * e2[:, None, :] + p0[:, None, :])
         return pts, det[:, None] * ref_w[None, :]
 
-    def local_coords(self, pts):
-        """(x - centroid)/h_T for per-triangle point arrays (nt, ..., 2)."""
+    def side_rule(self, degree, sides=slice(None)):
+        """Gauss rule exact to ``degree`` on the given sides (all by
+        default): points (ns, nq, 2), weights on the reference side
+        [-1/2, 1/2] (h_F times them on the side), and the side basis at
+        the points, (nq, k+1)."""
+        t, w = reference_segment_rule(degree)
+        pts = (self.s_mid[sides][:, None, :]
+               + t[None, :, None] * self.s_vec[sides][:, None, :])
+        return pts, w, t[:, None] ** np.arange(self.nsb)
+
+    def local_coords(self, pts, tri=slice(None)):
+        """(x - centroid)/h_T for point arrays (n, ..., 2) on the triangles
+        ``tri`` (all by default)."""
         extra = pts.ndim - 2
-        c = self.centroid.reshape((-1,) + (1,) * extra + (2,))
-        h = self.h_t.reshape((-1,) + (1,) * (extra + 1))
+        c = self.centroid[tri].reshape((-1,) + (1,) * extra + (2,))
+        h = self.h_t[tri].reshape((-1,) + (1,) * (extra + 1))
         return (pts - c) / h
 
-    def cell_eval(self, exps, pts):
-        return _batch_eval(exps, self.local_coords(pts))
+    def cell_eval(self, exps, pts, tri=slice(None)):
+        return _batch_eval(exps, self.local_coords(pts, tri))
 
     def cell_grad(self, exps, pts):
         return _batch_grad(exps, self.local_coords(pts), self.h_t)
@@ -162,9 +169,10 @@ class SpaceOps:
             return (self.space.k + 1) * (self.space.k + 3)
         return 2 * self.ncb
 
-    def grad_basis_eval(self, pts):
-        """Vector fields of the local gradient space, (nt, ..., ng, 2)."""
-        loc = self.local_coords(pts)
+    def grad_basis_eval(self, pts, tri=slice(None)):
+        """Vector fields of the local gradient space at points (n, ..., 2)
+        on the triangles ``tri`` (all by default), (n, ..., ng, 2)."""
+        loc = self.local_coords(pts, tri)
         phi = _batch_eval(self.exps_k, loc)
         ncb = self.ncb
         out = np.zeros(phi.shape[:-1] + (self.grad_space_dim(), 2))
@@ -219,6 +227,27 @@ class SpaceOps:
     def scatter_add(self, out, local):
         out += np.bincount(self.loc2glob.reshape(-1), local.reshape(-1),
                            minlength=len(out))
+
+    # -- L2 projections onto P_k -------------------------------------------------
+
+    def project_cells(self, w, phi, vals):
+        """L2 projection onto P_k(T) of values (nt, nq, m) at a volume rule
+        with weights (nt, nq) and P_k basis values phi (nt, nq, ncb):
+        the moments int vals phi_i and the coefficients, both (nt, m, ncb)
+        like ``HhoVector.cells``."""
+        mom = np.einsum("tq,tqi,tqm->tmi", w, phi, vals)
+        gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
+        coeffs = np.linalg.solve(gram, mom.transpose(0, 2, 1))
+        return mom, coeffs.transpose(0, 2, 1)
+
+    def project_sides(self, w_ref, chi, vals):
+        """L2 projection onto P_k(F) of values (..., nq, m) at a side rule
+        with reference weights w_ref and side basis chi (``side_rule``):
+        the reference moments int vals chi_i (h_F times them on the side)
+        and the coefficients, both (..., m, k+1) like ``HhoVector.sides``."""
+        mom = np.einsum("q,qi,...qm->...mi", w_ref, chi, vals)
+        gram = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
+        return mom, np.linalg.solve(gram, mom[..., None])[..., 0]
 
     # -- projections and Gram matrices ------------------------------------------
 
@@ -343,11 +372,6 @@ class SpaceOps:
                 "pts": pts, "w": w, "B": B, "phi": phi}
         return self._energy_cache[degree]
 
-    def stab_side_rule(self, degree):
-        t_ref, w_ref = reference_segment_rule(degree)
-        chi = t_ref[:, None] ** np.arange(self.nsb)
-        return t_ref, w_ref, chi
-
 class _CompanionGeometry:
     """Node tables and bubble systems for the conforming companion."""
 
@@ -375,7 +399,7 @@ class _CompanionGeometry:
         self.vand_k3_inv = np.linalg.inv(phi3)
 
         # side bubble Gram: int_F bF chi_i chi_j with bF(t) = 1/4 - t^2
-        t = ops.side_t
+        t, _ = reference_segment_rule(ops.side_deg)
         bub = 0.25 - t ** 2
         gram_ref = np.einsum("q,q,qi,qj->ij", ops.side_wref, bub,
                              ops.chi_ref, ops.chi_ref)
@@ -395,32 +419,27 @@ class _CompanionGeometry:
         return np.einsum("t...d,tjd->t...j", aug, self.bary_inv)
 
     def _global_node_ids(self, mesh, degree, bary):
+        """Global ids of the degree-``degree`` lattice nodes, (nt, nn):
+        vertex nodes take the vertex number, the degree-1 nodes inside
+        side s follow at nv + s (degree-1), numbered from the side's first
+        vertex, and the interior nodes of each triangle come last."""
         nt = mesh.num_triangles
-        nn = len(bary)
-        gid = np.full((nt, nn), -1, dtype=np.int64)
-        next_id = mesh.num_vertices
-        edge_nodes = {}
+        nv = mesh.num_vertices
+        gid = np.empty((nt, len(bary)), dtype=np.int64)
+        next_id = nv + mesh.num_sides * (degree - 1)
         for n, lam in enumerate(bary):
             zero = np.nonzero(np.abs(lam) < 1e-12)[0]
             if len(zero) == 2:
-                v_loc = [i for i in range(3) if i not in zero][0]
-                gid[:, n] = mesh.triangles[:, v_loc]
+                gid[:, n] = mesh.triangles[:, np.argmax(lam)]
             elif len(zero) == 1:
                 j = zero[0]           # node on the edge opposite vertex j
-                a_loc, b_loc = (j + 1) % 3, (j + 2) % 3
-                for t in range(nt):
-                    s = mesh.side_of_triangle[t, j]
-                    va, vb = mesh.triangles[t, a_loc], mesh.triangles[t, b_loc]
-                    frac = lam[b_loc]
-                    # position measured from the side's lower vertex index
-                    if mesh.sides[s, 0] == va:
-                        key = (s, round(frac * degree))
-                    else:
-                        key = (s, degree - round(frac * degree))
-                    if key not in edge_nodes:
-                        edge_nodes[key] = next_id
-                        next_id += 1
-                    gid[t, n] = edge_nodes[key]
+                s = mesh.side_of_triangle[:, j]
+                pos = round(lam[(j + 2) % 3] * degree)
+                # position measured from the side's first vertex
+                pos = np.where(mesh.sides[s, 0]
+                               == mesh.triangles[:, (j + 1) % 3],
+                               pos, degree - pos)
+                gid[:, n] = nv + s * (degree - 1) + pos - 1
             else:
                 gid[:, n] = next_id + np.arange(nt)
                 next_id += nt
@@ -469,23 +488,6 @@ class GradField:
         tau = self.space.ops.grad_basis_eval(pts)
         return np.einsum("t...id,tmi->t...md", tau, self.coeffs)
 
-    def at_points_of(self, t, pts):
-        """Values on one triangle at physical points (nq, 2) -> (nq, m, 2)."""
-        ops = self.space.ops
-        k = self.space.k
-        loc = (pts - ops.centroid[t]) / ops.h_t[t]
-        phi = _batch_eval(ops.exps_k, loc)
-        ncb = phi.shape[-1]
-        out = np.zeros((len(pts), self.space.m, 2))
-        out[..., 0] += np.einsum("qi,mi->qm", phi, self.coeffs[t, :, :ncb])
-        out[..., 1] += np.einsum("qi,mi->qm", phi,
-                                 self.coeffs[t, :, ncb:2 * ncb])
-        if self.space.variant == RT:
-            q = phi[:, ncb - (k + 1):]
-            rad = np.einsum("qi,mi->qm", q, self.coeffs[t, :, 2 * ncb:])
-            out += rad[..., None] * loc[:, None, :]
-        return out
-
     def div_at_points(self, pts):
         dv = self.space.ops.grad_basis_div(pts)
         return np.einsum("t...i,tmi->t...m", dv, self.coeffs)
@@ -521,12 +523,7 @@ class PiecewisePoly:
 
     def at_points_of(self, tri_idx, pts):
         """Evaluate on selected triangles: pts (n, ..., 2), tri_idx (n,)."""
-        ops = self.space.ops
-        c = ops.centroid[tri_idx].reshape((len(tri_idx),) + (1,) * (pts.ndim - 2)
-                                          + (2,))
-        h = ops.h_t[tri_idx].reshape((len(tri_idx),) + (1,) * (pts.ndim - 1))
-        loc = (pts - c) / h
-        phi = _batch_eval(self.exps, loc)
+        phi = self.space.ops.cell_eval(self.exps, pts, tri_idx)
         return np.einsum("n...i,nmi->n...m", phi, self.coeffs[tri_idx])
 
 
@@ -573,13 +570,11 @@ class HhoSpace:
         return np.arange(off, off + self.k + 1)
 
     def dirichlet_dofs(self):
-        """Indices of all constrained side dofs."""
-        idx = []
-        for s, c in zip(*np.nonzero(self.dirichlet_mask)):
-            idx.append(self.side_dof_indices(s, c))
-        if not idx:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate(idx)
+        """Indices of all constrained side dofs, side by side and component
+        by component."""
+        s, c = np.nonzero(self.dirichlet_mask)
+        off = self.ncell_dofs + (s * self.m + c) * (self.k + 1)
+        return (off[:, None] + np.arange(self.k + 1)).reshape(-1)
 
     # -- interpolation -----------------------------------------------------------
 
@@ -589,29 +584,14 @@ class HhoSpace:
         ``fn(points (..., 2)) -> (..., m)`` (or (...,) when m == 1).
         """
         ops = self.ops
-        degree = degree or (2 * self.k + 8)
-        pts, w = ops._volume_rule(max(degree, 2 * self.k))
-        vals = _as_components(fn(pts.reshape(-1, 2)), self.m)
-        vals = vals.reshape(pts.shape[0], pts.shape[1], self.m)
-        phi = ops.cell_eval(ops.exps_k, pts)
-        mom = np.einsum("tq,tqi,tqm->tim", w, phi, vals)
-        gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
-        cells = np.linalg.solve(gram, mom).transpose(0, 2, 1)
-
-        t_ref, w_ref = reference_segment_rule(max(degree, 2 * self.k))
-        chi = t_ref[:, None] ** np.arange(self.k + 1)
-        mesh = self.mesh
-        d = mesh.vertices[mesh.sides[:, 1]] - mesh.vertices[mesh.sides[:, 0]]
-        spts = ops.s_mid[:, None, :] + t_ref[None, :, None] * d[:, None, :]
-        svals = _as_components(fn(spts.reshape(-1, 2)), self.m)
-        svals = svals.reshape(spts.shape[0], spts.shape[1], self.m)
-        gram_s = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
-        mom_s = np.einsum("q,qi,sqm->smi", w_ref, chi, svals)
-        sides = np.linalg.solve(gram_s, mom_s[..., None])[..., 0]
-
+        degree = max(degree or (2 * self.k + 8), 2 * self.k)
+        pts, w = ops._volume_rule(degree)
+        spts, w_ref, chi = ops.side_rule(degree)
         v = self.zero_vector()
-        v.cells[:] = cells
-        v.sides[:] = sides
+        v.cells[:] = ops.project_cells(w, ops.cell_eval(ops.exps_k, pts),
+                                       _values_at(fn, pts, self.m))[1]
+        v.sides[:] = ops.project_sides(w_ref, chi,
+                                       _values_at(fn, spts, self.m))[1]
         return v
 
     # -- reconstructions -----------------------------------------------------------
@@ -636,7 +616,7 @@ class HhoSpace:
         ops = self.ops
         k = self.k
         deg = max(2 * (k + 1) + k, int(np.ceil(p)) * (k + 1))
-        t_ref, w_ref, chi = ops.stab_side_rule(deg)
+        _, w_ref, chi = ops.side_rule(deg)
         Su = np.einsum("tjmn,qn->tjmq", self.stab_trace_coeffs(u), chi)
         Sv = np.einsum("tjmn,qn->tjmq", self.stab_trace_coeffs(v), chi)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", Su, Su))
@@ -755,6 +735,12 @@ def _as_components(vals, m):
     if vals.shape[-1] != m:
         raise ValueError(f"expected {m} components, got shape {vals.shape}")
     return vals
+
+
+def _values_at(fn, pts, m):
+    """``fn`` at points (..., 2) as values (..., m)."""
+    return _as_components(fn(pts.reshape(-1, 2)), m).reshape(
+        pts.shape[:-1] + (m,))
 
 
 def _safe_pow(mag, e):

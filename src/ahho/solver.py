@@ -15,8 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _safe_pow
-from .poly import reference_segment_rule
+    _safe_pow, _values_at
 
 
 @dataclass
@@ -87,82 +86,82 @@ class DiscreteProblem:
     # -- static data -------------------------------------------------------------
 
     def _assemble_static(self):
+        """Load vector, Dirichlet values, lower-order data and the data
+        oscillations: each closure is evaluated once, at the data rule.
+        ``f_osc`` and ``zeta_osc`` hold per triangle int_T |f - Pi_k f|^p'
+        and int_T |zeta - Pi_k zeta|^2, ``g_osc`` per side
+        int_F |g - Pi_k g|^p' (zero off the Neumann sides), and
+        ``dirichlet_data`` the values of u_dirichlet on the sides with a
+        constrained component, ``dirichlet_sides``."""
         space = self.space
         ops = space.ops
-        m = space.m
-        self.load = np.zeros(space.ndof)
-        if self.f is not None:
-            pts, w = ops._volume_rule(self.data_degree)
-            vals = _as_components(self.f(pts.reshape(-1, 2)), m)
-            vals = vals.reshape(pts.shape[0], pts.shape[1], m)
-            phi = ops.cell_eval(ops.exps_k, pts)
-            mom = np.einsum("tq,tqi,tqm->tmi", w, phi, vals)
-            self.load[:space.ncell_dofs] = mom.reshape(-1)
-
         mesh = space.mesh
+        m = space.m
+        pp = self.p / (self.p - 1.0)
+        self.load = np.zeros(space.ndof)
+        load = HhoVector(space, self.load)
+        self.f_osc = np.zeros(mesh.num_triangles)
+        self.zeta_osc = np.zeros(mesh.num_triangles)
+        self.g_osc = np.zeros(mesh.num_sides)
+        pts, w = ops._volume_rule(self.data_degree)
+        phi = ops.cell_eval(ops.exps_k, pts)
+        if self.f is not None:
+            fv = _values_at(self.f, pts, m)
+            mom, pif = ops.project_cells(w, phi, fv)
+            load.cells[:] = mom
+            self.f_osc = _residual_integral(w, phi, fv, pif, pp)
+
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
-            t_ref, w_ref = reference_segment_rule(self.data_degree)
-            chi = t_ref[:, None] ** np.arange(space.k + 1)
-            d = (mesh.vertices[mesh.sides[neumann, 1]]
-                 - mesh.vertices[mesh.sides[neumann, 0]])
-            spts = (ops.s_mid[neumann][:, None, :]
-                    + t_ref[None, :, None] * d[:, None, :])
+            spts, w_ref, chi = ops.side_rule(self.data_degree, neumann)
             gv = eval_neumann(self.g, spts, mesh.normals[neumann], m)
-            mom = np.einsum("q,qi,sqm->smi", w_ref, chi, gv) \
-                * ops.h_f[neumann][:, None, None]
-            for idx, s in enumerate(neumann):
-                for c in range(m):
-                    self.load[space.side_dof_indices(s, c)] = mom[idx, c]
+            mom, pig = ops.project_sides(w_ref, chi, gv)
+            h = ops.h_f[neumann]
+            load.sides[neumann] = mom * h[:, None, None]
+            self.g_osc[neumann] = _residual_integral(h[:, None] * w_ref, chi,
+                                                     gv, pig, pp)
 
-        # Dirichlet values
         self.dirichlet_idx = space.dirichlet_dofs()
         self.dirichlet_values = np.zeros(len(self.dirichlet_idx))
+        self.dirichlet_sides = np.nonzero(
+            space.dirichlet_mask.any(axis=1))[0]
+        self.dirichlet_data = None
         if len(self.dirichlet_idx) and self.u_dirichlet is not None:
-            vals = self._project_dirichlet()
-            self.dirichlet_values = vals
+            spts, w_ref, chi = ops.side_rule(self.data_degree,
+                                             self.dirichlet_sides)
+            self.dirichlet_data = _values_at(self.u_dirichlet, spts, m)
+            _, coeffs = ops.project_sides(w_ref, chi, self.dirichlet_data)
+            # constrained (side, component) pairs in dirichlet_dofs order
+            self.dirichlet_values = coeffs[
+                space.dirichlet_mask[self.dirichlet_sides]].reshape(-1)
         self.free_mask = np.ones(space.ndof, dtype=bool)
         self.free_mask[self.dirichlet_idx] = False
         self.free_idx = np.nonzero(self.free_mask)[0]
 
         # lower-order term data
         if self.l2_weight > 0.0:
-            pts, w = ops._volume_rule(self.data_degree)
-            zv = _as_components(self.l2_data(pts.reshape(-1, 2)), m)
-            zv = zv.reshape(pts.shape[0], pts.shape[1], m)
-            phi = ops.cell_eval(ops.exps_k, pts)
-            self.zeta_mom = np.einsum("tq,tqi,tqm->tmi", w, phi, zv)
+            zv = _values_at(self.l2_data, pts, m)
+            self.zeta_mom, piz = ops.project_cells(w, phi, zv)
             self.zeta_sq = float(np.einsum("tq,tqm,tqm->", w, zv, zv))
+            self.zeta_osc = _residual_integral(w, phi, zv, piz, 2.0)
             self.cell_gram = ops.gram_k
         self._ed = ops.energy_data(self.energy_degree)
         if self.stabilized:
             k = space.k
             deg = max(2 * (k + 1) + k, int(np.ceil(self.p)) * (k + 1))
-            t_ref, w_ref, chi = ops.stab_side_rule(deg)
-            self._stab_chi = chi
+            _, w_ref, chi = ops.side_rule(deg)
             self._stab_wref = w_ref
             # S_B[t,j,q,l]: value of S_{K,S} basis response at side points
             self._stab_B = np.einsum("qn,tjnl->tjql", chi, ops.S_op)
 
-    def _project_dirichlet(self):
-        space = self.space
-        ops = space.ops
-        mesh = space.mesh
-        m = space.m
-        t_ref, w_ref = reference_segment_rule(self.data_degree)
-        chi = t_ref[:, None] ** np.arange(space.k + 1)
-        gram = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
-        out = []
-        for s, c in zip(*np.nonzero(space.dirichlet_mask)):
-            a = mesh.vertices[mesh.sides[s, 0]]
-            b = mesh.vertices[mesh.sides[s, 1]]
-            pts = 0.5 * (a + b) + np.outer(t_ref, b - a)
-            vals = _as_components(self.u_dirichlet(pts), m)[:, c]
-            mom = chi.T @ (w_ref * vals)
-            out.append(np.linalg.solve(gram, mom))
-        if not out:
-            return np.zeros(0)
-        return np.concatenate(out)
+    def dirichlet_data_on(self, sides):
+        """u_dirichlet at the data rule on constrained ``sides``,
+        (len(sides), nq, m)."""
+        if not np.isin(sides, self.dirichlet_sides).all():
+            raise ValueError("Dirichlet data requested on a side without "
+                             "a constrained component")
+        return self.dirichlet_data[np.searchsorted(self.dirichlet_sides,
+                                                   sides)]
 
     # -- energy, gradient, hessian --------------------------------------------------
 
@@ -316,6 +315,15 @@ class DiscreteProblem:
         rhs = np.einsum("tq,tqid,tqmd->tim", self._ed["w"], tau, dW)
         coeffs = np.linalg.solve(ops.grad_gram, rhs).transpose(0, 2, 1)
         return GradField(self.space, coeffs)
+
+
+def _residual_integral(w, basis, vals, coeffs, power):
+    """Per element int |vals - sum_i coeffs_i basis_i|^power for values
+    (n, nq, m) at a rule with weights (n, nq), basis values (n, nq, dim)
+    or (nq, dim) and coefficients (n, m, dim)."""
+    resid = vals - np.einsum("...qi,...mi->...qm", basis, coeffs)
+    mag = np.sqrt(np.einsum("nqm,nqm->nq", resid, resid))
+    return np.einsum("nq,nq->n", w, mag ** power)
 
 
 def eval_neumann(g, side_points, side_normals, m):

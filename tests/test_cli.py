@@ -239,3 +239,25 @@ def test_ahho_threads_reaches_openblas(threads_probe):
     if threads_probe[1] is None:
         pytest.skip("numpy's OpenBLAS does not export a thread-count query")
     assert threads_probe[1] == 1
+
+
+def test_discrete_stress_once_per_level(tmp_path, monkeypatch):
+    """``ahho run`` computes sigma once per level: the value from
+    ``run_ahho`` is the one the reports use."""
+    from ahho.solver import DiscreteProblem
+    calls = []
+    stress = DiscreteProblem.discrete_stress
+
+    def counted(self, u):
+        calls.append(self)
+        return stress(self, u)
+
+    monkeypatch.setattr(DiscreteProblem, "discrete_stress", counted)
+    out = tmp_path / "run"
+    code = main(["run", "--benchmark", "p-laplace-lshape", "--degree", "0",
+                 "--max-ndof", "150", "--out", str(out)])
+    assert code == 0
+    levels = len((out / "convergence.csv").read_text().splitlines()) - 1
+    assert levels >= 3
+    assert len(calls) == levels
+    assert len(set(map(id, calls))) == levels

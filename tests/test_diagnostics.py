@@ -352,3 +352,136 @@ def test_error_norms_symmetric_under_zero_perturbation():
         energy=bench.exact.energy)
     again = error_norms(problem, sol.u, perturbed)
     assert base == again
+
+
+# -- per-element oracles for the data oscillations and error norms -----------------
+
+def _cell_osc(fn, corners, k, degree, power):
+    """int_T |fn - Pi_k fn|^power by the per-element projection."""
+    from ahho.poly import l2_project_cell, triangle_quadrature
+    coef, basis = l2_project_cell(fn, corners, k, degree)
+    rule = triangle_quadrature(corners, max(degree, 2 * k))
+    resid = fn(rule.points) - basis.eval(rule.points) @ coef
+    return rule.weights @ np.abs(resid) ** power
+
+
+def _side_osc(fn, a, b, k, degree, power):
+    """int_F |fn - Pi_k fn|^power by the per-side projection."""
+    from ahho.poly import l2_project_side, side_quadrature
+    coef, basis = l2_project_side(fn, a, b, k, degree)
+    rule = side_quadrature(a, b, max(degree, 2 * k))
+    resid = fn(rule.points) - basis.eval(rule.points) @ coef
+    return rule.weights @ np.abs(resid) ** power
+
+
+def _close(a, b):
+    return abs(a - b) <= 1e-10 * abs(b)
+
+
+def test_f_and_g_oscillations_match_per_element_projection():
+    """p-Laplace L-shape, k = 1 (non-polynomial f and g): the estimator's
+    f and g terms and data_oscillations against per-element projections."""
+    from ahho.adaptivity import EstimatorParams, estimate
+    bench = get_benchmark("p-laplace-lshape")
+    mesh = refine_uniform(bench.initial_mesh())
+    k = 1
+    problem = bench.make_problem(mesh, k)
+    u = problem.initial_guess()
+    sigma = problem.discrete_stress(u)
+    params = EstimatorParams(eps=0.02)
+    est, _ = estimate(problem.space, problem, u, sigma, params)
+    p = problem.p
+    pp = p / (p - 1.0)
+    deg = problem.data_degree
+    area = mesh.areas()
+    cell = [_cell_osc(bench.f, mesh.corners()[t], k, deg, pp)
+            for t in range(mesh.num_triangles)]
+    neumann = mesh.boundary_sides("neumann")
+    side = {}
+    for s in neumann:
+        a, b = mesh.vertices[mesh.sides[s]]
+        nu = mesh.normals[s]
+        side[s] = _side_osc(lambda x: bench.g(x, np.broadcast_to(nu, x.shape)),
+                            a, b, k, deg, pp)
+    assert min(cell) > 0 and min(side.values()) > 0
+    for t in (0, 5, 17):
+        assert _close(est.f_oscillation[t], area[t] ** (pp / 2) * cell[t])
+    with_neumann = [t for t in range(mesh.num_triangles)
+                    if set(mesh.side_of_triangle[t]) & set(neumann)][:4]
+    assert len(with_neumann) == 4
+    for t in with_neumann:
+        want = area[t] ** 0.5 * sum(side.get(s, 0.0)
+                                    for s in mesh.side_of_triangle[t])
+        assert _close(est.g_oscillation[t], want)
+    h_f = np.linalg.norm(mesh.vertices[mesh.sides[:, 1]]
+                         - mesh.vertices[mesh.sides[:, 0]], axis=1)
+    osc_f, osc_g, osc_z = data_oscillations(problem)
+    assert _close(osc_f, np.sum(np.sqrt(area) * cell) ** (1 / pp))
+    assert _close(osc_g, sum(h_f[s] * v for s, v in side.items())
+                  ** (1 / pp))
+    assert osc_z == 0.0
+
+
+def test_lower_order_oscillation_matches_per_element_projection():
+    """Two-well, k = 0: the estimator's lower-order term and the zeta
+    oscillation against per-element projections of zeta."""
+    from ahho.adaptivity import EstimatorParams, estimate
+    bench = get_benchmark("two-well-rect")
+    mesh = refine_uniform(bench.initial_mesh())
+    problem = bench.make_problem(mesh, 0)
+    u = problem.initial_guess()
+    sigma = problem.discrete_stress(u)
+    params = EstimatorParams(eps=0.01, kind=bench.indicator_kind)
+    est, _ = estimate(problem.space, problem, u, sigma, params)
+    area = mesh.areas()
+    cell = [_cell_osc(bench.l2_data, mesh.corners()[t], 0,
+                      problem.data_degree, 2.0)
+            for t in range(mesh.num_triangles)]
+    assert min(cell) > 0
+    for t in (0, 7, 20):
+        assert _close(est.lower_order[t], area[t] * cell[t])
+    _, _, osc_z = data_oscillations(problem)
+    assert _close(osc_z, bench.l2_weight * np.sqrt(np.sum(area * cell)))
+
+
+def test_error_norms_match_per_triangle_graded_loop():
+    """error_norms on a refined p-Laplace level against a loop over the
+    triangles: the graded corner rule on those touching the singular
+    point, the fixed-degree rule elsewhere."""
+    from ahho.diagnostics import _graded_corner_rule
+    from ahho.poly import CellBasis, RtBasis, triangle_quadrature
+    bench, problem, sol, _ = solve_benchmark("p-laplace-lshape", k=1,
+                                             nref=1)
+    space = problem.space
+    mesh = space.mesh
+    u = sol.u
+    g = space.gradient_reconstruction(u)
+    p = problem.p
+    pp = p / (p - 1.0)
+    degree = problem.energy_degree + 4
+    exact = bench.exact
+    sums = np.zeros(3)
+    graded = 0
+    for t in range(mesh.num_triangles):
+        corners = mesh.corners()[t]
+        at0 = np.nonzero(np.hypot(*corners.T) < 1e-12)[0]
+        if len(at0):
+            pts, w = _graded_corner_rule(corners, int(at0[0]), degree)
+            graded += 1
+        else:
+            rule = triangle_quadrature(corners, degree)
+            pts, w = rule.points, rule.weights
+        centroid = corners.mean(axis=0)
+        h = np.sqrt(mesh.areas()[t])
+        Gu = RtBasis(1, centroid, h).eval(pts).transpose(0, 2, 1) \
+            @ g.coeffs[t, 0]
+        dW = problem.density.dw(Gu[:, None, :])[:, 0]
+        uT = CellBasis(1, centroid, h).eval(pts) @ u.cells[t, 0]
+        sums += [w @ np.linalg.norm(exact.grad_u(pts) - Gu, axis=1) ** p,
+                 w @ np.linalg.norm(exact.sigma(pts) - dW, axis=1) ** pp,
+                 w @ (exact.u(pts) - uT) ** 2]
+    assert graded == 6
+    want = (sums[0] ** (1 / p), sums[1] ** (1 / pp), np.sqrt(sums[2]))
+    got = error_norms(problem, u, exact, singular_point=bench.singular_point)
+    for a, b in zip(got, want):
+        assert _close(a, b)

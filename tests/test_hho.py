@@ -498,3 +498,40 @@ def test_norm_equivalence_regression_quartic():
     # recorded band on this mesh family: [1.17, 80.2]
     assert min(ratios) > 0.5
     assert max(ratios) < 150.0
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_companion_node_ids_identify_equal_nodes(k):
+    """On an NVB-refined L-shape the global ids of the P_{k+1} lattice
+    nodes are equal exactly where the node coordinates are, and count
+    nv + k ns + nt k(k-1)/2."""
+    mesh = lshape_mesh()
+    for _ in range(3):
+        near = np.nonzero(np.hypot(*mesh.centroids().T) < 0.5)[0]
+        mesh = mesh.refine_nvb(near)
+    geom = HhoSpace(mesh, k)._companion_geometry()
+    gid = geom.node_gid.reshape(-1)
+    xy = np.round(geom.nodes_k1.reshape(-1, 2), 12)
+    _, coord_id = np.unique(xy, axis=0, return_inverse=True)
+    pairs = np.unique(np.stack([gid, coord_id.reshape(-1)]), axis=1)
+    assert len(np.unique(pairs[0])) == pairs.shape[1]
+    assert len(np.unique(pairs[1])) == pairs.shape[1]
+    assert geom.n_global == (mesh.num_vertices + k * mesh.num_sides
+                             + mesh.num_triangles * k * (k - 1) // 2)
+    assert geom.n_global == pairs.shape[1]
+
+
+def test_dirichlet_dofs_follow_mask_order():
+    """Vector case with partly constrained sides (fhm-rect, m = 2): the
+    constrained dofs come side by side, component by component."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark("fhm-rect")
+    mesh = refine_uniform(bench.initial_mesh())
+    mask = bench.dirichlet_mask(mesh)
+    space = HhoSpace(mesh, 1, m=2, dirichlet_mask=mask)
+    assert mask.any(axis=1).sum() > mask.all(axis=1).sum() > 0
+    want = np.concatenate([space.side_dof_indices(s, c)
+                           for s, c in zip(*np.nonzero(mask))])
+    got = space.dirichlet_dofs()
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
