@@ -100,8 +100,7 @@ def estimate(space, problem, u, sigma, params):
         ed = problem._ed
         Gu = problem._grad_values(u)
         dW = problem.density.dw(Gu)
-        tau = ops.grad_basis_eval(ed["pts"])
-        sig_vals = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
+        sig_vals = sigma.at_points(ed["pts"])
         dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", sig_vals - dW,
                                  sig_vals - dW))
         stress_term = area ** (eps * pp / 2.0) \
@@ -203,16 +202,15 @@ def mark_doerfler(values, theta):
     return np.sort(order[:count])
 
 
-def prolong(fine_space, coarse_solution, problem=None):
-    """Initial guess on the refined mesh: I_{l+1} (J_l u_l), with the
-    constrained dofs overwritten by the fine-level Dirichlet values."""
-    coarse_space = coarse_solution.space
-    if fine_space.mesh.previous is not coarse_space.mesh:
+def prolong(fine_space, J, problem=None):
+    """Initial guess on the refined mesh: I_{l+1} J, where J = J_l u_l is
+    the companion of the coarse solution, with the constrained dofs
+    overwritten by the fine-level Dirichlet values."""
+    if fine_space.mesh.previous is not J.space.mesh:
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
-    J = coarse_space.companion(coarse_solution)
     mesh = fine_space.mesh
     ops = fine_space.ops
-    degree = 2 * (coarse_space.k + 3)
+    degree = 2 * J.degree
     pts, w = ops._volume_rule(degree)
     spts, w_ref, chi = ops.side_rule(degree)
 
@@ -231,7 +229,9 @@ def prolong(fine_space, coarse_solution, problem=None):
 
 @dataclass
 class LevelRecord:
-    """Raw per-level output of the driver; diagnostics enrich it."""
+    """Raw per-level output of the driver; diagnostics enrich it.
+    ``companion`` is J_l u_l, which both the prolongation to the next
+    level and the dual bound read."""
     level: int
     ndof: int
     ntriangles: int
@@ -241,13 +241,14 @@ class LevelRecord:
     solution: object
     problem: object
     sigma: object
+    companion: object
     estimates: ElementEstimate
     seconds: float
     converged: bool
 
 
 def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
-             mode="adaptive", settings=None, variant=RT, callback=None):
+             mode="adaptive", settings=None, variant=RT):
     """Adaptive (or uniform) solve-estimate-mark-refine loop.
 
     ``family`` supplies the initial mesh and per-mesh discrete problems:
@@ -259,7 +260,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         raise ValueError(f"unknown mode {mode!r}")
     mesh = family.initial_mesh()
     records = []
-    prev_solution = None
+    prev_companion = None
     for level in range(max_levels):
         t0 = time.perf_counter()
         ndof_next = family.m * (mesh.num_triangles * (k + 1) * (k + 2) // 2
@@ -269,22 +270,21 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         problem = family.make_problem(mesh, k, variant)
         params.validate(k, problem.p, variant)
         space = problem.space
-        if prev_solution is not None:
-            initial = prolong(space, prev_solution.u, problem)
+        if prev_companion is not None:
+            initial = prolong(space, prev_companion, problem)
         else:
             initial = problem.initial_guess()
         sol = minimize(problem, initial, settings)
+        J = space.companion(sol.u)
         sigma = problem.discrete_stress(sol.u)
         est, eta = estimate(space, problem, sol.u, sigma, params)
         stab = None
         if variant == STABILIZED:
             stab = space.stabilization(sol.u, sol.u, problem.p)
         rec = LevelRecord(level, space.ndof, mesh.num_triangles, sol.energy,
-                          eta, stab, sol, problem, sigma, est,
+                          eta, stab, sol, problem, sigma, J, est,
                           time.perf_counter() - t0, sol.converged)
         records.append(rec)
-        if callback is not None:
-            callback(rec)
         if not sol.converged:
             break
         if eta <= 1e-16 * (1.0 + abs(sol.energy)):
@@ -296,5 +296,5 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
             if len(marked) == 0:
                 break
             mesh = mesh.refine_nvb(marked)
-        prev_solution = sol
+        prev_companion = J
     return records

@@ -155,7 +155,8 @@ def build_reports(records, bench):
             leb, leb_no = lower_energy_bound(problem, u, sigma, exact,
                                              energy=rec.energy)
         try:
-            rhs = dual_bound(problem, u, sigma)
+            rhs = dual_bound(problem, u, sigma, rec.companion,
+                             energy=rec.energy)
         except UnsupportedConjugate:
             rhs = None
         reports.append(LevelReport(
@@ -187,19 +188,14 @@ def run(cfg):
     out.mkdir(parents=True, exist_ok=True)
     serialize_config(cfg, out / "run.json")
     params = cfg.estimator_params(bench)
-    meshes = []
-
-    def keep_mesh(rec):
-        meshes.append(rec.problem.space.mesh)
-
     records = run_ahho(bench, cfg.k, params, max_ndof=cfg.max_ndof,
                        max_levels=cfg.max_levels, mode=cfg.mode,
-                       settings=cfg.solver_settings(), variant=cfg.variant,
-                       callback=keep_mesh)
+                       settings=cfg.solver_settings(), variant=cfg.variant)
     reports = build_reports(records, bench)
     write_csv(reports, out / "convergence.csv", timing=cfg.timing)
-    for rec, mesh in zip(records, meshes):
-        write_mesh(mesh, out / f"level_{rec.level:03d}.mesh")
+    for rec in records:
+        write_mesh(rec.problem.space.mesh,
+                   out / f"level_{rec.level:03d}.mesh")
     failed = any(not r.converged for r in reports)
     for r in reports:
         status = "ok" if r.converged else "SOLVER-FAILED"

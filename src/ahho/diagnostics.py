@@ -199,11 +199,9 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
     E = problem.energy(u) if energy is None else energy
     degree = problem.energy_degree + 4
     pts, w = ops._volume_rule(degree)
-    tau = ops.grad_basis_eval(pts)
-    g = space.gradient_reconstruction(u)
-    Gu = np.einsum("tqid,tmi->tqmd", tau, g.coeffs)
+    Gu = space.gradient_reconstruction(u).at_points(pts)
     dW = problem.density.dw(Gu)
-    sig = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
+    sig = sigma.at_points(pts)
     ge = _matrix_values(exact.grad_u, pts, m)
     corr = float(np.einsum("tq,tqmd,tqmd->", w, dW - sig, ge))
     base = E + corr
@@ -216,10 +214,11 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
     return base - c_osc * (osc_f + osc_g + osc_z), base
 
 
-def dual_bound(problem, u, sigma):
+def dual_bound(problem, u, sigma, J, energy=None):
     """Guaranteed-bound right-hand side
     RHS = E_l(u_l) - E*(sigma) + osc(f) + ||G u - grad J u||_{L2}
-    with the dual energy E*(sigma) = -int W*(sigma) dx.
+    with the dual energy E*(sigma) = -int W*(sigma) dx, the companion
+    J = J_l u_l, and E_l(u_l) given as ``energy`` or computed.
 
     The companion defect enters to the first power: that is what the
     comparison of E(J u) with E_l(u) produces and what reproduces the
@@ -229,21 +228,14 @@ def dual_bound(problem, u, sigma):
         raise UnsupportedConjugate(
             f"density {problem.density.name!r} has no convex conjugate")
     space = problem.space
-    ops = space.ops
-    E = problem.energy(u)
+    E = problem.energy(u) if energy is None else energy
     # dual energy with the same quadrature policy as the primal density
     ed = problem._ed
-    tau = ops.grad_basis_eval(ed["pts"])
-    sig = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
-    wstar = problem.density.conjugate(sig)
+    wstar = problem.density.conjugate(sigma.at_points(ed["pts"]))
     e_dual = -float(np.sum(ed["w"] * wstar))
     # companion defect, exact quadrature
-    J = space.companion(u)
-    deg = 2 * (space.k + 2)
-    pts, w = ops._volume_rule(deg)
-    tau2 = ops.grad_basis_eval(pts)
-    g = space.gradient_reconstruction(u)
-    Gu = np.einsum("tqid,tmi->tqmd", tau2, g.coeffs)
+    pts, w = space.ops._volume_rule(2 * (space.k + 2))
+    Gu = space.gradient_reconstruction(u).at_points(pts)
     gJ = J.grad_at_points(pts)
     defect = float(np.sqrt(np.einsum("tq,tqmd,tqmd->", w, Gu - gJ,
                                      Gu - gJ)))

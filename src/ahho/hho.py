@@ -73,6 +73,12 @@ def lattice_nodes(degree):
     return np.array(nodes, dtype=float) / degree
 
 
+def stabilization_degree(k, p):
+    """Degree of the side rule on which s_l integrates
+    |S u|^(p-2) S u . S v for degree-k traces S u, S v."""
+    return max(2 * (k + 1) + k, int(np.ceil(p)) * (k + 1))
+
+
 class SpaceOps:
     """Batched geometry, quadrature, and local operators for one space."""
 
@@ -105,7 +111,6 @@ class SpaceOps:
         self.exps_k3 = monomial_exponents(k + 3)
         self.ncb = cell_dim(k)
         self.nk1 = cell_dim(k + 1)
-        self.nk3 = cell_dim(k + 3)
         self.nsb = k + 1
         self.nloc = self.ncb + 3 * self.nsb
 
@@ -122,9 +127,9 @@ class SpaceOps:
         self._build_projections()
         self._build_gradient_op()
         self._build_potential_op()
-        self._build_stabilization_op()
+        if space.variant == STABILIZED:
+            self._build_stabilization_op()
         self._energy_cache = {}
-        self._companion_geom = None
 
     # -- rules ---------------------------------------------------------------
 
@@ -252,34 +257,16 @@ class SpaceOps:
     # -- projections and Gram matrices ------------------------------------------
 
     def _build_projections(self):
-        # cell Gram of P_k and P_{k+1}, exact
+        # cell Gram of P_k, exact
         phi_k = self.cell_eval(self.exps_k, self.vol_pts)
-        phi_k1 = self.cell_eval(self.exps_k1, self.vol_pts)
-        w = self.vol_w
         self.phi_k_vol = phi_k
-        self.phi_k1_vol = phi_k1
-        self.gram_k = np.einsum("tq,tqi,tqj->tij", w, phi_k, phi_k)
-        self.gram_k1 = np.einsum("tq,tqi,tqj->tij", w, phi_k1, phi_k1)
-        # moments of P_{k+1} against P_k -> projection operator
-        mom = np.einsum("tq,tqi,tqj->tij", w, phi_k, phi_k1)
-        self.proj_k_of_k1 = np.linalg.solve(self.gram_k, mom)  # (nt,ncb,nk1)
+        self.gram_k = np.einsum("tq,tqi,tqj->tij", self.vol_w, phi_k, phi_k)
         # side Gram (same reference basis on every side, scaled by h_F)
-        gram_side_ref = np.einsum("q,qi,qj->ij", self.side_wref,
-                                  self.chi_ref, self.chi_ref)
-        self.gram_side_ref = gram_side_ref
-        # traces of the cell bases at the side points of each triangle
-        side_pts_t = self.side_pts[self.sot]          # (nt, 3, nqs, 2)
-        self.side_pts_t = side_pts_t
-        self.phi_k_side = self.cell_eval(self.exps_k, side_pts_t)
-        self.phi_k1_side = self.cell_eval(self.exps_k1, side_pts_t)
-        # projection of a P_k / P_{k+1} cell trace onto the side basis
-        inv = np.linalg.inv(gram_side_ref)
-        momk = np.einsum("q,qi,tjqn->tjin", self.side_wref, self.chi_ref,
-                         self.phi_k_side)
-        momk1 = np.einsum("q,qi,tjqn->tjin", self.side_wref, self.chi_ref,
-                          self.phi_k1_side)
-        self.trace_proj_k = np.einsum("in,tjnl->tjil", inv, momk)
-        self.trace_proj_k1 = np.einsum("in,tjnl->tjil", inv, momk1)
+        self.gram_side_ref = np.einsum("q,qi,qj->ij", self.side_wref,
+                                       self.chi_ref, self.chi_ref)
+        # traces of the cell basis at the side points of each triangle
+        self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
+        self.phi_k_side = self.cell_eval(self.exps_k, self.side_pts_t)
 
     # -- gradient reconstruction -------------------------------------------------
 
@@ -325,7 +312,8 @@ class SpaceOps:
             rhs[:, :, self.ncb + j * self.nsb:
                 self.ncb + (j + 1) * self.nsb] = blk
         # mean-value constraint by a Lagrange multiplier row
-        mean = np.einsum("tq,tqi->ti", w, self.phi_k1_vol)
+        mean = np.einsum("tq,tqi->ti", w,
+                         self.cell_eval(self.exps_k1, self.vol_pts))
         aug = np.zeros((nt, nk1 + 1, nk1 + 1))
         aug[:, :nk1, :nk1] = stiff
         aug[:, :nk1, nk1] = mean
@@ -342,20 +330,32 @@ class SpaceOps:
     def _build_stabilization_op(self):
         # S_{K,S} v = Pi_S^k ( v_S - v_K - (1 - Pi_K^k)(R v)|_K )
         nt = self.space.mesh.num_triangles
+        # moments of P_{k+1} against P_k -> projection operator
+        mom = np.einsum("tq,tqi,tqj->tij", self.vol_w, self.phi_k_vol,
+                        self.cell_eval(self.exps_k1, self.vol_pts))
+        proj_k_of_k1 = np.linalg.solve(self.gram_k, mom)  # (nt, ncb, nk1)
+        # projection of a P_k / P_{k+1} cell trace onto the side basis
+        inv = np.linalg.inv(self.gram_side_ref)
+        momk = np.einsum("q,qi,tjqn->tjin", self.side_wref, self.chi_ref,
+                         self.phi_k_side)
+        momk1 = np.einsum("q,qi,tjqn->tjin", self.side_wref, self.chi_ref,
+                          self.cell_eval(self.exps_k1, self.side_pts_t))
+        trace_proj_k = np.einsum("in,tjnl->tjil", inv, momk)
+        trace_proj_k1 = np.einsum("in,tjnl->tjil", inv, momk1)
         S = np.zeros((nt, 3, self.nsb, self.nloc))
         # R composed with (1 - Pi_K^k), then traced and projected
-        R_proj = np.einsum("tci,til->tcl", self.proj_k_of_k1, self.R_op)
+        R_proj = np.einsum("tci,til->tcl", proj_k_of_k1, self.R_op)
         for j in range(3):
             # v_S identity block
             sl = slice(self.ncb + j * self.nsb, self.ncb + (j + 1) * self.nsb)
             S[:, j, :, sl] += np.eye(self.nsb)
             # -v_K trace
-            S[:, j] -= np.pad(self.trace_proj_k[:, j],
+            S[:, j] -= np.pad(trace_proj_k[:, j],
                               ((0, 0), (0, 0), (0, self.nloc - self.ncb)))
             # -(R v - Pi_K R v) trace
-            S[:, j] -= (np.einsum("tin,tnl->til", self.trace_proj_k1[:, j],
+            S[:, j] -= (np.einsum("tin,tnl->til", trace_proj_k1[:, j],
                                   self.R_op)
-                        - np.einsum("tin,tnl->til", self.trace_proj_k[:, j],
+                        - np.einsum("tin,tnl->til", trace_proj_k[:, j],
                                     R_proj))
         self.S_op = S
 
@@ -367,22 +367,20 @@ class SpaceOps:
             pts, w = self._volume_rule(degree)
             tau = self.grad_basis_eval(pts)
             B = np.einsum("tqid,til->tqdl", tau, self.G_op)
-            phi = self.cell_eval(self.exps_k, pts)
-            self._energy_cache[degree] = {
-                "pts": pts, "w": w, "B": B, "phi": phi}
+            self._energy_cache[degree] = {"pts": pts, "w": w, "B": B}
         return self._energy_cache[degree]
 
 class _CompanionGeometry:
     """Node tables and bubble systems for the conforming companion."""
 
-    def __init__(self, ops, bary_matrix):
-        self.ops = ops
+    def __init__(self, ops):
         space = ops.space
         mesh = space.mesh
         k = space.k
-        nt = mesh.num_triangles
         # lambda(x) = solve(A, [x, y, 1]) with A rows [corners^T; 1 1 1]
-        self.bary_inv = np.linalg.inv(bary_matrix)          # (nt, 3, 3)
+        A = np.concatenate([ops.corners.transpose(0, 2, 1),
+                            np.ones((mesh.num_triangles, 1, 3))], axis=1)
+        self.bary_inv = np.linalg.inv(A)                     # (nt, 3, 3)
 
         self.bary_k1 = lattice_nodes(k + 1)                  # (nn1, 3)
         self.bary_k3 = lattice_nodes(k + 3)                  # (nn3, 3)
@@ -406,9 +404,7 @@ class _CompanionGeometry:
         self.side_bubble_gram = gram_ref                     # scaled by h_F later
 
         # cell bubble Gram: int_T bT phi_i phi_j, bT = lambda1 lambda2 lambda3
-        lam_vol = self._bary_at(ops.vol_pts)                 # (nt, nq, 3)
-        bT = lam_vol.prod(axis=-1)
-        self.bT_vol = bT
+        bT = self._bary_at(ops.vol_pts).prod(axis=-1)        # (nt, nq)
         self.cell_bubble_gram = np.einsum("tq,tq,tqi,tqj->tij", ops.vol_w, bT,
                                           ops.phi_k_vol, ops.phi_k_vol)
 
@@ -486,7 +482,9 @@ class GradField:
     def at_points(self, pts):
         """Values at per-triangle points (nt, ..., 2) -> (nt, ..., m, 2)."""
         tau = self.space.ops.grad_basis_eval(pts)
-        return np.einsum("t...id,tmi->t...md", tau, self.coeffs)
+        c = self.coeffs
+        return np.matmul(c.reshape(c.shape[:1] + (1,) * (pts.ndim - 2)
+                                   + c.shape[1:]), tau)
 
     def div_at_points(self, pts):
         dv = self.space.ops.grad_basis_div(pts)
@@ -495,8 +493,7 @@ class GradField:
     def lp_norm(self, p, degree=None):
         ops = self.space.ops
         data = ops.energy_data(degree or (2 * (self.space.k + 1)))
-        vals = np.einsum("tqid,tmi->tqmd", ops.grad_basis_eval(data["pts"]),
-                         self.coeffs)
+        vals = self.at_points(data["pts"])
         frob = np.sqrt(np.einsum("tqmd,tqmd->tq", vals, vals))
         return (np.sum(data["w"] * frob ** p)) ** (1.0 / p)
 
@@ -614,9 +611,7 @@ class HhoSpace:
     def stabilization(self, u, v, p, return_parts=False):
         """s_l(u; v) = sum_K sum_S h_S^{1-p} int_S |S u|^(p-2) S u . S v."""
         ops = self.ops
-        k = self.k
-        deg = max(2 * (k + 1) + k, int(np.ceil(p)) * (k + 1))
-        _, w_ref, chi = ops.side_rule(deg)
+        _, w_ref, chi = ops.side_rule(stabilization_degree(self.k, p))
         Su = np.einsum("tjmn,qn->tjmq", self.stab_trace_coeffs(u), chi)
         Sv = np.einsum("tjmn,qn->tjmq", self.stab_trace_coeffs(v), chi)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", Su, Su))
@@ -636,7 +631,7 @@ class HhoSpace:
         all cell and side moments of degree <= k; the moment conditions
         determine J completely."""
         ops = self.ops
-        geom = self._companion_geometry()
+        geom = _CompanionGeometry(ops)
         m = self.m
         mesh = self.mesh
         nt = mesh.num_triangles
@@ -698,14 +693,6 @@ class HhoSpace:
         total += bT3[..., None] * np.einsum("tni,tim->tnm", phi_k_n3, qT)
         coeffs = np.einsum("tin,tnm->tmi", geom.vand_k3_inv, total)
         return PiecewisePoly(self, self.k + 3, coeffs, continuous=True)
-
-    def _companion_geometry(self):
-        if self.ops._companion_geom is None:
-            ones = np.ones((self.mesh.num_triangles, 1, 3))
-            A = np.concatenate([self.ops.corners.transpose(0, 2, 1), ones],
-                               axis=1)
-            self.ops._companion_geom = _CompanionGeometry(self.ops, A)
-        return self.ops._companion_geom
 
     # -- seminorm ------------------------------------------------------------------
 

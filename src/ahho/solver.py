@@ -15,7 +15,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _safe_pow, _values_at
+    _safe_pow, _values_at, stabilization_degree
 
 
 @dataclass
@@ -147,8 +147,7 @@ class DiscreteProblem:
             self.cell_gram = ops.gram_k
         self._ed = ops.energy_data(self.energy_degree)
         if self.stabilized:
-            k = space.k
-            deg = max(2 * (k + 1) + k, int(np.ceil(self.p)) * (k + 1))
+            deg = stabilization_degree(space.k, self.p)
             _, w_ref, chi = ops.side_rule(deg)
             self._stab_wref = w_ref
             # S_B[t,j,q,l]: value of S_{K,S} basis response at side points

@@ -373,7 +373,7 @@ def test_criterion_7_odp_dual_bound():
     nd, rhs = [], []
     for r in records:
         sigma = r.problem.discrete_stress(r.solution.u)
-        val = dual_bound(r.problem, r.solution.u, sigma)
+        val = dual_bound(r.problem, r.solution.u, sigma, r.companion)
         assert val >= -1e-10, (r.level, val)
         nd.append(r.ndof)
         rhs.append(val)

@@ -245,7 +245,7 @@ def test_prolong_constant():
     v = problem.space.interpolate(lambda p: np.full(len(p), 2.5))
     fine_mesh = coarse_mesh.refine_uniform()
     fine_prob = family.make_problem(fine_mesh, 1)
-    w = prolong(fine_prob.space, v)
+    w = prolong(fine_prob.space, problem.space.companion(v))
     assert np.allclose(w.cells[:, :, 0], 2.5, atol=1e-10)
     assert np.allclose(w.cells[:, :, 1:], 0.0, atol=1e-10)
     assert np.allclose(w.sides[:, :, 0], 2.5, atol=1e-10)
@@ -263,7 +263,7 @@ def test_prolong_roundtrip_for_continuous_pk1(k):
     v = cprob.space.interpolate(fn, degree=2 * (k + 1) + 4)
     fine_mesh = coarse_mesh.refine_uniform()
     fprob = family.make_problem(fine_mesh, k)
-    w = prolong(fprob.space, v)
+    w = prolong(fprob.space, cprob.space.companion(v))
     w_direct = fprob.space.interpolate(fn, degree=2 * (k + 1) + 4)
     assert np.max(np.abs(w.data - w_direct.data)) < 1e-9
 
@@ -276,7 +276,7 @@ def test_prolong_rejects_non_nested():
     pb = family.make_problem(mesh_b, 0)
     v = pa.space.zero_vector()
     with pytest.raises(ValueError):
-        prolong(pb.space, v)
+        prolong(pb.space, pa.space.companion(v))
 
 
 # -- driver ------------------------------------------------------------------------
@@ -330,7 +330,8 @@ def test_energy_monotone_under_refinement_via_prolongation():
     prev = None
     for level in range(3):
         problem = fam.make_problem(mesh, 0)
-        init = (prolong(problem.space, prev.u, problem)
+        init = (prolong(problem.space, prev.u.space.companion(prev.u),
+                        problem)
                 if prev else problem.initial_guess())
         if prev is not None:
             e_prolonged = problem.energy(init)
@@ -352,7 +353,7 @@ def test_prolonged_energy_close_on_benchmark_levels():
     sol_c = minimize(coarse)
     fine_mesh = mesh.refine_uniform()
     fine = bench.make_problem(fine_mesh, 0)
-    init = prolong(fine.space, sol_c.u, fine)
+    init = prolong(fine.space, coarse.space.companion(sol_c.u), fine)
     e_prolonged = fine.energy(init)
     assert np.isfinite(e_prolonged)
     assert abs(e_prolonged - sol_c.energy) <= 0.1 * abs(sol_c.energy)

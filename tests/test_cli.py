@@ -7,8 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from ahho.cli import (ConfigError, RunConfig, load_config, main, run,
-                      serialize_config)
+from ahho.cli import (CSV_COLUMNS, ConfigError, RunConfig, load_config, main,
+                      run, serialize_config)
 
 
 def write_config(tmp_path, **kwargs):
@@ -261,3 +261,26 @@ def test_discrete_stress_once_per_level(tmp_path, monkeypatch):
     assert levels >= 3
     assert len(calls) == levels
     assert len(set(map(id, calls))) == levels
+
+
+def test_companion_once_per_level(tmp_path, monkeypatch):
+    """``ahho run`` computes J_l u_l once per level: the prolongation and
+    the dual bound read the same companion."""
+    from ahho.hho import HhoSpace
+    calls = []
+    companion = HhoSpace.companion
+
+    def counted(self, v):
+        calls.append(self)
+        return companion(self, v)
+
+    monkeypatch.setattr(HhoSpace, "companion", counted)
+    out = tmp_path / "run"
+    code = main(["run", "--benchmark", "p-laplace-lshape", "--degree", "0",
+                 "--max-ndof", "150", "--out", str(out)])
+    assert code == 0
+    rows = (out / "convergence.csv").read_text().splitlines()[1:]
+    rhs = [row.split(",")[CSV_COLUMNS.index("rhs")] for row in rows]
+    assert len(rhs) >= 3 and all(rhs)
+    assert len(calls) == len(rhs)
+    assert len(set(map(id, calls))) == len(rhs)

@@ -189,7 +189,7 @@ def test_dual_bound_zero_for_compatible_quadratic():
                               u_dirichlet=lambda p: p @ B)
     sol = minimize(problem)
     sigma = problem.discrete_stress(sol.u)
-    rhs = dual_bound(problem, sol.u, sigma)
+    rhs = dual_bound(problem, sol.u, sigma, space.companion(sol.u))
     assert abs(rhs) < 1e-9
 
 
@@ -197,7 +197,8 @@ def test_dual_bound_nonnegative_odp():
     for nref in (0, 1, 2):
         bench, problem, sol, sigma = solve_benchmark("odp-lshape", k=0,
                                                      nref=nref)
-        rhs = dual_bound(problem, sol.u, sigma)
+        rhs = dual_bound(problem, sol.u, sigma,
+                         problem.space.companion(sol.u))
         assert rhs >= -1e-10
 
 
@@ -229,7 +230,7 @@ def test_dual_bound_unsupported_density():
     from ahho.densities import UnsupportedConjugate
     bench, problem, sol, sigma = solve_benchmark("two-well-rect", k=0)
     with pytest.raises(UnsupportedConjugate):
-        dual_bound(problem, sol.u, sigma)
+        dual_bound(problem, sol.u, sigma, problem.space.companion(sol.u))
 
 
 # -- Aitken and rate fits -------------------------------------------------------------

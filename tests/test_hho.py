@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ahho.hho import (RT, STABILIZED, HhoSpace, HhoVector, _batch_eval,
-                      _batch_grad, _batch_laplace)
+                      _batch_grad, _batch_laplace, _CompanionGeometry)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
 from ahho.poly import (CellBasis, cell_dim, l2_project_side,
                        monomial_exponents, rt_project,
@@ -509,7 +509,7 @@ def test_companion_node_ids_identify_equal_nodes(k):
     for _ in range(3):
         near = np.nonzero(np.hypot(*mesh.centroids().T) < 0.5)[0]
         mesh = mesh.refine_nvb(near)
-    geom = HhoSpace(mesh, k)._companion_geometry()
+    geom = _CompanionGeometry(HhoSpace(mesh, k).ops)
     gid = geom.node_gid.reshape(-1)
     xy = np.round(geom.nodes_k1.reshape(-1, 2), 12)
     _, coord_id = np.unique(xy, axis=0, return_inverse=True)
@@ -519,6 +519,23 @@ def test_companion_node_ids_identify_equal_nodes(k):
     assert geom.n_global == (mesh.num_vertices + k * mesh.num_sides
                              + mesh.num_triangles * k * (k - 1) // 2)
     assert geom.n_global == pairs.shape[1]
+
+
+def test_rt_ops_keep_no_stabilization_or_companion_state():
+    """An RT space builds no stabilization operator, and the companion
+    leaves no geometry behind on the space's operators."""
+    rng = np.random.default_rng(3)
+    space = HhoSpace(square_mesh(), 1)
+    ops = space.ops
+    assert not hasattr(ops, "S_op")
+    before = dict(vars(ops))
+    space.companion(random_vector(space, rng))
+    assert vars(ops).keys() == before.keys()
+    assert all(vars(ops)[key] is val for key, val in before.items())
+    assert not any(isinstance(val, _CompanionGeometry)
+                   for val in vars(ops).values())
+    assert hasattr(HhoSpace(square_mesh(), 1, variant=STABILIZED).ops,
+                   "S_op")
 
 
 def test_dirichlet_dofs_follow_mask_order():
