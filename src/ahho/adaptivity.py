@@ -231,7 +231,8 @@ def prolong(fine_space, J, problem=None):
 class LevelRecord:
     """Raw per-level output of the driver; diagnostics enrich it.
     ``companion`` is J_l u_l, which both the prolongation to the next
-    level and the dual bound read."""
+    level and the dual bound read; None for a density without a convex
+    conjugate, where only the prolongation needs it."""
     level: int
     ndof: int
     ntriangles: int
@@ -260,7 +261,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         raise ValueError(f"unknown mode {mode!r}")
     mesh = family.initial_mesh()
     records = []
-    prev_companion = None
+    prev = None         # the coarse level's record
     for level in range(max_levels):
         t0 = time.perf_counter()
         ndof_next = family.m * (mesh.num_triangles * (k + 1) * (k + 2) // 2
@@ -270,12 +271,19 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         problem = family.make_problem(mesh, k, variant)
         params.validate(k, problem.p, variant)
         space = problem.space
-        if prev_companion is not None:
-            initial = prolong(space, prev_companion, problem)
+        if prev is not None:
+            J = prev.companion
+            if J is None:
+                J = prev.problem.space.companion(prev.solution.u)
+            initial = prolong(space, J, problem)
         else:
             initial = problem.initial_guess()
         sol = minimize(problem, initial, settings)
-        J = space.companion(sol.u)
+        # the dual bound reads J_l u_l at every level; without a conjugate
+        # it is computed only when the next level prolongs it
+        J = None
+        if problem.density.conjugate is not None:
+            J = space.companion(sol.u)
         sigma = problem.discrete_stress(sol.u)
         est, eta = estimate(space, problem, sol.u, sigma, params)
         stab = None
@@ -296,5 +304,5 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
             if len(marked) == 0:
                 break
             mesh = mesh.refine_nvb(marked)
-        prev_companion = J
+        prev = rec
     return records

@@ -162,32 +162,37 @@ def two_well(F1, F2):
     B = (F1 + F2) / 2
     a2 = float(A @ A)
 
+    A0, A1 = A
+    B0, B1 = B
+
+    def _components(M):
+        """d = M - B in components, |d|^2 and d . A."""
+        d0 = M[..., 0, 0] - B0
+        d1 = M[..., 0, 1] - B1
+        return d0, d1, d0 * d0 + d1 * d1, d0 * A0 + d1 * A1
+
     def w(M):
-        d = M[..., 0, :] - B
-        d2 = np.einsum("...d,...d->...", d, d)
-        ad = np.einsum("...d,d->...", d, A)
-        return (np.maximum(0.0, d2 - a2) ** 2
-                + 4 * (a2 * d2 - ad ** 2))
+        _, _, d2, ad = _components(M)
+        return np.maximum(0.0, d2 - a2) ** 2 + 4 * (a2 * d2 - ad ** 2)
 
     def dw(M):
-        d = M[..., 0, :] - B
-        d2 = np.einsum("...d,...d->...", d, d)
-        ad = np.einsum("...d,d->...", d, A)
-        g = (4 * np.maximum(0.0, d2 - a2)[..., None] * d
-             + 8 * (a2 * d - ad[..., None] * A))
-        return g[..., None, :]
+        d0, d1, d2, ad = _components(M)
+        t = 4 * np.maximum(0.0, d2 - a2)
+        g = np.empty(M.shape)
+        g[..., 0, 0] = t * d0 + 8 * (a2 * d0 - ad * A0)
+        g[..., 0, 1] = t * d1 + 8 * (a2 * d1 - ad * A1)
+        return g
 
     def d2w(M, reg=0.0):
-        d = M[..., 0, :] - B
-        d2 = np.einsum("...d,...d->...", d, d)
-        active = (d2 - a2) > 0
-        eye = np.eye(2)
-        h = np.zeros(M.shape[:-2] + (1, 2, 1, 2))
-        hh = (4 * np.maximum(0.0, d2 - a2)[..., None, None] * eye
-              + 8 * np.where(active[..., None, None],
-                             np.einsum("...d,...e->...de", d, d), 0.0)
-              + 8 * (a2 * eye - np.einsum("d,e->de", A, A)))
-        h[..., 0, :, 0, :] = hh
+        d0, d1, d2, _ = _components(M)
+        t = 4 * np.maximum(0.0, d2 - a2)
+        # 8 d (x) d where |d| > |a|, zero elsewhere
+        c = 8.0 * (d2 > a2)
+        h = np.empty(M.shape[:-2] + (1, 2, 1, 2))
+        h[..., 0, 0, 0, 0] = (t + c * (d0 * d0)) + 8 * (a2 - A0 * A0)
+        h[..., 0, 1, 0, 1] = (t + c * (d1 * d1)) + 8 * (a2 - A1 * A1)
+        h[..., 0, 0, 0, 1] = c * (d0 * d1) - 8 * (A0 * A1)
+        h[..., 0, 1, 0, 0] = h[..., 0, 0, 0, 1]
         return h
 
     return EnergyDensity("two-well", 4.0, 1, w, dw, d2w, None,

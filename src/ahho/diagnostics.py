@@ -199,9 +199,11 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
     E = problem.energy(u) if energy is None else energy
     degree = problem.energy_degree + 4
     pts, w = ops._volume_rule(degree)
-    Gu = space.gradient_reconstruction(u).at_points(pts)
+    # G u and sigma from one table of the gradient-space basis
+    tau = ops.grad_basis_eval(pts)
+    Gu = np.matmul(space.gradient_reconstruction(u).coeffs[:, None], tau)
     dW = problem.density.dw(Gu)
-    sig = sigma.at_points(pts)
+    sig = np.matmul(sigma.coeffs[:, None], tau)
     ge = _matrix_values(exact.grad_u, pts, m)
     corr = float(np.einsum("tq,tqmd,tqmd->", w, dW - sig, ge))
     base = E + corr

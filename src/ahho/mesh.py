@@ -119,32 +119,28 @@ class Triangulation:
         self.sides = sides
         self.side_of_triangle = inverse.reshape(nt, 3)
 
-        ns = len(sides)
-        adjacency = np.full((ns, 2), -1, dtype=np.int64)
-        # first triangle seen on a side is T_plus, second is T_minus
-        for t in range(nt):
-            for s in self.side_of_triangle[t]:
-                if adjacency[s, 0] == -1:
-                    adjacency[s, 0] = t
-                else:
-                    adjacency[s, 1] = t
+        # the first triangle on a side is T_plus, the second T_minus
+        order = np.argsort(self.side_of_triangle.reshape(-1), kind="stable")
+        first = np.zeros(len(sides), dtype=np.int64)
+        np.cumsum(counts[:-1], out=first[1:])
+        adjacency = np.full((len(sides), 2), -1, dtype=np.int64)
+        adjacency[:, 0] = order[first] // 3
+        shared = counts == 2
+        adjacency[shared, 1] = order[first[shared] + 1] // 3
         self.adjacency = adjacency
 
-        # normal of the side = outward normal of T_plus
+        # normal of the side = outward normal of T_plus, oriented away
+        # from the vertex of T_plus opposite the side
         p = self.vertices
         tplus = adjacency[:, 0]
-        normals = np.empty((ns, 2))
-        for s in range(ns):
-            a, b = sides[s]
-            loc = np.where(self.side_of_triangle[tplus[s]] == s)[0][0]
-            opp = tri[tplus[s], loc]
-            tang = p[b] - p[a]
-            nrm = np.array([tang[1], -tang[0]])
-            nrm /= np.linalg.norm(nrm)
-            # orient away from the opposite vertex of T_plus
-            if np.dot(nrm, p[opp] - p[a]) > 0:
-                nrm = -nrm
-            normals[s] = nrm
+        opp = tri[tplus, order[first] % 3]
+        a = p[sides[:, 0]]
+        tang = p[sides[:, 1]] - a
+        normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
+        normals /= np.sqrt(normals[:, 0] ** 2 + normals[:, 1] ** 2)[:, None]
+        away = p[opp] - a
+        flip = normals[:, 0] * away[:, 0] + normals[:, 1] * away[:, 1] > 0
+        normals[flip] *= -1
         self.normals = normals
 
     def _check_conforming(self):

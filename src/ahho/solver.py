@@ -75,7 +75,10 @@ class DiscreteProblem:
         self.l2_data = l2_data
         self.stabilized = space.variant == STABILIZED
         self.p = density.p
+        # released when minimize returns: the skeleton pattern of the
+        # Newton systems, and the last point with its local values
         self._hess_pattern = None
+        self._point = None
 
         k = space.k
         self.energy_degree = max(density.quad_growth * (k + 1), 2 * (k + 1))
@@ -176,10 +179,23 @@ class DiscreteProblem:
         self.apply_dirichlet(v)
         return v
 
+    def _local_values(self, v):
+        """Local coefficients (nt, m, nloc) of ``v`` and G v at the energy
+        quadrature points (nt, nq, m, 2).  While ``minimize`` runs they are
+        kept for the last point, so the energy, the gradient and the
+        Hessian at one point compute them once."""
+        point = self._point
+        if point and np.array_equal(point[0], v.data):
+            return point[1], point[2]
+        loc = self.space.ops.gather_local(v.data)
+        Gv = np.einsum("tqdl,tml->tqmd", self._ed["B"], loc)
+        if point is not None:
+            point[:] = (v.data.copy(), loc, Gv)
+        return loc, Gv
+
     def _grad_values(self, v):
         """G v at the energy quadrature points, (nt, nq, m, 2)."""
-        loc = self.space.ops.gather_local(v.data)
-        return np.einsum("tqdl,tml->tqmd", self._ed["B"], loc)
+        return self._local_values(v)[1]
 
     def energy(self, v):
         ops = self.space.ops
@@ -215,7 +231,7 @@ class DiscreteProblem:
         return grad
 
     def _stab_values(self, v):
-        loc = self.space.ops.gather_local(v.data)
+        loc = self._local_values(v)[0]
         return np.einsum("tjql,tml->tjmq", self._stab_B, loc)
 
     def _stab_gradient(self, v):
@@ -232,75 +248,93 @@ class DiscreteProblem:
         return grad
 
     def energy_hessian(self, v):
-        """Sparse CSC Hessian over the free dofs (regularized where the
-        density needs it); used by the Newton fast path."""
+        """The Newton system at ``v`` over the free dofs, as a
+        :class:`CondensedHessian` of the per-triangle Hessians."""
         ops = self.space.ops
         m = self.space.m
-        Gv = self._grad_values(v)
-        d2 = self.density.d2w(Gv)
-        wd2 = self._ed["w"][..., None, None, None, None] * d2
-        B = self._ed["B"]
-        Hloc = np.einsum("tqdl,tqmdne,tqef->tmlnf", B, wd2, B, optimize=True)
+        B = self._ed["B"]                              # (nt, nq, 2, nloc)
+        nt, nq, _, nloc = B.shape
+        d2 = self.density.d2w(self._grad_values(v))
+        A = (self._ed["w"][..., None, None]
+             * d2.reshape(nt, nq, 2 * m, 2 * m)).reshape(nt, nq, -1, 2)
+        # AB[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] B[e, f]
+        AB = np.matmul(A, B).reshape(nt, nq, m, 2, m * nloc).transpose(
+            0, 2, 1, 3, 4)
+        Bt = B.reshape(nt, 1, nq * 2, nloc).transpose(0, 1, 3, 2)
+        # H[t, m, l, (n, f)] = sum_{q, d} B[q, d, l] AB[q, m, d, (n, f)]
+        H = np.matmul(Bt, AB.reshape(nt, m, nq * 2, m * nloc))
+        H = H.reshape(nt, m, nloc, m, nloc)
         if self.l2_weight > 0.0:
-            eye_m = np.eye(m)
-            Hloc[:, :, :ops.ncb, :, :ops.ncb] += (
-                self.l2_weight * np.einsum("mn,tij->tminj", eye_m,
-                                           self.cell_gram))
+            for c in range(m):
+                H[:, c, :ops.ncb, c, :ops.ncb] += (self.l2_weight
+                                                   * self.cell_gram)
         if self.stabilized:
-            Hloc = Hloc + self._stab_hessian_local(v)
-        indptr, indices, slot = self._hessian_pattern()
-        nnz = len(indices)
-        # entries in a constrained row or column land in the dropped
-        # slot nnz
-        data = np.bincount(slot, Hloc.reshape(-1), minlength=nnz + 1)[:nnz]
-        nfree = len(self.free_idx)
-        return sp.csc_matrix((data, indices, indptr), shape=(nfree, nfree))
+            H += self._stab_hessian_local(v)
+        H = H.reshape(nt, m * nloc, m * nloc)
+        if m > 1:
+            # the cell dofs of every component first, as in the numbering
+            idx = np.arange(m * nloc).reshape(m, nloc)
+            perm = np.concatenate((idx[:, :ops.ncb].reshape(-1),
+                                   idx[:, ops.ncb:].reshape(-1)))
+            H = H[:, perm[:, None], perm]
+        return CondensedHessian(H, m * ops.ncb, self._skeleton_pattern())
 
-    def _hessian_pattern(self):
-        """Free x free CSC structure of the Hessian, built on first use:
-        ``indptr``, sorted row ``indices``, and the nonzero slot of every
-        entry of the local Hessians (nnz where a constrained dof drops
-        it), all int32."""
+    def _skeleton_pattern(self):
+        """Free-skeleton CSC structure of the condensed Hessian, built on
+        first use, all int32: ``indptr``, sorted row ``indices``, the
+        nonzero slot of every entry of the local Schur complements (nnz
+        where a constrained dof drops it), the slot of every diagonal
+        entry, and the free-skeleton index of every local side dof
+        (nfs = number of free skeleton dofs at a constrained one)."""
         if self._hess_pattern is None:
             ops = self.space.ops
-            nfree = len(self.free_idx)
-            pos = np.full(self.space.ndof, -1, dtype=np.int32)
-            pos[self.free_idx] = np.arange(nfree, dtype=np.int32)
-            loc = pos[ops.loc2glob].reshape(len(ops.loc2glob), -1)
-            n = loc.shape[1]
-            rows = np.broadcast_to(loc[:, :, None], (len(loc), n, n))
-            cols = np.broadcast_to(loc[:, None, :], (len(loc), n, n))
-            kept = ((rows >= 0) & (cols >= 0)).reshape(-1)
-            key = (cols.reshape(-1)[kept].astype(np.int64) * nfree
+            ncell = self.space.ncell_dofs
+            nfs = len(self.free_idx) - ncell
+            pos = np.full(self.space.ndof, nfs, dtype=np.int32)
+            pos[self.free_idx[ncell:]] = np.arange(nfs, dtype=np.int32)
+            nt = len(ops.loc2glob)
+            side_loc = pos[ops.loc2glob[:, :, ops.ncb:]].reshape(nt, -1)
+            n = side_loc.shape[1]
+            rows = np.broadcast_to(side_loc[:, :, None], (nt, n, n))
+            cols = np.broadcast_to(side_loc[:, None, :], (nt, n, n))
+            kept = ((rows < nfs) & (cols < nfs)).reshape(-1)
+            key = (cols.reshape(-1)[kept].astype(np.int64) * nfs
                    + rows.reshape(-1)[kept])
             key, kept_slot = np.unique(key, return_inverse=True)
             slot = np.full(kept.shape, len(key), dtype=np.int32)
             slot[kept] = kept_slot
-            indices = (key % nfree).astype(np.int32)
-            per_col = np.bincount(key // nfree, minlength=nfree)
-            indptr = np.zeros(nfree + 1, dtype=np.int32)
-            np.cumsum(per_col, out=indptr[1:])
-            self._hess_pattern = (indptr, indices, slot)
+            indices = (key % nfs).astype(np.int32)
+            indptr = np.zeros(nfs + 1, dtype=np.int32)
+            np.cumsum(np.bincount(key // nfs, minlength=nfs), out=indptr[1:])
+            diag = np.searchsorted(key, np.arange(nfs) * (nfs + 1)).astype(
+                np.int32)
+            self._hess_pattern = (indptr, indices, slot, diag, side_loc)
         return self._hess_pattern
 
     def _stab_hessian_local(self, v):
+        """Local Hessians of s(v; v)/p, (nt, m, nloc, m, nloc)."""
         ops = self.space.ops
         p = self.p
+        m = self.space.m
         S = self._stab_values(v)                       # (nt,3,m,q)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        f1 = _safe_pow(mag, p - 2)
         h = ops.h_f[ops.sot]
         wq = h[..., None] ** (2.0 - p) * self._stab_wref
-        m = self.space.m
-        eye_m = np.eye(m)
-        term1 = np.einsum("tjq,tjq,mn,tjql,tjqf->tmlnf", wq, f1, eye_m,
-                          self._stab_B, self._stab_B, optimize=True)
+        Bs = self._stab_B                              # (nt,3,q,nloc)
+        nt, nloc = len(Bs), Bs.shape[-1]
+        Bf = Bs.reshape(nt, -1, nloc)
+        c1 = (wq * _safe_pow(mag, p - 2)).reshape(nt, -1, 1)
+        H1 = np.matmul(Bf.transpose(0, 2, 1), c1 * Bf)
+        H = np.zeros((nt, m, nloc, m, nloc))
+        for c in range(m):
+            H[:, c, :, c, :] = H1
         if p != 2:
-            f2 = (p - 2) * _safe_pow(mag, p - 4)
-            term1 += np.einsum("tjq,tjq,tjmq,tjnq,tjql,tjqf->tmlnf", wq, f2,
-                               S, S, self._stab_B, self._stab_B,
-                               optimize=True)
-        return term1
+            c2 = (wq * ((p - 2) * _safe_pow(mag, p - 4))).reshape(nt, -1, 1)
+            # Y[t, (j, q), (m, l)] = S[j, m, q] B[j, q, l]
+            Y = (S.transpose(0, 1, 3, 2)[..., None]
+                 * Bs[:, :, :, None, :]).reshape(nt, -1, m * nloc)
+            H += np.matmul(Y.transpose(0, 2, 1), c2 * Y).reshape(H.shape)
+        return H
 
     # -- stress -----------------------------------------------------------------------
 
@@ -333,6 +367,79 @@ def eval_neumann(g, side_points, side_normals, m):
                               side_points.shape).reshape(-1, 2)
     vals = _as_components(g(side_points.reshape(-1, 2), normals), m)
     return vals.reshape(ns, nq, m)
+
+
+class CondensedHessian:
+    """Newton system over the free dofs, held as per-triangle Hessians
+    ``H`` (nt, nc + ns, nc + ns) with the nc cell dofs of each triangle
+    first.  A cell unknown couples only with the unknowns of its own
+    triangle, so ``solve`` eliminates the cell blocks triangle by triangle
+    and solves the Schur complement on the free skeleton dofs, assembled
+    through ``pattern`` (``DiscreteProblem._skeleton_pattern``).
+
+    ``scale`` is the largest |diagonal entry| of the assembled system."""
+
+    def __init__(self, H, nc, pattern):
+        self.H = H
+        self.nc = nc
+        self.pattern = pattern
+        _, _, _, diag, side_loc = pattern
+        nfs = len(diag)
+        side_diag = np.bincount(
+            side_loc.reshape(-1),
+            np.diagonal(H[:, nc:, nc:], axis1=1, axis2=2).reshape(-1),
+            minlength=nfs + 1)[:nfs]
+        self.scale = max(
+            np.abs(np.diagonal(H[:, :nc, :nc], axis1=1, axis2=2)).max(
+                initial=0.0),
+            np.abs(side_diag).max(initial=0.0))
+
+    def _condense(self, rhs, shift):
+        """Eliminate the cell unknowns of (H + shift I) x = rhs: the Schur
+        complement (CSC), its right-hand side, and the local solutions
+        X = (H_cc + shift I)^{-1} [H_cs | rhs_c]."""
+        H, nc = self.H, self.nc
+        indptr, indices, slot, diag, side_loc = self.pattern
+        nt = len(H)
+        nfs = len(diag)
+        nnz = len(indices)
+        ncell = nt * nc
+        Hcc = H[:, :nc, :nc] + shift * np.eye(nc)
+        X = np.linalg.solve(Hcc, np.concatenate(
+            (H[:, :nc, nc:], rhs[:ncell].reshape(nt, nc, 1)), axis=2))
+        HX = np.matmul(H[:, nc:, :nc], X)              # (nt, ns, ns + 1)
+        S_loc = H[:, nc:, nc:] - HX[:, :, :-1]
+        data = np.bincount(slot, S_loc.reshape(-1), minlength=nnz + 1)[:nnz]
+        data[diag] += shift
+        S = sp.csc_matrix((data, indices, indptr), shape=(nfs, nfs))
+        r = rhs[ncell:] - np.bincount(side_loc.reshape(-1),
+                                      HX[:, :, -1].reshape(-1),
+                                      minlength=nfs + 1)[:nfs]
+        return S, r, X
+
+    def solve(self, rhs, shift):
+        """(H + shift I)^{-1} rhs, for rhs over the free dofs, ordered as
+        ``DiscreteProblem.free_idx``: the cell dofs, then the skeleton."""
+        S, r, X = self._condense(rhs, shift)
+        y = spla.spsolve(S, r)
+        # skeleton increments per triangle, zero at constrained dofs
+        side_loc = self.pattern[-1]
+        y_loc = np.append(y, 0.0)[side_loc]
+        x_c = X[:, :, -1] - np.matmul(X[:, :, :-1], y_loc[:, :, None])[..., 0]
+        return np.concatenate((x_c.reshape(-1), y))
+
+
+class SparseHessian:
+    """A sparse Newton system behind the interface of
+    :class:`CondensedHessian`."""
+
+    def __init__(self, H):
+        self.H = H.tocsc()
+        self.scale = np.abs(self.H.diagonal()).max(initial=0.0)
+
+    def solve(self, rhs, shift):
+        n = self.H.shape[0]
+        return spla.spsolve(self.H + shift * sp.eye(n, format="csc"), rhs)
 
 
 # -- optimizers -----------------------------------------------------------------------
@@ -409,7 +516,9 @@ def _newton(fun_grad, hess, x0, settings):
     """Damped Newton with a regularization ladder and Armijo search.
 
     ``fun_grad(x, energy=True, gradient=True)`` returns the pair
-    (energy, gradient), with None in place of a part not asked for."""
+    (energy, gradient), with None in place of a part not asked for.
+    ``hess(x)`` returns the Newton system, a :class:`CondensedHessian` or a
+    sparse matrix (wrapped in a :class:`SparseHessian`)."""
     x = x0.copy()
     E, g = fun_grad(x)
     n_iter = 0
@@ -419,13 +528,14 @@ def _newton(fun_grad, hess, x0, settings):
         if gnorm <= settings.grad_tol:
             return x, E, n_iter, gnorm, True
         H = hess(x)
-        scale = max(abs(H.diagonal()).max(), 1e-30)
+        if sp.issparse(H):
+            H = SparseHessian(H)
+        scale = max(H.scale, 1e-30)
         d = None
         for reg in (1e-14, 1e-10, 1e-6, 1e-2):
-            Hreg = H + (reg * scale) * sp.eye(H.shape[0], format="csc")
             try:
-                cand = spla.spsolve(Hreg, -g)
-            except RuntimeError:
+                cand = H.solve(-g, reg * scale)
+            except (RuntimeError, np.linalg.LinAlgError):
                 continue
             if np.all(np.isfinite(cand)) and g @ cand < 0:
                 d = cand
@@ -511,20 +621,24 @@ def minimize(problem, initial=None, settings=None):
     if method == "auto":
         method = "newton" if problem.density.d2w is not None else "lbfgs"
 
-    if method == "newton":
-        def hess(xf):
-            full[free] = xf
-            return problem.energy_hessian(HhoVector(problem.space, full))
+    # the adaptive loop keeps every level's problem: the last point and
+    # the skeleton pattern live only as long as the solve that uses them
+    problem._point = []
+    try:
+        if method == "newton":
+            def hess(xf):
+                full[free] = xf
+                return problem.energy_hessian(HhoVector(problem.space, full))
 
-        x, E, it, gnorm, conv = _newton(fun_grad, hess, v.data[free],
-                                        settings)
-        # the adaptive loop keeps every level's problem: the Hessian
-        # structure lives only as long as the solve that uses it
+            x, E, it, gnorm, conv = _newton(fun_grad, hess, v.data[free],
+                                            settings)
+        elif method == "lbfgs":
+            x, E, it, gnorm, conv = _lbfgs(fun_grad, v.data[free], settings)
+        else:
+            raise ValueError(f"unknown solver method {settings.method!r}")
+    finally:
+        problem._point = None
         problem._hess_pattern = None
-    elif method == "lbfgs":
-        x, E, it, gnorm, conv = _lbfgs(fun_grad, v.data[free], settings)
-    else:
-        raise ValueError(f"unknown solver method {settings.method!r}")
 
     full[free] = x
     u = HhoVector(problem.space, full.copy())

@@ -27,3 +27,5 @@ def test_traced_tiny_run_resolves_every_hook(workload, tmp_path):
     calls = {k: v for k, v in result["layers"].items()
              if k.endswith("_calls")}
     assert calls and all(v > 0 for v in calls.values()), calls
+    # every Newton step still solves through the wrapped spsolve
+    assert calls["solver.linsolve_calls"] >= calls["solver.hessian_calls"]

@@ -284,3 +284,26 @@ def test_companion_once_per_level(tmp_path, monkeypatch):
     assert len(rhs) >= 3 and all(rhs)
     assert len(calls) == len(rhs)
     assert len(set(map(id, calls))) == len(rhs)
+
+
+@pytest.mark.parametrize("name, unread", [("p-laplace-lshape", 0),
+                                          ("two-well-rect", 1)])
+def test_companion_only_where_read(tmp_path, monkeypatch, name, unread):
+    """Without a convex conjugate only the prolongation reads J_l u_l:
+    the last level's companion is not computed."""
+    from ahho.hho import HhoSpace
+    calls = []
+    companion = HhoSpace.companion
+
+    def counted(self, v):
+        calls.append(self)
+        return companion(self, v)
+
+    monkeypatch.setattr(HhoSpace, "companion", counted)
+    out = tmp_path / "run"
+    code = main(["run", "--benchmark", name, "--degree", "0",
+                 "--max-ndof", "150", "--out", str(out)])
+    assert code == 0
+    levels = len((out / "convergence.csv").read_text().splitlines()) - 1
+    assert levels >= 3
+    assert len(calls) == levels - unread

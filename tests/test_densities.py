@@ -105,6 +105,60 @@ def test_two_well_rejects_equal_wells():
         two_well([1.0, 0.0], [1.0, 0.0])
 
 
+def _two_well_einsum(F1, F2):
+    """The two-well formulas written with einsum and np.where."""
+    A = (F2 - F1) / 2
+    B = (F1 + F2) / 2
+    a2 = float(A @ A)
+
+    def w(M):
+        d = M[..., 0, :] - B
+        d2 = np.einsum("...d,...d->...", d, d)
+        ad = np.einsum("...d,d->...", d, A)
+        return np.maximum(0.0, d2 - a2) ** 2 + 4 * (a2 * d2 - ad ** 2)
+
+    def dw(M):
+        d = M[..., 0, :] - B
+        d2 = np.einsum("...d,...d->...", d, d)
+        ad = np.einsum("...d,d->...", d, A)
+        g = (4 * np.maximum(0.0, d2 - a2)[..., None] * d
+             + 8 * (a2 * d - ad[..., None] * A))
+        return g[..., None, :]
+
+    def d2w(M):
+        d = M[..., 0, :] - B
+        d2 = np.einsum("...d,...d->...", d, d)
+        eye = np.eye(2)
+        h = np.zeros(M.shape[:-2] + (1, 2, 1, 2))
+        h[..., 0, :, 0, :] = (
+            4 * np.maximum(0.0, d2 - a2)[..., None, None] * eye
+            + 8 * np.where((d2 > a2)[..., None, None],
+                           np.einsum("...d,...e->...de", d, d), 0.0)
+            + 8 * (a2 * eye - np.einsum("d,e->de", A, A)))
+        return h
+    return w, dw, d2w
+
+
+def test_two_well_kernels_match_einsum_formulas():
+    """Inside and outside the ellipse |d| <= |a| around the midpoint of the
+    wells, and on its boundary."""
+    rng = np.random.default_rng(31)
+    F1 = np.array([-0.3, 0.7])
+    F2 = np.array([1.1, -0.2])
+    a = np.linalg.norm(F2 - F1) / 2
+    direction = rng.standard_normal((3, 50, 2))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    radius = np.stack([a * rng.uniform(0.0, 1.0, 50),
+                       a * rng.uniform(1.0, 3.0, 50), np.full(50, a)])
+    M = ((F1 + F2) / 2 + radius[..., None] * direction)[..., None, :]
+    density = two_well(F1, F2)
+    for new, ref in zip((density.w, density.dw, density.d2w),
+                        _two_well_einsum(F1, F2)):
+        got, want = new(M), ref(M)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want).max())
+
+
 def test_fhm_values():
     d = fhm()
     eye = np.eye(2)[None]

@@ -276,3 +276,38 @@ def test_mesh_size_field_equivalence():
         for s in m.side_of_triangle[t]:
             ratio = h_f[s] / h_t[t]
             assert 0.25 < ratio < 4.0
+
+
+def _sides_loop_reference(mesh):
+    """Adjacency and normals side by side and triangle by triangle."""
+    tri, p = mesh.triangles, mesh.vertices
+    sot = mesh.side_of_triangle
+    adjacency = np.full((mesh.num_sides, 2), -1, dtype=np.int64)
+    for t in range(len(tri)):
+        for s in sot[t]:
+            adjacency[s, 0 if adjacency[s, 0] == -1 else 1] = t
+    normals = np.empty((mesh.num_sides, 2))
+    for s, (a, b) in enumerate(mesh.sides):
+        t = adjacency[s, 0]
+        opp = tri[t, np.where(sot[t] == s)[0][0]]
+        tang = p[b] - p[a]
+        nrm = np.array([tang[1], -tang[0]])
+        nrm /= np.linalg.norm(nrm)
+        if np.dot(nrm, p[opp] - p[a]) > 0:
+            nrm = -nrm
+        normals[s] = nrm
+    return adjacency, normals
+
+
+@pytest.mark.parametrize("name", ["p-laplace-lshape", "two-well-rect"])
+def test_side_arrays_match_loop_reference(name):
+    """Adjacency and normals on NVB-refined meshes, bit for bit."""
+    from ahho.benchmarks import get_benchmark
+    rng = np.random.default_rng(37)
+    mesh = get_benchmark(name).initial_mesh()
+    for _ in range(6):
+        marked = np.nonzero(rng.random(mesh.num_triangles) < 0.3)[0]
+        mesh = refine_nvb(mesh, marked)
+        adjacency, normals = _sides_loop_reference(mesh)
+        assert np.array_equal(mesh.adjacency, adjacency)
+        assert np.array_equal(mesh.normals, normals)

@@ -377,6 +377,25 @@ def test_initial_guess_structure():
 
 # -- Hessian pattern and Newton line search ----------------------------------------
 
+def _stab_hessian_einsum(prob, v):
+    """Local Hessians of s(v; v)/p by the einsum formulas, (nt, m, nloc,
+    m, nloc)."""
+    from ahho.hho import _safe_pow
+    ops = prob.space.ops
+    p = prob.p
+    S = prob._stab_values(v)
+    mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
+    h = ops.h_f[ops.sot]
+    wq = h[..., None] ** (2.0 - p) * prob._stab_wref
+    Bs = prob._stab_B
+    H = np.einsum("tjq,tjq,mn,tjql,tjqf->tmlnf", wq, _safe_pow(mag, p - 2),
+                  np.eye(prob.space.m), Bs, Bs)
+    if p != 2:
+        H += np.einsum("tjq,tjq,tjmq,tjnq,tjql,tjqf->tmlnf", wq,
+                       (p - 2) * _safe_pow(mag, p - 4), S, S, Bs, Bs)
+    return H
+
+
 def _hessian_full_coo(prob, v):
     """Oracle: every local Hessian block scattered into an ndof x ndof COO
     matrix, converted and then restricted to the free dofs."""
@@ -391,7 +410,7 @@ def _hessian_full_coo(prob, v):
         Hloc[:, :, :ops.ncb, :, :ops.ncb] += prob.l2_weight * np.einsum(
             "mn,tij->tminj", np.eye(m), prob.cell_gram)
     if prob.stabilized:
-        Hloc = Hloc + prob._stab_hessian_local(v)
+        Hloc = Hloc + _stab_hessian_einsum(prob, v)
     idx = ops.loc2glob
     rows = np.broadcast_to(idx[:, :, :, None, None], Hloc.shape).reshape(-1)
     cols = np.broadcast_to(idx[:, None, None, :, :], Hloc.shape).reshape(-1)
@@ -412,23 +431,45 @@ def _hessian_cases():
         yield prob
     bench = get_benchmark("two-well-rect")
     yield bench.make_problem(refine_uniform(bench.initial_mesh()), 0)
+    bench = get_benchmark("fhm-rect")
+    yield bench.make_problem(bench.initial_mesh(), 1)
 
 
 def test_hessian_pattern_matches_full_assembly():
-    """RT p-Laplace k = 1, the stabilization Hessian (k = 0) and the L2
-    term of the two-well problem (k = 0)."""
+    """The condensed Newton system against the full free x free assembly:
+    RT p-Laplace k = 1, the stabilization Hessian (k = 0), the L2 term of
+    the two-well problem (k = 0) and the vector-valued FHM problem
+    (m = 2, k = 1)."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
     rng = np.random.default_rng(23)
     for prob in _hessian_cases():
         v = prob.initial_guess()
         v.data[prob.free_idx] += 0.3 * rng.standard_normal(
             len(prob.free_idx))
         H = prob.energy_hessian(v)
-        ref = _hessian_full_coo(prob, v)
-        assert H.format == "csc" and H.shape == ref.shape
-        assert H.nnz == ref.nnz and H.has_sorted_indices
-        assert H.indices.dtype == H.indptr.dtype == np.int32
-        scale = np.abs(ref).max()
-        assert np.abs(H - ref).max() <= 1e-13 * scale
+        ref = _hessian_full_coo(prob, v).toarray()
+        indptr, indices = prob._hess_pattern[:2]
+        assert all(a.dtype == np.int32 for a in prob._hess_pattern)
+        assert all(np.all(np.diff(indices[a:b]) > 0)
+                   for a, b in zip(indptr[:-1], indptr[1:]))
+        diag_ref = np.abs(np.diagonal(ref)).max()
+        assert abs(H.scale - diag_ref) <= 1e-14 * diag_ref
+        nc = prob.space.ncell_dofs
+        for shift in (0.0, 1e-6 * H.scale):
+            shifted = ref + shift * np.eye(len(ref))
+            A, Bm, C = shifted[:nc, :nc], shifted[:nc, nc:], shifted[nc:, nc:]
+            schur = C - Bm.T @ np.linalg.solve(A, Bm)
+            S = H._condense(np.zeros(len(ref)), shift)[0]
+            assert S.format == "csc" and S.has_sorted_indices
+            assert np.abs(S.toarray() - schur).max() \
+                <= 1e-12 * np.abs(schur).max()
+        rhs = rng.standard_normal(len(ref))
+        shift = 1e-6 * H.scale
+        x_ref = spla.spsolve(sp.csc_matrix(ref) + shift * sp.eye(len(ref)),
+                             rhs)
+        x = H.solve(rhs, shift)
+        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
 
 
 def test_hessian_pattern_built_once_per_problem():
@@ -482,6 +523,34 @@ def test_newton_gradients_only_at_accepted_points():
     assert sol.iterations == it
     assert abs(sol.energy - E) <= 1e-14 * abs(E)
     assert lazy == it + 1 < len(calls)
+
+
+def test_newton_condensed_matches_full_matrix():
+    """Newton on the condensed system and on the full free x free matrix
+    (through the sparse adapter) takes the same steps."""
+    from ahho.benchmarks import get_benchmark
+    from ahho.hho import HhoVector
+    from ahho.solver import _newton
+    bench = get_benchmark("two-well-rect")
+    prob = bench.make_problem(refine_uniform(bench.initial_mesh()), 0)
+    full = prob.initial_guess().data
+    free = prob.free_idx
+    x0 = full[free].copy()
+
+    def at(xf):
+        full[free] = xf
+        return HhoVector(prob.space, full)
+
+    def fun_grad(xf, energy=True, gradient=True):
+        return (prob.energy(at(xf)) if energy else None,
+                prob.energy_gradient(at(xf)) if gradient else None)
+
+    runs = [_newton(fun_grad, hess, x0, SolverSettings())
+            for hess in (lambda xf: prob.energy_hessian(at(xf)),
+                         lambda xf: _hessian_full_coo(prob, at(xf)))]
+    (_, E, it, _, conv), (_, E_ref, it_ref, _, conv_ref) = runs
+    assert conv and conv_ref and it == it_ref > 5
+    assert abs(E - E_ref) <= 1e-14 * abs(E_ref)
 
 
 def test_courant_p1_minimize_converges_with_lazy_gradients():
