@@ -13,7 +13,6 @@ if os.environ.get("AHHO_THREADS"):
 from .adaptivity import EstimatorParams, estimate, mark_doerfler, prolong, \
     run_ahho
 from .benchmarks import get_benchmark, register_benchmarks
-from .densities import by_name as density_by_name
 from .hho import HhoSpace, HhoVector
 from .mesh import Triangulation, build_triangulation, read_mesh, \
     refine_nvb, refine_uniform, shape_regularity, write_mesh
@@ -23,7 +22,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "EstimatorParams", "estimate", "mark_doerfler", "prolong", "run_ahho",
-    "get_benchmark", "register_benchmarks", "density_by_name",
+    "get_benchmark", "register_benchmarks",
     "HhoSpace", "HhoVector",
     "Triangulation", "build_triangulation", "read_mesh", "refine_nvb",
     "refine_uniform", "shape_regularity", "write_mesh",

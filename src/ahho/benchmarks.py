@@ -125,25 +125,27 @@ def plaplace_u(p):
     return np.where(r > 0, r ** _ALPHA, 0.0) * np.sin(_ALPHA * phi)
 
 
-def plaplace_grad(p):
+def _plaplace_field(p, scale, power):
+    """scale r^power (sin(a phi) e_r + cos(a phi) e_phi), the common form
+    of grad u and sigma = |grad u|^2 grad u, with r^power read as 1 at
+    the origin, where the field is singular."""
     r, phi = _polar_lshape(p)
     rs = np.where(r > 0, r, 1.0)
-    fac = _ALPHA * rs ** (_ALPHA - 1.0)
-    er = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    ephi = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-    g = fac[..., None] * (np.sin(_ALPHA * phi)[..., None] * er
-                          + np.cos(_ALPHA * phi)[..., None] * ephi)
-    return g
+    fac = scale * rs ** power
+    c, s = np.cos(phi), np.sin(phi)
+    sa, ca = np.sin(_ALPHA * phi), np.cos(_ALPHA * phi)
+    out = np.empty(r.shape + (2,))
+    out[..., 0] = fac * (sa * c - ca * s)
+    out[..., 1] = fac * (sa * s + ca * c)
+    return out
+
+
+def plaplace_grad(p):
+    return _plaplace_field(p, _ALPHA, _ALPHA - 1.0)
 
 
 def plaplace_sigma(p):
-    r, phi = _polar_lshape(p)
-    rs = np.where(r > 0, r, 1.0)
-    fac = _ALPHA ** 3 * rs ** (3.0 * (_ALPHA - 1.0))
-    er = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-    ephi = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
-    return fac[..., None] * (np.sin(_ALPHA * phi)[..., None] * er
-                             + np.cos(_ALPHA * phi)[..., None] * ephi)
+    return _plaplace_field(p, _ALPHA ** 3, 3.0 * (_ALPHA - 1.0))
 
 
 def plaplace_f(p):

@@ -244,27 +244,3 @@ def fhm():
         return h
 
     return EnergyDensity("fhm", 2.0, 2, w, dw, d2w, None, quad_growth=8)
-
-
-def conjugate(density, S):
-    """Evaluate the convex conjugate W*(S); raises if unavailable."""
-    if density.conjugate is None:
-        raise UnsupportedConjugate(
-            f"density {density.name!r} has no convex conjugate")
-    return density.conjugate(np.asarray(S, dtype=float))
-
-
-_REGISTRY = {
-    "p-laplace": lambda params: p_laplace(params["p"]),
-    "optimal-design": lambda params: optimal_design(OdpParameters(
-        params["mu1"], params["mu2"], params["xi1"], params["xi2"])),
-    "two-well": lambda params: two_well(params["F1"], params["F2"]),
-    "fhm": lambda params: fhm(),
-}
-
-
-def by_name(name, params=None):
-    """Density by registry name; public as ``ahho.density_by_name``."""
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown density {name!r}")
-    return _REGISTRY[name](params or {})

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .densities import UnsupportedConjugate
-from .hho import STABILIZED, _values_at
+from .hho import STABILIZED, GradField, _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
 from .solver import SolverSettings, _lbfgs, _newton, eval_neumann
@@ -102,8 +102,11 @@ def _graded_corner_rule(corners, v_loc, degree, levels=36):
     ref_pts, ref_w = _graded_reference_rule(degree, levels)
     e1 = tri[..., 1, :] - tri[..., 0, :]
     e2 = tri[..., 2, :] - tri[..., 0, :]
-    pts = (tri[..., None, 0, :] + ref_pts[:, 0:1] * e1[..., None, :]
-           + ref_pts[:, 1:2] * e2[..., None, :])
+    # one component at a time: a trailing axis of length 2 is slow
+    pts = np.empty(tri.shape[:-2] + ref_w.shape + (2,))
+    for d in range(2):
+        pts[..., d] = (tri[..., None, 0, d] + ref_pts[:, 0] * e1[..., None, d]
+                       + ref_pts[:, 1] * e2[..., None, d])
     det = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
     return pts, det[..., None] * ref_w
 
@@ -132,43 +135,43 @@ def error_norms(problem, u, exact, degree=None, singular_point=None):
     degree = degree or (problem.energy_degree + 4)
     g = space.gradient_reconstruction(u) if exact.grad_u is not None else None
 
-    def per_element(pts, w, tri):
+    def integrals(tri, pts, w):
         """int |grad u - G u|^p, int |sigma - DW(G u)|^p' and
-        int |u - u_T|^2 on the triangles ``tri`` with the rule (pts, w)."""
+        int |u - u_T|^2 over the triangles ``tri`` with the rule (pts, w)."""
         grad_pp = stress_pp = vol_pp = None
         if exact.grad_u is not None:
-            Gu = np.matmul(g.coeffs[tri][:, None],
-                           ops.grad_basis_eval(pts, tri))      # (n,nq,m,2)
+            Gu = g.at_points(pts, tri)                         # (n,nq,m,2)
             diff = _matrix_values(exact.grad_u, pts, m) - Gu
             mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
-            grad_pp = np.einsum("tq,tq->t", w, mag ** p)
+            grad_pp = np.einsum("tq,tq->", w, mag ** p)
             if exact.sigma is not None:
                 diff = (_matrix_values(exact.sigma, pts, m)
                         - problem.density.dw(Gu))
                 dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
-                stress_pp = np.einsum("tq,tq->t", w, dmag ** pp)
+                stress_pp = np.einsum("tq,tq->", w, dmag ** pp)
         if exact.u is not None:
             uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
                            ops.cell_eval(ops.exps_k, pts, tri))
             diff = _values_at(exact.u, pts, m) - uT
-            vol_pp = np.einsum("tq,tqm,tqm->t", w, diff, diff)
+            vol_pp = np.einsum("tq,tqm,tqm->", w, diff, diff)
         return grad_pp, stress_pp, vol_pp
 
-    terms = per_element(*ops._volume_rule(degree), slice(None))
-    if singular_point is not None:
+    if singular_point is None:
+        terms = integrals(slice(None), *ops._volume_rule(degree))
+    else:
         tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
                               dtype=np.int64).reshape(-1, 2).T
-        gpts, gw = _graded_corner_rule(ops.corners[tri], v_loc, degree)
-        for term, graded in zip(terms, per_element(gpts, gw, tri)):
-            if term is not None:
-                term[tri] = graded
+        rest = np.delete(np.arange(space.mesh.num_triangles), tri)
+        terms = [None if a is None else a + b for a, b in zip(
+            integrals(rest, *ops._volume_rule(degree, rest)),
+            integrals(tri, *_graded_corner_rule(ops.corners[tri], v_loc,
+                                                degree)))]
 
     grad_pp, stress_pp, vol_pp = terms
-    err_grad = float(grad_pp.sum() ** (1.0 / p)) if grad_pp is not None \
-        else None
-    err_stress = float(stress_pp.sum() ** (1.0 / pp)) \
+    err_grad = float(grad_pp ** (1.0 / p)) if grad_pp is not None else None
+    err_stress = float(stress_pp ** (1.0 / pp)) \
         if stress_pp is not None else None
-    err_vol = float(np.sqrt(vol_pp.sum())) if vol_pp is not None else None
+    err_vol = float(np.sqrt(vol_pp)) if vol_pp is not None else None
     return err_grad, err_stress, err_vol
 
 
@@ -199,11 +202,12 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
     E = problem.energy(u) if energy is None else energy
     degree = problem.energy_degree + 4
     pts, w = ops._volume_rule(degree)
-    # G u and sigma from one table of the gradient-space basis
-    tau = ops.grad_basis_eval(pts)
-    Gu = np.matmul(space.gradient_reconstruction(u).coeffs[:, None], tau)
+    # G u and sigma from one evaluation of the stacked coefficients
+    both = GradField(space, np.concatenate(
+        (space.gradient_reconstruction(u).coeffs, sigma.coeffs), axis=1)
+    ).at_points(pts)
+    Gu, sig = both[..., :m, :], both[..., m:, :]
     dW = problem.density.dw(Gu)
-    sig = np.matmul(sigma.coeffs[:, None], tau)
     ge = _matrix_values(exact.grad_u, pts, m)
     corr = float(np.einsum("tq,tqmd,tqmd->", w, dW - sig, ge))
     base = E + corr

@@ -133,14 +133,20 @@ class SpaceOps:
 
     # -- rules ---------------------------------------------------------------
 
-    def _volume_rule(self, degree):
+    def _volume_rule(self, degree, tri=slice(None)):
+        """Rule exact to ``degree`` on the triangles ``tri`` (all by
+        default): points (n, nq, 2), weights (n, nq)."""
         ref_pts, ref_w = reference_triangle_rule(degree)
-        p0 = self.corners[:, 0]
-        e1 = self.corners[:, 1] - p0
-        e2 = self.corners[:, 2] - p0
+        corners = self.corners[tri]
+        p0 = corners[:, 0]
+        e1 = corners[:, 1] - p0
+        e2 = corners[:, 2] - p0
         det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        pts = (ref_pts[None, :, 0:1] * e1[:, None, :]
-               + ref_pts[None, :, 1:2] * e2[:, None, :] + p0[:, None, :])
+        # one component at a time: a trailing axis of length 2 is slow
+        pts = np.empty((len(corners), len(ref_w), 2))
+        for d in range(2):
+            pts[..., d] = (ref_pts[:, 0] * e1[:, None, d]
+                           + ref_pts[:, 1] * e2[:, None, d] + p0[:, None, d])
         return pts, det[:, None] * ref_w[None, :]
 
     def side_rule(self, degree, sides=slice(None)):
@@ -156,10 +162,13 @@ class SpaceOps:
     def local_coords(self, pts, tri=slice(None)):
         """(x - centroid)/h_T for point arrays (n, ..., 2) on the triangles
         ``tri`` (all by default)."""
-        extra = pts.ndim - 2
-        c = self.centroid[tri].reshape((-1,) + (1,) * extra + (2,))
-        h = self.h_t[tri].reshape((-1,) + (1,) * (extra + 1))
-        return (pts - c) / h
+        shape = (-1,) + (1,) * (pts.ndim - 2)
+        c = self.centroid[tri]
+        h = self.h_t[tri].reshape(shape)
+        loc = np.empty(pts.shape)
+        for d in range(2):
+            loc[..., d] = (pts[..., d] - c[:, d].reshape(shape)) / h
+        return loc
 
     def cell_eval(self, exps, pts, tri=slice(None)):
         return _batch_eval(exps, self.local_coords(pts, tri))
@@ -479,12 +488,29 @@ class GradField:
         self.space = space
         self.coeffs = coeffs
 
-    def at_points(self, pts):
-        """Values at per-triangle points (nt, ..., 2) -> (nt, ..., m, 2)."""
-        tau = self.space.ops.grad_basis_eval(pts)
-        c = self.coeffs
-        return np.matmul(c.reshape(c.shape[:1] + (1,) * (pts.ndim - 2)
-                                   + c.shape[1:]), tau)
+    def at_points(self, pts, tri=slice(None)):
+        """Values at points (n, ..., 2) on the triangles ``tri`` (all by
+        default) -> (n, ..., m, 2), from the P_k values alone: the first
+        2 ncb fields are (phi_i, 0) and (0, phi_i), the k+1 RT fields are
+        x q_j with q_j the homogeneous degree-k monomials."""
+        ops = self.space.ops
+        ncb = ops.ncb
+        c = self.coeffs[tri]
+        n, m = c.shape[:2]
+        npt = int(np.prod(pts.shape[1:-1]))
+        loc = ops.local_coords(pts, tri)
+        phi = _batch_eval(ops.exps_k, loc).reshape(n, npt, ncb)
+        # [c_x | c_y] as (n, ncb, m * 2), so the product is (n, npt, m, 2)
+        cxy = c[:, :, :2 * ncb].reshape(n, m, 2, ncb).transpose(0, 3, 1, 2)
+        out = np.matmul(phi, cxy.reshape(n, ncb, 2 * m)).reshape(
+            n, npt, m, 2)
+        if self.space.variant == RT:
+            s = np.matmul(phi[..., ncb - ops.nsb:],
+                          c[:, :, 2 * ncb:].transpose(0, 2, 1))
+            loc = loc.reshape(n, npt, 2)
+            out[..., 0] += loc[..., 0:1] * s
+            out[..., 1] += loc[..., 1:2] * s
+        return out.reshape(pts.shape[:-1] + (m, 2))
 
     def div_at_points(self, pts):
         dv = self.space.ops.grad_basis_div(pts)

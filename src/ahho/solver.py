@@ -405,8 +405,11 @@ class CondensedHessian:
         nnz = len(indices)
         ncell = nt * nc
         Hcc = H[:, :nc, :nc] + shift * np.eye(nc)
-        X = np.linalg.solve(Hcc, np.concatenate(
-            (H[:, :nc, nc:], rhs[:ncell].reshape(nt, nc, 1)), axis=2))
+        B = np.concatenate((H[:, :nc, nc:], rhs[:ncell].reshape(nt, nc, 1)),
+                           axis=2)
+        # LAPACK solves a 1x1 system by the reciprocal pivot, so this is
+        # the same result without one LAPACK call per triangle
+        X = B * (1.0 / Hcc) if nc == 1 else np.linalg.solve(Hcc, B)
         HX = np.matmul(H[:, nc:, :nc], X)              # (nt, ns, ns + 1)
         S_loc = H[:, nc:, nc:] - HX[:, :, :-1]
         data = np.bincount(slot, S_loc.reshape(-1), minlength=nnz + 1)[:nnz]

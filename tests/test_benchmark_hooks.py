@@ -29,3 +29,7 @@ def test_traced_tiny_run_resolves_every_hook(workload, tmp_path):
     assert calls and all(v > 0 for v in calls.values()), calls
     # every Newton step still solves through the wrapped spsolve
     assert calls["solver.linsolve_calls"] >= calls["solver.hessian_calls"]
+    # each diagnostic still runs through its ahho.cli name once per level
+    assert (calls["diagnostics.error_norms_calls"]
+            == calls["diagnostics.leb_calls"]
+            == calls["adaptivity.estimate_calls"]), calls

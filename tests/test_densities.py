@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from ahho.densities import (OdpParameters, UnsupportedConjugate, by_name,
-                            conjugate, fhm, optimal_design, p_laplace,
+from ahho.densities import (OdpParameters, fhm, optimal_design, p_laplace,
                             two_well)
 
 
@@ -239,17 +238,17 @@ def test_p4_conjugate_formula_and_fenchel_young():
     d = p_laplace(4.0)
     rng = np.random.default_rng(17)
     S = rng.standard_normal((20, 1, 2))
-    assert np.allclose(conjugate(d, S),
+    assert np.allclose(d.conjugate(S),
                        0.75 * np.sum(S ** 2, axis=(1, 2)) ** (2 / 3))
     A = rng.standard_normal((50, 1, 2))
     Sg = d.dw(A)
-    lhs = d.w(A) + conjugate(d, Sg)
+    lhs = d.w(A) + d.conjugate(Sg)
     rhs = np.einsum("nmd,nmd->n", A, Sg)
     assert np.max(np.abs(lhs - rhs)) < 1e-8
     # inequality for generic pairs
     S2 = rng.standard_normal((200, 1, 2))
     A2 = rng.standard_normal((200, 1, 2))
-    assert np.all(d.w(A2) + conjugate(d, S2)
+    assert np.all(d.w(A2) + d.conjugate(S2)
                   - np.einsum("nmd,nmd->n", A2, S2) >= -1e-10)
 
 
@@ -257,7 +256,7 @@ def test_conjugate_at_zero_is_zero():
     for d in ALL_DENSITIES:
         if d.conjugate is None:
             continue
-        assert abs(conjugate(d, np.zeros((1, 1, 2)))[0]) < 1e-14
+        assert abs(d.conjugate(np.zeros((1, 1, 2)))[0]) < 1e-14
 
 
 def test_odp_conjugate_matches_grid_oracle():
@@ -275,7 +274,7 @@ def test_odp_conjugate_matches_grid_oracle():
     psig = psi(grid)
     for t in (0.0, 0.05, par.mu2 * par.xi1, 0.5, 1.3, 4.0):
         oracle = np.max(t * grid - psig)
-        mine = conjugate(d, np.array([[[t, 0.0]]]))[0]
+        mine = d.conjugate(np.array([[[t, 0.0]]]))[0]
         assert abs(mine - oracle) < 1e-6, t
 
 
@@ -284,19 +283,5 @@ def test_odp_fenchel_young():
     rng = np.random.default_rng(23)
     A = rng.standard_normal((100, 1, 2))
     Sg = d.dw(A)
-    gap = d.w(A) + conjugate(d, Sg) - np.einsum("nmd,nmd->n", A, Sg)
+    gap = d.w(A) + d.conjugate(Sg) - np.einsum("nmd,nmd->n", A, Sg)
     assert np.max(np.abs(gap)) < 1e-8
-
-
-def test_missing_conjugate_raises():
-    for d in ALL_DENSITIES:
-        if d.conjugate is None:
-            with pytest.raises(UnsupportedConjugate):
-                conjugate(d, np.zeros((1, d.m, 2)))
-
-
-def test_registry_lookup():
-    d = by_name("p-laplace", {"p": 4.0})
-    assert d.name == "p-laplace" and d.p == 4.0
-    with pytest.raises(KeyError):
-        by_name("unknown-density")

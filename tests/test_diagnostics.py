@@ -65,6 +65,27 @@ def test_graded_corner_rule_matches_per_triangle_construction(degree):
                 assert abs(w @ f - want) <= 1e-13 * max(abs(want), area)
 
 
+def test_graded_corner_rule_matches_broadcast_formula():
+    """The per-component affine map of the graded rule gives the same bits
+    as the map broadcast over the trailing axis of length 2."""
+    from ahho.diagnostics import _graded_corner_rule, _graded_reference_rule
+    rng = np.random.default_rng(2)
+    corners = rng.uniform(-1.0, 1.0, (5, 3, 2))
+    v_loc = np.array([0, 2, 1, 1, 0])
+    for degree in (4, 9):
+        pts, w = _graded_corner_rule(corners, v_loc, degree)
+        order = (v_loc[:, None] + np.arange(3)) % 3
+        tri = np.take_along_axis(corners, order[..., None], axis=-2)
+        ref_pts, ref_w = _graded_reference_rule(degree, 36)
+        e1 = tri[..., 1, :] - tri[..., 0, :]
+        e2 = tri[..., 2, :] - tri[..., 0, :]
+        want = (tri[..., None, 0, :] + ref_pts[:, 0:1] * e1[..., None, :]
+                + ref_pts[:, 1:2] * e2[..., None, :])
+        det = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+        assert np.array_equal(pts, want)
+        assert np.array_equal(w, det[..., None] * ref_w)
+
+
 def test_singular_triangles_vectorized_matches_loop():
     from ahho.diagnostics import _singular_triangles
     mesh = get_benchmark("p-laplace-lshape").initial_mesh()
@@ -120,10 +141,104 @@ def test_error_norms_quadrature_stability_fractional_power():
     assert abs(base[1] - refined[1]) < 2e-4 * max(1.0, refined[1])
 
 
+def _error_norms_overwrite_reference(problem, u, exact, singular_point):
+    """Reference: the volume rule on every triangle from the full
+    gradient-space basis table, then the graded-rule values written over
+    those of the triangles at the singular point."""
+    from ahho.diagnostics import (_graded_corner_rule, _matrix_values,
+                                  _singular_triangles)
+    from ahho.hho import _values_at
+    space = problem.space
+    ops = space.ops
+    m, p = space.m, problem.p
+    pp = p / (p - 1.0)
+    degree = problem.energy_degree + 4
+    g = space.gradient_reconstruction(u)
+
+    def per_element(pts, w, tri):
+        Gu = np.matmul(g.coeffs[tri][:, None], ops.grad_basis_eval(pts, tri))
+        diff = _matrix_values(exact.grad_u, pts, m) - Gu
+        grad = np.einsum("tq,tq->t", w, np.sqrt(np.einsum(
+            "tqmd,tqmd->tq", diff, diff)) ** p)
+        diff = _matrix_values(exact.sigma, pts, m) - problem.density.dw(Gu)
+        stress = np.einsum("tq,tq->t", w, np.sqrt(np.einsum(
+            "tqmd,tqmd->tq", diff, diff)) ** pp)
+        uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
+                       ops.cell_eval(ops.exps_k, pts, tri))
+        diff = _values_at(exact.u, pts, m) - uT
+        return grad, stress, np.einsum("tq,tqm,tqm->t", w, diff, diff)
+
+    terms = per_element(*ops._volume_rule(degree), slice(None))
+    tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
+                          dtype=np.int64).reshape(-1, 2).T
+    gpts, gw = _graded_corner_rule(ops.corners[tri], v_loc, degree)
+    for term, graded in zip(terms, per_element(gpts, gw, tri)):
+        term[tri] = graded
+    return (terms[0].sum() ** (1.0 / p), terms[1].sum() ** (1.0 / pp),
+            np.sqrt(terms[2].sum()))
+
+
+@pytest.mark.parametrize("name,k,nref", [("p-laplace-lshape", 1, 0),
+                                         ("p-laplace-lshape", 0, 2),
+                                         ("fhm-rect", 0, 1)])
+def test_error_norms_match_overwrite_reference(name, k, nref):
+    """One rule per triangle (volume away from the singular point, graded
+    at it) gives the norms of the volume-everywhere-then-overwrite
+    evaluation; on the initial L-shape every triangle is singular."""
+    from ahho.diagnostics import _singular_triangles
+    bench, problem, sol, sigma = solve_benchmark(name, k=k, nref=nref)
+    mesh = problem.space.mesh
+    nsing = len(_singular_triangles(mesh, bench.singular_point))
+    assert 0 < nsing <= mesh.num_triangles
+    if name == "p-laplace-lshape" and nref == 0:
+        assert nsing == mesh.num_triangles
+    got = error_norms(problem, sol.u, bench.exact,
+                      singular_point=bench.singular_point)
+    want = _error_norms_overwrite_reference(problem, sol.u, bench.exact,
+                                            bench.singular_point)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-13 * abs(b)
+
+
 def test_error_norms_missing_fields():
     bench, problem, sol, sigma = solve_benchmark("odp-lshape", k=0)
     eg, es, ev = error_norms(problem, sol.u, bench.exact)
     assert eg is None and es is None and ev is None
+
+
+def test_plaplace_closures_match_stacked_formulas():
+    """grad u and sigma of the p-Laplace L-shape, written one component
+    at a time, give the same bits as the stacked polar formulas, also at
+    r = 0 and on both sides of the branch cut at phi = 0 = 2 pi."""
+    from ahho.benchmarks import (_ALPHA, _polar_lshape, plaplace_g,
+                                 plaplace_grad, plaplace_sigma)
+
+    def stacked(p, scale, power):
+        r, phi = _polar_lshape(p)
+        rs = np.where(r > 0, r, 1.0)
+        fac = scale * rs ** power
+        er = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        ephi = np.stack([-np.sin(phi), np.cos(phi)], axis=-1)
+        return fac[..., None] * (np.sin(_ALPHA * phi)[..., None] * er
+                                 + np.cos(_ALPHA * phi)[..., None] * ephi)
+
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([
+        rng.uniform(-1.0, 1.0, (500, 2)),
+        [[0.0, 0.0], [-0.0, 0.0], [0.5, 0.0], [0.5, -0.0], [0.5, 1e-300],
+         [0.5, -1e-300], [0.5, -1e-17], [0.5, 1e-17], [1.0, -1e-9],
+         [-0.3, 0.0], [0.0, -0.7], [0.0, 0.7]]])
+    for fn, scale, power in ((plaplace_grad, _ALPHA, _ALPHA - 1.0),
+                             (plaplace_sigma, _ALPHA ** 3,
+                              3.0 * (_ALPHA - 1.0))):
+        assert np.array_equal(fn(pts), stacked(pts, scale, power))
+        assert np.array_equal(fn(pts.reshape(4, -1, 2)),
+                              stacked(pts, scale, power).reshape(4, -1, 2))
+    normals = rng.standard_normal(pts.shape)
+    assert np.array_equal(
+        plaplace_g(pts, normals),
+        np.einsum("nd,nd->n", stacked(pts, _ALPHA ** 3,
+                                      3.0 * (_ALPHA - 1.0)), normals))
 
 
 def test_exact_solution_consistency():

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from ahho.hho import (RT, STABILIZED, HhoSpace, HhoVector, _batch_eval,
-                      _batch_grad, _batch_laplace, _CompanionGeometry)
+from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
+                      _batch_eval, _batch_grad, _batch_laplace,
+                      _CompanionGeometry)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
 from ahho.poly import (CellBasis, cell_dim, l2_project_side,
-                       monomial_exponents, rt_project,
-                       side_quadrature, triangle_quadrature)
+                       monomial_exponents, reference_triangle_rule,
+                       rt_project, side_quadrature, triangle_quadrature)
 
 
 def all_dirichlet(mid):
@@ -54,6 +55,60 @@ def test_running_product_kernels_match_cell_basis(k):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_grad_field_at_points_matches_basis_table(variant, k, m):
+    """``GradField.at_points``, from the P_k values alone, equals the
+    coefficients times the full gradient-space basis table, on all
+    triangles and on subsets, for (n, nq, 2) and (n, 3, nq, 2) points."""
+    rng = np.random.default_rng(11 + k + 3 * m)
+    ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
+    nt = len(ops.corners)
+    c = rng.standard_normal((nt, m, ops.grad_space_dim()))
+    field = GradField(ops.space, c)
+    subset = np.array([7, 0, 13, 13, 2])
+    cases = [(slice(None), ops.vol_pts), (slice(None), ops.side_pts_t),
+             (subset, ops.vol_pts[subset]),
+             (subset, ops.side_pts_t[subset]),
+             (subset[:0], ops.vol_pts[:0])]
+    for tri, pts in cases:
+        got = field.at_points(pts, tri)
+        tau = ops.grad_basis_eval(pts, tri)
+        cs = c[tri].reshape((-1,) + (1,) * (pts.ndim - 2) + c.shape[1:])
+        want = np.matmul(cs, tau)
+        assert got.shape == want.shape == pts.shape[:-1] + (m, 2)
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max(initial=1))
+
+
+def test_volume_rule_and_local_coords_match_broadcast_formulas():
+    """The per-component affine maps give the same bits as the maps
+    broadcast over the trailing axis of length 2."""
+    ops = HhoSpace(refine_uniform(lshape_mesh()), 1).ops
+    subset = np.array([5, 1, 1, 20])
+    for degree in (3, 9):
+        ref_pts, ref_w = reference_triangle_rule(degree)
+        for tri in (slice(None), subset):
+            corners = ops.corners[tri]
+            p0 = corners[:, 0]
+            e1 = corners[:, 1] - p0
+            e2 = corners[:, 2] - p0
+            det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
+            want = (ref_pts[None, :, 0:1] * e1[:, None, :]
+                    + ref_pts[None, :, 1:2] * e2[:, None, :] + p0[:, None, :])
+            pts, w = ops._volume_rule(degree, tri)
+            assert np.array_equal(pts, want)
+            assert np.array_equal(w, det[:, None] * ref_w[None, :])
+    for tri, pts in ((slice(None), ops.vol_pts),
+                     (slice(None), ops.side_pts_t),
+                     (subset, ops.side_pts_t[subset])):
+        extra = pts.ndim - 2
+        c = ops.centroid[tri].reshape((-1,) + (1,) * extra + (2,))
+        h = ops.h_t[tri].reshape((-1,) + (1,) * (extra + 1))
+        assert np.array_equal(ops.local_coords(pts, tri), (pts - c) / h)
 
 
 def test_ndof_layout():

@@ -245,7 +245,6 @@ def test_hdiv_conformity_of_stress():
     for s in mesh.interior_sides():
         tp, tm = mesh.adjacency[s]
         pts = ops.side_pts[s]
-        tau_p = sigma.at_points(pts[None])  # placeholder, use per-triangle
         vals_p = _stress_at(sigma, tp, pts)
         vals_m = _stress_at(sigma, tm, pts)
         jump = (vals_p - vals_m) @ mesh.normals[s]
@@ -576,3 +575,67 @@ def test_courant_p1_minimize_converges_with_lazy_gradients():
     assert conv_ref
     assert abs(E - E_ref) <= 1e-14 * abs(E_ref)
     assert np.array_equal(x.reshape(-1)[free], x_ref)
+
+
+def _condense_lapack(self, rhs, shift):
+    """Reference: ``CondensedHessian._condense`` with every cell block
+    solved by LAPACK, whatever its size."""
+    import scipy.sparse as sp
+    H, nc = self.H, self.nc
+    indptr, indices, slot, diag, side_loc = self.pattern
+    nt, nfs, nnz = len(H), len(diag), len(indices)
+    Hcc = H[:, :nc, :nc] + shift * np.eye(nc)
+    X = np.linalg.solve(Hcc, np.concatenate(
+        (H[:, :nc, nc:], rhs[:nt * nc].reshape(nt, nc, 1)), axis=2))
+    HX = np.matmul(H[:, nc:, :nc], X)
+    data = np.bincount(slot, (H[:, nc:, nc:] - HX[:, :, :-1]).reshape(-1),
+                       minlength=nnz + 1)[:nnz]
+    data[diag] += shift
+    S = sp.csc_matrix((data, indices, indptr), shape=(nfs, nfs))
+    r = rhs[nt * nc:] - np.bincount(side_loc.reshape(-1),
+                                    HX[:, :, -1].reshape(-1),
+                                    minlength=nfs + 1)[:nfs]
+    return S, r, X
+
+
+def _two_well_problem(k):
+    mesh = square_mesh(3, rule=lambda mid: DIRICHLET)
+    dens = two_well(-np.array([3.0, 2.0]) / np.sqrt(13),
+                    np.array([3.0, 2.0]) / np.sqrt(13))
+    return DiscreteProblem(HhoSpace(mesh, k, 1, RT), dens,
+                           f=lambda q: np.sin(3 * q[:, 0]) + q[:, 1],
+                           u_dirichlet=lambda q: np.zeros(len(q)),
+                           l2_weight=1.0, l2_data=lambda q: q[:, 0] ** 2)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_condensed_cell_solve_matches_lapack(k, monkeypatch):
+    """1x1 cell blocks (k = 0, m = 1) are solved by the reciprocal pivot:
+    the same local solutions, Schur complement and Newton iterates as
+    LAPACK's solve; larger blocks still go to LAPACK."""
+    from ahho.solver import CondensedHessian
+    prob = _two_well_problem(k)
+    rng = np.random.default_rng(5)
+    v = prob.initial_guess()
+    v.data[prob.free_idx] = 0.1 * rng.standard_normal(len(prob.free_idx))
+    prob._point = []
+    try:
+        H = prob.energy_hessian(v)
+        assert (H.nc == 1) == (k == 0)
+        rhs = rng.standard_normal(len(prob.free_idx))
+        for shift in (0.0, 1e-10 * H.scale, 1e-2 * H.scale):
+            S, r, X = H._condense(rhs, shift)
+            S0, r0, X0 = _condense_lapack(H, rhs, shift)
+            np.testing.assert_allclose(X, X0, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(r, r0, rtol=1e-15, atol=0)
+            np.testing.assert_allclose(S.toarray(), S0.toarray(),
+                                       rtol=1e-15, atol=0)
+    finally:
+        prob._point = None
+        prob._hess_pattern = None
+    sol = minimize(prob)
+    monkeypatch.setattr(CondensedHessian, "_condense", _condense_lapack)
+    ref = minimize(prob)
+    assert sol.converged and ref.converged
+    assert sol.iterations == ref.iterations
+    np.testing.assert_allclose(sol.u.data, ref.u.data, rtol=1e-15, atol=0)
