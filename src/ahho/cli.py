@@ -81,17 +81,12 @@ def validate_config(cfg):
         raise ConfigError(f"variant must be '{RT}' or '{STABILIZED}'")
     if cfg.mode not in ("adaptive", "uniform"):
         raise ConfigError("mode must be 'adaptive' or 'uniform'")
-    if not (0 < cfg.theta < 1):
-        raise ConfigError("bulk parameter requires 0 < theta < 1")
     bench = registry[cfg.benchmark]()
-    p = bench.density.p
-    limit = cfg.k + 1.0
-    if cfg.variant == STABILIZED:
-        limit = min(limit, (cfg.k + 1.0) / (p - 1.0))
-    eps = cfg.resolved_eps()
-    if eps < 0 or eps > limit + 1e-12:
-        raise ConfigError(f"indicator exponent requires 0 < eps <= {limit}"
-                          f" for k={cfg.k}, variant={cfg.variant}")
+    try:
+        cfg.estimator_params(bench).validate(cfg.k, bench.density.p,
+                                             cfg.variant)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     if cfg.max_ndof < 1 or cfg.max_levels < 1:
         raise ConfigError("max_ndof and max_levels must be positive")
     if min(cfg.grad_tol, cfg.step_tol, cfg.energy_tol) <= 0:

@@ -5,6 +5,11 @@ refinement edge, a global side table with oriented unit normals, boundary
 labels, and (after refinement) parent links to the previous level.  Meshes
 are immutable after construction; refinement returns a new mesh whose
 ``previous`` attribute points back to the coarse one.
+
+Refinement bisects every triangle by its pattern of split edges, after
+Funken, Praetorius & Wissgott (CMAM 2011).  Labels are inherited: an
+unsplit side keeps its label and both halves of a split side take it, so a
+label rule is evaluated once, on the mesh built from raw arrays.
 """
 
 from __future__ import annotations
@@ -54,6 +59,10 @@ class Triangulation:
         Unit normals fixing the side orientation.
     labels : (ns,) array of str
         One of ``interior, dirichlet, neumann, gamma1, gamma2, gamma3``.
+        ``labels_or_rule`` gives them: a callable evaluated once at the
+        midpoint of each boundary side, an explicit per-side array, or the
+        vertex-pair map that refinement passes on (unsplit sides keep their
+        label, both halves of a split side take its label).
     parent : (nt,) int array
         Index of the containing triangle on the previous level (-1 on the
         initial mesh).
@@ -111,11 +120,14 @@ class Triangulation:
         edges = np.stack([tri[:, [1, 2]], tri[:, [2, 0]], tri[:, [0, 1]]],
                          axis=1).reshape(-1, 2)
         canon = np.sort(edges, axis=1)
-        sides, inverse, counts = np.unique(canon, axis=0,
-                                           return_inverse=True,
-                                           return_counts=True)
+        # one int64 key per side, ordered as the (a, b) rows lexicographically
+        nv = len(self.vertices)
+        keys, inverse, counts = np.unique(canon[:, 0] * nv + canon[:, 1],
+                                          return_inverse=True,
+                                          return_counts=True)
         if np.any(counts > 2):
             raise MeshError("non-conforming input: side shared by >2 triangles")
+        sides = np.stack([keys // nv, keys % nv], axis=1)
         self.sides = sides
         self.side_of_triangle = inverse.reshape(nt, 3)
 
@@ -160,29 +172,28 @@ class Triangulation:
                 raise MeshError(f"hanging node: vertex {v} lies inside a side")
 
     def _assign_labels(self, labels_or_rule):
-        ns = len(self.sides)
         boundary = self.adjacency[:, 1] == -1
-        labels = np.array([INTERIOR] * ns, dtype=object)
         if isinstance(labels_or_rule, _SideLabelMap):
             labels = labels_or_rule.resolve(self.sides)
-        elif callable(labels_or_rule):
-            mids = 0.5 * (self.vertices[self.sides[:, 0]]
-                          + self.vertices[self.sides[:, 1]])
-            for s in np.nonzero(boundary)[0]:
-                lab = labels_or_rule(mids[s])
-                if lab not in BOUNDARY_LABELS:
-                    raise MeshError(f"unlabeled boundary side {s}: got {lab!r}")
-                labels[s] = lab
         else:
-            labels[:] = labels_or_rule
-        for s in range(ns):
-            if boundary[s] and labels[s] not in BOUNDARY_LABELS:
-                raise MeshError(f"unlabeled boundary side {s}")
-            if not boundary[s] and labels[s] != INTERIOR:
-                raise MeshError(f"interior side {s} carries boundary label")
+            labels = np.full(len(self.sides), INTERIOR, dtype=object)
+            if callable(labels_or_rule):
+                mids = 0.5 * (self.vertices[self.sides[:, 0]]
+                              + self.vertices[self.sides[:, 1]])
+                for s in np.nonzero(boundary)[0]:
+                    labels[s] = labels_or_rule(mids[s])
+            else:
+                labels[:] = labels_or_rule
+        unlabeled = boundary & ~np.isin(labels, BOUNDARY_LABELS)
+        if unlabeled.any():
+            s = np.argmax(unlabeled)
+            raise MeshError(f"unlabeled boundary side {s}: got {labels[s]!r}")
+        labeled = ~boundary & (labels != INTERIOR)
+        if labeled.any():
+            raise MeshError(f"interior side {np.argmax(labeled)} carries "
+                            "boundary label")
         self.labels = labels
         self.labels.flags.writeable = False
-        self._label_rule = labels_or_rule if callable(labels_or_rule) else None
 
     # -- geometric quantities ------------------------------------------------
 
@@ -230,105 +241,72 @@ class Triangulation:
     def _split_edges_closure(self, marked):
         """Edge-split set: refinement edges of marked triangles, closed so
         that any triangle with a split edge also splits its refinement edge."""
+        need = self.side_of_triangle[np.arange(self.num_triangles),
+                                     self.ref_edge]
         split = np.zeros(self.num_sides, dtype=bool)
-        for t in marked:
-            split[self.side_of_triangle[t, self.ref_edge[t]]] = True
+        split[need[marked]] = True
         while True:
-            has_split = split[self.side_of_triangle].any(axis=1)
-            need = self.side_of_triangle[np.arange(self.num_triangles),
-                                         self.ref_edge]
-            grow = has_split & ~split[need]
+            grow = split[self.side_of_triangle].any(axis=1) & ~split[need]
             if not np.any(grow):
-                break
+                return split
             split[need[grow]] = True
-        return split
 
     def _refine(self, split):
-        """Bisect each triangle according to its set of split edges."""
-        verts = [self.vertices]
+        """Bisect each triangle according to its pattern of split edges."""
+        nv, nt = self.num_vertices, self.num_triangles
+        ends = self.vertices[self.sides[split]]
+        vertices = np.vstack([self.vertices,
+                              0.5 * (ends[:, 0] + ends[:, 1])])
         midpoint = np.full(self.num_sides, -1, dtype=np.int64)
-        split_ids = np.nonzero(split)[0]
-        if len(split_ids):
-            mids = 0.5 * (self.vertices[self.sides[split_ids, 0]]
-                          + self.vertices[self.sides[split_ids, 1]])
-            midpoint[split_ids] = self.num_vertices + np.arange(len(split_ids))
-            verts.append(mids)
-        new_vertices = np.vstack(verts)
+        midpoint[split] = nv + np.arange(len(ends))
 
-        new_tri = []
-        new_ref = []
-        new_parent = []
+        # local edges e, e+1, e+2 face peak, a, b; their midpoints are m
+        # (refinement edge), mr on (b, peak) and ml on (peak, a)
+        local = (self.ref_edge[:, None] + np.arange(3)) % 3
+        peak, a, b = np.take_along_axis(self.triangles, local, axis=1).T
+        m, mr, ml = midpoint[np.take_along_axis(self.side_of_triangle,
+                                                local, axis=1)].T
+        # seven candidates per triangle: itself, then the children of
+        # (m, peak, a) with and without its bisection, then those of
+        # (m, b, peak); every child has its newest vertex first and its
+        # refinement edge opposite it
+        t0, t1, t2 = self.triangles.T
+        candidates = np.stack([t0, t1, t2,
+                               ml, m, peak, ml, a, m, m, peak, a,
+                               mr, m, b, mr, peak, m, m, b, peak],
+                              axis=1).reshape(nt, 7, 3)
+        # the closure splits the refinement edge of every triangle with a
+        # split edge
+        bisected = m >= 0
+        left, right = ml >= 0, mr >= 0
+        keep = np.stack([~bisected, left, left, bisected & ~left,
+                         right, right, bisected & ~right], axis=1)
+        ref = np.zeros((nt, 7), dtype=np.int64)
+        ref[:, 0] = self.ref_edge
+        parent = np.broadcast_to(np.arange(nt)[:, None], (nt, 7))
 
-        def emit(v_new, va, vb, parent):
-            # child of a bisection: newest vertex first, refinement edge
-            # opposite it (edge 0)
-            new_tri.append((v_new, va, vb))
-            new_ref.append(0)
-            new_parent.append(parent)
-
-        for t in range(self.num_triangles):
-            loc = self.side_of_triangle[t]
-            e = self.ref_edge[t]
-            if not split[loc].any():
-                new_tri.append(tuple(self.triangles[t]))
-                new_ref.append(e)
-                new_parent.append(t)
-                continue
-            # closure guarantees the refinement edge is split
-            peak = self.triangles[t, e]
-            a = self.triangles[t, (e + 1) % 3]
-            b = self.triangles[t, (e + 2) % 3]
-            m = midpoint[loc[e]]
-            # children (m, peak, a) and (m, b, peak); their refinement edges
-            # are the original edges (peak, a) and (b, peak)
-            for v_new, va, vb, edge_opp in ((m, peak, a, (e + 2) % 3),
-                                            (m, b, peak, (e + 1) % 3)):
-                s_child = loc[edge_opp]
-                if split[s_child]:
-                    mm = midpoint[s_child]
-                    emit(mm, v_new, va, t)
-                    emit(mm, vb, v_new, t)
-                else:
-                    emit(v_new, va, vb, t)
-
-        rule = self._label_rule
-        if rule is None:
-            rule = self._labels_from_parent_rule()
-        return Triangulation(new_vertices, np.array(new_tri),
-                             np.array(new_ref), rule,
-                             parent=np.array(new_parent), previous=self,
+        # unsplit sides keep their label, both halves of a split side take it
+        s = self.sides[split]
+        pairs = np.concatenate([self.sides[~split],
+                                np.stack([s[:, 0], midpoint[split]], axis=1),
+                                np.stack([s[:, 1], midpoint[split]], axis=1)])
+        labels = np.concatenate([self.labels[~split], self.labels[split],
+                                 self.labels[split]])
+        return Triangulation(vertices, candidates[keep], ref[keep],
+                             _SideLabelMap(pairs, labels),
+                             parent=parent[keep], previous=self,
                              _skip_checks=True)
 
-    def _labels_from_parent_rule(self):
-        """Geometric label lookup built from this mesh's own side labels."""
-        p = self.vertices
-        bnd = self.boundary_sides()
-        a = p[self.sides[bnd, 0]]
-        tang = p[self.sides[bnd, 1]] - a
-        length2 = np.einsum("sd,sd->s", tang, tang)
-        labs = self.labels[bnd]
-
-        def rule(mid):
-            d = mid - a
-            t = np.einsum("sd,sd->s", d, tang) / length2
-            perp = d - t[:, None] * tang
-            on = (np.einsum("sd,sd->s", perp, perp) < 1e-20 * length2)
-            on &= (t > -1e-10) & (t < 1 + 1e-10)
-            hits = np.nonzero(on)[0]
-            if len(hits) == 0:
-                raise MeshError("refined boundary side not on a coarse side")
-            return labs[hits[0]]
-
-        return rule
-
     def refine_nvb(self, marked):
-        """Newest-vertex bisection of ``marked`` with conformity closure."""
-        marked = np.asarray(sorted(set(int(t) for t in marked)), dtype=np.int64)
-        if len(marked) and (marked.min() < 0
-                            or marked.max() >= self.num_triangles):
+        """Newest-vertex bisection of ``marked`` with conformity closure.
+
+        ``marked`` is any iterable of triangle indices; repeats are allowed.
+        """
+        marked = np.unique(np.fromiter(marked, np.int64))
+        if len(marked) and (marked[0] < 0
+                            or marked[-1] >= self.num_triangles):
             raise MeshError("marked set references unknown triangle")
-        split = self._split_edges_closure(marked)
-        return self._refine(split)
+        return self._refine(self._split_edges_closure(marked))
 
     def refine_uniform(self):
         """Red refinement via three bisections: every triangle into four."""
@@ -353,9 +331,13 @@ def build_triangulation(vertices, triangles, boundary_label_rule,
     """Build a conforming triangulation from raw vertex/triangle arrays.
 
     ``boundary_label_rule`` is either a callable mapping a boundary side
-    midpoint to a label, or an explicit per-side label array.  When
+    midpoint to a label, or an explicit per-side label array.  A callable
+    is evaluated once per boundary side of this mesh and refined meshes
+    inherit the labels, so this mesh must resolve the boundary partition:
+    a label change inside one of its sides is never seen.  When
     ``ref_edge`` is omitted, the refinement edge of each triangle is its
-    longest edge, ties broken by the lowest global side index.
+    longest edge (within 1e-12 relative), ties broken by the lowest global
+    side index.
     """
     if ref_edge is not None:
         return Triangulation(vertices, triangles, ref_edge,
@@ -367,13 +349,13 @@ def build_triangulation(vertices, triangles, boundary_label_rule,
     lengths = np.stack([np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
                         np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
                         np.linalg.norm(c[:, 1] - c[:, 0], axis=1)], axis=1)
-    ref = np.empty(mesh.num_triangles, dtype=np.int64)
-    for t in range(mesh.num_triangles):
-        lmax = lengths[t].max()
-        cand = np.nonzero(lengths[t] > lmax - 1e-12 * lmax)[0]
-        ref[t] = cand[np.argmin(mesh.side_of_triangle[t, cand])]
-    return Triangulation(mesh.vertices, mesh.triangles, ref,
-                         boundary_label_rule)
+    lmax = lengths.max(axis=1, keepdims=True)
+    longest = lengths > lmax - 1e-12 * lmax
+    ref = np.argmin(np.where(longest, mesh.side_of_triangle, mesh.num_sides),
+                    axis=1)
+    # same triangles, so the same sides: reuse the checks and the labels
+    return Triangulation(mesh.vertices, mesh.triangles, ref, mesh.labels,
+                         _skip_checks=True)
 
 
 def refine_nvb(mesh, marked):
@@ -407,7 +389,10 @@ def write_mesh(mesh, path):
 
 
 def read_mesh(path):
-    """Read the mesh text format written by :func:`write_mesh`."""
+    """Read the mesh text format written by :func:`write_mesh`.
+
+    The side rows must list every side of the mesh exactly once.
+    """
     with open(path, encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
     head = lines[0].replace("/", " ").split()
@@ -420,27 +405,36 @@ def read_mesh(path):
                          for ln in lines[1:1 + nv]])
     tri_rows = np.array([[int(w) for w in ln.split()]
                          for ln in lines[1 + nv:1 + nv + nt]])
-    side_labels = {}
-    for ln in lines[1 + nv + nt:]:
-        a, b, lab = ln.split()
+    side_rows = [ln.split() for ln in lines[1 + nv + nt:]]
+    for _, _, lab in side_rows:
         if lab not in ALL_LABELS:
             raise MeshError(f"unknown side label {lab!r}")
-        side_labels[(min(int(a), int(b)), max(int(a), int(b)))] = lab
-    return Triangulation(vertices, tri_rows[:, :3], tri_rows[:, 3],
-                         _SideLabelMap(side_labels))
+    pairs = np.sort(np.array([[int(a), int(b)] for a, b, _ in side_rows],
+                             dtype=np.int64).reshape(ns, 2), axis=1)
+    labels = np.array([lab for _, _, lab in side_rows], dtype=object)
+    mesh = Triangulation(vertices, tri_rows[:, :3], tri_rows[:, 3],
+                         _SideLabelMap(pairs, labels))
+    listed = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    if not np.array_equal(listed, mesh.sides):
+        raise MeshError("side list in file does not match the mesh")
+    return mesh
 
 
 class _SideLabelMap:
-    """Label assignment by vertex pair, used when reading mesh files."""
+    """Side labels by vertex pair; pairs not listed are interior."""
 
-    def __init__(self, mapping):
-        self.mapping = mapping
+    def __init__(self, pairs, labels):
+        self.pairs = pairs
+        self.labels = labels
 
     def resolve(self, sides):
-        labels = np.array([INTERIOR] * len(sides), dtype=object)
-        for s, (a, b) in enumerate(sides):
-            lab = self.mapping.get((int(a), int(b)))
-            if lab is None:
-                raise MeshError(f"side ({a},{b}) missing from file")
-            labels[s] = lab
+        n = max(sides.max(initial=0), self.pairs.max(initial=0)) + 1
+        keys = self.pairs[:, 0] * n + self.pairs[:, 1]
+        want = sides[:, 0] * n + sides[:, 1]
+        order = np.argsort(keys)
+        pos = np.searchsorted(keys, want, sorter=order)
+        found = pos < len(keys)
+        found[found] = keys[order[pos[found]]] == want[found]
+        labels = np.full(len(sides), INTERIOR, dtype=object)
+        labels[found] = self.labels[order[pos[found]]]
         return labels

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ahho.mesh import (DIRICHLET, NEUMANN, MeshError, build_triangulation,
-                       read_mesh, refine_nvb, refine_uniform,
-                       shape_regularity, write_mesh)
+from ahho.mesh import (DIRICHLET, NEUMANN, MeshError, Triangulation,
+                       build_triangulation, read_mesh, refine_nvb,
+                       refine_uniform, shape_regularity, write_mesh)
 
 
 def all_dirichlet(mid):
@@ -311,3 +311,253 @@ def test_side_arrays_match_loop_reference(name):
         adjacency, normals = _sides_loop_reference(mesh)
         assert np.array_equal(mesh.adjacency, adjacency)
         assert np.array_equal(mesh.normals, normals)
+
+
+# -- array refinement against the loop code it replaced -------------------------
+
+BENCHMARKS = ["p-laplace-lshape", "odp-lshape", "two-well-rect", "fhm-rect",
+              "manufactured-affine"]
+MESH_ARRAYS = ("vertices", "triangles", "ref_edge", "sides",
+               "side_of_triangle", "adjacency", "normals", "parent", "labels")
+
+
+def _closure_loop_reference(mesh, marked):
+    split = np.zeros(mesh.num_sides, dtype=bool)
+    for t in marked:
+        split[mesh.side_of_triangle[t, mesh.ref_edge[t]]] = True
+    while True:
+        has_split = split[mesh.side_of_triangle].any(axis=1)
+        need = mesh.side_of_triangle[np.arange(mesh.num_triangles),
+                                     mesh.ref_edge]
+        grow = has_split & ~split[need]
+        if not np.any(grow):
+            break
+        split[need[grow]] = True
+    return split
+
+
+def _refine_loop_reference(mesh, split, label_rule):
+    """Triangle-by-triangle bisection; ``label_rule`` labels the new mesh."""
+    verts = [mesh.vertices]
+    midpoint = np.full(mesh.num_sides, -1, dtype=np.int64)
+    split_ids = np.nonzero(split)[0]
+    if len(split_ids):
+        mids = 0.5 * (mesh.vertices[mesh.sides[split_ids, 0]]
+                      + mesh.vertices[mesh.sides[split_ids, 1]])
+        midpoint[split_ids] = mesh.num_vertices + np.arange(len(split_ids))
+        verts.append(mids)
+    new_tri, new_ref, new_parent = [], [], []
+    for t in range(mesh.num_triangles):
+        loc = mesh.side_of_triangle[t]
+        e = mesh.ref_edge[t]
+        if not split[loc].any():
+            new_tri.append(tuple(mesh.triangles[t]))
+            new_ref.append(e)
+            new_parent.append(t)
+            continue
+        peak = mesh.triangles[t, e]
+        a = mesh.triangles[t, (e + 1) % 3]
+        b = mesh.triangles[t, (e + 2) % 3]
+        m = midpoint[loc[e]]
+        for v_new, va, vb, edge_opp in ((m, peak, a, (e + 2) % 3),
+                                        (m, b, peak, (e + 1) % 3)):
+            s_child = loc[edge_opp]
+            if split[s_child]:
+                mm = midpoint[s_child]
+                children = ((mm, v_new, va), (mm, vb, v_new))
+            else:
+                children = ((v_new, va, vb),)
+            for child in children:
+                new_tri.append(child)
+                new_ref.append(0)
+                new_parent.append(t)
+    return Triangulation(np.vstack(verts), np.array(new_tri),
+                         np.array(new_ref), label_rule,
+                         parent=np.array(new_parent), previous=mesh,
+                         _skip_checks=True)
+
+
+def _labels_from_parent_rule_reference(mesh):
+    """Label of the coarse boundary side that contains a midpoint."""
+    p = mesh.vertices
+    bnd = mesh.boundary_sides()
+    a = p[mesh.sides[bnd, 0]]
+    tang = p[mesh.sides[bnd, 1]] - a
+    length2 = np.einsum("sd,sd->s", tang, tang)
+    labs = mesh.labels[bnd]
+
+    def rule(mid):
+        d = mid - a
+        t = np.einsum("sd,sd->s", d, tang) / length2
+        perp = d - t[:, None] * tang
+        on = (np.einsum("sd,sd->s", perp, perp) < 1e-20 * length2)
+        on &= (t > -1e-10) & (t < 1 + 1e-10)
+        hits = np.nonzero(on)[0]
+        if len(hits) == 0:
+            raise MeshError("refined boundary side not on a coarse side")
+        return labs[hits[0]]
+
+    return rule
+
+
+def _assert_same_mesh(mesh, ref):
+    for name in MESH_ARRAYS:
+        got, want = getattr(mesh, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        assert np.array_equal(got, want), name
+
+
+def _renumbered(mesh, label_rule, seed):
+    """The same mesh with permuted vertices and triangles, each triangle's
+    vertices rotated and every other one listed clockwise."""
+    rng = np.random.default_rng(seed)
+    vorder = rng.permutation(mesh.num_vertices)
+    vnew = np.empty_like(vorder)
+    vnew[vorder] = np.arange(len(vorder))
+    torder = rng.permutation(mesh.num_triangles)
+    shift = rng.integers(0, 3, mesh.num_triangles)
+    rot = (np.arange(3) + shift[:, None]) % 3
+    tri = np.take_along_axis(vnew[mesh.triangles[torder]], rot, axis=1)
+    ref = (mesh.ref_edge[torder] - shift) % 3
+    cw = np.arange(mesh.num_triangles) % 2 == 1
+    tri[cw] = tri[cw][:, [0, 2, 1]]
+    ref[cw] = (3 - ref[cw]) % 3
+    return Triangulation(mesh.vertices[vorder], tri, ref, label_rule)
+
+
+@pytest.mark.parametrize("name", BENCHMARKS)
+def test_refinement_matches_loop_reference(name):
+    """Random NVB levels and a uniform one, from the benchmark's initial
+    mesh and from a renumbered copy: every array bit for bit."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark(name)
+    start = bench.initial_mesh()
+    rng = np.random.default_rng(53)
+    for mesh in (start, _renumbered(start, bench.label_rule, 11)):
+        for level in range(6):
+            if level == 3:
+                fine = mesh.refine_uniform()
+                split = np.ones(mesh.num_sides, dtype=bool)
+            else:
+                marked = np.nonzero(rng.random(mesh.num_triangles) < 0.25)[0]
+                fine = mesh.refine_nvb(marked)
+                split = _closure_loop_reference(mesh, marked)
+                assert np.array_equal(mesh._split_edges_closure(marked),
+                                      split)
+            _assert_same_mesh(fine, _refine_loop_reference(
+                mesh, split, bench.label_rule))
+            assert fine.previous is mesh
+            mesh = fine
+
+
+@pytest.mark.parametrize("name", ["p-laplace-lshape", "two-well-rect"])
+def test_read_mesh_refinement_matches_loop_reference(name, tmp_path):
+    """A mesh read from a file refines as the geometric parent lookup did."""
+    from ahho.benchmarks import get_benchmark
+    rng = np.random.default_rng(5)
+    mesh = get_benchmark(name).initial_mesh().refine_uniform()
+    path = tmp_path / "mesh.txt"
+    for level in range(4):
+        write_mesh(mesh, path)
+        mesh = read_mesh(path)
+        marked = np.nonzero(rng.random(mesh.num_triangles) < 0.3)[0]
+        fine = mesh.refine_nvb(marked)
+        _assert_same_mesh(fine, _refine_loop_reference(
+            mesh, _closure_loop_reference(mesh, marked),
+            _labels_from_parent_rule_reference(mesh)))
+        mesh = fine
+
+
+def _longest_edge_loop_reference(mesh):
+    c = mesh.corners()
+    lengths = np.stack([np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
+                        np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
+                        np.linalg.norm(c[:, 1] - c[:, 0], axis=1)], axis=1)
+    ref = np.empty(mesh.num_triangles, dtype=np.int64)
+    for t in range(mesh.num_triangles):
+        lmax = lengths[t].max()
+        cand = np.nonzero(lengths[t] > lmax - 1e-12 * lmax)[0]
+        ref[t] = cand[np.argmin(mesh.side_of_triangle[t, cand])]
+    return ref
+
+
+def test_longest_edge_matches_loop_reference():
+    from ahho.benchmarks import get_benchmark
+    meshes = [get_benchmark(name).initial_mesh() for name in BENCHMARKS]
+    # equilateral lattice: three longest edges per triangle, equal up to
+    # rounding, some triangles listed clockwise
+    n = 4
+    vertices = [(i + 0.5 * j, 0.5 * np.sqrt(3) * j)
+                for j in range(n + 1) for i in range(n + 1)]
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            a, b = j * (n + 1) + i, j * (n + 1) + i + 1
+            c, d = b + n + 1, a + n + 1
+            triangles += [(a, b, d), (b, d, c)]
+    meshes.append(build_triangulation(vertices, triangles, all_dirichlet))
+    for mesh in meshes:
+        assert mesh.ref_edge.dtype == np.int64
+        assert np.array_equal(mesh.ref_edge,
+                              _longest_edge_loop_reference(mesh))
+
+
+# -- labels, file sides and marks -----------------------------------------------
+
+def test_split_side_halves_inherit_label():
+    """A rule that changes inside an initial side is read at its midpoint;
+    the halves of the side keep that label on every level."""
+    def rule(mid):
+        return DIRICHLET if mid[0] < 0.5 else NEUMANN
+
+    m = build_triangulation([(0, 0), (1, 0), (1, 1), (0, 1)],
+                            [(0, 1, 2), (0, 2, 3)], rule)
+    fine = refine_uniform(refine_nvb(refine_uniform(m), [0, 3]))
+    p = fine.vertices
+    for s in fine.boundary_sides():
+        mid = 0.5 * (p[fine.sides[s, 0]] + p[fine.sides[s, 1]])
+        # bottom and top sides have midpoint x = 0.5: Neumann throughout
+        expected = DIRICHLET if mid[0] < 1e-12 else NEUMANN
+        assert fine.labels[s] == expected
+    assert any(fine.labels[s] == NEUMANN and p[fine.sides[s]].max() < 0.5
+               for s in fine.boundary_sides())
+
+
+def test_read_mesh_rejects_side_list_mismatch(tmp_path):
+    """A missing, an extra or a repeated side row is refused."""
+    m = refine_uniform(unit_square())
+    nv, nt = m.num_vertices, m.num_triangles
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    rows = path.read_text().splitlines()[1:]
+    cells, sides = rows[:nv + nt], rows[nv + nt:]
+    a, b = m.sides[m.interior_sides()[0]]
+    c, d = m.sides[m.boundary_sides()[0]]
+    assert not np.any((m.sides == (0, nv - 1)).all(axis=1))
+    for edited, match in (
+            ([r for r in sides if r != f"{a} {b} interior"], "side list"),
+            ([r for r in sides if not r.startswith(f"{c} {d} ")],
+             "unlabeled boundary side"),
+            (sides + [f"0 {nv - 1} interior"], "side list"),
+            (sides + [f"{b} {a} interior"], "side list")):
+        assert len(edited) != len(sides)
+        head = f"vertices {nv} / triangles {nt} / sides {len(edited)}"
+        path.write_text("\n".join([head] + cells + edited) + "\n")
+        with pytest.raises(MeshError, match=match):
+            read_mesh(path)
+
+
+def test_refine_nvb_rejects_unknown_triangles():
+    m = lshape()
+    for bad in ([-1], [0, m.num_triangles], [m.num_triangles, 0],
+                {3, -2, 5}):
+        with pytest.raises(MeshError):
+            refine_nvb(m, bad)
+
+
+def test_refine_nvb_accepts_any_iterable():
+    m = refine_uniform(lshape())
+    ref = refine_nvb(m, {2, 7, 11})
+    for marked in ([11, 2, 7], np.array([7, 2, 11, 2, 7]), iter([2, 7, 11])):
+        _assert_same_mesh(refine_nvb(m, marked), ref)
+    _assert_same_mesh(refine_nvb(m, []), refine_nvb(m, set()))
