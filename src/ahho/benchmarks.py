@@ -44,11 +44,10 @@ class BenchmarkProblem:
         return self.initial_mesh_factory(self.label_rule)
 
     def dirichlet_mask(self, mesh):
+        """(ns, m) bool: the constrained components of every side."""
         mask = np.zeros((mesh.num_sides, self.m), dtype=bool)
         for label, comps in self.dirichlet_labels.items():
-            for s in mesh.boundary_sides(label):
-                for c in comps:
-                    mask[s, c] = True
+            mask[np.ix_(mesh.boundary_sides(label), comps)] = True
         return mask
 
     def make_problem(self, mesh, k, variant=RT):
@@ -60,11 +59,10 @@ class BenchmarkProblem:
                                l2_data=self.l2_data)
 
     def make_courant(self, mesh):
-        rule = {label: comps for label, comps in self.dirichlet_labels.items()}
-        return CourantProblem(mesh, self.density, f=self.f, g=self.g,
+        return CourantProblem(mesh, self.density, self.dirichlet_mask(mesh),
+                              f=self.f, g=self.g,
                               u_dirichlet=self.u_dirichlet,
-                              l2_weight=self.l2_weight, l2_data=self.l2_data,
-                              dirichlet_rule=rule)
+                              l2_weight=self.l2_weight, l2_data=self.l2_data)
 
 
 # -- initial meshes ---------------------------------------------------------------

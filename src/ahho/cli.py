@@ -2,7 +2,9 @@
 
 A run executes the adaptive (or uniform) loop for one benchmark and
 writes ``convergence.csv``, per-level ``level_###.mesh`` files, and a
-``run.json`` echo of the configuration.  Reruns are byte-identical
+``run.json`` echo of the configuration.  :func:`build_reports` turns each
+level's ``LevelRecord`` into its CSV row, a dict keyed by ``CSV_COLUMNS``;
+the printed summary reads the records.  Reruns are byte-identical
 (timing is off by default; the seconds column is then empty).
 """
 
@@ -16,8 +18,8 @@ from pathlib import Path
 from .adaptivity import EstimatorParams, run_ahho
 from .benchmarks import register_benchmarks
 from .densities import UnsupportedConjugate
-from .diagnostics import (LevelReport, aitken_extrapolate, dual_bound,
-                          error_norms, fit_rate, lower_energy_bound)
+from .diagnostics import (aitken_extrapolate, dual_bound, error_norms,
+                          fit_rate, lower_energy_bound)
 from .hho import RT, STABILIZED
 from .mesh import write_mesh
 from .solver import SolverSettings
@@ -81,22 +83,15 @@ def validate_config(cfg):
         raise ConfigError(f"variant must be '{RT}' or '{STABILIZED}'")
     if cfg.mode not in ("adaptive", "uniform"):
         raise ConfigError("mode must be 'adaptive' or 'uniform'")
+    if cfg.max_ndof < 1 or cfg.max_levels < 1:
+        raise ConfigError("max_ndof and max_levels must be positive")
     bench = registry[cfg.benchmark]()
     try:
         cfg.estimator_params(bench).validate(cfg.k, bench.density.p,
                                              cfg.variant)
+        cfg.solver_settings().validate()
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if cfg.max_ndof < 1 or cfg.max_levels < 1:
-        raise ConfigError("max_ndof and max_levels must be positive")
-    if min(cfg.grad_tol, cfg.step_tol, cfg.energy_tol) <= 0:
-        raise ConfigError("solver tolerances must be positive")
-    if cfg.method not in ("auto", "newton", "lbfgs"):
-        raise ConfigError("method must be auto, newton, or lbfgs")
-    if cfg.lbfgs_memory < 1:
-        raise ConfigError("lbfgs_memory must be positive")
-    if not (0 < cfg.armijo_c1 < 1) or not (0 < cfg.backtrack < 1):
-        raise ConfigError("line-search parameters must lie in (0, 1)")
     return bench
 
 
@@ -133,45 +128,45 @@ def _fmt(value):
 
 
 def build_reports(records, bench):
-    """Enrich raw driver records with error norms and certified bounds."""
-    reports = []
+    """The ``convergence.csv`` row of each driver record, a dict keyed by
+    ``CSV_COLUMNS``: the record's values with the error norms and the
+    certified bounds (None where they do not apply)."""
+    rows = []
+    exact = bench.exact
     for rec in records:
         problem, sigma = rec.problem, rec.sigma
         u = rec.solution.u
-        err_grad = err_stress = err_vol = err_energy = None
-        leb = leb_no = rhs = None
-        exact = bench.exact
+        row = dict.fromkeys(CSV_COLUMNS)
+        row.update(level=rec.level, ndof=rec.ndof, ntriangles=rec.ntriangles,
+                   energy=rec.energy, estimator=rec.estimator, stab=rec.stab,
+                   seconds=rec.seconds)
         if exact.u is not None or exact.grad_u is not None:
-            err_grad, err_stress, err_vol = error_norms(
+            (row["err_grad_Lp"], row["err_stress_Lpprime"],
+             row["err_vol_L2"]) = error_norms(
                 problem, u, exact, singular_point=bench.singular_point)
         if bench.reference_energy is not None:
-            err_energy = abs(rec.energy - bench.reference_energy)
+            row["err_energy"] = abs(rec.energy - bench.reference_energy)
         if exact.grad_u is not None:
-            leb, leb_no = lower_energy_bound(problem, u, sigma, exact,
-                                             energy=rec.energy)
+            row["leb"], _ = lower_energy_bound(problem, u, sigma, exact,
+                                               energy=rec.energy)
         try:
-            rhs = dual_bound(problem, u, sigma, rec.companion,
-                             energy=rec.energy)
+            row["rhs"] = dual_bound(problem, u, sigma, rec.companion,
+                                    energy=rec.energy)
         except UnsupportedConjugate:
-            rhs = None
-        reports.append(LevelReport(
-            level=rec.level, ndof=rec.ndof, ntriangles=rec.ntriangles,
-            energy=rec.energy, estimator=rec.estimator, stab=rec.stab,
-            err_energy=err_energy, err_grad=err_grad, err_stress=err_stress,
-            err_vol=err_vol, leb=leb, leb_no_osc=leb_no, rhs=rhs,
-            seconds=rec.seconds, converged=rec.converged))
-    return reports
+            pass
+        rows.append(row)
+    return rows
 
 
-def write_csv(reports, path, timing=False):
+def write_csv(rows, path, timing=False):
+    """``rows`` from :func:`build_reports`; the seconds column stays empty
+    unless ``timing``."""
     lines = [",".join(CSV_COLUMNS)]
-    for r in reports:
-        row = [str(r.level), str(r.ndof), str(r.ntriangles), _fmt(r.energy),
-               _fmt(r.estimator), _fmt(r.stab), _fmt(r.err_energy),
-               _fmt(r.err_grad), _fmt(r.err_stress), _fmt(r.err_vol),
-               _fmt(r.leb), _fmt(r.rhs),
-               _fmt(r.seconds) if timing else ""]
-        lines.append(",".join(row))
+    for row in rows:
+        cells = [str(row[c]) for c in CSV_COLUMNS[:3]]
+        cells += [_fmt(row[c]) for c in CSV_COLUMNS[3:-1]]
+        cells.append(_fmt(row["seconds"]) if timing else "")
+        lines.append(",".join(cells))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -186,27 +181,27 @@ def run(cfg):
     records = run_ahho(bench, cfg.k, params, max_ndof=cfg.max_ndof,
                        max_levels=cfg.max_levels, mode=cfg.mode,
                        settings=cfg.solver_settings(), variant=cfg.variant)
-    reports = build_reports(records, bench)
-    write_csv(reports, out / "convergence.csv", timing=cfg.timing)
+    write_csv(build_reports(records, bench), out / "convergence.csv",
+              timing=cfg.timing)
     for rec in records:
         write_mesh(rec.problem.space.mesh,
                    out / f"level_{rec.level:03d}.mesh")
-    failed = any(not r.converged for r in reports)
-    for r in reports:
+    failed = any(not r.converged for r in records)
+    for r in records:
         status = "ok" if r.converged else "SOLVER-FAILED"
         print(f"level {r.level:2d}  ndof {r.ndof:7d}  energy {r.energy:+.10f}"
               f"  estimator {r.estimator:.3e}  {status}")
-    if len(reports) >= 2:
+    if len(records) >= 2:
         try:
-            slope, _ = fit_rate([r.ndof for r in reports],
-                                [max(r.estimator, 1e-300) for r in reports])
+            slope, _ = fit_rate([r.ndof for r in records],
+                                [max(r.estimator, 1e-300) for r in records])
             print(f"estimator slope vs ndof: {slope:+.3f}")
         except ValueError:
             pass
     if bench.reference_energy is not None:
         print(f"reference energy: {bench.reference_energy!r}")
-    if len(reports) >= 3:
-        limit, degenerate = aitken_extrapolate([r.energy for r in reports])
+    if len(records) >= 3:
+        limit, degenerate = aitken_extrapolate([r.energy for r in records])
         if not degenerate:
             print(f"extrapolated energy: {limit!r}")
     return 1 if failed else 0
@@ -236,20 +231,18 @@ def main(argv=None):
     parser = build_argparser()
     args = parser.parse_args(argv)
     if args.command == "run":
-        if args.config:
-            cfg = load_config(args.config)
-        else:
-            if not args.benchmark:
-                parser.error("either --config or --benchmark is required")
-            cfg = RunConfig(benchmark=args.benchmark)
-        for key in ("benchmark", "k", "mode", "theta", "max_ndof",
-                    "variant", "out"):
-            val = getattr(args, key, None)
-            if val is not None:
-                setattr(cfg, key, val)
-        if args.eps is not None:
-            cfg.eps = args.eps if args.eps == "auto" else float(args.eps)
+        if not (args.config or args.benchmark):
+            parser.error("either --config or --benchmark is required")
         try:
+            cfg = (load_config(args.config) if args.config
+                   else RunConfig(benchmark=args.benchmark))
+            for key in ("benchmark", "k", "mode", "theta", "max_ndof",
+                        "variant", "out"):
+                val = getattr(args, key, None)
+                if val is not None:
+                    setattr(cfg, key, val)
+            if args.eps is not None:
+                cfg.eps = args.eps if args.eps == "auto" else float(args.eps)
             validate_config(cfg)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)

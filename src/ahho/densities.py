@@ -13,6 +13,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
+# floor of |A| in the Hessians of the radial densities, which divide by it
+_D2W_FLOOR = 1e-12
+
 
 @dataclass
 class EnergyDensity:
@@ -59,8 +62,8 @@ def p_laplace(p):
             fac[nz] = r[nz] ** (p - 2)
         return fac[..., None, None] * A
 
-    def d2w(A, reg=1e-12):
-        r = np.maximum(_norm(A), reg)
+    def d2w(A):
+        r = np.maximum(_norm(A), _D2W_FLOOR)
         eye = np.eye(2)
         h = np.zeros(A.shape[:-2] + (1, 2, 1, 2))
         h[..., 0, :, 0, :] = (r ** (p - 2))[..., None, None] * eye
@@ -126,8 +129,8 @@ def optimal_design(params):
         fac[nz] = dpsi(r[nz]) / r[nz]
         return fac[..., None, None] * A
 
-    def d2w(A, reg=1e-12):
-        r = np.maximum(_norm(A), reg)
+    def d2w(A):
+        r = np.maximum(_norm(A), _D2W_FLOOR)
         a = A[..., 0, :] / r[..., None]
         eye = np.eye(2)
         radial = ddpsi(r)
@@ -183,7 +186,7 @@ def two_well(F1, F2):
         g[..., 0, 1] = t * d1 + 8 * (a2 * d1 - ad * A1)
         return g
 
-    def d2w(M, reg=0.0):
+    def d2w(M):
         d0, d1, d2, _ = _components(M)
         t = 4 * np.maximum(0.0, d2 - a2)
         # 8 d (x) d where |d| > |a|, zero elsewhere
@@ -225,7 +228,7 @@ def fhm():
         dh = 2 * M - 2 * _cof(M)
         return 4 * hval[..., None, None] ** 3 * dh + M
 
-    def d2w(M, reg=0.0):
+    def d2w(M):
         n2 = np.einsum("...md,...md->...", M, M)
         hval = n2 - 2 * _det(M)
         dh = 2 * M - 2 * _cof(M)

@@ -1,5 +1,7 @@
 """Error norms, certified energy bounds, extrapolation, rate fits, and
-the conforming Courant P1 probe."""
+the conforming Courant P1 probe.  The probe constrains the vertices of
+the benchmark's Dirichlet side mask and minimizes through the optimizer
+driver of the hybrid solver, ``solver.optimize``."""
 
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ from .densities import UnsupportedConjugate
 from .hho import STABILIZED, GradField, _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
-from .solver import SolverSettings, _lbfgs, _newton, eval_neumann
+from .solver import SolverSettings, eval_neumann, optimize
 
 
 @dataclass
@@ -36,25 +38,6 @@ class ExactSolution:
         if s.ndim == 2:
             s = s[:, None, :]
         return float(np.max(np.abs(density.dw(g) - s)))
-
-
-@dataclass
-class LevelReport:
-    level: int
-    ndof: int
-    ntriangles: int
-    energy: float
-    estimator: float
-    stab: Optional[float] = None
-    err_energy: Optional[float] = None
-    err_grad: Optional[float] = None
-    err_stress: Optional[float] = None
-    err_vol: Optional[float] = None
-    leb: Optional[float] = None
-    leb_no_osc: Optional[float] = None
-    rhs: Optional[float] = None
-    seconds: Optional[float] = None
-    converged: bool = True
 
 
 def _matrix_values(fn, pts, m):
@@ -188,9 +171,9 @@ def data_oscillations(problem):
     return osc_f, osc_g, osc_zeta
 
 
-def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
+def lower_energy_bound(problem, u, sigma, exact, energy=None):
     """LEB = E_l(u_l) + int (DW(G u) - sigma) : grad(u) dx
-    - c_osc * (oscillations) [- s(u; I u) in the stabilized variant].
+    - (oscillations) [- s(u; I u) in the stabilized variant].
 
     Returns (leb, leb_without_oscillation_term).  Requires grad u.
     """
@@ -217,7 +200,7 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, c_osc=1.0):
             raise ValueError("stabilized LEB needs the exact solution")
         base -= space.stabilization(u, iu, problem.p)
     osc_f, osc_g, osc_z = data_oscillations(problem)
-    return base - c_osc * (osc_f + osc_g + osc_z), base
+    return base - (osc_f + osc_g + osc_z), base
 
 
 def dual_bound(problem, u, sigma, J, energy=None):
@@ -293,8 +276,8 @@ def fit_rate(ndofs, values, window=None):
 class CourantProblem:
     """Conforming P1 minimization of the same energy on the same mesh."""
 
-    def __init__(self, mesh, density, f=None, g=None, u_dirichlet=None,
-                 l2_weight=0.0, l2_data=None, dirichlet_rule=None):
+    def __init__(self, mesh, density, side_mask, f=None, g=None,
+                 u_dirichlet=None, l2_weight=0.0, l2_data=None):
         self.mesh = mesh
         self.density = density
         self.m = density.m
@@ -303,9 +286,9 @@ class CourantProblem:
         self.u_dirichlet = u_dirichlet
         self.l2_weight = float(l2_weight)
         self.l2_data = l2_data
-        self._setup(dirichlet_rule)
+        self._setup(np.asarray(side_mask, dtype=bool))
 
-    def _setup(self, dirichlet_rule):
+    def _setup(self, side_mask):
         mesh = self.mesh
         m = self.m
         nv = mesh.num_vertices
@@ -323,27 +306,17 @@ class CourantProblem:
         grads[:, 0] = -grads[:, 1] - grads[:, 2]
         self.grad_lambda = grads
 
-        # nodal constraints from side labels
-        if dirichlet_rule is None:
-            dirichlet_rule = {"dirichlet": (0, 1)[:m], "gamma3": (0, 1)[:m],
-                              "gamma1": (0,), "gamma2": (1,)}
+        # a vertex is constrained in the components of every constrained
+        # side it ends; ``at`` accumulates over repeated vertices
         mask = np.zeros((nv, m), dtype=bool)
-        for s in mesh.boundary_sides():
-            lab = mesh.labels[s]
-            comps = dirichlet_rule.get(lab, ())
-            for c in comps:
-                if c < m:
-                    mask[mesh.sides[s, 0], c] = True
-                    mask[mesh.sides[s, 1], c] = True
+        np.logical_or.at(mask, mesh.sides.reshape(-1),
+                         np.repeat(side_mask, 2, axis=0))
         self.dirichlet_mask = mask
         self.values = np.zeros((nv, m))
         if self.u_dirichlet is not None and mask.any():
             nodes = np.nonzero(mask.any(axis=1))[0]
             vals = _values_at(self.u_dirichlet, mesh.vertices[nodes], m)
-            for i, vtx in enumerate(nodes):
-                for c in range(m):
-                    if mask[vtx, c]:
-                        self.values[vtx, c] = vals[i, c]
+            self.values[nodes] = np.where(mask[nodes], vals, 0.0)
         self.free = ~mask.reshape(-1)
 
         # load vector
@@ -439,10 +412,8 @@ class CourantProblem:
 
 
 def courant_p1_minimize(courant, settings=None):
-    """Minimize the conforming P1 energy with the optimizer stack of the
+    """Minimize the conforming P1 energy with the optimizer driver of the
     hybrid solver; returns (energy, nodal values, converged flag)."""
-    settings = settings or SolverSettings()
-    settings.validate()
     x = np.zeros(courant.mesh.num_vertices * courant.m)
     x.reshape(-1, courant.m)[:] = courant.values
     free = np.nonzero(courant.free)[0]
@@ -452,16 +423,13 @@ def courant_p1_minimize(courant, settings=None):
         return (courant.energy(x) if energy else None,
                 courant.gradient(x)[free] if gradient else None)
 
-    method = settings.method
-    if method == "auto":
-        method = "newton" if courant.density.d2w is not None else "lbfgs"
-    if method == "newton":
+    hess = None
+    if courant.density.d2w is not None:
         def hess(xf):
             x[free] = xf
             return courant.hessian(x)[free][:, free].tocsc()
 
-        xf, E, it, gnorm, conv = _newton(fun_grad, hess, x[free], settings)
-    else:
-        xf, E, it, gnorm, conv = _lbfgs(fun_grad, x[free], settings)
+    xf, E, _, _, conv, _ = optimize(fun_grad, hess, x[free],
+                                    settings or SolverSettings())
     x[free] = xf
     return E, x.reshape(-1, courant.m), conv

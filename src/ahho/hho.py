@@ -2,13 +2,15 @@
 
 A :class:`HhoSpace` couples polynomial unknowns on cells and on the mesh
 skeleton.  All element-local operators (gradient and potential
-reconstruction, stabilization traces, companion machinery) are dense
-matrices acting on the local scalar dof vector
+reconstruction, the stabilization operator S_{K,S}, companion machinery)
+are dense matrices acting on the local scalar dof vector
 
     [cell basis coefficients | side 0 | side 1 | side 2]
 
 and are precomputed in batched arrays over all triangles.  Vector-valued
-problems (m > 1) reuse the same operators componentwise.
+problems (m > 1) reuse the same operators componentwise.  The
+stabilization s_l, its gradient and its Hessian all read one table per
+exponent p, :meth:`SpaceOps.stab_data`.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ class SpaceOps:
         if space.variant == STABILIZED:
             self._build_stabilization_op()
         self._energy_cache = {}
+        self._stab_cache = {}
 
     # -- rules ---------------------------------------------------------------
 
@@ -379,6 +382,22 @@ class SpaceOps:
             self._energy_cache[degree] = {"pts": pts, "w": w, "B": B}
         return self._energy_cache[degree]
 
+    def stab_data(self, p):
+        """The table of s_l for the exponent ``p``, on the side rule of
+        ``stabilization_degree`` (stabilized spaces only, cached per p):
+        "B" (nt, 3, nq, nloc), the responses of S_{K,S} at the side points,
+        and "w" (nt, 3, nq), the weights h_S^(2-p) w_ref, that is the rule
+        on the side (h_S w_ref) times h_S^(1-p)."""
+        if p not in self._stab_cache:
+            _, w_ref, chi = self.side_rule(
+                stabilization_degree(self.space.k, p))
+            h = self.h_f[self.sot]
+            self._stab_cache[p] = {
+                "B": np.einsum("qn,tjnl->tjql", chi, self.S_op),
+                "w": h[..., None] ** (2.0 - p) * w_ref}
+        return self._stab_cache[p]
+
+
 class _CompanionGeometry:
     """Node tables and bubble systems for the conforming companion."""
 
@@ -528,11 +547,10 @@ class PiecewisePoly:
     """Piecewise polynomial on the mesh, coefficients (nt, m, dim) in the
     per-element scaled monomial basis."""
 
-    def __init__(self, space, degree, coeffs, continuous=False):
+    def __init__(self, space, degree, coeffs):
         self.space = space
         self.degree = degree
         self.coeffs = coeffs
-        self.continuous = continuous
         self.exps = monomial_exponents(degree)
 
     def at_points(self, pts):
@@ -629,23 +647,18 @@ class HhoSpace:
         coeffs = np.einsum("til,tml->tmi", self.ops.R_op, loc)
         return PiecewisePoly(self, self.k + 1, coeffs)
 
-    def stab_trace_coeffs(self, v):
-        """S_{K,S} v in the side basis, shape (nt, 3, m, nsb)."""
-        loc = self.ops.gather_local(v.data)
-        return np.einsum("tjnl,tml->tjmn", self.ops.S_op, loc)
-
     def stabilization(self, u, v, p, return_parts=False):
-        """s_l(u; v) = sum_K sum_S h_S^{1-p} int_S |S u|^(p-2) S u . S v."""
+        """s_l(u; v) = sum_K sum_S h_S^{1-p} int_S |S u|^(p-2) S u . S v,
+        with the parts per element (nt,) and per side (nt, 3) on request."""
         ops = self.ops
-        _, w_ref, chi = ops.side_rule(stabilization_degree(self.k, p))
-        Su = np.einsum("tjmn,qn->tjmq", self.stab_trace_coeffs(u), chi)
-        Sv = np.einsum("tjmn,qn->tjmq", self.stab_trace_coeffs(v), chi)
+        sd = ops.stab_data(p)
+        Su = np.einsum("tjql,tml->tjmq", sd["B"], ops.gather_local(u.data))
+        Sv = Su if v is u else np.einsum("tjql,tml->tjmq", sd["B"],
+                                         ops.gather_local(v.data))
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", Su, Su))
-        h = ops.h_f[ops.sot]
-        wq = h[..., None] * w_ref
         integrand = np.einsum("tjq,tjmq,tjmq->tjq",
                               _safe_pow(mag, p - 2), Su, Sv)
-        per_side = h ** (1.0 - p) * np.einsum("tjq,tjq->tj", wq, integrand)
+        per_side = np.einsum("tjq,tjq->tj", sd["w"], integrand)
         per_elem = per_side.sum(axis=1)
         total = float(per_elem.sum())
         if return_parts:
@@ -718,7 +731,7 @@ class HhoSpace:
         phi_k_n3 = ops.cell_eval(ops.exps_k, geom.nodes_k3)
         total += bT3[..., None] * np.einsum("tni,tim->tnm", phi_k_n3, qT)
         coeffs = np.einsum("tin,tnm->tmi", geom.vand_k3_inv, total)
-        return PiecewisePoly(self, self.k + 3, coeffs, continuous=True)
+        return PiecewisePoly(self, self.k + 3, coeffs)
 
     # -- seminorm ------------------------------------------------------------------
 

@@ -326,22 +326,17 @@ class Triangulation:
         return float(np.min(r_in / r_circ))
 
 
-def build_triangulation(vertices, triangles, boundary_label_rule,
-                        ref_edge=None):
+def build_triangulation(vertices, triangles, boundary_label_rule):
     """Build a conforming triangulation from raw vertex/triangle arrays.
 
     ``boundary_label_rule`` is either a callable mapping a boundary side
     midpoint to a label, or an explicit per-side label array.  A callable
     is evaluated once per boundary side of this mesh and refined meshes
     inherit the labels, so this mesh must resolve the boundary partition:
-    a label change inside one of its sides is never seen.  When
-    ``ref_edge`` is omitted, the refinement edge of each triangle is its
-    longest edge (within 1e-12 relative), ties broken by the lowest global
-    side index.
+    a label change inside one of its sides is never seen.  The refinement
+    edge of each triangle is its longest edge (within 1e-12 relative), ties
+    broken by the lowest global side index.
     """
-    if ref_edge is not None:
-        return Triangulation(vertices, triangles, ref_edge,
-                             boundary_label_rule)
     mesh = Triangulation(vertices, triangles,
                          np.zeros(len(triangles), dtype=np.int64),
                          boundary_label_rule)

@@ -94,9 +94,6 @@ class SideBasis:
         t = self.param(points)
         return t[..., None] ** np.arange(self.dim)
 
-    def eval_param(self, t):
-        return np.asarray(t, dtype=float)[..., None] ** np.arange(self.dim)
-
 
 class RtBasis:
     """Raviart-Thomas basis RT_k(T) = P_k(T; R^2) + x Ptilde_k(T).
@@ -215,20 +212,6 @@ def triangle_quadrature(corners, d):
     jac = np.stack([corners[1] - p0, corners[2] - p0], axis=1)
     pts = ref_pts @ jac.T + p0
     return QuadratureRule(pts, ref_w * abs(np.linalg.det(jac)), d)
-
-
-def triangles_quadrature(corners, d):
-    """Batched rule over many triangles: points (nt, nq, 2), weights (nt, nq)."""
-    ref_pts, ref_w = reference_triangle_rule(d)
-    corners = np.asarray(corners, dtype=float)
-    p0 = corners[:, 0]
-    e1 = corners[:, 1] - p0
-    e2 = corners[:, 2] - p0
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    pts = (ref_pts[None, :, 0:1] * e1[:, None, :]
-           + ref_pts[None, :, 1:2] * e2[:, None, :] + p0[:, None, :])
-    w = np.abs(det)[:, None] * ref_w[None, :]
-    return pts, w
 
 
 @functools.lru_cache(maxsize=None)

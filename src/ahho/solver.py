@@ -5,6 +5,11 @@ gradient with linear load terms, optional stabilization (stabilized
 variant) and an optional quadratic lower-order term 0.5*||zeta - v_T||^2.
 Constrained (Dirichlet) side dofs are eliminated: the optimizers act on
 the free dofs only, so prescribed values are met exactly.
+
+Damped Newton and L-BFGS share one Armijo search (``_armijo``) and one
+driver, :func:`optimize`, which validates the settings and picks the
+method; :func:`minimize` and the conforming P1 probe
+(``diagnostics.courant_p1_minimize``) both run through it.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _safe_pow, _values_at, stabilization_degree
+    _safe_pow, _values_at
 
 
 @dataclass
@@ -33,9 +38,15 @@ class SolverSettings:
 
     def validate(self):
         if min(self.grad_tol, self.step_tol, self.energy_tol) <= 0:
-            raise ValueError("tolerances must be positive")
+            raise ValueError("solver tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
+        if self.method not in ("auto", "newton", "lbfgs"):
+            raise ValueError("method must be auto, newton, or lbfgs")
+        if self.memory < 1:
+            raise ValueError("lbfgs_memory must be positive")
+        if not (0 < self.armijo_c1 < 1) or not (0 < self.backtrack < 1):
+            raise ValueError("line-search parameters must lie in (0, 1)")
 
 
 @dataclass
@@ -149,12 +160,6 @@ class DiscreteProblem:
             self.zeta_osc = _residual_integral(w, phi, zv, piz, 2.0)
             self.cell_gram = ops.gram_k
         self._ed = ops.energy_data(self.energy_degree)
-        if self.stabilized:
-            deg = stabilization_degree(space.k, self.p)
-            _, w_ref, chi = ops.side_rule(deg)
-            self._stab_wref = w_ref
-            # S_B[t,j,q,l]: value of S_{K,S} basis response at side points
-            self._stab_B = np.einsum("qn,tjnl->tjql", chi, ops.S_op)
 
     def dirichlet_data_on(self, sides):
         """u_dirichlet at the data rule on constrained ``sides``,
@@ -198,7 +203,6 @@ class DiscreteProblem:
         return self._local_values(v)[1]
 
     def energy(self, v):
-        ops = self.space.ops
         Gv = self._grad_values(v)
         E = float(np.sum(self._ed["w"] * self.density.w(Gv)))
         E -= float(self.load @ v.data)
@@ -231,18 +235,18 @@ class DiscreteProblem:
         return grad
 
     def _stab_values(self, v):
+        """S_{K,S} v at the side points of ``stab_data``, (nt, 3, m, nq)."""
         loc = self._local_values(v)[0]
-        return np.einsum("tjql,tml->tjmq", self._stab_B, loc)
+        B = self.space.ops.stab_data(self.p)["B"]
+        return np.einsum("tjql,tml->tjmq", B, loc)
 
     def _stab_gradient(self, v):
         ops = self.space.ops
-        p = self.p
+        sd = ops.stab_data(self.p)
         S = self._stab_values(v)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        fac = _safe_pow(mag, p - 2)
-        h = ops.h_f[ops.sot]
-        wq = h[..., None] * self._stab_wref * h[..., None] ** (1.0 - p)
-        g_loc = np.einsum("tjq,tjq,tjmq,tjql->tml", wq, fac, S, self._stab_B)
+        g_loc = np.einsum("tjq,tjq,tjmq,tjql->tml", sd["w"],
+                          _safe_pow(mag, self.p - 2), S, sd["B"])
         grad = np.zeros(self.space.ndof)
         ops.scatter_add(grad, g_loc)
         return grad
@@ -313,14 +317,13 @@ class DiscreteProblem:
 
     def _stab_hessian_local(self, v):
         """Local Hessians of s(v; v)/p, (nt, m, nloc, m, nloc)."""
-        ops = self.space.ops
+        sd = self.space.ops.stab_data(self.p)
         p = self.p
         m = self.space.m
         S = self._stab_values(v)                       # (nt,3,m,q)
         mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        h = ops.h_f[ops.sot]
-        wq = h[..., None] ** (2.0 - p) * self._stab_wref
-        Bs = self._stab_B                              # (nt,3,q,nloc)
+        wq = sd["w"]
+        Bs = sd["B"]                                   # (nt,3,q,nloc)
         nt, nloc = len(Bs), Bs.shape[-1]
         Bf = Bs.reshape(nt, -1, nloc)
         c1 = (wq * _safe_pow(mag, p - 2)).reshape(nt, -1, 1)
@@ -446,6 +449,23 @@ class SparseHessian:
 
 
 # -- optimizers -----------------------------------------------------------------------
+#
+# ``fun_grad(x, energy=True, gradient=True)`` returns the pair (energy,
+# gradient), with None in place of a part not asked for.
+
+def _armijo(fun_grad, x, E, d, gd, step, settings):
+    """Backtracking from ``step`` along ``d`` (slope ``gd``) until the
+    Armijo condition holds.  The trials need the energy only; the gradient
+    is taken at the accepted point.  Returns (x, E, g) there, or None."""
+    for _ in range(settings.max_backtracks):
+        x_new = x + step * d
+        E_new, _ = fun_grad(x_new, gradient=False)
+        if np.isfinite(E_new) and \
+                E_new <= E + settings.armijo_c1 * step * gd:
+            return x_new, E_new, fun_grad(x_new, energy=False)[1]
+        step *= settings.backtrack
+    return None
+
 
 def _lbfgs(fun_grad, x0, settings):
     """Limited-memory BFGS with Armijo backtracking; deterministic."""
@@ -479,16 +499,10 @@ def _lbfgs(fun_grad, x0, settings):
             d = -g
             gd = -(g @ g)
         step = 1.0 if yvecs else min(1.0, 1.0 / max(gnorm, 1e-30))
-        ok = False
-        for _ in range(settings.max_backtracks):
-            x_new = x + step * d
-            E_new, g_new = fun_grad(x_new)
-            if E_new <= E + settings.armijo_c1 * step * gd:
-                ok = True
-                break
-            step *= settings.backtrack
-        if not ok:
+        accepted = _armijo(fun_grad, x, E, d, gd, step, settings)
+        if accepted is None:
             return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
+        x_new, E_new, g_new = accepted
         s_vec = x_new - x
         y_vec = g_new - g
         sy = s_vec @ y_vec
@@ -518,8 +532,6 @@ def _lbfgs(fun_grad, x0, settings):
 def _newton(fun_grad, hess, x0, settings):
     """Damped Newton with a regularization ladder and Armijo search.
 
-    ``fun_grad(x, energy=True, gradient=True)`` returns the pair
-    (energy, gradient), with None in place of a part not asked for.
     ``hess(x)`` returns the Newton system, a :class:`CondensedHessian` or a
     sparse matrix (wrapped in a :class:`SparseHessian`)."""
     x = x0.copy()
@@ -564,27 +576,16 @@ def _newton(fun_grad, hess, x0, settings):
             gnorm = np.linalg.norm(g)
             n_iter += 1
             continue
-        # Armijo trials need the energy only; the gradient is taken at
-        # the accepted point
-        step = 1.0
-        ok = False
-        for _ in range(settings.max_backtracks):
-            x_new = x + step * d
-            E_new, _ = fun_grad(x_new, gradient=False)
-            if np.isfinite(E_new) and \
-                    E_new <= E + settings.armijo_c1 * step * gd:
-                ok = True
-                break
-            step *= settings.backtrack
-        if ok:
-            _, g_new = fun_grad(x_new, energy=False)
-        else:
+        accepted = _armijo(fun_grad, x, E, d, gd, 1.0, settings)
+        if accepted is None:
             # fall back to a gradient step before giving up
             step = 1.0 / max(gnorm, 1.0)
             x_new = x - step * g
             E_new, g_new = fun_grad(x_new)
             if not np.isfinite(E_new) or E_new >= E:
                 return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
+        else:
+            x_new, E_new, g_new = accepted
         dE = E - E_new
         x, E, g = x_new, E_new, g_new
         gnorm = np.linalg.norm(g)
@@ -600,13 +601,28 @@ def _newton(fun_grad, hess, x0, settings):
     return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
 
 
+def optimize(fun_grad, hess, x0, settings):
+    """Validate ``settings`` and minimize from ``x0`` with the method they
+    name; ``"auto"`` is Newton when a Hessian ``hess`` is given (None
+    otherwise) and L-BFGS without.  Returns (x, energy, iterations,
+    gradient norm, converged, method)."""
+    settings.validate()
+    method = settings.method
+    if method == "auto":
+        method = "newton" if hess is not None else "lbfgs"
+    if method == "lbfgs":
+        return _lbfgs(fun_grad, x0, settings) + (method,)
+    if hess is None:
+        raise ValueError("method 'newton' needs the density's Hessian d2w")
+    return _newton(fun_grad, hess, x0, settings) + (method,)
+
+
 def minimize(problem, initial=None, settings=None):
     """Minimize the discrete energy over the free dofs.
 
     Deterministic: identical inputs produce the identical iterate sequence.
     """
     settings = settings or SolverSettings()
-    settings.validate()
     if initial is None:
         initial = problem.initial_guess()
     v = initial.copy()
@@ -620,25 +636,18 @@ def minimize(problem, initial=None, settings=None):
         return (problem.energy(w) if energy else None,
                 problem.energy_gradient(w) if gradient else None)
 
-    method = settings.method
-    if method == "auto":
-        method = "newton" if problem.density.d2w is not None else "lbfgs"
+    hess = None
+    if problem.density.d2w is not None:
+        def hess(xf):
+            full[free] = xf
+            return problem.energy_hessian(HhoVector(problem.space, full))
 
     # the adaptive loop keeps every level's problem: the last point and
     # the skeleton pattern live only as long as the solve that uses them
     problem._point = []
     try:
-        if method == "newton":
-            def hess(xf):
-                full[free] = xf
-                return problem.energy_hessian(HhoVector(problem.space, full))
-
-            x, E, it, gnorm, conv = _newton(fun_grad, hess, v.data[free],
-                                            settings)
-        elif method == "lbfgs":
-            x, E, it, gnorm, conv = _lbfgs(fun_grad, v.data[free], settings)
-        else:
-            raise ValueError(f"unknown solver method {settings.method!r}")
+        x, E, it, gnorm, conv, method = optimize(fun_grad, hess,
+                                                 v.data[free], settings)
     finally:
         problem._point = None
         problem._hess_pattern = None

@@ -61,7 +61,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 def test_invalid_values_named(tmp_path):
     for bad in ({"theta": 1.5}, {"mode": "magic"}, {"variant": "x"},
-                {"k": -1}, {"grad_tol": 0.0}, {"method": "cg"}):
+                {"k": -1}, {"grad_tol": 0.0}, {"method": "cg"},
+                {"max_iter": 0}, {"lbfgs_memory": 0}):
         path = write_config(tmp_path, benchmark="manufactured-affine", **bad)
         with pytest.raises(ConfigError):
             load_config(path)
@@ -139,6 +140,16 @@ def test_cli_main_rejects_bad_eps(tmp_path, capsys):
                  "7.0", "--out", str(tmp_path / "x")])
     assert code == 2
     assert "eps" in capsys.readouterr().err
+
+
+def test_cli_main_rejects_bad_config_file(tmp_path, capsys):
+    """A solver setting out of range in a config file exits 2 with the
+    rule named, before any level is solved."""
+    path = write_config(tmp_path, benchmark="manufactured-affine",
+                        max_iter=0, out=str(tmp_path / "x"))
+    assert main(["run", "--config", str(path)]) == 2
+    assert "max_iter" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_adaptive_run_outputs_and_determinism(tmp_path):

@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from ahho.benchmarks import get_benchmark
+from ahho.benchmarks import get_benchmark, register_benchmarks
 from ahho.densities import p_laplace
 from ahho.diagnostics import (aitken_extrapolate, courant_p1_minimize,
                               data_oscillations, dual_bound, error_norms,
                               fit_rate, lower_energy_bound)
-from ahho.hho import HhoSpace
+from ahho.hho import HhoSpace, _values_at
 from ahho.mesh import DIRICHLET, NEUMANN, build_triangulation, refine_uniform
-from ahho.solver import DiscreteProblem, minimize
+from ahho.solver import DiscreteProblem, SolverSettings, minimize
 
 
 def solve_benchmark(name, k=0, nref=0, variant="rt"):
@@ -455,6 +455,46 @@ def test_courant_fhm_energy_above_reference():
     assert conv
     # conforming energies lie above the exact minimum
     assert E > bench.reference_energy
+
+
+def _courant_dirichlet_loop(bench, mesh):
+    """Reference: the side mask, the nodal mask and the nodal values,
+    side by side and vertex by vertex from the benchmark's labels."""
+    m = bench.m
+    side = np.zeros((mesh.num_sides, m), dtype=bool)
+    node = np.zeros((mesh.num_vertices, m), dtype=bool)
+    for s in mesh.boundary_sides():
+        for c in bench.dirichlet_labels.get(mesh.labels[s], ()):
+            side[s, c] = True
+            node[mesh.sides[s, 0], c] = True
+            node[mesh.sides[s, 1], c] = True
+    u_all = _values_at(bench.u_dirichlet, mesh.vertices, m)
+    values = np.zeros((mesh.num_vertices, m))
+    for vtx in range(mesh.num_vertices):
+        for c in range(m):
+            if node[vtx, c]:
+                values[vtx, c] = u_all[vtx, c]
+    return side, node, values
+
+
+def test_courant_dirichlet_data_match_loop_reference():
+    for name in sorted(register_benchmarks()):
+        bench = get_benchmark(name)
+        mesh = refine_uniform(bench.initial_mesh())
+        side, node, values = _courant_dirichlet_loop(bench, mesh)
+        courant = bench.make_courant(mesh)
+        assert np.array_equal(bench.dirichlet_mask(mesh), side), name
+        assert np.array_equal(courant.dirichlet_mask, node), name
+        assert np.array_equal(courant.free, ~node.reshape(-1)), name
+        np.testing.assert_allclose(courant.values, values, rtol=1e-14,
+                                   atol=0, err_msg=name)
+
+
+def test_courant_rejects_unknown_method():
+    bench = get_benchmark("manufactured-affine")
+    courant = bench.make_courant(bench.initial_mesh())
+    with pytest.raises(ValueError, match="method"):
+        courant_p1_minimize(courant, SolverSettings(method="bogus"))
 
 
 def test_error_norms_symmetric_under_zero_perturbation():

@@ -384,9 +384,8 @@ def _stab_hessian_einsum(prob, v):
     p = prob.p
     S = prob._stab_values(v)
     mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-    h = ops.h_f[ops.sot]
-    wq = h[..., None] ** (2.0 - p) * prob._stab_wref
-    Bs = prob._stab_B
+    wq = ops.stab_data(p)["w"]
+    Bs = ops.stab_data(p)["B"]
     H = np.einsum("tjq,tjq,mn,tjql,tjqf->tmlnf", wq, _safe_pow(mag, p - 2),
                   np.eye(prob.space.m), Bs, Bs)
     if p != 2:
@@ -522,6 +521,35 @@ def test_newton_gradients_only_at_accepted_points():
     assert sol.iterations == it
     assert abs(sol.energy - E) <= 1e-14 * abs(E)
     assert lazy == it + 1 < len(calls)
+
+
+def test_lbfgs_gradients_only_at_accepted_points():
+    """L-BFGS shares Newton's Armijo search: the trials get the energy
+    only, so the gradient is taken once at the start and once per
+    accepted step."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark("two-well-rect")
+    prob = bench.make_problem(refine_uniform(bench.initial_mesh()), 0)
+    calls = []
+    gradient = prob.energy_gradient
+    prob.energy_gradient = lambda v: calls.append(1) or gradient(v)
+    sol = minimize(prob, settings=SolverSettings(method="lbfgs"))
+    assert sol.method == "lbfgs" and sol.iterations > 0
+    assert len(calls) == sol.iterations + 1
+
+
+def test_newton_needs_a_hessian():
+    """Without d2w, "auto" resolves to L-BFGS and "newton" is refused."""
+    import dataclasses
+    mesh = square_mesh(1)
+    space = HhoSpace(mesh, 0,
+                     dirichlet_mask=dirichlet_mask_from_labels(mesh, 1))
+    prob = DiscreteProblem(space, dataclasses.replace(p_laplace(2.0),
+                                                      d2w=None),
+                           u_dirichlet=affine)
+    assert minimize(prob).method == "lbfgs"
+    with pytest.raises(ValueError, match="newton"):
+        minimize(prob, settings=SolverSettings(method="newton"))
 
 
 def test_newton_condensed_matches_full_matrix():
