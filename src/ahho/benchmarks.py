@@ -118,32 +118,55 @@ def _polar_lshape(p):
     return r, phi
 
 
-def plaplace_u(p):
+def _plaplace_fields(p, u=True, grad=True, sigma=True):
+    """u = r^a sin(a phi), grad u and sigma = |grad u|^2 grad u at points
+    (..., 2), None where not asked for.  r, phi, cos phi, sin phi,
+    sin(a phi) and cos(a phi) are computed once for all three; sin(a phi)
+    serves u and the direction vector.  Both vector fields have the form
+    scale r^power (sin(a phi) e_r + cos(a phi) e_phi), with r^power read
+    as 1 at the origin, where they are singular."""
     r, phi = _polar_lshape(p)
-    return np.where(r > 0, r ** _ALPHA, 0.0) * np.sin(_ALPHA * phi)
-
-
-def _plaplace_field(p, scale, power):
-    """scale r^power (sin(a phi) e_r + cos(a phi) e_phi), the common form
-    of grad u and sigma = |grad u|^2 grad u, with r^power read as 1 at
-    the origin, where the field is singular."""
-    r, phi = _polar_lshape(p)
+    sa = np.sin(_ALPHA * phi)
+    uv = np.where(r > 0, r ** _ALPHA, 0.0) * sa if u else None
+    if not (grad or sigma):
+        return uv, None, None
     rs = np.where(r > 0, r, 1.0)
-    fac = scale * rs ** power
     c, s = np.cos(phi), np.sin(phi)
-    sa, ca = np.sin(_ALPHA * phi), np.cos(_ALPHA * phi)
-    out = np.empty(r.shape + (2,))
-    out[..., 0] = fac * (sa * c - ca * s)
-    out[..., 1] = fac * (sa * s + ca * c)
-    return out
+    ca = np.cos(_ALPHA * phi)
+    d0 = sa * c - ca * s
+    d1 = sa * s + ca * c
+
+    def field(scale, power):
+        fac = scale * rs ** power
+        out = np.empty(r.shape + (2,))
+        out[..., 0] = fac * d0
+        out[..., 1] = fac * d1
+        return out
+
+    return (uv, field(_ALPHA, _ALPHA - 1.0) if grad else None,
+            field(_ALPHA ** 3, 3.0 * (_ALPHA - 1.0)) if sigma else None)
+
+
+def plaplace_u(p):
+    return _plaplace_fields(p, grad=False, sigma=False)[0]
 
 
 def plaplace_grad(p):
-    return _plaplace_field(p, _ALPHA, _ALPHA - 1.0)
+    return _plaplace_fields(p, u=False, sigma=False)[1]
 
 
 def plaplace_sigma(p):
-    return _plaplace_field(p, _ALPHA ** 3, 3.0 * (_ALPHA - 1.0))
+    return _plaplace_fields(p, u=False, grad=False)[2]
+
+
+class _PlaplaceExact(ExactSolution):
+    """The L-shape minimizer: one call evaluates the polar factors once
+    for u, grad u and sigma."""
+
+    def fields(self, points):
+        return _plaplace_fields(points, self.u is not None,
+                                self.grad_u is not None,
+                                self.sigma is not None)
 
 
 def plaplace_f(p):
@@ -173,9 +196,9 @@ def make_plaplace_lshape():
         f=plaplace_f,
         g=plaplace_g,
         u_dirichlet=plaplace_u,
-        exact=ExactSolution(u=plaplace_u, grad_u=plaplace_grad,
-                            sigma=plaplace_sigma,
-                            energy=-1.4423089582447),
+        exact=_PlaplaceExact(u=plaplace_u, grad_u=plaplace_grad,
+                             sigma=plaplace_sigma,
+                             energy=-1.4423089582447),
         reference_energy=-1.4423089582447,
         singular_point=(0.0, 0.0),
     )
@@ -218,8 +241,9 @@ def two_well_quad_datum(p):
 
 def two_well_u(p):
     r = _rho(p)
-    return np.where(r <= 0, -3.0 * r ** 5 / 128.0 - r ** 3 / 3.0,
-                    r ** 3 / 24.0 + r)
+    r3 = r ** 3
+    return np.where(r <= 0, -3.0 * r ** 5 / 128.0 - r3 / 3.0,
+                    r3 / 24.0 + r)
 
 
 def two_well_grad(p):

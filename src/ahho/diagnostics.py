@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .densities import UnsupportedConjugate
-from .hho import STABILIZED, GradField, _values_at
+from .hho import STABILIZED, GradField, _as_components, _batch_eval, \
+    _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
 from .solver import SolverSettings, eval_neumann, optimize
@@ -21,11 +22,22 @@ from .solver import SolverSettings, eval_neumann, optimize
 
 @dataclass
 class ExactSolution:
-    """Closures of the known minimizer; any field may be None."""
+    """Closures of the known minimizer; any field may be None.
+
+    :meth:`fields` evaluates all three at one point set.  Here it calls
+    the closures one by one; a minimizer whose fields share work
+    overrides it (the p-Laplace L-shape computes its polar factors once
+    per point set for u, grad u and sigma)."""
     u: Optional[Callable] = None
     grad_u: Optional[Callable] = None
     sigma: Optional[Callable] = None
     energy: Optional[float] = None
+
+    def fields(self, points):
+        """(u, grad u, sigma) at ``points`` (..., 2), each as its closure
+        returns it, None for an absent field."""
+        return tuple(None if fn is None else fn(points)
+                     for fn in (self.u, self.grad_u, self.sigma))
 
     def check_consistency(self, density, points):
         """sigma must equal DW(grad u) where both closures exist."""
@@ -42,10 +54,15 @@ class ExactSolution:
 
 def _matrix_values(fn, pts, m):
     """An (m, 2)-valued closure at points (..., 2) -> (..., m, 2)."""
-    g = np.asarray(fn(pts.reshape(-1, 2)), dtype=float)
+    return _as_matrix(fn(pts.reshape(-1, 2)), pts.shape[:-1], m)
+
+
+def _as_matrix(values, shape, m):
+    """Values (n, 2) or (n, m, 2) at n flat points -> shape + (m, 2)."""
+    g = np.asarray(values, dtype=float)
     if g.ndim == 2:
         g = g[:, None, :]
-    return g.reshape(pts.shape[:-1] + (m, 2))
+    return g.reshape(shape + (m, 2))
 
 
 @functools.lru_cache(maxsize=None)
@@ -109,6 +126,8 @@ def error_norms(problem, u, exact, degree=None, singular_point=None):
 
     Elements touching ``singular_point`` are integrated with a dyadically
     graded corner rule; elsewhere a fixed elevated-degree rule applies.
+    On each of these point sets the exact fields come from one
+    ``exact.fields`` call, and one P_k table serves both G u and u_T.
     """
     space = problem.space
     ops = space.ops
@@ -122,20 +141,24 @@ def error_norms(problem, u, exact, degree=None, singular_point=None):
         """int |grad u - G u|^p, int |sigma - DW(G u)|^p' and
         int |u - u_T|^2 over the triangles ``tri`` with the rule (pts, w)."""
         grad_pp = stress_pp = vol_pp = None
-        if exact.grad_u is not None:
-            Gu = g.at_points(pts, tri)                         # (n,nq,m,2)
-            diff = _matrix_values(exact.grad_u, pts, m) - Gu
+        ue, ge, se = exact.fields(pts.reshape(-1, 2))
+        if ue is None and ge is None:
+            return grad_pp, stress_pp, vol_pp
+        loc = ops.local_coords(pts, tri)
+        phi = _batch_eval(ops.exps_k, loc)
+        if ge is not None:
+            Gu = g._at_local(loc, phi, tri)                    # (n,nq,m,2)
+            diff = _as_matrix(ge, pts.shape[:-1], m) - Gu
             mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
             grad_pp = np.einsum("tq,tq->", w, mag ** p)
-            if exact.sigma is not None:
-                diff = (_matrix_values(exact.sigma, pts, m)
+            if se is not None:
+                diff = (_as_matrix(se, pts.shape[:-1], m)
                         - problem.density.dw(Gu))
                 dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
                 stress_pp = np.einsum("tq,tq->", w, dmag ** pp)
-        if exact.u is not None:
-            uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
-                           ops.cell_eval(ops.exps_k, pts, tri))
-            diff = _values_at(exact.u, pts, m) - uT
+        if ue is not None:
+            uT = np.einsum("tmi,tqi->tqm", u.cells[tri], phi)
+            diff = _as_components(ue, m).reshape(pts.shape[:-1] + (m,)) - uT
             vol_pp = np.einsum("tq,tqm,tqm->", w, diff, diff)
         return grad_pp, stress_pp, vol_pp
 

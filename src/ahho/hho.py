@@ -513,12 +513,19 @@ class GradField:
         2 ncb fields are (phi_i, 0) and (0, phi_i), the k+1 RT fields are
         x q_j with q_j the homogeneous degree-k monomials."""
         ops = self.space.ops
+        loc = ops.local_coords(pts, tri)
+        return self._at_local(loc, _batch_eval(ops.exps_k, loc), tri)
+
+    def _at_local(self, loc, phi, tri):
+        """:meth:`at_points` from the local coordinates (n, ..., 2) of the
+        points and their P_k table ``phi`` (n, ..., ncb), for a caller
+        that reads the table too."""
+        ops = self.space.ops
         ncb = ops.ncb
         c = self.coeffs[tri]
         n, m = c.shape[:2]
-        npt = int(np.prod(pts.shape[1:-1]))
-        loc = ops.local_coords(pts, tri)
-        phi = _batch_eval(ops.exps_k, loc).reshape(n, npt, ncb)
+        npt = int(np.prod(loc.shape[1:-1]))
+        phi = phi.reshape(n, npt, ncb)
         # [c_x | c_y] as (n, ncb, m * 2), so the product is (n, npt, m, 2)
         cxy = c[:, :, :2 * ncb].reshape(n, m, 2, ncb).transpose(0, 3, 1, 2)
         out = np.matmul(phi, cxy.reshape(n, ncb, 2 * m)).reshape(
@@ -526,10 +533,10 @@ class GradField:
         if self.space.variant == RT:
             s = np.matmul(phi[..., ncb - ops.nsb:],
                           c[:, :, 2 * ncb:].transpose(0, 2, 1))
-            loc = loc.reshape(n, npt, 2)
-            out[..., 0] += loc[..., 0:1] * s
-            out[..., 1] += loc[..., 1:2] * s
-        return out.reshape(pts.shape[:-1] + (m, 2))
+            xy = loc.reshape(n, npt, 2)
+            out[..., 0] += xy[..., 0:1] * s
+            out[..., 1] += xy[..., 1:2] * s
+        return out.reshape(loc.shape[:-1] + (m, 2))
 
     def div_at_points(self, pts):
         dv = self.space.ops.grad_basis_div(pts)

@@ -155,21 +155,49 @@ class Triangulation:
         normals[flip] *= -1
         self.normals = normals
 
-    def _check_conforming(self):
-        # a vertex strictly inside another triangle's side is a hanging node
+    def _check_conforming(self, chunk=1 << 16):
+        """Reject a hanging node: a vertex whose projection onto a side
+        (a, b) lies at t in (1e-12, 1 - 1e-12) and whose squared distance
+        to the side's line is below 1e-24 |b - a|^2.  Only vertices inside
+        the side's bounding box widened by 1e-11 |b - a| can pass; they
+        are found among the vertices sorted by x and tested in chunks of
+        about ``chunk`` (side, vertex) pairs."""
         p = self.vertices
         a = p[self.sides[:, 0]]
         b = p[self.sides[:, 1]]
         tang = b - a
         length2 = np.einsum("sd,sd->s", tang, tang)
-        for v in range(len(p)):
-            d = p[v] - a
-            t = np.einsum("sd,sd->s", d, tang) / length2
-            perp = d - t[:, None] * tang
-            on = (np.einsum("sd,sd->s", perp, perp) < 1e-24 * length2)
+        pad = 1e-11 * np.sqrt(length2)[:, None]
+        lo = np.minimum(a, b) - pad
+        hi = np.maximum(a, b) + pad
+        order = np.argsort(p[:, 0], kind="stable")
+        xs = p[order, 0]
+        first = np.searchsorted(xs, lo[:, 0], side="left")
+        count = np.searchsorted(xs, hi[:, 0], side="right") - first
+        ends = np.cumsum(count)
+        hanging = []
+        start = 0
+        while start < len(count):
+            base = ends[start] - count[start]
+            stop = max(int(np.searchsorted(ends, base + chunk, side="right")),
+                       start + 1)
+            n = count[start:stop]
+            side = np.repeat(np.arange(start, stop), n)
+            offset = np.arange(len(side)) - np.repeat(np.cumsum(n) - n, n)
+            v = order[first[side] + offset]
+            y = p[v, 1]
+            keep = (y >= lo[side, 1]) & (y <= hi[side, 1])
+            side, v = side[keep], v[keep]
+            d = p[v] - a[side]
+            t = np.einsum("sd,sd->s", d, tang[side]) / length2[side]
+            perp = d - t[:, None] * tang[side]
+            on = (np.einsum("sd,sd->s", perp, perp) < 1e-24 * length2[side])
             inside = on & (t > 1e-12) & (t < 1 - 1e-12)
-            if np.any(inside):
-                raise MeshError(f"hanging node: vertex {v} lies inside a side")
+            hanging += v[inside].tolist()
+            start = stop
+        if hanging:
+            raise MeshError(f"hanging node: vertex {min(hanging)} lies "
+                            "inside a side")
 
     def _assign_labels(self, labels_or_rule):
         boundary = self.adjacency[:, 1] == -1
@@ -368,19 +396,21 @@ def shape_regularity(mesh):
 # -- text format -------------------------------------------------------------
 
 def write_mesh(mesh, path):
-    """Write the mesh text format: header, vertex, triangle and side rows."""
-    lines = [f"vertices {mesh.num_vertices} / triangles {mesh.num_triangles}"
-             f" / sides {mesh.num_sides}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for t in range(mesh.num_triangles):
-        v0, v1, v2 = mesh.triangles[t]
-        lines.append(f"{v0} {v1} {v2} {mesh.ref_edge[t]}")
-    for s in range(mesh.num_sides):
-        a, b = mesh.sides[s]
-        lines.append(f"{a} {b} {mesh.labels[s]}")
+    """Write the mesh text format: header, vertex, triangle and side rows.
+    Floats are written by ``repr``, so :func:`read_mesh` reads them back
+    exactly; each block is formatted in one call on its flat values."""
+    nv, nt, ns = mesh.num_vertices, mesh.num_triangles, mesh.num_sides
+    sides = np.empty((ns, 3), dtype=object)
+    sides[:, :2] = mesh.sides
+    sides[:, 2] = mesh.labels
+    text = "".join([
+        f"vertices {nv} / triangles {nt} / sides {ns}\n",
+        "%r %r\n" * nv % tuple(mesh.vertices.ravel().tolist()),
+        "%d %d %d %d\n" * nt % tuple(np.column_stack(
+            [mesh.triangles, mesh.ref_edge]).ravel().tolist()),
+        "%d %d %s\n" * ns % tuple(sides.ravel().tolist())])
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def read_mesh(path):

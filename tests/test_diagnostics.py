@@ -241,6 +241,118 @@ def test_plaplace_closures_match_stacked_formulas():
                                       3.0 * (_ALPHA - 1.0)), normals))
 
 
+def _plaplace_edge_points():
+    """The points of test_plaplace_closures_match_stacked_formulas:
+    random ones, r = 0, +-0.0, +-1e-300 and both sides of the branch cut
+    at phi = 0 = 2 pi."""
+    rng = np.random.default_rng(4)
+    return np.concatenate([
+        rng.uniform(-1.0, 1.0, (500, 2)),
+        [[0.0, 0.0], [-0.0, 0.0], [0.5, 0.0], [0.5, -0.0], [0.5, 1e-300],
+         [0.5, -1e-300], [0.5, -1e-17], [0.5, 1e-17], [1.0, -1e-9],
+         [-0.3, 0.0], [0.0, -0.7], [0.0, 0.7]]])
+
+
+def test_plaplace_joint_fields_match_closures():
+    """The L-shape's one-call evaluator gives the bits of the three
+    closures, flat and batched; u is r^a sin(a phi), 0 at the origin."""
+    from ahho.benchmarks import (_ALPHA, _polar_lshape, plaplace_grad,
+                                 plaplace_sigma, plaplace_u)
+    exact = get_benchmark("p-laplace-lshape").exact
+    flat = _plaplace_edge_points()
+    for pts in (flat, flat.reshape(4, -1, 2)):
+        u, g, s = exact.fields(pts)
+        assert np.array_equal(u, plaplace_u(pts))
+        assert np.array_equal(g, plaplace_grad(pts))
+        assert np.array_equal(s, plaplace_sigma(pts))
+        r, phi = _polar_lshape(pts)
+        assert np.array_equal(u, np.where(r > 0, r ** _ALPHA, 0.0)
+                              * np.sin(_ALPHA * phi))
+    from dataclasses import replace
+    u, g, s = replace(exact, grad_u=None).fields(flat)
+    assert g is None
+    assert np.array_equal(u, plaplace_u(flat))
+    assert np.array_equal(s, plaplace_sigma(flat))
+
+
+def _error_norms_closure_reference(problem, u, exact, singular_point):
+    """The norms with each exact field from its own closure call and the
+    P_k table built once for G u and again for u_T."""
+    from ahho.diagnostics import (_graded_corner_rule, _matrix_values,
+                                  _singular_triangles)
+    space = problem.space
+    ops = space.ops
+    m, p = space.m, problem.p
+    pp = p / (p - 1.0)
+    degree = problem.energy_degree + 4
+    g = space.gradient_reconstruction(u)
+
+    def integrals(tri, pts, w):
+        Gu = g.at_points(pts, tri)
+        diff = _matrix_values(exact.grad_u, pts, m) - Gu
+        grad = np.einsum("tq,tq->", w, np.sqrt(np.einsum(
+            "tqmd,tqmd->tq", diff, diff)) ** p)
+        diff = _matrix_values(exact.sigma, pts, m) - problem.density.dw(Gu)
+        stress = np.einsum("tq,tq->", w, np.sqrt(np.einsum(
+            "tqmd,tqmd->tq", diff, diff)) ** pp)
+        uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
+                       ops.cell_eval(ops.exps_k, pts, tri))
+        diff = _values_at(exact.u, pts, m) - uT
+        return grad, stress, np.einsum("tq,tqm,tqm->", w, diff, diff)
+
+    if singular_point is None:
+        terms = integrals(slice(None), *ops._volume_rule(degree))
+    else:
+        tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
+                              dtype=np.int64).reshape(-1, 2).T
+        rest = np.delete(np.arange(space.mesh.num_triangles), tri)
+        terms = [a + b for a, b in zip(
+            integrals(rest, *ops._volume_rule(degree, rest)),
+            integrals(tri, *_graded_corner_rule(ops.corners[tri], v_loc,
+                                                degree)))]
+    return (float(terms[0] ** (1.0 / p)), float(terms[1] ** (1.0 / pp)),
+            float(np.sqrt(terms[2])))
+
+
+@pytest.mark.parametrize("name,k,nref", [("p-laplace-lshape", 1, 1),
+                                         ("two-well-rect", 0, 1)])
+def test_error_norms_joint_fields_exact(name, k, nref):
+    """error_norms with the benchmark's exact solution gives exactly the
+    norms of a plain ExactSolution built from the same closures, and of
+    the evaluation with one closure call per field and two P_k tables."""
+    from ahho.diagnostics import ExactSolution, _singular_triangles
+    bench, problem, sol, _ = solve_benchmark(name, k=k, nref=nref)
+    ex = bench.exact
+    if bench.singular_point is not None:
+        assert 0 < len(_singular_triangles(problem.space.mesh,
+                                           bench.singular_point)) \
+            < problem.space.mesh.num_triangles
+    got = error_norms(problem, sol.u, ex, singular_point=bench.singular_point)
+    plain = ExactSolution(u=ex.u, grad_u=ex.grad_u, sigma=ex.sigma)
+    assert got == error_norms(problem, sol.u, plain,
+                              singular_point=bench.singular_point)
+    assert got == _error_norms_closure_reference(problem, sol.u, ex,
+                                                 bench.singular_point)
+
+
+def test_error_norms_polar_factors_once_per_point_set(monkeypatch):
+    """The L-shape's polar factors are computed once on the volume rule
+    and once on the graded corner rule."""
+    import ahho.benchmarks as benchmarks
+    bench, problem, sol, _ = solve_benchmark("p-laplace-lshape", k=1,
+                                             nref=1)
+    calls = []
+    polar = benchmarks._polar_lshape
+    monkeypatch.setattr(benchmarks, "_polar_lshape",
+                        lambda p: calls.append(p.shape) or polar(p))
+    error_norms(problem, sol.u, bench.exact,
+                singular_point=bench.singular_point)
+    assert len(calls) == 2
+    calls.clear()
+    error_norms(problem, sol.u, bench.exact)
+    assert len(calls) == 1
+
+
 def test_exact_solution_consistency():
     rng = np.random.default_rng(3)
     pts = rng.uniform(0.05, 0.45, size=(50, 2))

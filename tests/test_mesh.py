@@ -94,6 +94,67 @@ def test_hanging_node_rejected():
         build_triangulation(vertices, triangles, all_dirichlet)
 
 
+def _hanging_loop_reference(mesh):
+    """The first vertex strictly inside a side, vertex by vertex against
+    all sides; None for a conforming mesh."""
+    p = mesh.vertices
+    a = p[mesh.sides[:, 0]]
+    tang = p[mesh.sides[:, 1]] - a
+    length2 = np.einsum("sd,sd->s", tang, tang)
+    for v in range(len(p)):
+        d = p[v] - a
+        t = np.einsum("sd,sd->s", d, tang) / length2
+        perp = d - t[:, None] * tang
+        on = np.einsum("sd,sd->s", perp, perp) < 1e-24 * length2
+        if np.any(on & (t > 1e-12) & (t < 1 - 1e-12)):
+            return v
+    return None
+
+
+def _assert_hanging(vertices, triangles, vertex):
+    """The mesh is refused naming ``vertex``, as the loop reference finds
+    it, also when the (side, vertex) pairs are tested in small chunks."""
+    with pytest.raises(MeshError, match=f"vertex {vertex} lies inside"):
+        build_triangulation(vertices, triangles, all_dirichlet)
+    mesh = Triangulation(vertices, triangles, np.zeros(len(triangles)),
+                         all_dirichlet, _skip_checks=True)
+    assert _hanging_loop_reference(mesh) == vertex
+    for chunk in (1, 7):
+        with pytest.raises(MeshError, match=f"vertex {vertex} lies inside"):
+            mesh._check_conforming(chunk=chunk)
+
+
+def _rotated(points, angle=0.5):
+    c, s = np.cos(angle), np.sin(angle)
+    return [(c * x - s * y, s * x + c * y) for x, y in points]
+
+
+def test_hanging_node_on_long_interior_side_rejected():
+    """(0, 4) x (0, 2), rotated, cut at y = 1: the bottom strip is two
+    triangles whose long side (0, 1)-(4, 1) runs through the domain, the
+    top strip is three triangles that meet it at (2, 1), vertex 6.  The
+    mesh is accepted once the bottom triangles take that vertex too."""
+    vertices = _rotated([(0, 0), (4, 0), (4, 1), (0, 1), (4, 2), (0, 2),
+                         (2, 1)])
+    top = [(3, 6, 5), (6, 2, 4), (6, 4, 5)]
+    _assert_hanging(vertices, [(0, 1, 2), (0, 2, 3)] + top, 6)
+    conforming = [(0, 1, 6), (1, 2, 6), (0, 6, 3)] + top
+    mesh = build_triangulation(vertices, conforming, all_dirichlet)
+    assert _hanging_loop_reference(mesh) is None
+    mesh._check_conforming(chunk=1)
+
+
+def test_hanging_node_on_boundary_side_rejected():
+    """A triangle outside the twice refined unit square touches the
+    middle of its boundary side (0.25, 0)-(0.5, 0) with a vertex."""
+    m = refine_uniform(refine_uniform(unit_square()))
+    nv = m.num_vertices
+    vertices = np.vstack([m.vertices, [(0.375, 0.0), (0.45, -0.5),
+                                       (0.3, -0.5)]])
+    triangles = np.vstack([m.triangles, [(nv, nv + 2, nv + 1)]])
+    _assert_hanging(vertices, triangles, nv)
+
+
 def test_unlabeled_boundary_rejected():
     def bad_rule(mid):
         return "interior"
@@ -466,6 +527,45 @@ def test_read_mesh_refinement_matches_loop_reference(name, tmp_path):
             mesh, _closure_loop_reference(mesh, marked),
             _labels_from_parent_rule_reference(mesh)))
         mesh = fine
+
+
+def _write_mesh_loop_reference(mesh, path):
+    """The mesh text format written row by row."""
+    lines = [f"vertices {mesh.num_vertices} / triangles {mesh.num_triangles}"
+             f" / sides {mesh.num_sides}"]
+    for x, y in mesh.vertices:
+        lines.append(f"{float(x)!r} {float(y)!r}")
+    for t in range(mesh.num_triangles):
+        v0, v1, v2 = mesh.triangles[t]
+        lines.append(f"{v0} {v1} {v2} {mesh.ref_edge[t]}")
+    for s in range(mesh.num_sides):
+        a, b = mesh.sides[s]
+        lines.append(f"{a} {b} {mesh.labels[s]}")
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_write_mesh_matches_loop_reference(tmp_path):
+    """Byte for byte on a refined two-well level and on a mesh whose
+    sides carry every label, with vertices that need all 17 digits."""
+    from ahho.benchmarks import get_benchmark
+    from ahho.mesh import ALL_LABELS, BOUNDARY_LABELS
+    rng = np.random.default_rng(11)
+    two_well = get_benchmark("two-well-rect").initial_mesh()
+    for _ in range(4):
+        two_well = refine_nvb(two_well, np.nonzero(
+            rng.random(two_well.num_triangles) < 0.4)[0])
+    square = refine_uniform(unit_square())
+    rule = iter(BOUNDARY_LABELS * 2)
+    labelled = _rotated(square.vertices, 0.3)
+    labelled = build_triangulation(labelled, square.triangles,
+                                   lambda mid: next(rule))
+    assert set(labelled.labels) == set(ALL_LABELS)
+    for mesh in (two_well, labelled):
+        write_mesh(mesh, tmp_path / "got.mesh")
+        _write_mesh_loop_reference(mesh, tmp_path / "want.mesh")
+        assert (tmp_path / "got.mesh").read_bytes() \
+            == (tmp_path / "want.mesh").read_bytes()
 
 
 def _longest_edge_loop_reference(mesh):
