@@ -112,8 +112,6 @@ def estimate(space, problem, u, sigma, params):
     g_term = area ** 0.5 * problem.g_osc[ops.sot].sum(axis=1)
 
     # side terms evaluated at the exact-degree side points
-    spts_e_t = spts_e[ops.sot]                            # (nt, 3, nqe, 2)
-    r_side = R.at_points(spts_e_t)                        # (nt, 3, nqe, m)
     h_side = ops.h_f[ops.sot]
     w_phys = h_side[..., None] * w_e
 
@@ -135,7 +133,7 @@ def estimate(space, problem, u, sigma, params):
     # exact geometric side rule; its p-th power the exact-degree points.
     uF_e = np.einsum("smn,qn->sqm", u.sides, chi_e)[ops.sot]
     if space.variant == STABILIZED:
-        trace_vals = r_side - uF_e
+        trace_vals = R.at_points(spts_e[ops.sot]) - uF_e   # (nt, 3, nqe, m)
     else:
         r_side_g = R.at_points(ops.side_pts_t)
         uF_g = np.einsum("smn,qn->sqm", u.sides, ops.chi_ref)[ops.sot]

@@ -10,14 +10,14 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .densities import UnsupportedConjugate
 from .hho import STABILIZED, GradField, _as_components, _batch_eval, \
     _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
-from .solver import SolverSettings, eval_neumann, optimize
+from .solver import CondensedHessian, SolverSettings, eval_neumann, \
+    hessian_pattern, optimize
 
 
 @dataclass
@@ -414,7 +414,18 @@ class CourantProblem:
                 "tq,qj,tqm->tjm", self._vol_w, self._lam, diff)
         return self._scatter(per_node) - self.load
 
+    @functools.cached_property
+    def _pattern(self):
+        """:func:`solver.hessian_pattern` of the free vertex dofs."""
+        nfree = int(self.free.sum())
+        pos = np.full(len(self.free), nfree, dtype=np.int32)
+        pos[self.free] = np.arange(nfree, dtype=np.int32)
+        return hessian_pattern(pos[self._dof.reshape(len(self._dof), -1)],
+                               nfree)
+
     def hessian(self, x):
+        """The Newton system at ``x`` over the free dofs: the
+        per-triangle Hessians, without cell blocks to eliminate."""
         m = self.m
         G = self._gradients(x)
         d2 = self.density.d2w(G)
@@ -425,13 +436,9 @@ class CourantProblem:
                              self._lam)
             Hloc += self.l2_weight * np.einsum("tjk,mn->tjmkn", mass,
                                                np.eye(m))
-        idx = self._dof
-        rows = np.broadcast_to(idx[:, :, :, None, None], Hloc.shape)
-        cols = np.broadcast_to(idx[:, None, None, :, :], Hloc.shape)
-        n = self.mesh.num_vertices * m
-        return sp.coo_matrix((Hloc.reshape(-1),
-                              (rows.reshape(-1), cols.reshape(-1))),
-                             shape=(n, n)).tocsr()
+        nt = len(Hloc)
+        return CondensedHessian(Hloc.reshape(nt, 3 * m, 3 * m), 0,
+                                self._pattern)
 
 
 def courant_p1_minimize(courant, settings=None):
@@ -450,7 +457,7 @@ def courant_p1_minimize(courant, settings=None):
     if courant.density.d2w is not None:
         def hess(xf):
             x[free] = xf
-            return courant.hessian(x)[free][:, free].tocsc()
+            return courant.hessian(x)
 
     xf, E, _, _, conv, _ = optimize(fun_grad, hess, x[free],
                                     settings or SolverSettings())

@@ -416,33 +416,63 @@ def write_mesh(mesh, path):
 def read_mesh(path):
     """Read the mesh text format written by :func:`write_mesh`.
 
-    The side rows must list every side of the mesh exactly once.
+    Each block of rows is parsed in one call; a malformed row (a wrong
+    number of values, a value that does not parse, an unknown label)
+    raises :class:`MeshError`.  The side rows must list every side of the
+    mesh exactly once.
     """
     with open(path, encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].replace("/", " ").split()
-    if head[0] != "vertices" or head[2] != "triangles" or head[4] != "sides":
-        raise MeshError("bad mesh header")
-    nv, nt, ns = int(head[1]), int(head[3]), int(head[5])
+        lines = [ln for ln in fh if not ln.isspace()]
+    try:
+        head = lines[0].replace("/", " ").split()
+        if head[0] != "vertices" or head[2] != "triangles" \
+                or head[4] != "sides":
+            raise MeshError("bad mesh header")
+        nv, nt, ns = int(head[1]), int(head[3]), int(head[5])
+    except (IndexError, ValueError):
+        raise MeshError("bad mesh header") from None
+    if min(nv, nt, ns) < 1:
+        raise MeshError("bad mesh header: a mesh has at least one "
+                        "vertex, triangle and side")
     if len(lines) != 1 + nv + nt + ns:
         raise MeshError("mesh record count does not match header")
-    vertices = np.array([[float(w) for w in ln.split()]
-                         for ln in lines[1:1 + nv]])
-    tri_rows = np.array([[int(w) for w in ln.split()]
-                         for ln in lines[1 + nv:1 + nv + nt]])
-    side_rows = [ln.split() for ln in lines[1 + nv + nt:]]
-    for _, _, lab in side_rows:
-        if lab not in ALL_LABELS:
-            raise MeshError(f"unknown side label {lab!r}")
-    pairs = np.sort(np.array([[int(a), int(b)] for a, b, _ in side_rows],
-                             dtype=np.int64).reshape(ns, 2), axis=1)
-    labels = np.array([lab for _, _, lab in side_rows], dtype=object)
+    vertices = _read_rows(lines[1:1 + nv], float, 2, "vertex")
+    tri_rows = _read_rows(lines[1 + nv:1 + nv + nt], np.int64, 4,
+                          "triangle")
+    side_lines = lines[1 + nv + nt:]
+    # the label column is read as its index in ALL_LABELS, -1 if unknown
+    side_rows = _read_rows(side_lines, np.int64, 3, "side",
+                           {2: lambda lab: _LABEL_CODE.get(lab, -1)})
+    unknown = np.nonzero(side_rows[:, 2] < 0)[0]
+    if len(unknown):
+        lab = side_lines[unknown[0]].split()[2]
+        raise MeshError(f"unknown side label {lab!r}")
+    pairs = np.sort(side_rows[:, :2], axis=1)
+    labels = np.array(ALL_LABELS, dtype=object)[side_rows[:, 2]]
     mesh = Triangulation(vertices, tri_rows[:, :3], tri_rows[:, 3],
                          _SideLabelMap(pairs, labels))
     listed = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
     if not np.array_equal(listed, mesh.sides):
         raise MeshError("side list in file does not match the mesh")
     return mesh
+
+
+_LABEL_CODE = {lab: i for i, lab in enumerate(ALL_LABELS)}
+
+
+def _read_rows(lines, dtype, ncols, what, converters=None):
+    """The text rows ``lines`` as an (n, ncols) array of ``dtype``; a row
+    with another number of values, or with a value that does not parse,
+    raises :class:`MeshError`."""
+    try:
+        rows = np.loadtxt(lines, dtype=dtype, comments=None, ndmin=2,
+                          converters=converters)
+    except ValueError as err:
+        raise MeshError(f"bad {what} row: {err}") from None
+    if rows.shape[1] != ncols:
+        raise MeshError(f"bad {what} row: {rows.shape[1]} values, "
+                        f"expected {ncols}")
+    return rows
 
 
 class _SideLabelMap:

@@ -22,6 +22,12 @@ import scipy.sparse.linalg as spla
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
     _safe_pow, _values_at
 
+# Armijo trials per line search, consecutive stalled L-BFGS steps, and
+# consecutive stalled Newton steps before the optimizer stops
+MAX_BACKTRACKS = 60
+LBFGS_STALL_LIMIT = 50
+NEWTON_STALL_LIMIT = 5
+
 
 @dataclass
 class SolverSettings:
@@ -33,8 +39,6 @@ class SolverSettings:
     memory: int = 10
     armijo_c1: float = 1e-4
     backtrack: float = 0.5
-    max_backtracks: int = 60
-    stall_limit: int = 50
 
     def validate(self):
         if min(self.grad_tol, self.step_tol, self.energy_tol) <= 0:
@@ -284,35 +288,17 @@ class DiscreteProblem:
         return CondensedHessian(H, m * ops.ncb, self._skeleton_pattern())
 
     def _skeleton_pattern(self):
-        """Free-skeleton CSC structure of the condensed Hessian, built on
-        first use, all int32: ``indptr``, sorted row ``indices``, the
-        nonzero slot of every entry of the local Schur complements (nnz
-        where a constrained dof drops it), the slot of every diagonal
-        entry, and the free-skeleton index of every local side dof
-        (nfs = number of free skeleton dofs at a constrained one)."""
+        """:func:`hessian_pattern` of the free skeleton dofs, built on
+        first use."""
         if self._hess_pattern is None:
             ops = self.space.ops
             ncell = self.space.ncell_dofs
             nfs = len(self.free_idx) - ncell
             pos = np.full(self.space.ndof, nfs, dtype=np.int32)
             pos[self.free_idx[ncell:]] = np.arange(nfs, dtype=np.int32)
-            nt = len(ops.loc2glob)
-            side_loc = pos[ops.loc2glob[:, :, ops.ncb:]].reshape(nt, -1)
-            n = side_loc.shape[1]
-            rows = np.broadcast_to(side_loc[:, :, None], (nt, n, n))
-            cols = np.broadcast_to(side_loc[:, None, :], (nt, n, n))
-            kept = ((rows < nfs) & (cols < nfs)).reshape(-1)
-            key = (cols.reshape(-1)[kept].astype(np.int64) * nfs
-                   + rows.reshape(-1)[kept])
-            key, kept_slot = np.unique(key, return_inverse=True)
-            slot = np.full(kept.shape, len(key), dtype=np.int32)
-            slot[kept] = kept_slot
-            indices = (key % nfs).astype(np.int32)
-            indptr = np.zeros(nfs + 1, dtype=np.int32)
-            np.cumsum(np.bincount(key // nfs, minlength=nfs), out=indptr[1:])
-            diag = np.searchsorted(key, np.arange(nfs) * (nfs + 1)).astype(
-                np.int32)
-            self._hess_pattern = (indptr, indices, slot, diag, side_loc)
+            side_loc = pos[ops.loc2glob[:, :, ops.ncb:]].reshape(
+                len(ops.loc2glob), -1)
+            self._hess_pattern = hessian_pattern(side_loc, nfs)
         return self._hess_pattern
 
     def _stab_hessian_local(self, v):
@@ -372,13 +358,38 @@ def eval_neumann(g, side_points, side_normals, m):
     return vals.reshape(ns, nq, m)
 
 
+def hessian_pattern(loc, n):
+    """CSC structure of the n x n system assembled from per-element blocks
+    over the local dofs ``loc`` (ne, nl), int32 indices into the n
+    unknowns with n at a constrained dof.  All int32: ``indptr``, sorted
+    row ``indices``, the nonzero slot of every entry of the local blocks
+    (nnz where a constrained dof drops it), the slot of every diagonal
+    entry, and ``loc`` itself."""
+    ne, nl = loc.shape
+    rows = np.broadcast_to(loc[:, :, None], (ne, nl, nl))
+    cols = np.broadcast_to(loc[:, None, :], (ne, nl, nl))
+    kept = ((rows < n) & (cols < n)).reshape(-1)
+    key = (cols.reshape(-1)[kept].astype(np.int64) * n
+           + rows.reshape(-1)[kept])
+    key, kept_slot = np.unique(key, return_inverse=True)
+    slot = np.full(kept.shape, len(key), dtype=np.int32)
+    slot[kept] = kept_slot
+    indices = (key % n).astype(np.int32)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
+    diag = np.searchsorted(key, np.arange(n) * (n + 1)).astype(np.int32)
+    return indptr, indices, slot, diag, loc
+
+
 class CondensedHessian:
     """Newton system over the free dofs, held as per-triangle Hessians
     ``H`` (nt, nc + ns, nc + ns) with the nc cell dofs of each triangle
     first.  A cell unknown couples only with the unknowns of its own
     triangle, so ``solve`` eliminates the cell blocks triangle by triangle
     and solves the Schur complement on the free skeleton dofs, assembled
-    through ``pattern`` (``DiscreteProblem._skeleton_pattern``).
+    through ``pattern`` (:func:`hessian_pattern` of the skeleton dofs).
+    With nc = 0 there is nothing to eliminate; the conforming P1 probe's
+    system, its per-triangle Hessians over the free vertex dofs, is one.
 
     ``scale`` is the largest |diagonal entry| of the assembled system."""
 
@@ -435,19 +446,6 @@ class CondensedHessian:
         return np.concatenate((x_c.reshape(-1), y))
 
 
-class SparseHessian:
-    """A sparse Newton system behind the interface of
-    :class:`CondensedHessian`."""
-
-    def __init__(self, H):
-        self.H = H.tocsc()
-        self.scale = np.abs(self.H.diagonal()).max(initial=0.0)
-
-    def solve(self, rhs, shift):
-        n = self.H.shape[0]
-        return spla.spsolve(self.H + shift * sp.eye(n, format="csc"), rhs)
-
-
 # -- optimizers -----------------------------------------------------------------------
 #
 # ``fun_grad(x, energy=True, gradient=True)`` returns the pair (energy,
@@ -457,7 +455,7 @@ def _armijo(fun_grad, x, E, d, gd, step, settings):
     """Backtracking from ``step`` along ``d`` (slope ``gd``) until the
     Armijo condition holds.  The trials need the energy only; the gradient
     is taken at the accepted point.  Returns (x, E, g) there, or None."""
-    for _ in range(settings.max_backtracks):
+    for _ in range(MAX_BACKTRACKS):
         x_new = x + step * d
         E_new, _ = fun_grad(x_new, gradient=False)
         if np.isfinite(E_new) and \
@@ -522,7 +520,7 @@ def _lbfgs(fun_grad, x0, settings):
         if dE <= settings.energy_tol * (1.0 + abs(E)) \
                 and dx <= settings.step_tol * (1.0 + np.linalg.norm(x)):
             stalls += 1
-            if stalls >= settings.stall_limit:
+            if stalls >= LBFGS_STALL_LIMIT:
                 return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
         else:
             stalls = 0
@@ -532,8 +530,7 @@ def _lbfgs(fun_grad, x0, settings):
 def _newton(fun_grad, hess, x0, settings):
     """Damped Newton with a regularization ladder and Armijo search.
 
-    ``hess(x)`` returns the Newton system, a :class:`CondensedHessian` or a
-    sparse matrix (wrapped in a :class:`SparseHessian`)."""
+    ``hess(x)`` returns the Newton system, a :class:`CondensedHessian`."""
     x = x0.copy()
     E, g = fun_grad(x)
     n_iter = 0
@@ -543,8 +540,6 @@ def _newton(fun_grad, hess, x0, settings):
         if gnorm <= settings.grad_tol:
             return x, E, n_iter, gnorm, True
         H = hess(x)
-        if sp.issparse(H):
-            H = SparseHessian(H)
         scale = max(H.scale, 1e-30)
         d = None
         for reg in (1e-14, 1e-10, 1e-6, 1e-2):
@@ -594,7 +589,7 @@ def _newton(fun_grad, hess, x0, settings):
         # out, so a stagnation exit needs several consecutive stalls
         if dE <= settings.energy_tol * (1.0 + abs(E)):
             stalls += 1
-            if stalls >= 5:
+            if stalls >= NEWTON_STALL_LIMIT:
                 return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
         else:
             stalls = 0

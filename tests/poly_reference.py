@@ -1,0 +1,242 @@
+"""Per-element reference implementations of the polynomial layer.
+
+One triangle or side at a time, with physical-coordinate quadrature
+rules: scaled monomial bases of P_k on a triangle and on a side, the
+Raviart-Thomas basis RT_k, L2 projections, and the RT mass matrix.  The
+library evaluates the same objects batched over the mesh (``ahho.hho``);
+the tests check it against these.
+
+Cell bases are scaled monomials centered at the centroid and scaled by
+h_T = |T|^(1/2); side bases are scaled monomials in the normalized
+arclength parameter t in [-1/2, 1/2].
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from ahho.poly import monomial_exponents, reference_segment_rule, \
+    reference_triangle_rule
+
+
+class CellBasis:
+    """Scaled monomial basis of P_k on a triangle."""
+
+    def __init__(self, k, centroid, h):
+        self.k = k
+        self.centroid = np.asarray(centroid, dtype=float)
+        self.h = float(h)
+        self.exps = monomial_exponents(k)
+        self.dim = len(self.exps)
+
+    def _local(self, points):
+        return (np.asarray(points, dtype=float) - self.centroid) / self.h
+
+    def eval(self, points):
+        """Basis values, shape (npts, dim)."""
+        loc = self._local(points)
+        a = self.exps[:, 0]
+        b = self.exps[:, 1]
+        return loc[..., 0:1] ** a * loc[..., 1:2] ** b
+
+    def grad(self, points):
+        """Basis gradients, shape (npts, dim, 2)."""
+        loc = self._local(points)
+        a = self.exps[:, 0]
+        b = self.exps[:, 1]
+        x = loc[..., 0:1]
+        y = loc[..., 1:2]
+        with np.errstate(invalid="ignore"):
+            gx = np.where(a > 0, a * x ** np.maximum(a - 1, 0) * y ** b, 0.0)
+            gy = np.where(b > 0, b * x ** a * y ** np.maximum(b - 1, 0), 0.0)
+        return np.stack([gx, gy], axis=-1) / self.h
+
+    def laplace(self, points):
+        """Basis Laplacians, shape (npts, dim)."""
+        loc = self._local(points)
+        a = self.exps[:, 0]
+        b = self.exps[:, 1]
+        x = loc[..., 0:1]
+        y = loc[..., 1:2]
+        dxx = np.where(a > 1, a * (a - 1) * x ** np.maximum(a - 2, 0) * y ** b,
+                       0.0)
+        dyy = np.where(b > 1, b * (b - 1) * x ** a * y ** np.maximum(b - 2, 0),
+                       0.0)
+        return (dxx + dyy) / self.h ** 2
+
+
+class SideBasis:
+    """Scaled monomials in the arclength parameter of a side."""
+
+    def __init__(self, k, a, b):
+        self.k = k
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
+        self.mid = 0.5 * (self.a + self.b)
+        self.h = float(np.linalg.norm(self.b - self.a))
+        self.tangent = (self.b - self.a) / self.h
+        self.dim = k + 1
+
+    def param(self, points):
+        """Normalized arclength parameter in [-1/2, 1/2]."""
+        return (np.asarray(points, dtype=float) - self.mid) @ self.tangent / self.h
+
+    def eval(self, points):
+        t = self.param(points)
+        return t[..., None] ** np.arange(self.dim)
+
+
+class RtBasis:
+    """Raviart-Thomas basis RT_k(T) = P_k(T; R^2) + x Ptilde_k(T).
+
+    The first 2*dim(P_k) fields are (phi_i, 0) and (0, phi_i); the last
+    k+1 fields are (x - centroid)/h times the homogeneous degree-k scaled
+    monomials.
+    """
+
+    def __init__(self, k, centroid, h):
+        self.k = k
+        self.cell = CellBasis(k, centroid, h)
+        self.centroid = self.cell.centroid
+        self.h = self.cell.h
+        nk = self.cell.dim
+        self.dim = 2 * nk + (k + 1)
+        # exponents of the homogeneous degree-k part
+        self.hom = np.array([(k - b, b) for b in range(k + 1)], dtype=np.int64)
+
+    def _hom_eval(self, loc):
+        a = self.hom[:, 0]
+        b = self.hom[:, 1]
+        return loc[..., 0:1] ** a * loc[..., 1:2] ** b
+
+    def eval(self, points):
+        """Field values, shape (npts, dim, 2)."""
+        pts = np.asarray(points, dtype=float)
+        phi = self.cell.eval(pts)
+        npts = phi.shape[0]
+        nk = self.cell.dim
+        out = np.zeros((npts, self.dim, 2))
+        out[:, :nk, 0] = phi
+        out[:, nk:2 * nk, 1] = phi
+        loc = (pts - self.centroid) / self.h
+        q = self._hom_eval(loc)
+        out[:, 2 * nk:, 0] = loc[:, 0:1] * q
+        out[:, 2 * nk:, 1] = loc[:, 1:2] * q
+        return out
+
+    def div(self, points):
+        """Divergences, shape (npts, dim)."""
+        pts = np.asarray(points, dtype=float)
+        gphi = self.cell.grad(pts)
+        nk = self.cell.dim
+        npts = gphi.shape[0]
+        out = np.zeros((npts, self.dim))
+        out[:, :nk] = gphi[:, :, 0]
+        out[:, nk:2 * nk] = gphi[:, :, 1]
+        loc = (pts - self.centroid) / self.h
+        # div((x-c) q) = (2 + k) q for q homogeneous of degree k in (x-c)/h
+        out[:, 2 * nk:] = (2 + self.k) * self._hom_eval(loc) / self.h
+        return out
+
+    def normal_trace(self, points, normal):
+        """tau . n at points on a side, shape (npts, dim)."""
+        vals = self.eval(points)
+        return vals @ np.asarray(normal, dtype=float)
+
+
+class QuadratureRule:
+    """Points (physical coordinates) and weights with a stated exactness."""
+
+    def __init__(self, points, weights, degree):
+        self.points = np.asarray(points, dtype=float)
+        self.weights = np.asarray(weights, dtype=float)
+        self.degree = degree
+
+    def integrate(self, f):
+        return self.weights @ f(self.points)
+
+
+def triangle_quadrature(corners, d):
+    """Quadrature on the physical triangle with given corner array (3, 2)."""
+    ref_pts, ref_w = reference_triangle_rule(d)
+    corners = np.asarray(corners, dtype=float)
+    p0 = corners[0]
+    jac = np.stack([corners[1] - p0, corners[2] - p0], axis=1)
+    pts = ref_pts @ jac.T + p0
+    return QuadratureRule(pts, ref_w * abs(np.linalg.det(jac)), d)
+
+
+def side_quadrature(a, b, d):
+    """Quadrature on the segment from a to b, exact to degree d."""
+    t, w = reference_segment_rule(d)
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    mid = 0.5 * (a + b)
+    h = np.linalg.norm(b - a)
+    pts = mid + np.outer(t, b - a)
+    return QuadratureRule(pts, w * h, d)
+
+
+# -- projections ---------------------------------------------------------------
+
+def l2_project_cell(f, corners, k, degree):
+    """Coefficients of the L2 projection of f onto P_k of the triangle.
+
+    The Gram matrix is integrated exactly; f is sampled with a rule of the
+    requested degree.  Orthogonality of the residual holds with respect to
+    that rule.
+    """
+    corners = np.asarray(corners, dtype=float)
+    centroid = corners.mean(axis=0)
+    area = abs(_tri_area(corners))
+    basis = CellBasis(k, centroid, np.sqrt(area))
+    rule = triangle_quadrature(corners, max(degree, 2 * k))
+    phi = basis.eval(rule.points)
+    gram = phi.T @ (rule.weights[:, None] * phi)
+    fvals = np.asarray(f(rule.points), dtype=float)
+    rhs = phi.T @ (rule.weights * fvals)
+    return np.linalg.solve(gram, rhs), basis
+
+
+def l2_project_side(f, a, b, k, degree):
+    """Coefficients of the L2 projection of f onto P_k of the side [a, b]."""
+    basis = SideBasis(k, a, b)
+    rule = side_quadrature(a, b, max(degree, 2 * k))
+    chi = basis.eval(rule.points)
+    gram = chi.T @ (rule.weights[:, None] * chi)
+    fvals = np.asarray(f(rule.points), dtype=float)
+    rhs = chi.T @ (rule.weights * fvals)
+    return np.linalg.solve(gram, rhs), basis
+
+
+def rt_mass_matrix(corners, k):
+    """Exact Gram matrix of the RT_k basis on the triangle."""
+    corners = np.asarray(corners, dtype=float)
+    centroid = corners.mean(axis=0)
+    area = abs(_tri_area(corners))
+    basis = RtBasis(k, centroid, np.sqrt(area))
+    rule = triangle_quadrature(corners, 2 * (k + 1))
+    tau = basis.eval(rule.points)
+    gram = np.einsum("q,qid,qjd->ij", rule.weights, tau, tau)
+    return gram, basis
+
+
+def rt_project(field, corners, k, degree):
+    """RT_k coefficients of the L2 projection of a vector field.
+
+    ``field(points) -> (npts, 2)``.  The Gram matrix is exact; the load is
+    integrated with a rule of the requested degree.
+    """
+    gram, basis = rt_mass_matrix(corners, k)
+    rule = triangle_quadrature(corners, max(degree, 2 * (k + 1)))
+    tau = basis.eval(rule.points)
+    g = np.asarray(field(rule.points), dtype=float)
+    rhs = np.einsum("q,qid,qd->i", rule.weights, tau, g)
+    return np.linalg.solve(gram, rhs), basis
+
+
+def _tri_area(corners):
+    return 0.5 * ((corners[1, 0] - corners[0, 0])
+                  * (corners[2, 1] - corners[0, 1])
+                  - (corners[1, 1] - corners[0, 1])
+                  * (corners[2, 0] - corners[0, 0]))

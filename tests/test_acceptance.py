@@ -18,7 +18,7 @@ from ahho.diagnostics import (aitken_extrapolate, courant_p1_minimize,
                               dual_bound, error_norms, fit_rate,
                               lower_energy_bound)
 from ahho.hho import RT, STABILIZED, HhoVector
-from ahho.poly import CellBasis, rt_project
+from poly_reference import CellBasis, rt_project
 from ahho.solver import SolverSettings, minimize
 
 LONG = os.environ.get("AHHO_RUN_LONG") == "1"
@@ -151,7 +151,7 @@ def _commutativity_defect(space, rng):
                     coeff, basis = rt_project(field, corners[t], k, 10)
                     oracle = np.einsum("qid,i->qd", basis.eval(pts), coeff)
                 else:
-                    from ahho.poly import l2_project_cell
+                    from poly_reference import l2_project_cell
                     oracle = np.stack([
                         _proj_eval(field, corners[t], k, pts, d)
                         for d in range(2)], axis=-1)
@@ -161,7 +161,7 @@ def _commutativity_defect(space, rng):
 
 
 def _proj_eval(field, corners, k, pts, d):
-    from ahho.poly import l2_project_cell
+    from poly_reference import l2_project_cell
     coeff, basis = l2_project_cell(lambda q: field(q)[:, d], corners, k, 10)
     return basis.eval(pts) @ coeff
 

@@ -8,8 +8,8 @@ from ahho.adaptivity import (EstimatorParams, estimate, mark_doerfler,
 from ahho.densities import p_laplace
 from ahho.hho import RT, STABILIZED, HhoSpace
 from ahho.mesh import DIRICHLET, NEUMANN, build_triangulation, refine_uniform
-from ahho.poly import (CellBasis, SideBasis, side_quadrature,
-                       triangle_quadrature)
+from poly_reference import (CellBasis, SideBasis, side_quadrature,
+                            triangle_quadrature)
 from ahho.solver import DiscreteProblem, minimize
 
 B_AFFINE = np.array([1.5, 0.5])

@@ -27,7 +27,7 @@ def solve_benchmark(name, k=0, nref=0, variant="rt"):
 def _graded_rule_per_triangle(corners, v_loc, degree, levels=36):
     """Oracle: the graded rule built child by child in physical
     coordinates."""
-    from ahho.poly import triangle_quadrature
+    from poly_reference import triangle_quadrature
     tri = np.asarray(corners, dtype=float)[[v_loc, (v_loc + 1) % 3,
                                             (v_loc + 2) % 3]]
     children = []
@@ -45,7 +45,7 @@ def _graded_rule_per_triangle(corners, v_loc, degree, levels=36):
 @pytest.mark.parametrize("degree", [4, 9])
 def test_graded_corner_rule_matches_per_triangle_construction(degree):
     from ahho.diagnostics import _graded_corner_rule
-    from ahho.poly import triangle_quadrature
+    from poly_reference import triangle_quadrature
     corners = np.array([[0.2, -0.1], [1.7, 0.4], [0.5, 0.9]])   # skewed
     area = 0.5 * abs(np.linalg.det(np.stack([corners[1] - corners[0],
                                              corners[2] - corners[0]])))
@@ -626,7 +626,7 @@ def test_error_norms_symmetric_under_zero_perturbation():
 
 def _cell_osc(fn, corners, k, degree, power):
     """int_T |fn - Pi_k fn|^power by the per-element projection."""
-    from ahho.poly import l2_project_cell, triangle_quadrature
+    from poly_reference import l2_project_cell, triangle_quadrature
     coef, basis = l2_project_cell(fn, corners, k, degree)
     rule = triangle_quadrature(corners, max(degree, 2 * k))
     resid = fn(rule.points) - basis.eval(rule.points) @ coef
@@ -635,7 +635,7 @@ def _cell_osc(fn, corners, k, degree, power):
 
 def _side_osc(fn, a, b, k, degree, power):
     """int_F |fn - Pi_k fn|^power by the per-side projection."""
-    from ahho.poly import l2_project_side, side_quadrature
+    from poly_reference import l2_project_side, side_quadrature
     coef, basis = l2_project_side(fn, a, b, k, degree)
     rule = side_quadrature(a, b, max(degree, 2 * k))
     resid = fn(rule.points) - basis.eval(rule.points) @ coef
@@ -717,7 +717,7 @@ def test_error_norms_match_per_triangle_graded_loop():
     triangles: the graded corner rule on those touching the singular
     point, the fixed-degree rule elsewhere."""
     from ahho.diagnostics import _graded_corner_rule
-    from ahho.poly import CellBasis, RtBasis, triangle_quadrature
+    from poly_reference import CellBasis, RtBasis, triangle_quadrature
     bench, problem, sol, _ = solve_benchmark("p-laplace-lshape", k=1,
                                              nref=1)
     space = problem.space

@@ -5,9 +5,9 @@ from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
                       _batch_eval, _batch_grad, _batch_laplace,
                       _CompanionGeometry)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
-from ahho.poly import (CellBasis, cell_dim, l2_project_side,
-                       monomial_exponents, reference_triangle_rule,
-                       rt_project, side_quadrature, triangle_quadrature)
+from ahho.poly import cell_dim, monomial_exponents, reference_triangle_rule
+from poly_reference import (CellBasis, l2_project_side, rt_project,
+                            side_quadrature, triangle_quadrature)
 
 
 def all_dirichlet(mid):
@@ -464,7 +464,7 @@ def test_seminorm_matches_quadrature_oracle():
             srule = side_quadrature(a, b, 6)
             h = np.linalg.norm(b - a)
             vT = cb.eval(srule.points) @ v.cells[t, 0]
-            from ahho.poly import SideBasis
+            from poly_reference import SideBasis
             sb = SideBasis(1, a, b)
             vF = sb.eval(srule.points) @ v.sides[s, 0]
             total += h ** (1 - p) * (srule.weights @ (vT - vF) ** 2)

@@ -647,6 +647,58 @@ def test_read_mesh_rejects_side_list_mismatch(tmp_path):
             read_mesh(path)
 
 
+def test_read_mesh_rejects_malformed_rows(tmp_path):
+    """A row with the wrong number of values, a value that does not
+    parse, an unknown label or a bad header is a MeshError, in the first
+    row of a block, in a later one, or in all of them."""
+    m = refine_uniform(unit_square())
+    nv, nt = m.num_vertices, m.num_triangles
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    head, *rows = path.read_text().splitlines()
+    first_tri, first_side = nv, nv + nt
+
+    def edit(i, row):
+        return [head] + rows[:i] + [row] + rows[i + 1:]
+
+    x, y = rows[1].split()
+    a, b, c, e = rows[first_tri + 1].split()
+    s0, s1, lab = rows[first_side + 1].split()
+    cases = [
+        (edit(1, x), "vertex row"),
+        (edit(1, f"{x} {y} 0.5"), "vertex row"),
+        (edit(0, rows[0].split()[0]), "vertex row"),
+        (edit(1, f"{x} one"), "vertex row"),
+        (edit(first_tri + 1, f"{a} {b} {c}"), "triangle row"),
+        (edit(first_tri + 1, f"{a} {b} {c} 0.5"), "triangle row"),
+        (edit(first_side + 1, f"{s0} {s1}"), "side row"),
+        (edit(first_side, " ".join(rows[first_side].split()[:2])),
+         "side row"),
+        (edit(first_side + 1, f"{s0} x {lab}"), "side row"),
+        (edit(first_side + 1, f"{s0} {s1} {lab} {lab}"), "side row"),
+        (edit(first_side + 1, f"{s0} {s1} wall"), "unknown side label"),
+        ([head] + [" ".join(r.split()[:1]) for r in rows[:nv]]
+         + rows[nv:], "vertex row"),
+        ([head] + rows[:nv] + [" ".join(r.split()[:3])
+                               for r in rows[nv:nv + nt]] + rows[nv + nt:],
+         "triangle row"),
+        ([head.replace(f"vertices {nv}", "vertices many")] + rows,
+         "bad mesh header"),
+        ([], "bad mesh header"),
+        (["vertices 0 / triangles 0 / sides 0"], "bad mesh header"),
+    ]
+    for lines, match in cases:
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(MeshError, match=match):
+            read_mesh(path)
+    # the unedited rows still read back, bit for bit
+    path.write_text("\n".join([head] + rows) + "\n")
+    back = read_mesh(path)
+    assert np.array_equal(back.vertices, m.vertices)
+    assert np.array_equal(back.triangles, m.triangles)
+    assert list(back.labels) == list(m.labels)
+
+
 def test_refine_nvb_rejects_unknown_triangles():
     m = lshape()
     for bad in ([-1], [0, m.num_triangles], [m.num_triangles, 0],

@@ -55,7 +55,7 @@ def test_affine_manufactured_energy_and_gradient(k):
     assert sol.converged
     assert sol.iterations <= 5
     # exact energy: int |B|^2/2 - int_GN (B.nu) u
-    from ahho.poly import side_quadrature
+    from poly_reference import side_quadrature
     mesh = prob.space.mesh
     bnd = 0.0
     for s in mesh.boundary_sides(NEUMANN):
@@ -394,10 +394,21 @@ def _stab_hessian_einsum(prob, v):
     return H
 
 
-def _hessian_full_coo(prob, v):
-    """Oracle: every local Hessian block scattered into an ndof x ndof COO
-    matrix, converted and then restricted to the free dofs."""
+def _scatter_free(Hloc, dofs, free):
+    """Oracle assembly: local blocks (ne, nl, nl) over the global dofs
+    ``dofs`` (ne, nl) scattered into a COO matrix, converted and then
+    restricted to the ``free`` dofs."""
     import scipy.sparse as sp
+    rows = np.broadcast_to(dofs[:, :, None], Hloc.shape).reshape(-1)
+    cols = np.broadcast_to(dofs[:, None, :], Hloc.shape).reshape(-1)
+    n = len(free)
+    H = sp.coo_matrix((Hloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
+    return H[free][:, free].tocsc()
+
+
+def _hessian_full_coo(prob, v):
+    """Oracle: every local Hessian block scattered into the free x free
+    matrix."""
     ops = prob.space.ops
     m = prob.space.m
     B = prob._ed["B"]
@@ -409,12 +420,32 @@ def _hessian_full_coo(prob, v):
             "mn,tij->tminj", np.eye(m), prob.cell_gram)
     if prob.stabilized:
         Hloc = Hloc + _stab_hessian_einsum(prob, v)
-    idx = ops.loc2glob
-    rows = np.broadcast_to(idx[:, :, :, None, None], Hloc.shape).reshape(-1)
-    cols = np.broadcast_to(idx[:, None, None, :, :], Hloc.shape).reshape(-1)
-    n = prob.space.ndof
-    H = sp.coo_matrix((Hloc.reshape(-1), (rows, cols)), shape=(n, n)).tocsr()
-    return H[prob.free_idx][:, prob.free_idx]
+    nt, nl = len(Hloc), m * ops.loc2glob.shape[-1]
+    return _scatter_free(Hloc.reshape(nt, nl, nl),
+                         ops.loc2glob.reshape(nt, nl), prob.free_mask)
+
+
+def _courant_hessian_full(courant, x):
+    """Oracle: the conforming P1 probe's local Hessians scattered into the
+    free x free matrix."""
+    return _scatter_free(courant.hessian(x).H,
+                         courant._dof.reshape(len(courant._dof), -1),
+                         courant.free)
+
+
+class _FullMatrix:
+    """An assembled free x free matrix behind the interface of
+    ``CondensedHessian``: the oracle Newton system."""
+
+    def __init__(self, H):
+        self.H = H
+        self.scale = np.abs(H.diagonal()).max(initial=0.0)
+
+    def solve(self, rhs, shift):
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        n = self.H.shape[0]
+        return spla.spsolve(self.H + shift * sp.eye(n, format="csc"), rhs)
 
 
 def _hessian_cases():
@@ -433,41 +464,67 @@ def _hessian_cases():
     yield bench.make_problem(bench.initial_mesh(), 1)
 
 
+def _courant_cases():
+    """The conforming P1 probe: p-Laplace with Dirichlet vertices, the L2
+    term of the two-well problem and the vector-valued FHM problem."""
+    from ahho.benchmarks import get_benchmark
+    for name in ("p-laplace-lshape", "two-well-rect", "fhm-rect"):
+        bench = get_benchmark(name)
+        yield bench.make_courant(refine_uniform(bench.initial_mesh()))
+
+
+def _check_newton_system(H, ref, nc, rng, solve_shifts, solve_tol):
+    """``H`` against the assembled free x free matrix ``ref``: its
+    pattern, ``scale``, Schur complement and ``solve`` at the shifts
+    ``solve_shifts`` x scale to ``solve_tol`` relative."""
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+    ref = ref.toarray()
+    indptr, indices = H.pattern[:2]
+    assert all(a.dtype == np.int32 for a in H.pattern)
+    assert all(np.all(np.diff(indices[a:b]) > 0)
+               for a, b in zip(indptr[:-1], indptr[1:]))
+    diag_ref = np.abs(np.diagonal(ref)).max()
+    assert abs(H.scale - diag_ref) <= 1e-14 * diag_ref
+    for shift in (0.0, 1e-6 * H.scale):
+        shifted = ref + shift * np.eye(len(ref))
+        A, Bm, C = shifted[:nc, :nc], shifted[:nc, nc:], shifted[nc:, nc:]
+        schur = C - Bm.T @ np.linalg.solve(A, Bm)
+        S = H._condense(np.zeros(len(ref)), shift)[0]
+        assert S.format == "csc" and S.has_sorted_indices
+        assert np.abs(S.toarray() - schur).max() \
+            <= 1e-12 * np.abs(schur).max()
+    for shift in np.multiply(solve_shifts, H.scale):
+        rhs = rng.standard_normal(len(ref))
+        x_ref = spla.spsolve(sp.csc_matrix(ref) + shift * sp.eye(len(ref)),
+                             rhs)
+        x = H.solve(rhs, shift)
+        assert np.abs(x - x_ref).max() <= solve_tol * np.abs(x_ref).max()
+
+
 def test_hessian_pattern_matches_full_assembly():
     """The condensed Newton system against the full free x free assembly:
     RT p-Laplace k = 1, the stabilization Hessian (k = 0), the L2 term of
     the two-well problem (k = 0) and the vector-valued FHM problem
-    (m = 2, k = 1)."""
-    import scipy.sparse as sp
-    import scipy.sparse.linalg as spla
+    (m = 2, k = 1), and the conforming P1 probe's system without cell
+    blocks on three benchmarks."""
     rng = np.random.default_rng(23)
     for prob in _hessian_cases():
         v = prob.initial_guess()
         v.data[prob.free_idx] += 0.3 * rng.standard_normal(
             len(prob.free_idx))
-        H = prob.energy_hessian(v)
-        ref = _hessian_full_coo(prob, v).toarray()
-        indptr, indices = prob._hess_pattern[:2]
-        assert all(a.dtype == np.int32 for a in prob._hess_pattern)
-        assert all(np.all(np.diff(indices[a:b]) > 0)
-                   for a, b in zip(indptr[:-1], indptr[1:]))
-        diag_ref = np.abs(np.diagonal(ref)).max()
-        assert abs(H.scale - diag_ref) <= 1e-14 * diag_ref
-        nc = prob.space.ncell_dofs
-        for shift in (0.0, 1e-6 * H.scale):
-            shifted = ref + shift * np.eye(len(ref))
-            A, Bm, C = shifted[:nc, :nc], shifted[:nc, nc:], shifted[nc:, nc:]
-            schur = C - Bm.T @ np.linalg.solve(A, Bm)
-            S = H._condense(np.zeros(len(ref)), shift)[0]
-            assert S.format == "csc" and S.has_sorted_indices
-            assert np.abs(S.toarray() - schur).max() \
-                <= 1e-12 * np.abs(schur).max()
-        rhs = rng.standard_normal(len(ref))
-        shift = 1e-6 * H.scale
-        x_ref = spla.spsolve(sp.csc_matrix(ref) + shift * sp.eye(len(ref)),
-                             rhs)
-        x = H.solve(rhs, shift)
-        assert np.abs(x - x_ref).max() <= 1e-10 * np.abs(x_ref).max()
+        # FHM's system is nearly singular (condition ~5e12) at shift 0
+        _check_newton_system(prob.energy_hessian(v),
+                             _hessian_full_coo(prob, v),
+                             prob.space.ncell_dofs, rng, (1e-6,), 1e-10)
+    for courant in _courant_cases():
+        x = np.zeros(courant.free.shape)
+        x.reshape(-1, courant.m)[:] = courant.values
+        x[courant.free] = 0.3 * rng.standard_normal(courant.free.sum())
+        H = courant.hessian(x)
+        assert H.nc == 0
+        _check_newton_system(H, _courant_hessian_full(courant, x), 0, rng,
+                             (0.0, 1e-6), 1e-12)
 
 
 def test_hessian_pattern_built_once_per_problem():
@@ -554,7 +611,7 @@ def test_newton_needs_a_hessian():
 
 def test_newton_condensed_matches_full_matrix():
     """Newton on the condensed system and on the full free x free matrix
-    (through the sparse adapter) takes the same steps."""
+    (through the oracle adapter ``_FullMatrix``) takes the same steps."""
     from ahho.benchmarks import get_benchmark
     from ahho.hho import HhoVector
     from ahho.solver import _newton
@@ -574,13 +631,17 @@ def test_newton_condensed_matches_full_matrix():
 
     runs = [_newton(fun_grad, hess, x0, SolverSettings())
             for hess in (lambda xf: prob.energy_hessian(at(xf)),
-                         lambda xf: _hessian_full_coo(prob, at(xf)))]
+                         lambda xf: _FullMatrix(_hessian_full_coo(prob,
+                                                                  at(xf))))]
     (_, E, it, _, conv), (_, E_ref, it_ref, _, conv_ref) = runs
     assert conv and conv_ref and it == it_ref > 5
     assert abs(E - E_ref) <= 1e-14 * abs(E_ref)
 
 
 def test_courant_p1_minimize_converges_with_lazy_gradients():
+    """The probe's lazy gradients give the same iterates as eager Newton
+    on its own system, and the same steps as Newton on the full free x
+    free matrix (through the oracle adapter ``_FullMatrix``)."""
     from ahho.benchmarks import get_benchmark
     from ahho.diagnostics import courant_p1_minimize
     bench = get_benchmark("two-well-rect")
@@ -591,18 +652,21 @@ def test_courant_p1_minimize_converges_with_lazy_gradients():
     free = np.nonzero(courant.free)[0]
     full = np.zeros(courant.mesh.num_vertices * courant.m)
     full.reshape(-1, courant.m)[:] = courant.values
+    x0 = full[free].copy()
 
     def at(xf):
         full[free] = xf
         return full
-    x_ref, E_ref, _, _, conv_ref = _eager_newton(
-        lambda xf: courant.energy(at(xf)),
-        lambda xf: courant.gradient(at(xf))[free],
-        lambda xf: courant.hessian(at(xf))[free][:, free].tocsc(),
-        full[free].copy())
-    assert conv_ref
+    (x_ref, E_ref, it, _, conv_ref), (_, E_full, it_full, _, conv_full) = [
+        _eager_newton(lambda xf: courant.energy(at(xf)),
+                      lambda xf: courant.gradient(at(xf))[free], hess, x0)
+        for hess in (lambda xf: courant.hessian(at(xf)),
+                     lambda xf: _FullMatrix(_courant_hessian_full(courant,
+                                                                  at(xf))))]
+    assert conv_ref and conv_full and it == it_full
     assert abs(E - E_ref) <= 1e-14 * abs(E_ref)
     assert np.array_equal(x.reshape(-1)[free], x_ref)
+    assert abs(E - E_full) <= 1e-14 * abs(E_full)
 
 
 def _condense_lapack(self, rhs, shift):
