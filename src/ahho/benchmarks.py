@@ -233,23 +233,33 @@ def _rho(p):
     return (3.0 * (p[..., 0] - 1.0) + 2.0 * p[..., 1]) / _S13
 
 
+def _signed_powers(r, *ns):
+    """r ** n for each n, taken on |r| with the sign restored for odd n:
+    numpy's ``power`` is 20 to 40 times slower on a negative base.  The
+    values keep their bits for r >= 0 and move by at most 1 ulp for
+    r < 0."""
+    a = np.abs(r)
+    return tuple(np.copysign(a ** n, r) if n % 2 else a ** n for n in ns)
+
+
 def two_well_quad_datum(p):
     """Quadratic-term datum: the minimizer's branch on rho <= 0."""
-    r = _rho(p)
-    return -3.0 * r ** 5 / 128.0 - r ** 3 / 3.0
+    r3, r5 = _signed_powers(_rho(p), 3, 5)
+    return -3.0 * r5 / 128.0 - r3 / 3.0
 
 
 def two_well_u(p):
     r = _rho(p)
-    r3 = r ** 3
-    return np.where(r <= 0, -3.0 * r ** 5 / 128.0 - r3 / 3.0,
+    r3, r5 = _signed_powers(r, 3, 5)
+    return np.where(r <= 0, -3.0 * r5 / 128.0 - r3 / 3.0,
                     r3 / 24.0 + r)
 
 
 def two_well_grad(p):
     r = _rho(p)
-    ds = np.where(r <= 0, -15.0 * r ** 4 / 128.0 - r ** 2,
-                  r ** 2 / 8.0 + 1.0)
+    r2 = r ** 2
+    ds = np.where(r <= 0, -15.0 * np.abs(r) ** 4 / 128.0 - r2,
+                  r2 / 8.0 + 1.0)          # |r| ** 4: see _signed_powers
     return ds[..., None] * _WELL
 
 

@@ -12,14 +12,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import numbers
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
+
 from .adaptivity import EstimatorParams, run_ahho
 from .benchmarks import register_benchmarks
 from .densities import UnsupportedConjugate
 from .diagnostics import (aitken_extrapolate, dual_bound, error_norms,
-                          fit_rate, lower_energy_bound)
+                          ReportFields, fit_rate, lower_energy_bound)
 from .hho import RT, STABILIZED
 from .mesh import write_mesh
 from .solver import SolverSettings
@@ -72,7 +74,39 @@ class RunConfig:
                               backtrack=self.backtrack)
 
 
+def _check_types(cfg):
+    """Every field must have its annotated type: an int field takes no
+    bool, a float field also takes an int, and eps also takes "auto"."""
+    for f in RunConfig.__dataclass_fields__.values():
+        val = getattr(cfg, f.name)
+        want = "float" if f.name == "eps" else f.type
+        if want == "bool":
+            ok = isinstance(val, bool)
+        elif want == "str":
+            ok = isinstance(val, str)
+        else:
+            number = numbers.Integral if want == "int" else numbers.Real
+            ok = isinstance(val, number) and not isinstance(val, bool)
+            if f.name == "eps":
+                ok = ok or val == "auto"
+        if not ok:
+            what = "a number or 'auto'" if f.name == "eps" else f"a {want}"
+            raise ConfigError(f"{f.name} must be {what}, got {val!r}")
+
+
+def _parse_eps(text):
+    """The --eps argument: "auto" or a float."""
+    if text == "auto":
+        return text
+    try:
+        return float(text)
+    except ValueError:
+        raise ConfigError(
+            f"eps must be a number or 'auto', got {text!r}") from None
+
+
 def validate_config(cfg):
+    _check_types(cfg)
     registry = register_benchmarks()
     if cfg.benchmark not in registry:
         raise ConfigError(f"unknown benchmark {cfg.benchmark!r}; known: "
@@ -130,7 +164,8 @@ def _fmt(value):
 def build_reports(records, bench):
     """The ``convergence.csv`` row of each driver record, a dict keyed by
     ``CSV_COLUMNS``: the record's values with the error norms and the
-    certified bounds (None where they do not apply)."""
+    certified bounds (None where they do not apply).  The error norms and
+    the lower energy bound read one :class:`ReportFields` per level."""
     rows = []
     exact = bench.exact
     for rec in records:
@@ -141,14 +176,17 @@ def build_reports(records, bench):
                    energy=rec.energy, estimator=rec.estimator, stab=rec.stab,
                    seconds=rec.seconds)
         if exact.u is not None or exact.grad_u is not None:
+            fields = ReportFields(problem, u, exact)
             (row["err_grad_Lp"], row["err_stress_Lpprime"],
              row["err_vol_L2"]) = error_norms(
-                problem, u, exact, singular_point=bench.singular_point)
+                problem, u, exact, singular_point=bench.singular_point,
+                fields=fields)
+            if exact.grad_u is not None:
+                row["leb"], _ = lower_energy_bound(problem, u, sigma, exact,
+                                                   energy=rec.energy,
+                                                   fields=fields)
         if bench.reference_energy is not None:
             row["err_energy"] = abs(rec.energy - bench.reference_energy)
-        if exact.grad_u is not None:
-            row["leb"], _ = lower_energy_bound(problem, u, sigma, exact,
-                                               energy=rec.energy)
         try:
             row["rhs"] = dual_bound(problem, u, sigma, rec.companion,
                                     energy=rec.energy)
@@ -242,7 +280,7 @@ def main(argv=None):
                 if val is not None:
                     setattr(cfg, key, val)
             if args.eps is not None:
-                cfg.eps = args.eps if args.eps == "auto" else float(args.eps)
+                cfg.eps = _parse_eps(args.eps)
             validate_config(cfg)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -12,8 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .densities import UnsupportedConjugate
-from .hho import STABILIZED, GradField, _as_components, _batch_eval, \
-    _values_at
+from .hho import STABILIZED, _as_components, _batch_eval, _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
 from .solver import CondensedHessian, SolverSettings, eval_neumann, \
@@ -52,17 +51,68 @@ class ExactSolution:
         return float(np.max(np.abs(density.dw(g) - s)))
 
 
-def _matrix_values(fn, pts, m):
-    """An (m, 2)-valued closure at points (..., 2) -> (..., m, 2)."""
-    return _as_matrix(fn(pts.reshape(-1, 2)), pts.shape[:-1], m)
-
-
 def _as_matrix(values, shape, m):
     """Values (n, 2) or (n, m, 2) at n flat points -> shape + (m, 2)."""
     g = np.asarray(values, dtype=float)
     if g.ndim == 2:
         g = g[:, None, :]
     return g.reshape(shape + (m, 2))
+
+
+@dataclass
+class PointFields:
+    """What the error norms and the lower energy bound read on one rule
+    on the triangles ``tri``: the weights (n, nq), the P_k table ``phi``
+    (n, nq, ncb) at the local coordinates ``loc`` (n, nq, 2), G u
+    (n, nq, m, 2), and the exact u (n, nq, m), grad u and sigma
+    (n, nq, m, 2) from one ``exact.fields`` call.  Absent exact fields
+    are None, and so is G u without grad u."""
+    tri: object
+    w: np.ndarray
+    loc: np.ndarray
+    phi: np.ndarray
+    Gu: Optional[np.ndarray]
+    ue: Optional[np.ndarray]
+    ge: Optional[np.ndarray]
+    se: Optional[np.ndarray]
+
+
+class ReportFields:
+    """One level's report evaluation of ``u``: the gradient
+    reconstruction ``g`` (None without an exact grad u) and
+    :attr:`volume`, the :class:`PointFields` on the degree ``degree``
+    volume rule on all triangles (``energy_degree + 4`` by default).
+    :func:`build_reports <ahho.cli.build_reports>` makes one per level
+    for :func:`error_norms` and :func:`lower_energy_bound`."""
+
+    def __init__(self, problem, u, exact, degree=None):
+        self.space = problem.space
+        self.exact = exact
+        self.degree = degree or (problem.energy_degree + 4)
+        self.g = self.space.gradient_reconstruction(u) \
+            if exact.grad_u is not None else None
+
+    def on(self, tri, pts, w):
+        """The :class:`PointFields` on the rule (pts, w) on ``tri``."""
+        space = self.space
+        m = space.m
+        shape = pts.shape[:-1]
+        ue, ge, se = self.exact.fields(pts.reshape(-1, 2))
+        loc = space.ops.local_coords(pts, tri)
+        phi = _batch_eval(space.ops.exps_k, loc)
+        return PointFields(
+            tri, w, loc, phi,
+            None if self.g is None else self.g._at_local(loc, phi, tri),
+            None if ue is None
+            else _as_components(ue, m).reshape(shape + (m,)),
+            None if ge is None else _as_matrix(ge, shape, m),
+            None if se is None else _as_matrix(se, shape, m))
+
+    @functools.cached_property
+    def volume(self):
+        """Built on first read, so that a larger point set evaluated
+        before it (the graded corner rule) is gone when it is made."""
+        return self.on(slice(None), *self.space.ops._volume_rule(self.degree))
 
 
 @functools.lru_cache(maxsize=None)
@@ -120,58 +170,60 @@ def _singular_triangles(mesh, singular_point):
     return list(zip(t.tolist(), hit[t].argmax(axis=1).tolist()))
 
 
-def error_norms(problem, u, exact, degree=None, singular_point=None):
+def error_norms(problem, u, exact, degree=None, singular_point=None,
+                fields=None):
     """(gradient error, stress error, volume L2 error) against the exact
     solution; missing exact fields yield None entries.
 
     Elements touching ``singular_point`` are integrated with a dyadically
-    graded corner rule; elsewhere a fixed elevated-degree rule applies.
-    On each of these point sets the exact fields come from one
-    ``exact.fields`` call, and one P_k table serves both G u and u_T.
+    graded corner rule; elsewhere the fixed elevated-degree rule applies.
+    Both rules have the degree of ``fields``, the level's
+    :class:`ReportFields` of ``u`` (made here with ``degree`` when not
+    given), which also holds the volume rule's values.  On each point set
+    the exact fields come from one ``exact.fields`` call, and one P_k
+    table serves both G u and u_T.
     """
+    if exact.u is None and exact.grad_u is None:
+        return None, None, None
     space = problem.space
-    ops = space.ops
-    m = space.m
     p = problem.p
     pp = p / (p - 1.0)
-    degree = degree or (problem.energy_degree + 4)
-    g = space.gradient_reconstruction(u) if exact.grad_u is not None else None
+    if fields is None:
+        fields = ReportFields(problem, u, exact, degree)
 
-    def integrals(tri, pts, w):
+    def integrals(f, rows=slice(None)):
         """int |grad u - G u|^p, int |sigma - DW(G u)|^p' and
-        int |u - u_T|^2 over the triangles ``tri`` with the rule (pts, w)."""
+        int |u - u_T|^2 over the rows ``rows`` of the point fields ``f``,
+        each array taken at those rows only where it is read."""
+        w = f.w[rows]
         grad_pp = stress_pp = vol_pp = None
-        ue, ge, se = exact.fields(pts.reshape(-1, 2))
-        if ue is None and ge is None:
-            return grad_pp, stress_pp, vol_pp
-        loc = ops.local_coords(pts, tri)
-        phi = _batch_eval(ops.exps_k, loc)
-        if ge is not None:
-            Gu = g._at_local(loc, phi, tri)                    # (n,nq,m,2)
-            diff = _as_matrix(ge, pts.shape[:-1], m) - Gu
+        if f.Gu is not None:
+            Gu = f.Gu[rows]
+            diff = f.ge[rows] - Gu
             mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
             grad_pp = np.einsum("tq,tq->", w, mag ** p)
-            if se is not None:
-                diff = (_as_matrix(se, pts.shape[:-1], m)
-                        - problem.density.dw(Gu))
+            if f.se is not None:
+                diff = f.se[rows] - problem.density.dw(Gu)
                 dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
                 stress_pp = np.einsum("tq,tq->", w, dmag ** pp)
-        if ue is not None:
-            uT = np.einsum("tmi,tqi->tqm", u.cells[tri], phi)
-            diff = _as_components(ue, m).reshape(pts.shape[:-1] + (m,)) - uT
+        if f.ue is not None:
+            uT = np.einsum("tmi,tqi->tqm", u.cells[f.tri][rows], f.phi[rows])
+            diff = f.ue[rows] - uT
             vol_pp = np.einsum("tq,tqm,tqm->", w, diff, diff)
         return grad_pp, stress_pp, vol_pp
 
     if singular_point is None:
-        terms = integrals(slice(None), *ops._volume_rule(degree))
+        terms = integrals(fields.volume)
     else:
         tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
                               dtype=np.int64).reshape(-1, 2).T
+        # the graded rule, which has the most points of the level, before
+        # the first read of the volume rule's fields: never both at once
+        graded = integrals(fields.on(tri, *_graded_corner_rule(
+            space.ops.corners[tri], v_loc, fields.degree)))
         rest = np.delete(np.arange(space.mesh.num_triangles), tri)
         terms = [None if a is None else a + b for a, b in zip(
-            integrals(rest, *ops._volume_rule(degree, rest)),
-            integrals(tri, *_graded_corner_rule(ops.corners[tri], v_loc,
-                                                degree)))]
+            integrals(fields.volume, rest), graded)]
 
     grad_pp, stress_pp, vol_pp = terms
     err_grad = float(grad_pp ** (1.0 / p)) if grad_pp is not None else None
@@ -194,31 +246,27 @@ def data_oscillations(problem):
     return osc_f, osc_g, osc_zeta
 
 
-def lower_energy_bound(problem, u, sigma, exact, energy=None):
+def lower_energy_bound(problem, u, sigma, exact, energy=None, fields=None):
     """LEB = E_l(u_l) + int (DW(G u) - sigma) : grad(u) dx
     - (oscillations) [- s(u; I u) in the stabilized variant].
 
-    Returns (leb, leb_without_oscillation_term).  Requires grad u.
+    The integral reads G u and grad u on the volume rule of ``fields``,
+    the level's :class:`ReportFields` of ``u`` (made here when not
+    given), and evaluates sigma from its P_k table.  Returns (leb,
+    leb_without_oscillation_term).  Requires grad u.
     """
     if exact.grad_u is None:
         raise ValueError("lower energy bound needs the exact gradient")
     space = problem.space
-    ops = space.ops
-    m = space.m
     E = problem.energy(u) if energy is None else energy
-    degree = problem.energy_degree + 4
-    pts, w = ops._volume_rule(degree)
-    # G u and sigma from one evaluation of the stacked coefficients
-    both = GradField(space, np.concatenate(
-        (space.gradient_reconstruction(u).coeffs, sigma.coeffs), axis=1)
-    ).at_points(pts)
-    Gu, sig = both[..., :m, :], both[..., m:, :]
-    dW = problem.density.dw(Gu)
-    ge = _matrix_values(exact.grad_u, pts, m)
-    corr = float(np.einsum("tq,tqmd,tqmd->", w, dW - sig, ge))
+    vol = (fields or ReportFields(problem, u, exact)).volume
+    sig = sigma._at_local(vol.loc, vol.phi, vol.tri)
+    dW = problem.density.dw(vol.Gu)
+    corr = float(np.einsum("tq,tqmd,tqmd->", vol.w, dW - sig, vol.ge))
     base = E + corr
     if space.variant == STABILIZED:
-        iu = space.interpolate(exact.u, degree=degree) if exact.u else None
+        iu = space.interpolate(exact.u, degree=problem.energy_degree + 4) \
+            if exact.u else None
         if iu is None:
             raise ValueError("stabilized LEB needs the exact solution")
         base -= space.stabilization(u, iu, problem.p)

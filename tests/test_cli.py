@@ -68,6 +68,46 @@ def test_invalid_values_named(tmp_path):
             load_config(path)
 
 
+@pytest.mark.parametrize("bad", [
+    {"k": "1"}, {"k": 1.0}, {"k": True}, {"theta": "0.5"},
+    {"max_ndof": 100.5}, {"max_levels": "3"}, {"max_iter": False},
+    {"lbfgs_memory": 2.0}, {"grad_tol": "1e-10"}, {"eps": "0.5"},
+    {"eps": True}, {"variant": 1}, {"out": 5}, {"timing": 1}])
+def test_mistyped_values_named(tmp_path, bad):
+    """A value of the wrong type is a ConfigError naming the field, not a
+    TypeError from a comparison further on."""
+    path = write_config(tmp_path, benchmark="manufactured-affine", **bad)
+    with pytest.raises(ConfigError, match=next(iter(bad))):
+        load_config(path)
+
+
+def test_json_int_accepted_for_float_fields(tmp_path):
+    path = write_config(tmp_path, benchmark="manufactured-affine", k=0,
+                        eps=1, backtrack=0.5, grad_tol=1)
+    cfg = load_config(path)
+    assert cfg.resolved_eps() == 1.0 and cfg.grad_tol == 1
+
+
+@pytest.mark.parametrize("argv,field", [
+    (["--eps", "abc"], "eps"), (["--config", "{cfg}"], "k"),
+    (["--config", "{cfg_theta}"], "theta")])
+def test_cli_main_mistyped_values_exit_2(tmp_path, capsys, argv, field):
+    """Malformed command-line and config values exit 2 with ``error: ...``
+    naming the field, before any output is written."""
+    cfg = write_config(tmp_path, benchmark="two-well-rect", k="1")
+    cfg_theta = tmp_path / "theta.json"
+    cfg_theta.write_text(json.dumps({"benchmark": "two-well-rect",
+                                     "theta": "0.5"}))
+    argv = [a.format(cfg=cfg, cfg_theta=cfg_theta) for a in argv]
+    if "--config" not in argv:
+        argv = ["--benchmark", "two-well-rect"] + argv
+    out = tmp_path / "x"
+    assert main(["run", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 def test_config_roundtrip(tmp_path):
     path = write_config(tmp_path, benchmark="odp-lshape", k=1, theta=0.4,
                         eps=0.25, max_ndof=500, mode="uniform")
@@ -295,6 +335,32 @@ def test_companion_once_per_level(tmp_path, monkeypatch):
     assert len(rhs) >= 3 and all(rhs)
     assert len(calls) == len(rhs)
     assert len(set(map(id, calls))) == len(rhs)
+
+
+@pytest.mark.parametrize("name, k, closure, per_level", [
+    ("p-laplace-lshape", 1, "_polar_lshape", 2),
+    ("two-well-rect", 0, "two_well_grad", 1)])
+def test_report_exact_fields_once_per_point_set(monkeypatch, name, k,
+                                                closure, per_level):
+    """The reports evaluate the exact fields once per point set and level:
+    the error norms and the lower energy bound share the volume rule, and
+    only the L-shape adds its graded corner rule."""
+    import ahho.benchmarks as benchmarks
+    from ahho.adaptivity import EstimatorParams, run_ahho
+    from ahho.cli import build_reports
+    calls = []
+    fn = getattr(benchmarks, closure)
+    monkeypatch.setattr(benchmarks, closure,
+                        lambda p: calls.append(p.shape) or fn(p))
+    bench = benchmarks.get_benchmark(name)
+    records = run_ahho(bench, k, EstimatorParams(eps=(k + 1) / 100.0),
+                       max_ndof=200)
+    calls.clear()
+    rows = build_reports(records, bench)
+    assert len(rows) >= 3
+    assert all(row["leb"] is not None and row["err_grad_Lp"] is not None
+               for row in rows)
+    assert len(calls) == per_level * len(rows)
 
 
 @pytest.mark.parametrize("name, unread", [("p-laplace-lshape", 0),

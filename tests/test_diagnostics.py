@@ -5,7 +5,7 @@ from ahho.benchmarks import get_benchmark, register_benchmarks
 from ahho.densities import p_laplace
 from ahho.diagnostics import (aitken_extrapolate, courant_p1_minimize,
                               data_oscillations, dual_bound, error_norms,
-                              fit_rate, lower_energy_bound)
+                              ReportFields, fit_rate, lower_energy_bound)
 from ahho.hho import HhoSpace, _values_at
 from ahho.mesh import DIRICHLET, NEUMANN, build_triangulation, refine_uniform
 from ahho.solver import DiscreteProblem, SolverSettings, minimize
@@ -20,6 +20,12 @@ def solve_benchmark(name, k=0, nref=0, variant="rt"):
     sol = minimize(problem)
     sigma = problem.discrete_stress(sol.u)
     return bench, problem, sol, sigma
+
+
+def _matrix_values(fn, pts, m):
+    """An (m, 2)-valued closure at points (..., 2) -> (..., m, 2)."""
+    from ahho.diagnostics import _as_matrix
+    return _as_matrix(fn(pts.reshape(-1, 2)), pts.shape[:-1], m)
 
 
 # -- graded corner rule ----------------------------------------------------------------
@@ -145,8 +151,7 @@ def _error_norms_overwrite_reference(problem, u, exact, singular_point):
     """Reference: the volume rule on every triangle from the full
     gradient-space basis table, then the graded-rule values written over
     those of the triangles at the singular point."""
-    from ahho.diagnostics import (_graded_corner_rule, _matrix_values,
-                                  _singular_triangles)
+    from ahho.diagnostics import _graded_corner_rule, _singular_triangles
     from ahho.hho import _values_at
     space = problem.space
     ops = space.ops
@@ -275,11 +280,86 @@ def test_plaplace_joint_fields_match_closures():
     assert np.array_equal(s, plaplace_sigma(flat))
 
 
+def _two_well_pow_forms(p):
+    """u, grad u and the L2 datum of the two-well minimizer written with
+    numpy's ``r ** n`` on the signed rho."""
+    from ahho.benchmarks import _WELL, _rho
+    r = _rho(p)
+    left = -3.0 * r ** 5 / 128.0 - r ** 3 / 3.0
+    u = np.where(r <= 0, left, r ** 3 / 24.0 + r)
+    ds = np.where(r <= 0, -15.0 * r ** 4 / 128.0 - r ** 2,
+                  r ** 2 / 8.0 + 1.0)
+    return u, ds[..., None] * _WELL, left
+
+
+def _two_well_points():
+    """Points of the two-well rectangle (0, 1) x (0, 1.5): random ones,
+    and dyadic ones with rho = 3 (x - 1) + 2 y = 0 exactly."""
+    rng = np.random.default_rng(5)
+    line = np.array([[1.0, 0.0], [0.75, 0.375], [0.5, 0.75], [0.0, 1.5]])
+    return np.concatenate([rng.uniform(0.0, 1.0, (4000, 2)) * [1.0, 1.5],
+                           line])
+
+
+def test_two_well_signed_powers_match_pow():
+    """The powers of |rho| with the sign restored are numpy's r ** n to
+    1 ulp for rho < 0, and bit for bit for rho >= 0, -0.0 included."""
+    from ahho.benchmarks import _signed_powers
+    r = np.concatenate([-np.logspace(-300, 0, 500), [-0.0, 0.0],
+                        np.logspace(-300, 0, 500),
+                        np.random.default_rng(6).uniform(-1, 1, 2000)])
+    pos = r >= 0
+    for n, got in zip((3, 4, 5), _signed_powers(r, 3, 4, 5)):
+        want = r ** n
+        np.testing.assert_array_max_ulp(got, want, maxulp=1)
+        assert got[pos].tobytes() == want[pos].tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_two_well_closures_match_pow_forms():
+    """The two-well closures keep the bits of the ``r ** n`` forms for
+    rho >= 0.  For rho < 0 a power moves by at most 1 ulp, and the
+    products and the sum after it by a few ulps more (3 at most on
+    2M points)."""
+    from ahho.benchmarks import (_rho, two_well_grad, two_well_quad_datum,
+                                 two_well_u)
+    pts = _two_well_points()
+    r = _rho(pts)
+    assert (r == 0).sum() == 4 and (r < 0).any() and (r > 0).any()
+    pos = r >= 0
+    for got, want in zip((two_well_u(pts), two_well_grad(pts),
+                          two_well_quad_datum(pts)),
+                         _two_well_pow_forms(pts)):
+        assert got[pos].tobytes() == want[pos].tobytes()
+        np.testing.assert_array_max_ulp(got[~pos], want[~pos], maxulp=4)
+
+
+def test_two_well_closures_across_rho_zero():
+    """u is continuous across rho = 0; grad u takes the one-sided limits
+    of its branches there, 0 from rho < 0 and the well (3, 2)/sqrt(13)
+    from rho > 0 (the minimizer has a kink on that line), so sigma is
+    continuous."""
+    from ahho.benchmarks import (_WELL, _rho, two_well_grad,
+                                 two_well_sigma, two_well_u)
+    h = np.array([1e-4, 1e-6, 1e-8])
+    base = np.array([0.5, 0.75])            # rho = 0
+    for side in (-1.0, 1.0):
+        pts = base + side * h[:, None] * _WELL
+        r = _rho(pts)
+        assert np.all(np.sign(r) == side)
+        assert np.all(np.abs(two_well_u(pts)) <= 1.01 * h)
+        limit = _WELL if side > 0 else 0.0 * _WELL
+        assert np.allclose(two_well_grad(pts), limit, rtol=0.0,
+                           atol=2 * h.max() ** 2)
+        assert np.all(np.abs(two_well_sigma(pts)) <= 4 * h[:, None] ** 2)
+    assert two_well_u(base) == 0.0
+    assert np.array_equal(two_well_grad(base[None]), [0.0 * _WELL])
+
+
 def _error_norms_closure_reference(problem, u, exact, singular_point):
     """The norms with each exact field from its own closure call and the
     P_k table built once for G u and again for u_T."""
-    from ahho.diagnostics import (_graded_corner_rule, _matrix_values,
-                                  _singular_triangles)
+    from ahho.diagnostics import _graded_corner_rule, _singular_triangles
     space = problem.space
     ops = space.ops
     m, p = space.m, problem.p
@@ -390,6 +470,45 @@ def test_leb_increases_under_uniform_refinement():
                                     energy=sol.energy)
         lebs.append(leb)
     assert all(b > a for a, b in zip(lebs, lebs[1:]))
+
+
+def _leb_stacked_reference(problem, u, sigma, exact, energy):
+    """The lower energy bound with G u and sigma from one evaluation of
+    their stacked coefficients, and grad u from its own closure call."""
+    from ahho.hho import GradField
+    space = problem.space
+    m = space.m
+    pts, w = space.ops._volume_rule(problem.energy_degree + 4)
+    both = GradField(space, np.concatenate(
+        (space.gradient_reconstruction(u).coeffs, sigma.coeffs), axis=1)
+    ).at_points(pts)
+    Gu, sig = both[..., :m, :], both[..., m:, :]
+    base = energy + float(np.einsum(
+        "tq,tqmd,tqmd->", w, problem.density.dw(Gu) - sig,
+        _matrix_values(exact.grad_u, pts, m)))
+    return base - sum(data_oscillations(problem)), base
+
+
+@pytest.mark.parametrize("name,k,nref", [("p-laplace-lshape", 1, 1),
+                                         ("two-well-rect", 0, 1)])
+def test_report_fields_shared_by_error_norms_and_leb(name, k, nref):
+    """Given the level's ReportFields, the error norms are == the ones
+    they compute alone (graded corner rule included), and the lower
+    energy bound is == its own evaluation and matches the stacked
+    G u / sigma evaluation to 1e-14 relative."""
+    bench, problem, sol, sigma = solve_benchmark(name, k=k, nref=nref)
+    ex, point = bench.exact, bench.singular_point
+    fields = ReportFields(problem, sol.u, ex)
+    assert error_norms(problem, sol.u, ex, singular_point=point,
+                       fields=fields) \
+        == error_norms(problem, sol.u, ex, singular_point=point)
+    got = lower_energy_bound(problem, sol.u, sigma, ex, energy=sol.energy,
+                             fields=fields)
+    assert got == lower_energy_bound(problem, sol.u, sigma, ex,
+                                     energy=sol.energy)
+    want = _leb_stacked_reference(problem, sol.u, sigma, ex, sol.energy)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-14 * abs(b)
 
 
 def test_leb_requires_exact_gradient():
