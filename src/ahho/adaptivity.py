@@ -11,6 +11,7 @@ from typing import Optional
 import numpy as np
 
 from .hho import RT, STABILIZED
+from .mesh import _signed_area
 from .solver import minimize
 
 STANDARD = "standard"
@@ -121,8 +122,8 @@ def estimate(space, problem, u, sigma, params):
     interior = mesh.interior_sides()
     jump_per_side = np.zeros(mesh.num_sides)
     if len(interior):
-        jmp = (R.at_points_of(tplus[interior], spts_e[interior])
-               - R.at_points_of(tminus[interior], spts_e[interior]))
+        jmp = (R.at_points(spts_e[interior], tplus[interior])
+               - R.at_points(spts_e[interior], tminus[interior]))
         magj = np.sqrt(np.einsum("sqm,sqm->sq", jmp, jmp))
         jump_per_side[interior] = (ops.h_f[interior][:, None] * w_e
                                    * magj ** p).sum(axis=1)
@@ -152,7 +153,7 @@ def estimate(space, problem, u, sigma, params):
         if len(sel) == 0 or (dirichlet and problem.u_dirichlet is None):
             return
         pts, w_ref, _ = ops.side_rule(problem.data_degree, sel)
-        diff = R.at_points_of(tplus[sel], pts)[..., comps]
+        diff = R.at_points(pts, tplus[sel])[..., comps]
         if dirichlet:
             diff = diff - problem.dirichlet_data_on(sel)
         mag = np.sqrt(np.einsum("sqm,sqm->sq", diff, diff))
@@ -203,11 +204,20 @@ def mark_doerfler(values, theta):
 def prolong(fine_space, J, problem=None):
     """Initial guess on the refined mesh: I_{l+1} J, where J = J_l u_l is
     the companion of the coarse solution, with the constrained dofs
-    overwritten by the fine-level Dirichlet values."""
-    if fine_space.mesh.previous is not J.space.mesh:
-        raise ValueError("fine mesh is not a refinement of the coarse mesh")
+    overwritten by the fine-level Dirichlet values.  The fine mesh must
+    be a refinement of J's mesh: every parent index in range, and every
+    fine centroid in its parent (barycentric coordinates >= -1e-12)."""
     mesh = fine_space.mesh
     ops = fine_space.ops
+    coarse = J.space.ops
+    parent = mesh.parent
+    if parent.min() < 0 or parent.max() >= len(coarse.corners):
+        raise ValueError("fine mesh is not a refinement of the coarse mesh")
+    v = coarse.corners[parent]
+    lam = np.stack([_signed_area(ops.centroid, v[:, (j + 1) % 3],
+                                 v[:, (j + 2) % 3]) for j in range(3)])
+    if np.any(lam < -1e-12 * coarse.area[parent]):
+        raise ValueError("fine mesh is not a refinement of the coarse mesh")
     degree = 2 * J.degree
     pts, w = ops._volume_rule(degree)
     spts, w_ref, chi = ops.side_rule(degree)
@@ -215,10 +225,10 @@ def prolong(fine_space, J, problem=None):
     v = fine_space.zero_vector()
     # cell projections from the coarse polynomial
     v.cells[:] = ops.project_cells(w, ops.cell_eval(ops.exps_k, pts),
-                                   J.at_points_of(mesh.parent, pts))[1]
+                                   J.at_points(pts, mesh.parent))[1]
     # side projections: evaluate through T_plus's coarse ancestor
     anc = mesh.parent[mesh.adjacency[:, 0]]
-    v.sides[:] = ops.project_sides(w_ref, chi, J.at_points_of(anc, spts))[1]
+    v.sides[:] = ops.project_sides(w_ref, chi, J.at_points(spts, anc))[1]
 
     if problem is not None:
         problem.apply_dirichlet(v)

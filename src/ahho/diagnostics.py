@@ -42,17 +42,14 @@ class ExactSolution:
         """sigma must equal DW(grad u) where both closures exist."""
         if self.grad_u is None or self.sigma is None:
             return 0.0
-        g = np.asarray(self.grad_u(points), dtype=float)
-        if g.ndim == 2:
-            g = g[:, None, :]
-        s = np.asarray(self.sigma(points), dtype=float)
-        if s.ndim == 2:
-            s = s[:, None, :]
+        g = _as_matrix(self.grad_u(points), (len(points),), -1)
+        s = _as_matrix(self.sigma(points), (len(points),), -1)
         return float(np.max(np.abs(density.dw(g) - s)))
 
 
 def _as_matrix(values, shape, m):
-    """Values (n, 2) or (n, m, 2) at n flat points -> shape + (m, 2)."""
+    """Values (n, 2) or (n, m, 2) at n flat points -> shape + (m, 2);
+    m = -1 takes the number of components from the values."""
     g = np.asarray(values, dtype=float)
     if g.ndim == 2:
         g = g[:, None, :]
@@ -63,15 +60,16 @@ def _as_matrix(values, shape, m):
 class PointFields:
     """What the error norms and the lower energy bound read on one rule
     on the triangles ``tri``: the weights (n, nq), the P_k table ``phi``
-    (n, nq, ncb) at the local coordinates ``loc`` (n, nq, 2), G u
-    (n, nq, m, 2), and the exact u (n, nq, m), grad u and sigma
+    (n, nq, ncb) at the local coordinates ``loc`` (n, nq, 2), G u and
+    W'(G u) (n, nq, m, 2), and the exact u (n, nq, m), grad u and sigma
     (n, nq, m, 2) from one ``exact.fields`` call.  Absent exact fields
-    are None, and so is G u without grad u."""
+    are None, and so are G u and W'(G u) without grad u."""
     tri: object
     w: np.ndarray
     loc: np.ndarray
     phi: np.ndarray
     Gu: Optional[np.ndarray]
+    dW: Optional[np.ndarray]
     ue: Optional[np.ndarray]
     ge: Optional[np.ndarray]
     se: Optional[np.ndarray]
@@ -87,6 +85,7 @@ class ReportFields:
 
     def __init__(self, problem, u, exact, degree=None):
         self.space = problem.space
+        self.density = problem.density
         self.exact = exact
         self.degree = degree or (problem.energy_degree + 4)
         self.g = self.space.gradient_reconstruction(u) \
@@ -100,9 +99,10 @@ class ReportFields:
         ue, ge, se = self.exact.fields(pts.reshape(-1, 2))
         loc = space.ops.local_coords(pts, tri)
         phi = _batch_eval(space.ops.exps_k, loc)
+        Gu = None if self.g is None else self.g._at_local(loc, phi, tri)
         return PointFields(
-            tri, w, loc, phi,
-            None if self.g is None else self.g._at_local(loc, phi, tri),
+            tri, w, loc, phi, Gu,
+            None if Gu is None else self.density.dw(Gu),
             None if ue is None
             else _as_components(ue, m).reshape(shape + (m,)),
             None if ge is None else _as_matrix(ge, shape, m),
@@ -198,12 +198,11 @@ def error_norms(problem, u, exact, degree=None, singular_point=None,
         w = f.w[rows]
         grad_pp = stress_pp = vol_pp = None
         if f.Gu is not None:
-            Gu = f.Gu[rows]
-            diff = f.ge[rows] - Gu
+            diff = f.ge[rows] - f.Gu[rows]
             mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
             grad_pp = np.einsum("tq,tq->", w, mag ** p)
             if f.se is not None:
-                diff = f.se[rows] - problem.density.dw(Gu)
+                diff = f.se[rows] - f.dW[rows]
                 dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
                 stress_pp = np.einsum("tq,tq->", w, dmag ** pp)
         if f.ue is not None:
@@ -250,9 +249,9 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, fields=None):
     """LEB = E_l(u_l) + int (DW(G u) - sigma) : grad(u) dx
     - (oscillations) [- s(u; I u) in the stabilized variant].
 
-    The integral reads G u and grad u on the volume rule of ``fields``,
-    the level's :class:`ReportFields` of ``u`` (made here when not
-    given), and evaluates sigma from its P_k table.  Returns (leb,
+    The integral reads W'(G u) and grad u on the volume rule of
+    ``fields``, the level's :class:`ReportFields` of ``u`` (made here
+    when not given), and evaluates sigma from its P_k table.  Returns (leb,
     leb_without_oscillation_term).  Requires grad u.
     """
     if exact.grad_u is None:
@@ -261,8 +260,7 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, fields=None):
     E = problem.energy(u) if energy is None else energy
     vol = (fields or ReportFields(problem, u, exact)).volume
     sig = sigma._at_local(vol.loc, vol.phi, vol.tri)
-    dW = problem.density.dw(vol.Gu)
-    corr = float(np.einsum("tq,tqmd,tqmd->", vol.w, dW - sig, vol.ge))
+    corr = float(np.einsum("tq,tqmd,tqmd->", vol.w, vol.dW - sig, vol.ge))
     base = E + corr
     if space.variant == STABILIZED:
         iu = space.interpolate(exact.u, degree=problem.energy_degree + 4) \

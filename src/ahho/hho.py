@@ -186,21 +186,36 @@ class SpaceOps:
             return (self.space.k + 1) * (self.space.k + 3)
         return 2 * self.ncb
 
-    def grad_basis_eval(self, pts, tri=slice(None)):
-        """Vector fields of the local gradient space at points (n, ..., 2)
-        on the triangles ``tri`` (all by default), (n, ..., ng, 2)."""
-        loc = self.local_coords(pts, tri)
-        phi = _batch_eval(self.exps_k, loc)
+    def grad_values(self, loc, phi, c):
+        """Fields of the local gradient space with coefficients c (n, m, ng)
+        at points with local coordinates loc (n, ..., 2) and P_k table phi
+        (n, ..., ncb), (n, ..., m, 2): the first 2 ncb fields are
+        (phi_i, 0) and (0, phi_i), the k+1 RT fields are x q_j with q_j
+        the homogeneous degree-k monomials, the last k+1 of P_k."""
         ncb = self.ncb
-        out = np.zeros(phi.shape[:-1] + (self.grad_space_dim(), 2))
-        out[..., :ncb, 0] = phi
-        out[..., ncb:2 * ncb, 1] = phi
+        n, m = c.shape[:2]
+        npt = int(np.prod(loc.shape[1:-1]))
+        phi = phi.reshape(n, npt, ncb)
+        # [c_x | c_y] as (n, ncb, m * 2), so the product is (n, npt, m, 2)
+        cxy = c[:, :, :2 * ncb].reshape(n, m, 2, ncb).transpose(0, 3, 1, 2)
+        out = np.matmul(phi, cxy.reshape(n, ncb, 2 * m)).reshape(
+            n, npt, m, 2)
         if self.space.variant == RT:
-            # the homogeneous degree-k monomials are the last k+1 of P_k
-            q = phi[..., ncb - self.nsb:]
-            out[..., 2 * ncb:, 0] = loc[..., 0:1] * q
-            out[..., 2 * ncb:, 1] = loc[..., 1:2] * q
-        return out
+            s = np.matmul(phi[..., ncb - self.nsb:],
+                          c[:, :, 2 * ncb:].transpose(0, 2, 1))
+            xy = loc.reshape(n, npt, 2)
+            out[..., 0] += xy[..., 0:1] * s
+            out[..., 1] += xy[..., 1:2] * s
+        return out.reshape(loc.shape[:-1] + (m, 2))
+
+    def grad_basis_eval(self, pts, tri=slice(None)):
+        """The gradient-space fields at points (n, ..., 2) on the triangles
+        ``tri`` (all by default), (n, ..., ng, 2): :meth:`grad_values`
+        with identity coefficients."""
+        loc = self.local_coords(pts, tri)
+        ng = self.grad_space_dim()
+        eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
+        return self.grad_values(loc, _batch_eval(self.exps_k, loc), eye)
 
     def grad_basis_div(self, pts):
         """Divergence of the gradient-space fields; the last k+1 (RT)
@@ -377,8 +392,11 @@ class SpaceOps:
         degree = max(degree, 2 * (self.space.k + 1))
         if degree not in self._energy_cache:
             pts, w = self._volume_rule(degree)
-            tau = self.grad_basis_eval(pts)
-            B = np.einsum("tqid,til->tqdl", tau, self.G_op)
+            loc = self.local_coords(pts)
+            # B[t, q, :, l] is G applied to the l-th local unit vector
+            B = self.grad_values(loc, _batch_eval(self.exps_k, loc),
+                                 self.G_op.transpose(0, 2, 1))
+            B = np.ascontiguousarray(B.transpose(0, 1, 3, 2))
             self._energy_cache[degree] = {"pts": pts, "w": w, "B": B}
         return self._energy_cache[degree]
 
@@ -509,9 +527,7 @@ class GradField:
 
     def at_points(self, pts, tri=slice(None)):
         """Values at points (n, ..., 2) on the triangles ``tri`` (all by
-        default) -> (n, ..., m, 2), from the P_k values alone: the first
-        2 ncb fields are (phi_i, 0) and (0, phi_i), the k+1 RT fields are
-        x q_j with q_j the homogeneous degree-k monomials."""
+        default) -> (n, ..., m, 2)."""
         ops = self.space.ops
         loc = ops.local_coords(pts, tri)
         return self._at_local(loc, _batch_eval(ops.exps_k, loc), tri)
@@ -520,23 +536,7 @@ class GradField:
         """:meth:`at_points` from the local coordinates (n, ..., 2) of the
         points and their P_k table ``phi`` (n, ..., ncb), for a caller
         that reads the table too."""
-        ops = self.space.ops
-        ncb = ops.ncb
-        c = self.coeffs[tri]
-        n, m = c.shape[:2]
-        npt = int(np.prod(loc.shape[1:-1]))
-        phi = phi.reshape(n, npt, ncb)
-        # [c_x | c_y] as (n, ncb, m * 2), so the product is (n, npt, m, 2)
-        cxy = c[:, :, :2 * ncb].reshape(n, m, 2, ncb).transpose(0, 3, 1, 2)
-        out = np.matmul(phi, cxy.reshape(n, ncb, 2 * m)).reshape(
-            n, npt, m, 2)
-        if self.space.variant == RT:
-            s = np.matmul(phi[..., ncb - ops.nsb:],
-                          c[:, :, 2 * ncb:].transpose(0, 2, 1))
-            xy = loc.reshape(n, npt, 2)
-            out[..., 0] += xy[..., 0:1] * s
-            out[..., 1] += xy[..., 1:2] * s
-        return out.reshape(loc.shape[:-1] + (m, 2))
+        return self.space.ops.grad_values(loc, phi, self.coeffs[tri])
 
     def div_at_points(self, pts):
         dv = self.space.ops.grad_basis_div(pts)
@@ -560,19 +560,15 @@ class PiecewisePoly:
         self.coeffs = coeffs
         self.exps = monomial_exponents(degree)
 
-    def at_points(self, pts):
-        """(nt, ..., 2) -> (nt, ..., m)."""
-        phi = self.space.ops.cell_eval(self.exps, pts)
-        return np.einsum("t...i,tmi->t...m", phi, self.coeffs)
+    def at_points(self, pts, tri=slice(None)):
+        """Values at points (n, ..., 2) on the triangles ``tri`` (all by
+        default) -> (n, ..., m)."""
+        phi = self.space.ops.cell_eval(self.exps, pts, tri)
+        return np.einsum("t...i,tmi->t...m", phi, self.coeffs[tri])
 
     def grad_at_points(self, pts):
         g = self.space.ops.cell_grad(self.exps, pts)
         return np.einsum("t...id,tmi->t...md", g, self.coeffs)
-
-    def at_points_of(self, tri_idx, pts):
-        """Evaluate on selected triangles: pts (n, ..., 2), tri_idx (n,)."""
-        phi = self.space.ops.cell_eval(self.exps, pts, tri_idx)
-        return np.einsum("n...i,nmi->n...m", phi, self.coeffs[tri_idx])
 
 
 class HhoSpace:
@@ -697,7 +693,7 @@ class HhoSpace:
 
         # side corrections: bF * q_F with q_F in P_k(F)
         tplus = mesh.adjacency[:, 0]
-        w_side = w_poly.at_points_of(tplus, ops.side_pts)    # (ns, nqs, m)
+        w_side = w_poly.at_points(ops.side_pts, tplus)    # (ns, nqs, m)
         vF_vals = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)
         rhs = np.einsum("q,qi,sqm->sim", ops.side_wref, ops.chi_ref,
                         vF_vals - w_side)

@@ -3,8 +3,7 @@
 A :class:`Triangulation` stores vertices, triangles with a distinguished
 refinement edge, a global side table with oriented unit normals, boundary
 labels, and (after refinement) parent links to the previous level.  Meshes
-are immutable after construction; refinement returns a new mesh whose
-``previous`` attribute points back to the coarse one.
+are immutable after construction; refinement returns a new mesh.
 
 Refinement bisects every triangle by its pattern of split edges, after
 Funken, Praetorius & Wissgott (CMAM 2011).  Labels are inherited: an
@@ -66,12 +65,10 @@ class Triangulation:
     parent : (nt,) int array
         Index of the containing triangle on the previous level (-1 on the
         initial mesh).
-    previous : Triangulation or None
-        The coarse mesh this one was refined from.
     """
 
     def __init__(self, vertices, triangles, ref_edge, labels_or_rule,
-                 parent=None, previous=None, _skip_checks=False):
+                 parent=None, _skip_checks=False):
         self.vertices = np.array(vertices, dtype=float, order="C")
         tri = np.array(triangles, dtype=np.int64, order="C")
         ref = np.array(ref_edge, dtype=np.int64, order="C")
@@ -104,7 +101,6 @@ class Triangulation:
         if parent is None:
             parent = np.full(nt, -1, dtype=np.int64)
         self.parent = np.array(parent, dtype=np.int64, order="C")
-        self.previous = previous
 
         for arr in (self.vertices, self.triangles, self.ref_edge, self.sides,
                     self.side_of_triangle, self.adjacency, self.normals,
@@ -322,8 +318,7 @@ class Triangulation:
                                  self.labels[split]])
         return Triangulation(vertices, candidates[keep], ref[keep],
                              _SideLabelMap(pairs, labels),
-                             parent=parent[keep], previous=self,
-                             _skip_checks=True)
+                             parent=parent[keep], _skip_checks=True)
 
     def refine_nvb(self, marked):
         """Newest-vertex bisection of ``marked`` with conformity closure.

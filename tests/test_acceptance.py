@@ -175,7 +175,7 @@ def _companion_defect(space, rng):
     cells = np.linalg.solve(ops.gram_k, mom).transpose(0, 2, 1)
     worst = float(np.max(np.abs(cells - v.cells)))
     tplus = space.mesh.adjacency[:, 0]
-    jv_s = J.at_points_of(tplus, ops.side_pts)
+    jv_s = J.at_points(ops.side_pts, tplus)
     mom_s = np.einsum("q,qi,sqm->smi", ops.side_wref, ops.chi_ref, jv_s)
     sides = np.linalg.solve(ops.gram_side_ref, mom_s[..., None])[..., 0]
     return max(worst, float(np.max(np.abs(sides - v.sides))))

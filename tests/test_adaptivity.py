@@ -175,7 +175,7 @@ def test_estimator_terms_match_straight_quadrature():
 
 
 def _poly_at(poly, t, pts):
-    return poly.at_points_of(np.array([t]), pts[None])[0, :, 0]
+    return poly.at_points(pts[None], np.array([t]))[0, :, 0]
 
 
 def test_estimator_rejects_bad_variant():
@@ -269,14 +269,21 @@ def test_prolong_roundtrip_for_continuous_pk1(k):
 
 
 def test_prolong_rejects_non_nested():
+    """Rejected: an initial mesh (parents -1), a mesh two refinements
+    away (parents out of range), and a refinement of the other diagonal
+    split of the square (parents in range, centroids outside them)."""
     family = AffineFamily()
     mesh_a = family.initial_mesh()
     mesh_b = family.initial_mesh()
+    other = build_triangulation([(0, 0), (1, 0), (1, 1), (0, 1)],
+                                [(0, 1, 3), (1, 2, 3)], mixed_rule)
     pa = family.make_problem(mesh_a, 0)
-    pb = family.make_problem(mesh_b, 0)
     v = pa.space.zero_vector()
-    with pytest.raises(ValueError):
-        prolong(pb.space, pa.space.companion(v))
+    J = pa.space.companion(v)
+    for fine in (mesh_b, mesh_a.refine_uniform().refine_uniform(),
+                 other.refine_uniform()):
+        with pytest.raises(ValueError):
+            prolong(HhoSpace(fine, 0), J)
 
 
 # -- driver ------------------------------------------------------------------------
@@ -443,9 +450,8 @@ def test_zero_estimator_implies_consistency():
     R = space.potential_reconstruction(sol.u)
     tplus = mesh.adjacency[:, 0]
     interior = mesh.interior_sides()
-    r_plus = R.at_points_of(tplus[interior], ops.side_pts[interior])
-    r_minus = R.at_points_of(mesh.adjacency[interior, 1],
-                             ops.side_pts[interior])
+    r_plus = R.at_points(ops.side_pts[interior], tplus[interior])
+    r_minus = R.at_points(ops.side_pts[interior], mesh.adjacency[interior, 1])
     assert np.max(np.abs(r_plus - r_minus)) < 1e-9
     ed = problem._ed
     tau = ops.grad_basis_eval(ed["pts"])

@@ -342,9 +342,9 @@ def test_companion_once_per_level(tmp_path, monkeypatch):
     ("two-well-rect", 0, "two_well_grad", 1)])
 def test_report_exact_fields_once_per_point_set(monkeypatch, name, k,
                                                 closure, per_level):
-    """The reports evaluate the exact fields once per point set and level:
-    the error norms and the lower energy bound share the volume rule, and
-    only the L-shape adds its graded corner rule."""
+    """The reports evaluate the exact fields and W'(G u) once per point
+    set and level: the error norms and the lower energy bound share the
+    volume rule, and only the L-shape adds its graded corner rule."""
     import ahho.benchmarks as benchmarks
     from ahho.adaptivity import EstimatorParams, run_ahho
     from ahho.cli import build_reports
@@ -356,11 +356,16 @@ def test_report_exact_fields_once_per_point_set(monkeypatch, name, k,
     records = run_ahho(bench, k, EstimatorParams(eps=(k + 1) / 100.0),
                        max_ndof=200)
     calls.clear()
+    dw_calls = []
+    dw = bench.density.dw
+    monkeypatch.setattr(bench.density, "dw",
+                        lambda A: dw_calls.append(A.shape) or dw(A))
     rows = build_reports(records, bench)
     assert len(rows) >= 3
     assert all(row["leb"] is not None and row["err_grad_Lp"] is not None
                for row in rows)
     assert len(calls) == per_level * len(rows)
+    assert len(dw_calls) == per_level * len(rows)
 
 
 @pytest.mark.parametrize("name, unread", [("p-laplace-lshape", 0),

@@ -489,13 +489,26 @@ def _leb_stacked_reference(problem, u, sigma, exact, energy):
     return base - sum(data_oscillations(problem)), base
 
 
+def _leb_separate_reference(problem, u, sigma, exact, energy):
+    """The lower energy bound with G u, sigma, W'(G u) and grad u each
+    evaluated on its own at the volume rule."""
+    space = problem.space
+    pts, w = space.ops._volume_rule(problem.energy_degree + 4)
+    dW = problem.density.dw(space.gradient_reconstruction(u).at_points(pts))
+    base = energy + float(np.einsum(
+        "tq,tqmd,tqmd->", w, dW - sigma.at_points(pts),
+        _matrix_values(exact.grad_u, pts, space.m)))
+    return base - sum(data_oscillations(problem)), base
+
+
 @pytest.mark.parametrize("name,k,nref", [("p-laplace-lshape", 1, 1),
                                          ("two-well-rect", 0, 1)])
 def test_report_fields_shared_by_error_norms_and_leb(name, k, nref):
     """Given the level's ReportFields, the error norms are == the ones
     they compute alone (graded corner rule included), and the lower
-    energy bound is == its own evaluation and matches the stacked
-    G u / sigma evaluation to 1e-14 relative."""
+    energy bound is == its own evaluation and to the one with every
+    field evaluated separately, and matches the stacked G u / sigma
+    evaluation to 1e-14 relative."""
     bench, problem, sol, sigma = solve_benchmark(name, k=k, nref=nref)
     ex, point = bench.exact, bench.singular_point
     fields = ReportFields(problem, sol.u, ex)
@@ -506,6 +519,8 @@ def test_report_fields_shared_by_error_norms_and_leb(name, k, nref):
                              fields=fields)
     assert got == lower_energy_bound(problem, sol.u, sigma, ex,
                                      energy=sol.energy)
+    assert got == _leb_separate_reference(problem, sol.u, sigma, ex,
+                                          sol.energy)
     want = _leb_stacked_reference(problem, sol.u, sigma, ex, sol.energy)
     for a, b in zip(got, want):
         assert abs(a - b) <= 1e-14 * abs(b)

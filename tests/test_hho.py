@@ -6,8 +6,9 @@ from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
                       _CompanionGeometry)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
 from ahho.poly import cell_dim, monomial_exponents, reference_triangle_rule
-from poly_reference import (CellBasis, l2_project_side, rt_project,
-                            side_quadrature, triangle_quadrature)
+from poly_reference import (CellBasis, RtBasis, l2_project_side,
+                            rt_project, side_quadrature,
+                            triangle_quadrature)
 
 
 def all_dirichlet(mid):
@@ -57,31 +58,89 @@ def test_running_product_kernels_match_cell_basis(k):
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
+def _padded_grad_basis(ops, pts, tri=slice(None)):
+    """The gradient-space basis table built field by field into a
+    zero-padded (n, ..., ng, 2) array."""
+    loc = ops.local_coords(pts, tri)
+    phi = _batch_eval(ops.exps_k, loc)
+    ncb = ops.ncb
+    out = np.zeros(phi.shape[:-1] + (ops.grad_space_dim(), 2))
+    out[..., :ncb, 0] = phi
+    out[..., ncb:2 * ncb, 1] = phi
+    if ops.space.variant == RT:
+        # the homogeneous degree-k monomials are the last k+1 of P_k
+        q = phi[..., ncb - ops.nsb:]
+        out[..., 2 * ncb:, 0] = loc[..., 0:1] * q
+        out[..., 2 * ncb:, 1] = loc[..., 1:2] * q
+    return out
+
+
+def _grad_field_cases(ops):
+    """(tri, pts): all triangles and subsets, (n, nq, 2) and (n, 3, nq, 2)
+    points, and an empty subset."""
+    subset = np.array([7, 0, 13, 13, 2])
+    return [(slice(None), ops.vol_pts), (slice(None), ops.side_pts_t),
+            (subset, ops.vol_pts[subset]),
+            (subset, ops.side_pts_t[subset]),
+            (subset[:0], ops.vol_pts[:0])]
+
+
 @pytest.mark.parametrize("variant", [RT, STABILIZED])
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("m", [1, 2])
 def test_grad_field_at_points_matches_basis_table(variant, k, m):
-    """``GradField.at_points``, from the P_k values alone, equals the
-    coefficients times the full gradient-space basis table, on all
-    triangles and on subsets, for (n, nq, 2) and (n, 3, nq, 2) points."""
+    """``GradField.at_points`` equals the coefficients times the
+    per-element RT_k basis (RT) or the P_k basis in each row (stabilized),
+    triangle by triangle."""
     rng = np.random.default_rng(11 + k + 3 * m)
     ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
     nt = len(ops.corners)
     c = rng.standard_normal((nt, m, ops.grad_space_dim()))
     field = GradField(ops.space, c)
-    subset = np.array([7, 0, 13, 13, 2])
-    cases = [(slice(None), ops.vol_pts), (slice(None), ops.side_pts_t),
-             (subset, ops.vol_pts[subset]),
-             (subset, ops.side_pts_t[subset]),
-             (subset[:0], ops.vol_pts[:0])]
-    for tri, pts in cases:
+    for tri, pts in _grad_field_cases(ops):
         got = field.at_points(pts, tri)
-        tau = ops.grad_basis_eval(pts, tri)
-        cs = c[tri].reshape((-1,) + (1,) * (pts.ndim - 2) + c.shape[1:])
-        want = np.matmul(cs, tau)
-        assert got.shape == want.shape == pts.shape[:-1] + (m, 2)
-        np.testing.assert_allclose(got, want, rtol=0,
-                                   atol=1e-14 * np.abs(want).max(initial=1))
+        assert got.shape == pts.shape[:-1] + (m, 2)
+        for i, t in enumerate(np.arange(nt)[tri]):
+            x = pts[i].reshape(-1, 2)
+            if variant == RT:
+                tau = RtBasis(k, ops.centroid[t], ops.h_t[t]).eval(x)
+                want = np.einsum("pid,mi->pmd", tau, c[t])
+            else:
+                phi = CellBasis(k, ops.centroid[t], ops.h_t[t]).eval(x)
+                want = np.einsum("pi,mdi->pmd", phi,
+                                 c[t].reshape(m, 2, ops.ncb))
+            np.testing.assert_allclose(
+                got[i].reshape(want.shape), want, rtol=0,
+                atol=1e-14 * np.abs(want).max(initial=1))
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_grad_basis_eval_is_the_padded_table(variant, k, m):
+    """The basis table from the field kernel with identity coefficients
+    has the bytes of the zero-padded table."""
+    ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
+    for tri, pts in _grad_field_cases(ops):
+        got = ops.grad_basis_eval(pts, tri)
+        want = _padded_grad_basis(ops, pts, tri)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_energy_table_matches_padded_contraction(variant, k):
+    """B = G applied to the local unit vectors at the energy rule equals
+    the padded basis table contracted with G_op, to 1e-14 relative."""
+    ops = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant).ops
+    for degree in (2 * k + 2, 2 * k + 6):
+        ed = ops.energy_data(degree)
+        want = np.einsum("tqid,til->tqdl", _padded_grad_basis(ops, ed["pts"]),
+                         ops.G_op)
+        assert ed["B"].shape == want.shape
+        np.testing.assert_allclose(ed["B"], want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
 
 
 def test_volume_rule_and_local_coords_match_broadcast_formulas():
@@ -368,7 +427,7 @@ def test_companion_moment_preservation(k, m):
     assert np.max(np.abs(cell_proj - v.cells)) < 1e-9
     # side moments: Pi_F^k J v = v_F
     tplus = mesh.adjacency[:, 0]
-    jv_side = J.at_points_of(tplus, ops.side_pts)
+    jv_side = J.at_points(ops.side_pts, tplus)
     mom_s = np.einsum("q,qi,sqm->smi", ops.side_wref, ops.chi_ref, jv_side)
     side_proj = np.linalg.solve(ops.gram_side_ref, mom_s[..., None])[..., 0]
     assert np.max(np.abs(side_proj - v.sides)) < 1e-9
@@ -384,8 +443,8 @@ def test_companion_continuity_across_interior_sides():
     for s in mesh.interior_sides():
         tp, tm = mesh.adjacency[s]
         pts = ops.side_pts[s][None]
-        vp = J.at_points_of(np.array([tp]), pts)
-        vm = J.at_points_of(np.array([tm]), pts)
+        vp = J.at_points(pts, np.array([tp]))
+        vm = J.at_points(pts, np.array([tm]))
         assert np.max(np.abs(vp - vm)) < 1e-9
 
 
@@ -411,8 +470,8 @@ def _eval_on_mesh(poly, space, pts):
         for t in range(mesh.num_triangles):
             lam = _bary(corners[t], x)
             if np.all(lam > -1e-9):
-                out[i] = poly.at_points_of(np.array([t]),
-                                           x[None, None, :])[0, 0, 0]
+                out[i] = poly.at_points(x[None, None, :],
+                                        np.array([t]))[0, 0, 0]
                 found = True
                 break
         assert found

@@ -434,8 +434,7 @@ def _refine_loop_reference(mesh, split, label_rule):
                 new_parent.append(t)
     return Triangulation(np.vstack(verts), np.array(new_tri),
                          np.array(new_ref), label_rule,
-                         parent=np.array(new_parent), previous=mesh,
-                         _skip_checks=True)
+                         parent=np.array(new_parent), _skip_checks=True)
 
 
 def _labels_from_parent_rule_reference(mesh):
@@ -507,7 +506,6 @@ def test_refinement_matches_loop_reference(name):
                                       split)
             _assert_same_mesh(fine, _refine_loop_reference(
                 mesh, split, bench.label_rule))
-            assert fine.previous is mesh
             mesh = fine
 
 
