@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hho import RT, STABILIZED
+from .hho import RT, STABILIZED, dof_counts
 from .mesh import _signed_area
 from .solver import minimize
 
@@ -272,9 +272,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
     prev = None         # the coarse level's record
     for level in range(max_levels):
         t0 = time.perf_counter()
-        ndof_next = family.m * (mesh.num_triangles * (k + 1) * (k + 2) // 2
-                                + mesh.num_sides * (k + 1))
-        if ndof_next > max_ndof and level > 0:
+        if sum(dof_counts(mesh, k, family.m)) > max_ndof and level > 0:
             break
         problem = family.make_problem(mesh, k, variant)
         params.validate(k, problem.p, variant)

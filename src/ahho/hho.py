@@ -56,16 +56,6 @@ def _batch_grad(exps, loc, h):
     return g / h.reshape(h.shape + (1,) * (g.ndim - h.ndim))
 
 
-def _batch_laplace(exps, loc, h):
-    """Scaled monomial Laplacians; loc (nt, ..., 2) -> (nt, ..., ndim)."""
-    a = exps[:, 0]
-    b = exps[:, 1]
-    xp, yp = _power_tables(exps, loc)
-    dxx = a * (a - 1) * xp[..., np.maximum(a - 2, 0)] * yp[..., b]
-    dyy = b * (b - 1) * xp[..., a] * yp[..., np.maximum(b - 2, 0)]
-    return (dxx + dyy) / (h ** 2).reshape(h.shape + (1,) * (dxx.ndim - 1))
-
-
 def lattice_nodes(degree):
     """Uniform barycentric lattice on the triangle, shape (dim, 3)."""
     nodes = []
@@ -73,6 +63,12 @@ def lattice_nodes(degree):
         for j in range(degree + 1 - i):
             nodes.append((degree - i - j, j, i))
     return np.array(nodes, dtype=float) / degree
+
+
+def dof_counts(mesh, k, m):
+    """Cell and side dof counts of the degree-k space with m components."""
+    return (mesh.num_triangles * m * cell_dim(k),
+            mesh.num_sides * m * (k + 1))
 
 
 def stabilization_degree(k, p):
@@ -127,8 +123,7 @@ class SpaceOps:
 
         self._build_local_maps()
         self._build_projections()
-        self._build_gradient_op()
-        self._build_potential_op()
+        self._build_potential_op(self._build_gradient_op())
         if space.variant == STABILIZED:
             self._build_stabilization_op()
         self._energy_cache = {}
@@ -288,9 +283,6 @@ class SpaceOps:
         phi_k = self.cell_eval(self.exps_k, self.vol_pts)
         self.phi_k_vol = phi_k
         self.gram_k = np.einsum("tq,tqi,tqj->tij", self.vol_w, phi_k, phi_k)
-        # side Gram (same reference basis on every side, scaled by h_F)
-        self.gram_side_ref = np.einsum("q,qi,qj->ij", self.side_wref,
-                                       self.chi_ref, self.chi_ref)
         # traces of the cell basis at the side points of each triangle
         self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
         self.phi_k_side = self.cell_eval(self.exps_k, self.side_pts_t)
@@ -317,74 +309,59 @@ class SpaceOps:
                 self.ncb + (j + 1) * self.nsb] = blk
         self.grad_gram = gram
         self.G_op = np.linalg.solve(gram, rhs)             # (nt, ng, nloc)
+        return rhs
 
     # -- potential reconstruction --------------------------------------------------
 
-    def _build_potential_op(self):
-        w = self.vol_w
-        gphi = self.cell_grad(self.exps_k1, self.vol_pts)   # (nt,nq,nk1,2)
-        stiff = np.einsum("tq,tqid,tqjd->tij", w, gphi, gphi)
-        lap = _batch_laplace(self.exps_k1, self.local_coords(self.vol_pts),
-                             self.h_t)
-        rhs_cell = -np.einsum("tq,tqi,tqj->tij", w, lap, self.phi_k_vol)
-        nt, nk1 = stiff.shape[0], self.nk1
-        rhs = np.zeros((nt, nk1, self.nloc))
-        rhs[:, :, :self.ncb] = rhs_cell
-        gphi_side = self.cell_grad(self.exps_k1, self.side_pts_t)
-        gn = np.einsum("tjqid,tjd->tjqi", gphi_side, self.nu)
-        wside = self.h_f[self.sot][:, :, None] * self.side_wref
-        for j in range(3):
-            blk = np.einsum("tq,tqi,qn->tin", wside[:, j], gn[:, j],
-                            self.chi_ref)
-            rhs[:, :, self.ncb + j * self.nsb:
-                self.ncb + (j + 1) * self.nsb] = blk
-        # mean-value constraint by a Lagrange multiplier row
-        mean = np.einsum("tq,tqi->ti", w,
+    def _build_potential_op(self, rhs_g):
+        """grad R v is the L2 projection of G v onto grad P_{k+1}, a
+        subspace of the gradient space, and R v has the mean of v_K:
+        [D^T M D, mean; mean^T, 0] R = [D^T rhs_g; int phi_k] with M the
+        gradient-space Gram and rhs_g G's right-hand side.  D (nt, ng, nk1)
+        takes P_{k+1} coefficients to the gradient-space coefficients of
+        their gradients: d/dx of the monomial (a, b) is a/h_T times the P_k
+        monomial (a-1, b) in the x-block, d/dy is b/h_T times (a, b-1) in
+        the y-block, and the RT rows stay zero."""
+        D = np.zeros((self.grad_space_dim(), self.nk1))
+        for j, (a, b) in enumerate(self.exps_k1):
+            row = (a + b) * (a + b - 1) // 2   # first monomial of degree a+b-1
+            if a:
+                D[row + b, j] = a
+            if b:
+                D[self.ncb + row + b - 1, j] = b
+        D = D / self.h_t[:, None, None]
+        Dt = D.transpose(0, 2, 1)
+        nt, nk1 = D.shape[0], self.nk1
+        mean = np.einsum("tq,tqi->ti", self.vol_w,
                          self.cell_eval(self.exps_k1, self.vol_pts))
         aug = np.zeros((nt, nk1 + 1, nk1 + 1))
-        aug[:, :nk1, :nk1] = stiff
+        aug[:, :nk1, :nk1] = Dt @ self.grad_gram @ D
         aug[:, :nk1, nk1] = mean
         aug[:, nk1, :nk1] = mean
         rhs_aug = np.zeros((nt, nk1 + 1, self.nloc))
-        rhs_aug[:, :nk1] = rhs
-        rhs_aug[:, nk1, :self.ncb] = np.einsum("tq,tqi->ti", w,
-                                               self.phi_k_vol)
-        sol = np.linalg.solve(aug, rhs_aug)
-        self.R_op = sol[:, :nk1]                            # (nt, nk1, nloc)
+        rhs_aug[:, :nk1] = Dt @ rhs_g
+        rhs_aug[:, nk1, :self.ncb] = mean[:, :self.ncb]
+        self.R_op = np.linalg.solve(aug, rhs_aug)[:, :nk1]  # (nt, nk1, nloc)
 
     # -- stabilization -----------------------------------------------------------
 
     def _build_stabilization_op(self):
-        # S_{K,S} v = Pi_S^k ( v_S - v_K - (1 - Pi_K^k)(R v)|_K )
-        nt = self.space.mesh.num_triangles
-        # moments of P_{k+1} against P_k -> projection operator
-        mom = np.einsum("tq,tqi,tqj->tij", self.vol_w, self.phi_k_vol,
-                        self.cell_eval(self.exps_k1, self.vol_pts))
-        proj_k_of_k1 = np.linalg.solve(self.gram_k, mom)  # (nt, ncb, nk1)
-        # projection of a P_k / P_{k+1} cell trace onto the side basis
-        inv = np.linalg.inv(self.gram_side_ref)
-        momk = np.einsum("q,qi,tjqn->tjin", self.side_wref, self.chi_ref,
-                         self.phi_k_side)
-        momk1 = np.einsum("q,qi,tjqn->tjin", self.side_wref, self.chi_ref,
-                          self.cell_eval(self.exps_k1, self.side_pts_t))
-        trace_proj_k = np.einsum("in,tjnl->tjil", inv, momk)
-        trace_proj_k1 = np.einsum("in,tjnl->tjil", inv, momk1)
-        S = np.zeros((nt, 3, self.nsb, self.nloc))
-        # R composed with (1 - Pi_K^k), then traced and projected
-        R_proj = np.einsum("tci,til->tcl", proj_k_of_k1, self.R_op)
+        """S_{K,S} v = v_S - Pi_S^k (w|_S) with w = v_K + (1 - Pi_K^k) R v
+        in P_{k+1} (P_k's monomials are the first ncb of P_{k+1}'s)."""
+        ncb, nsb = self.ncb, self.nsb
+        # Pi_K^k of the P_{k+1} monomials (nt, nk1, ncb), and Pi_S^k of
+        # their traces on each side (nt, 3, nk1, nsb)
+        pk1_vol = self.cell_eval(self.exps_k1, self.vol_pts)
+        proj = self.project_cells(self.vol_w, self.phi_k_vol, pk1_vol)[1]
+        pk1_side = self.cell_eval(self.exps_k1, self.side_pts_t)
+        trace = self.project_sides(self.side_wref, self.chi_ref, pk1_side)[1]
+        w_op = self.R_op.copy()
+        w_op[:, :ncb] -= np.einsum("tni,tnl->til", proj, self.R_op)
+        w_op[:, :ncb, :ncb] += np.eye(ncb)
+        S = -np.einsum("tjni,tnl->tjil", trace, w_op)
         for j in range(3):
-            # v_S identity block
-            sl = slice(self.ncb + j * self.nsb, self.ncb + (j + 1) * self.nsb)
-            S[:, j, :, sl] += np.eye(self.nsb)
-            # -v_K trace
-            S[:, j] -= np.pad(trace_proj_k[:, j],
-                              ((0, 0), (0, 0), (0, self.nloc - self.ncb)))
-            # -(R v - Pi_K R v) trace
-            S[:, j] -= (np.einsum("tin,tnl->til", trace_proj_k1[:, j],
-                                  self.R_op)
-                        - np.einsum("tin,tnl->til", trace_proj_k[:, j],
-                                    R_proj))
-        self.S_op = S
+            S[:, j, :, ncb + j * nsb:ncb + (j + 1) * nsb] += np.eye(nsb)
+        self.S_op = S                                   # (nt, 3, nsb, nloc)
 
     # -- energy-rule data (degree depends on the density) ---------------------------
 
@@ -593,8 +570,7 @@ class HhoSpace:
         self.k = k
         self.m = m
         self.variant = variant
-        self.ncell_dofs = mesh.num_triangles * m * cell_dim(k)
-        self.nside_dofs = mesh.num_sides * m * (k + 1)
+        self.ncell_dofs, self.nside_dofs = dof_counts(mesh, k, m)
         self.ndof = self.ncell_dofs + self.nside_dofs
         if dirichlet_mask is None:
             dirichlet_mask = np.zeros((mesh.num_sides, m), dtype=bool)

@@ -41,8 +41,10 @@ class SolverSettings:
     backtrack: float = 0.5
 
     def validate(self):
-        if min(self.grad_tol, self.step_tol, self.energy_tol) <= 0:
-            raise ValueError("solver tolerances must be positive")
+        for name in ("grad_tol", "step_tol", "energy_tol"):
+            # false for the NaN and Infinity that a config file may hold
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
         if self.method not in ("auto", "newton", "lbfgs"):

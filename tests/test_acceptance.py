@@ -177,7 +177,8 @@ def _companion_defect(space, rng):
     tplus = space.mesh.adjacency[:, 0]
     jv_s = J.at_points(ops.side_pts, tplus)
     mom_s = np.einsum("q,qi,sqm->smi", ops.side_wref, ops.chi_ref, jv_s)
-    sides = np.linalg.solve(ops.gram_side_ref, mom_s[..., None])[..., 0]
+    gram_s = np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref, ops.chi_ref)
+    sides = np.linalg.solve(gram_s, mom_s[..., None])[..., 0]
     return max(worst, float(np.max(np.abs(sides - v.sides))))
 
 

@@ -182,13 +182,19 @@ def test_cli_main_rejects_bad_eps(tmp_path, capsys):
     assert "eps" in capsys.readouterr().err
 
 
-def test_cli_main_rejects_bad_config_file(tmp_path, capsys):
+@pytest.mark.parametrize("bad", [
+    {"max_iter": 0}, {"grad_tol": float("nan")},
+    {"step_tol": float("inf")}, {"energy_tol": float("nan")}],
+    ids=lambda bad: next(iter(bad)))
+def test_cli_main_rejects_bad_config_file(tmp_path, capsys, bad):
     """A solver setting out of range in a config file exits 2 with the
-    rule named, before any level is solved."""
+    rule named, before any level is solved; the NaN and Infinity that
+    JSON files may hold are out of range for a tolerance."""
     path = write_config(tmp_path, benchmark="manufactured-affine",
-                        max_iter=0, out=str(tmp_path / "x"))
+                        out=str(tmp_path / "x"), **bad)
     assert main(["run", "--config", str(path)]) == 2
-    assert "max_iter" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and next(iter(bad)) in err
     assert not (tmp_path / "x").exists()
 
 

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
-                      _batch_eval, _batch_grad, _batch_laplace,
-                      _CompanionGeometry)
+                      _batch_eval, _batch_grad, _CompanionGeometry)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
 from ahho.poly import cell_dim, monomial_exponents, reference_triangle_rule
-from poly_reference import (CellBasis, RtBasis, l2_project_side,
-                            rt_project, side_quadrature,
+from poly_reference import (CellBasis, RtBasis, SideBasis, l2_project_cell,
+                            l2_project_side, rt_project, side_quadrature,
                             triangle_quadrature)
 
 
@@ -37,9 +36,9 @@ def random_vector(space, rng):
 
 @pytest.mark.parametrize("k", range(6))
 def test_running_product_kernels_match_cell_basis(k):
-    """Values, gradients and Laplacians built from running-product power
-    tables agree with the per-element basis evaluated by integer powers,
-    also where a local coordinate is 0 (0**0 and zero exponents)."""
+    """Values and gradients built from running-product power tables agree
+    with the per-element basis evaluated by integer powers, also where a
+    local coordinate is 0 (0**0 and zero exponents)."""
     rng = np.random.default_rng(5 + k)
     centroid, h = np.array([0.3, -0.2]), 0.7
     pts = centroid + h * rng.uniform(-1.0, 1.0, (40, 2))
@@ -51,8 +50,7 @@ def test_running_product_kernels_match_cell_basis(k):
     loc = ((pts - centroid) / h)[None]
     hh = np.array([h])
     for got, want in ((_batch_eval(exps, loc)[0], basis.eval(pts)),
-                      (_batch_grad(exps, loc, hh)[0], basis.grad(pts)),
-                      (_batch_laplace(exps, loc, hh)[0], basis.laplace(pts))):
+                      (_batch_grad(exps, loc, hh)[0], basis.grad(pts))):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(want)))
@@ -314,11 +312,106 @@ def test_potential_constant():
     assert np.allclose(vals, 3.25, atol=1e-11)
 
 
-@pytest.mark.parametrize("k", [0, 1])
-def test_potential_mean_and_stiffness_identity(k):
+def _pk1_laplacians(ops):
+    """Laplacians of the P_{k+1} basis at the volume rule, (nt, nq, nk1),
+    triangle by triangle from the reference basis."""
+    k = ops.space.k
+    return np.stack([CellBasis(k + 1, ops.centroid[t], ops.h_t[t]).laplace(x)
+                     for t, x in enumerate(ops.vol_pts)])
+
+
+def _reference_potential_op(ops):
+    """R built from scratch, by a Laplacian volume term and a side loop:
+    int grad R v . grad phi = -int v_K lap phi + sum_S int_S v_S grad phi
+    . nu_T for phi in P_{k+1}, with the mean of R v that of v_K."""
+    w = ops.vol_w
+    gphi = ops.cell_grad(ops.exps_k1, ops.vol_pts)
+    stiff = np.einsum("tq,tqid,tqjd->tij", w, gphi, gphi)
+    rhs_cell = -np.einsum("tq,tqi,tqj->tij", w, _pk1_laplacians(ops),
+                          ops.phi_k_vol)
+    nt, nk1 = stiff.shape[0], ops.nk1
+    rhs = np.zeros((nt, nk1, ops.nloc))
+    rhs[:, :, :ops.ncb] = rhs_cell
+    gphi_side = ops.cell_grad(ops.exps_k1, ops.side_pts_t)
+    gn = np.einsum("tjqid,tjd->tjqi", gphi_side, ops.nu)
+    wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
+    for j in range(3):
+        blk = np.einsum("tq,tqi,qn->tin", wside[:, j], gn[:, j], ops.chi_ref)
+        rhs[:, :, ops.ncb + j * ops.nsb:ops.ncb + (j + 1) * ops.nsb] = blk
+    mean = np.einsum("tq,tqi->ti", w, ops.cell_eval(ops.exps_k1, ops.vol_pts))
+    aug = np.zeros((nt, nk1 + 1, nk1 + 1))
+    aug[:, :nk1, :nk1] = stiff
+    aug[:, :nk1, nk1] = mean
+    aug[:, nk1, :nk1] = mean
+    rhs_aug = np.zeros((nt, nk1 + 1, ops.nloc))
+    rhs_aug[:, :nk1] = rhs
+    rhs_aug[:, nk1, :ops.ncb] = np.einsum("tq,tqi->ti", w, ops.phi_k_vol)
+    return np.linalg.solve(aug, rhs_aug)[:, :nk1]
+
+
+def _reference_stabilization_op(ops):
+    """S_{K,S} from hand-written Gram matrices and moments: the identity
+    on the side dofs minus the projected traces of v_K and of
+    (1 - Pi_K^k) R v."""
+    nt, ncb, nsb, nloc = len(ops.corners), ops.ncb, ops.nsb, ops.nloc
+    mom = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
+                    ops.cell_eval(ops.exps_k1, ops.vol_pts))
+    proj_k_of_k1 = np.linalg.solve(ops.gram_k, mom)
+    inv = np.linalg.inv(np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref,
+                                  ops.chi_ref))
+    momk = np.einsum("q,qi,tjqn->tjin", ops.side_wref, ops.chi_ref,
+                     ops.phi_k_side)
+    momk1 = np.einsum("q,qi,tjqn->tjin", ops.side_wref, ops.chi_ref,
+                      ops.cell_eval(ops.exps_k1, ops.side_pts_t))
+    trace_proj_k = np.einsum("in,tjnl->tjil", inv, momk)
+    trace_proj_k1 = np.einsum("in,tjnl->tjil", inv, momk1)
+    S = np.zeros((nt, 3, nsb, nloc))
+    R_proj = np.einsum("tci,til->tcl", proj_k_of_k1, ops.R_op)
+    for j in range(3):
+        sl = slice(ncb + j * nsb, ncb + (j + 1) * nsb)
+        S[:, j, :, sl] += np.eye(nsb)
+        S[:, j, :, :ncb] -= trace_proj_k[:, j]
+        S[:, j] -= (np.einsum("tin,tnl->til", trace_proj_k1[:, j], ops.R_op)
+                    - np.einsum("tin,tnl->til", trace_proj_k[:, j], R_proj))
+    return S
+
+
+def nvb_lshape_mesh():
+    """An L-shape refined uniformly, then by NVB towards the corner, so
+    that triangles of several shapes and sizes occur."""
+    mesh = refine_uniform(lshape_mesh())
+    for _ in range(2):
+        near = np.nonzero(np.hypot(*mesh.centroids().T) < 0.6)[0]
+        mesh = mesh.refine_nvb(near)
+    return mesh
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_potential_and_stabilization_match_reference_builds(k, variant):
+    """R read off G equals R built from scratch: the same bits at k = 0,
+    1e-13 relative above; S from the shared projections equals S from
+    hand-written Gram matrices to 1e-13."""
+    ops = HhoSpace(nvb_lshape_mesh(), k, variant=variant).ops
+    want = _reference_potential_op(ops)
+    assert ops.R_op.shape == want.shape
+    if k == 0:
+        assert np.array_equal(ops.R_op, want)
+    np.testing.assert_allclose(ops.R_op, want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
+    if variant == STABILIZED:
+        want = _reference_stabilization_op(ops)
+        assert ops.S_op.shape == want.shape
+        np.testing.assert_allclose(ops.S_op, want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_potential_mean_and_stiffness_identity(k, variant):
     rng = np.random.default_rng(11)
     mesh = square_mesh()
-    space = HhoSpace(mesh, k)
+    space = HhoSpace(mesh, k, variant=variant)
     ops = space.ops
     v = random_vector(space, rng)
     R = space.potential_reconstruction(v)
@@ -331,9 +424,7 @@ def test_potential_mean_and_stiffness_identity(k):
     gR = R.grad_at_points(ops.vol_pts)[:, :, 0, :]
     gphi = ops.cell_grad(ops.exps_k1, ops.vol_pts)
     lhs = np.einsum("tq,tqd,tqid->ti", ops.vol_w, gR, gphi)
-    lap = np.einsum("tq,tqi,tq->ti", ops.vol_w,
-                    _batch_laplace(ops.exps_k1,
-                                   ops.local_coords(ops.vol_pts), ops.h_t),
+    lap = np.einsum("tq,tqi,tq->ti", ops.vol_w, _pk1_laplacians(ops),
                     np.einsum("tmi,tqi->tq", v.cells, ops.phi_k_vol))
     rhs = -lap
     gphi_side = ops.cell_grad(ops.exps_k1, ops.side_pts_t)
@@ -344,11 +435,13 @@ def test_potential_mean_and_stiffness_identity(k):
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
-def test_potential_gradient_is_projection_of_g(k=1):
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_potential_gradient_is_projection_of_g(k, variant):
     """D R v is the L2 projection of G v onto gradients of P_{k+1}."""
     rng = np.random.default_rng(13)
     mesh = square_mesh()
-    space = HhoSpace(mesh, k)
+    space = HhoSpace(mesh, k, variant=variant)
     ops = space.ops
     v = random_vector(space, rng)
     R = space.potential_reconstruction(v)
@@ -373,6 +466,38 @@ def test_stabilization_vanishes_on_pk1_interpolants(k):
                           degree=2 * (k + 1) + 2)
     s = space.stabilization(v, v, p=2.0)
     assert abs(s) < 1e-20 or s < 1e-22
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_stabilization_op_matches_definition(k):
+    """Per triangle and side, S_op applied to v is Pi_S^k (v_S - v_K
+    - (1 - Pi_K^k) R v), with the reference projections."""
+    rng = np.random.default_rng(19)
+    mesh = nvb_lshape_mesh()
+    space = HhoSpace(mesh, k, variant=STABILIZED)
+    ops = space.ops
+    v = random_vector(space, rng)
+    loc = ops.gather_local(v.data)[:, 0]
+    rc = space.potential_reconstruction(v).coeffs[:, 0]
+    corners = mesh.corners()
+    for t in range(0, mesh.num_triangles, 5):
+        cell = CellBasis(k, ops.centroid[t], ops.h_t[t])
+        pot = CellBasis(k + 1, ops.centroid[t], ops.h_t[t])
+        pc, pb = l2_project_cell(lambda x: pot.eval(x) @ rc[t], corners[t],
+                                 k, 2 * k + 2)
+        for j in range(3):
+            s = mesh.side_of_triangle[t, j]
+            a, b = mesh.vertices[mesh.sides[s]]
+            side = SideBasis(k, a, b)
+
+            def f(x):
+                return (side.eval(x) @ v.sides[s, 0]
+                        - cell.eval(x) @ v.cells[t, 0]
+                        - pot.eval(x) @ rc[t] + pb.eval(x) @ pc)
+            want, _ = l2_project_side(f, a, b, k, 2 * k + 2)
+            got = ops.S_op[t, j] @ loc[t]
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
 
 
 def test_stabilization_nonnegative_and_hoelder():
@@ -429,7 +554,8 @@ def test_companion_moment_preservation(k, m):
     tplus = mesh.adjacency[:, 0]
     jv_side = J.at_points(ops.side_pts, tplus)
     mom_s = np.einsum("q,qi,sqm->smi", ops.side_wref, ops.chi_ref, jv_side)
-    side_proj = np.linalg.solve(ops.gram_side_ref, mom_s[..., None])[..., 0]
+    gram_s = np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref, ops.chi_ref)
+    side_proj = np.linalg.solve(gram_s, mom_s[..., None])[..., 0]
     assert np.max(np.abs(side_proj - v.sides)) < 1e-9
 
 
@@ -523,7 +649,6 @@ def test_seminorm_matches_quadrature_oracle():
             srule = side_quadrature(a, b, 6)
             h = np.linalg.norm(b - a)
             vT = cb.eval(srule.points) @ v.cells[t, 0]
-            from poly_reference import SideBasis
             sb = SideBasis(1, a, b)
             vF = sb.eval(srule.points) @ v.sides[s, 0]
             total += h ** (1 - p) * (srule.weights @ (vT - vF) ** 2)
