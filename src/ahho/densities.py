@@ -45,7 +45,9 @@ def _norm(A):
 
 
 def p_laplace(p):
-    """W(a) = |a|^p / p with DW(a) = |a|^(p-2) a."""
+    """W(a) = |a|^p / p with DW(a) = |a|^(p-2) a, for arguments of any
+    trailing shape (m, d): the stabilized energy applies it to S_{K,S} v
+    with d = 1."""
     if p <= 1:
         raise ValueError("p-Laplace requires p > 1")
 
@@ -63,13 +65,12 @@ def p_laplace(p):
         return fac[..., None, None] * A
 
     def d2w(A):
-        r = np.maximum(_norm(A), _D2W_FLOOR)
-        eye = np.eye(2)
-        h = np.zeros(A.shape[:-2] + (1, 2, 1, 2))
-        h[..., 0, :, 0, :] = (r ** (p - 2))[..., None, None] * eye
+        r = np.maximum(_norm(A), _D2W_FLOOR)[..., None, None, None, None]
+        m, d = A.shape[-2:]
+        h = r ** (p - 2) * np.eye(m * d).reshape(m, d, m, d)
         if p != 2:
-            h[..., 0, :, 0, :] += ((p - 2) * r ** (p - 4))[..., None, None] \
-                * np.einsum("...d,...e->...de", A[..., 0, :], A[..., 0, :])
+            h += (p - 2) * r ** (p - 4) \
+                * np.einsum("...md,...ne->...mdne", A, A)
         return h
 
     def conj(S):

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .densities import p_laplace
 from .poly import (cell_dim, monomial_exponents, reference_segment_rule,
                    reference_triangle_rule)
 
@@ -628,16 +629,15 @@ class HhoSpace:
 
     def stabilization(self, u, v, p, return_parts=False):
         """s_l(u; v) = sum_K sum_S h_S^{1-p} int_S |S u|^(p-2) S u . S v,
-        with the parts per element (nt,) and per side (nt, 3) on request."""
+        the p-Laplace DW(S u) . S v, with the parts per element (nt,) and
+        per side (nt, 3) on request."""
         ops = self.ops
         sd = ops.stab_data(p)
-        Su = np.einsum("tjql,tml->tjmq", sd["B"], ops.gather_local(u.data))
-        Sv = Su if v is u else np.einsum("tjql,tml->tjmq", sd["B"],
+        Su = np.einsum("tjql,tml->tjqm", sd["B"], ops.gather_local(u.data))
+        Sv = Su if v is u else np.einsum("tjql,tml->tjqm", sd["B"],
                                          ops.gather_local(v.data))
-        mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", Su, Su))
-        integrand = np.einsum("tjq,tjmq,tjmq->tjq",
-                              _safe_pow(mag, p - 2), Su, Sv)
-        per_side = np.einsum("tjq,tjq->tj", sd["w"], integrand)
+        dW = p_laplace(p).dw(Su[..., None])[..., 0]
+        per_side = np.einsum("tjq,tjqm,tjqm->tj", sd["w"], dW, Sv)
         per_elem = per_side.sum(axis=1)
         total = float(per_elem.sum())
         if return_parts:
@@ -746,16 +746,3 @@ def _values_at(fn, pts, m):
     """``fn`` at points (..., 2) as values (..., m)."""
     return _as_components(fn(pts.reshape(-1, 2)), m).reshape(
         pts.shape[:-1] + (m,))
-
-
-def _safe_pow(mag, e):
-    """mag**e with the singularity at 0 of a negative exponent (p < 2 in
-    the energy, p < 4 in its Hessian) regularized to 0."""
-    if e == 0:
-        return np.ones_like(mag)
-    if e > 0:
-        return mag ** e
-    out = np.zeros_like(mag)
-    nz = mag > 0
-    out[nz] = mag[nz] ** e
-    return out

@@ -19,8 +19,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .densities import p_laplace
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _safe_pow, _values_at
+    _values_at
 
 # Armijo trials per line search, consecutive stalled L-BFGS steps, and
 # consecutive stalled Newton steps before the optimizer stops
@@ -166,6 +167,15 @@ class DiscreteProblem:
             self.zeta_osc = _residual_integral(w, phi, zv, piz, 2.0)
             self.cell_gram = ops.gram_k
         self._ed = ops.energy_data(self.energy_degree)
+        # the energy terms (T, w, density), each int w W(T v) over a table
+        # T (nt, nq, d, nloc) of local responses: the density on G v, and
+        # when stabilized s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p
+        self._terms = [(self._ed["B"], self._ed["w"], self.density)]
+        if self.stabilized:
+            sd = ops.stab_data(self.p)
+            nt, _, _, nloc = sd["B"].shape
+            self._terms.append((sd["B"].reshape(nt, -1, 1, nloc),
+                                sd["w"].reshape(nt, -1), p_laplace(self.p)))
 
     def dirichlet_data_on(self, sides):
         """u_dirichlet at the data rule on constrained ``sides``,
@@ -191,29 +201,29 @@ class DiscreteProblem:
         return v
 
     def _local_values(self, v):
-        """Local coefficients (nt, m, nloc) of ``v`` and G v at the energy
-        quadrature points (nt, nq, m, 2).  While ``minimize`` runs they are
-        kept for the last point, so the energy, the gradient and the
-        Hessian at one point compute them once."""
+        """T v (nt, nq, m, d) for every energy term; the first is G v.
+        While ``minimize`` runs they are kept for the last point, so the
+        energy, the gradient and the Hessian at one point compute them
+        once."""
         point = self._point
         if point and np.array_equal(point[0], v.data):
-            return point[1], point[2]
+            return point[1]
         loc = self.space.ops.gather_local(v.data)
-        Gv = np.einsum("tqdl,tml->tqmd", self._ed["B"], loc)
+        values = [np.einsum("tqdl,tml->tqmd", T, loc)
+                  for T, _, _ in self._terms]
         if point is not None:
-            point[:] = (v.data.copy(), loc, Gv)
-        return loc, Gv
+            point[:] = (v.data.copy(), values)
+        return values
 
     def _grad_values(self, v):
         """G v at the energy quadrature points, (nt, nq, m, 2)."""
-        return self._local_values(v)[1]
+        return self._local_values(v)[0]
 
     def energy(self, v):
-        Gv = self._grad_values(v)
-        E = float(np.sum(self._ed["w"] * self.density.w(Gv)))
+        E = 0.0
+        for (_, w, density), Tv in zip(self._terms, self._local_values(v)):
+            E += float(np.sum(w * density.w(Tv)))
         E -= float(self.load @ v.data)
-        if self.stabilized:
-            E += self.space.stabilization(v, v, self.p) / self.p
         if self.l2_weight > 0.0:
             vM = np.einsum("tij,tmj->tmi", self.cell_gram, v.cells)
             quad = np.einsum("tmi,tmi->", v.cells, vM)
@@ -222,16 +232,13 @@ class DiscreteProblem:
         return E
 
     def energy_gradient(self, v, reduced=True):
-        ops = self.space.ops
-        Gv = self._grad_values(v)
-        dW = self.density.dw(Gv)
-        wdW = self._ed["w"][..., None, None] * dW
-        g_loc = np.einsum("tqmd,tqdl->tml", wdW, self._ed["B"])
+        g_loc = sum(np.einsum("tqmd,tqdl->tml",
+                              w[..., None, None] * density.dw(Tv), T)
+                    for (T, w, density), Tv in zip(self._terms,
+                                                   self._local_values(v)))
         grad = np.zeros(self.space.ndof)
-        ops.scatter_add(grad, g_loc)
+        self.space.ops.scatter_add(grad, g_loc)
         grad -= self.load
-        if self.stabilized:
-            grad += self._stab_gradient(v)
         if self.l2_weight > 0.0:
             vM = np.einsum("tij,tmj->tmi", self.cell_gram, v.cells)
             gl = self.l2_weight * (vM - self.zeta_mom)
@@ -240,46 +247,19 @@ class DiscreteProblem:
             return grad[self.free_idx]
         return grad
 
-    def _stab_values(self, v):
-        """S_{K,S} v at the side points of ``stab_data``, (nt, 3, m, nq)."""
-        loc = self._local_values(v)[0]
-        B = self.space.ops.stab_data(self.p)["B"]
-        return np.einsum("tjql,tml->tjmq", B, loc)
-
-    def _stab_gradient(self, v):
-        ops = self.space.ops
-        sd = ops.stab_data(self.p)
-        S = self._stab_values(v)
-        mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        g_loc = np.einsum("tjq,tjq,tjmq,tjql->tml", sd["w"],
-                          _safe_pow(mag, self.p - 2), S, sd["B"])
-        grad = np.zeros(self.space.ndof)
-        ops.scatter_add(grad, g_loc)
-        return grad
-
     def energy_hessian(self, v):
         """The Newton system at ``v`` over the free dofs, as a
         :class:`CondensedHessian` of the per-triangle Hessians."""
         ops = self.space.ops
         m = self.space.m
-        B = self._ed["B"]                              # (nt, nq, 2, nloc)
-        nt, nq, _, nloc = B.shape
-        d2 = self.density.d2w(self._grad_values(v))
-        A = (self._ed["w"][..., None, None]
-             * d2.reshape(nt, nq, 2 * m, 2 * m)).reshape(nt, nq, -1, 2)
-        # AB[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] B[e, f]
-        AB = np.matmul(A, B).reshape(nt, nq, m, 2, m * nloc).transpose(
-            0, 2, 1, 3, 4)
-        Bt = B.reshape(nt, 1, nq * 2, nloc).transpose(0, 1, 3, 2)
-        # H[t, m, l, (n, f)] = sum_{q, d} B[q, d, l] AB[q, m, d, (n, f)]
-        H = np.matmul(Bt, AB.reshape(nt, m, nq * 2, m * nloc))
-        H = H.reshape(nt, m, nloc, m, nloc)
+        H = sum(_term_hessian(T, w, density.d2w(Tv))
+                for (T, w, density), Tv in zip(self._terms,
+                                               self._local_values(v)))
         if self.l2_weight > 0.0:
             for c in range(m):
                 H[:, c, :ops.ncb, c, :ops.ncb] += (self.l2_weight
                                                    * self.cell_gram)
-        if self.stabilized:
-            H += self._stab_hessian_local(v)
+        nt, nloc = len(H), ops.nloc
         H = H.reshape(nt, m * nloc, m * nloc)
         if m > 1:
             # the cell dofs of every component first, as in the numbering
@@ -303,30 +283,6 @@ class DiscreteProblem:
             self._hess_pattern = hessian_pattern(side_loc, nfs)
         return self._hess_pattern
 
-    def _stab_hessian_local(self, v):
-        """Local Hessians of s(v; v)/p, (nt, m, nloc, m, nloc)."""
-        sd = self.space.ops.stab_data(self.p)
-        p = self.p
-        m = self.space.m
-        S = self._stab_values(v)                       # (nt,3,m,q)
-        mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
-        wq = sd["w"]
-        Bs = sd["B"]                                   # (nt,3,q,nloc)
-        nt, nloc = len(Bs), Bs.shape[-1]
-        Bf = Bs.reshape(nt, -1, nloc)
-        c1 = (wq * _safe_pow(mag, p - 2)).reshape(nt, -1, 1)
-        H1 = np.matmul(Bf.transpose(0, 2, 1), c1 * Bf)
-        H = np.zeros((nt, m, nloc, m, nloc))
-        for c in range(m):
-            H[:, c, :, c, :] = H1
-        if p != 2:
-            c2 = (wq * ((p - 2) * _safe_pow(mag, p - 4))).reshape(nt, -1, 1)
-            # Y[t, (j, q), (m, l)] = S[j, m, q] B[j, q, l]
-            Y = (S.transpose(0, 1, 3, 2)[..., None]
-                 * Bs[:, :, :, None, :]).reshape(nt, -1, m * nloc)
-            H += np.matmul(Y.transpose(0, 2, 1), c2 * Y).reshape(H.shape)
-        return H
-
     # -- stress -----------------------------------------------------------------------
 
     def discrete_stress(self, u):
@@ -339,6 +295,23 @@ class DiscreteProblem:
         rhs = np.einsum("tq,tqid,tqmd->tim", self._ed["w"], tau, dW)
         coeffs = np.linalg.solve(ops.grad_gram, rhs).transpose(0, 2, 1)
         return GradField(self.space, coeffs)
+
+
+def _term_hessian(T, w, d2):
+    """Local Hessians (nt, m, nloc, m, nloc) of int w W(T v) from the
+    table T (nt, nq, d, nloc), the weights w (nt, nq) and D^2 W(T v)
+    (nt, nq, m, d, m, d)."""
+    nt, nq, d, nloc = T.shape
+    m = d2.shape[2]
+    A = (w[..., None, None]
+         * d2.reshape(nt, nq, d * m, d * m)).reshape(nt, nq, -1, d)
+    # AT[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] T[e, f]
+    AT = np.matmul(A, T).reshape(nt, nq, m, d, m * nloc).transpose(
+        0, 2, 1, 3, 4)
+    Tt = T.reshape(nt, 1, nq * d, nloc).transpose(0, 1, 3, 2)
+    # H[t, m, l, (n, f)] = sum_{q, d} T[q, d, l] AT[q, m, d, (n, f)]
+    H = np.matmul(Tt, AT.reshape(nt, m, nq * d, m * nloc))
+    return H.reshape(nt, m, nloc, m, nloc)
 
 
 def _residual_integral(w, basis, vals, coeffs, power):
@@ -363,24 +336,50 @@ def eval_neumann(g, side_points, side_normals, m):
 def hessian_pattern(loc, n):
     """CSC structure of the n x n system assembled from per-element blocks
     over the local dofs ``loc`` (ne, nl), int32 indices into the n
-    unknowns with n at a constrained dof.  All int32: ``indptr``, sorted
-    row ``indices``, the nonzero slot of every entry of the local blocks
-    (nnz where a constrained dof drops it), the slot of every diagonal
-    entry, and ``loc`` itself."""
+    unknowns with n at a constrained dof, with its columns laid out in
+    SuperLU's COLAMD order: column j of the matrix is unknown c with
+    ``order[c] = j``.  All int32: ``indptr``, sorted row ``indices``, the
+    nonzero slot of every entry of the local blocks (nnz where a
+    constrained dof drops it), the slot of every diagonal entry, ``loc``
+    itself, and ``order``."""
     ne, nl = loc.shape
-    rows = np.broadcast_to(loc[:, :, None], (ne, nl, nl))
-    cols = np.broadcast_to(loc[:, None, :], (ne, nl, nl))
-    kept = ((rows < n) & (cols < n)).reshape(-1)
-    key = (cols.reshape(-1)[kept].astype(np.int64) * n
-           + rows.reshape(-1)[kept])
-    key, kept_slot = np.unique(key, return_inverse=True)
+    rows = np.broadcast_to(loc[:, :, None], (ne, nl, nl)).reshape(-1)
+    cols = np.broadcast_to(loc[:, None, :], (ne, nl, nl)).reshape(-1)
+    kept = (rows < n) & (cols < n)
+    key, kept_slot = np.unique(cols[kept].astype(np.int64) * n
+                               + rows[kept], return_inverse=True)
+    order = _colamd_order(key, n)
+    # the same entries keyed by their column in that order
+    col_of = order.astype(np.int64)
+    key, rank = np.unique(col_of[key // n] * n + key % n,
+                          return_inverse=True)
     slot = np.full(kept.shape, len(key), dtype=np.int32)
-    slot[kept] = kept_slot
-    indices = (key % n).astype(np.int32)
+    slot[kept] = rank[kept_slot]
+    indptr, indices = _csc_structure(key, n)
+    diag = np.searchsorted(key, col_of * n + np.arange(n)).astype(np.int32)
+    return indptr, indices, slot, diag, loc, order
+
+
+def _csc_structure(key, n):
+    """``indptr`` and row ``indices`` (int32) of the sorted entry keys
+    column * n + row of an n x n matrix."""
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(key // n, minlength=n), out=indptr[1:])
-    diag = np.searchsorted(key, np.arange(n) * (n + 1)).astype(np.int32)
-    return indptr, indices, slot, diag, loc
+    return indptr, (key % n).astype(np.int32)
+
+
+def _colamd_order(key, n):
+    """SuperLU's column order (``perm_c`` of ``splu``, COLAMD with the
+    elimination-tree postorder) for the sorted entry keys of a
+    structurally symmetric n x n pattern.  COLAMD reads the structure
+    only; the diagonally dominant values keep the factorization that
+    returns it from breaking down."""
+    indptr, indices = _csc_structure(key, n)
+    counts = np.diff(indptr)
+    cols = np.repeat(np.arange(n), counts)
+    data = np.where(indices == cols, counts[cols], -1.0)
+    A = sp.csc_matrix((data, indices, indptr), shape=(n, n))
+    return spla.splu(A).perm_c.astype(np.int32)
 
 
 class CondensedHessian:
@@ -399,7 +398,7 @@ class CondensedHessian:
         self.H = H
         self.nc = nc
         self.pattern = pattern
-        _, _, _, diag, side_loc = pattern
+        _, _, _, diag, side_loc, _ = pattern
         nfs = len(diag)
         side_diag = np.bincount(
             side_loc.reshape(-1),
@@ -415,7 +414,7 @@ class CondensedHessian:
         complement (CSC), its right-hand side, and the local solutions
         X = (H_cc + shift I)^{-1} [H_cs | rhs_c]."""
         H, nc = self.H, self.nc
-        indptr, indices, slot, diag, side_loc = self.pattern
+        indptr, indices, slot, diag, side_loc, _ = self.pattern
         nt = len(H)
         nfs = len(diag)
         nnz = len(indices)
@@ -440,9 +439,10 @@ class CondensedHessian:
         """(H + shift I)^{-1} rhs, for rhs over the free dofs, ordered as
         ``DiscreteProblem.free_idx``: the cell dofs, then the skeleton."""
         S, r, X = self._condense(rhs, shift)
-        y = spla.spsolve(S, r)
+        # the columns of S are already in SuperLU's order
+        side_loc, order = self.pattern[-2:]
+        y = spla.spsolve(S, r, permc_spec="NATURAL")[order]
         # skeleton increments per triangle, zero at constrained dofs
-        side_loc = self.pattern[-1]
         y_loc = np.append(y, 0.0)[side_loc]
         x_c = X[:, :, -1] - np.matmul(X[:, :, :-1], y_loc[:, :, None])[..., 0]
         return np.concatenate((x_c.reshape(-1), y))

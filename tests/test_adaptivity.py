@@ -409,6 +409,32 @@ def test_stabilization_decays_cleanly_for_quadratic_growth():
         assert b <= 0.27 * a
 
 
+def test_stabilized_plaplace_adaptive_regression():
+    """Stabilized p-Laplace k = 1 adaptive run to 1000 dofs: the ndof
+    sequence and per-level Newton counts as recorded, and the energies
+    to 1e-12 relative."""
+    from ahho.benchmarks import get_benchmark
+    recs = run_ahho(get_benchmark("p-laplace-lshape"), 1,
+                    EstimatorParams(eps=0.02), max_ndof=1000,
+                    variant=STABILIZED)
+    assert all(r.converged for r in recs)
+    assert [r.ndof for r in recs] == [44, 68, 92, 123, 166, 197, 240, 271,
+                                      314, 364, 421, 480, 612, 758, 925]
+    assert [r.solution.iterations for r in recs] == [12, 9, 8, 10, 10, 10,
+                                                     10, 10, 10, 9, 9, 11,
+                                                     9, 11, 9]
+    energies = [-1.5815456264488608, -1.5353945638901556,
+                -1.5096301794866531, -1.4873907331663458,
+                -1.4694862052535567, -1.4616367811647493,
+                -1.4553163824483102, -1.4525414565120547,
+                -1.4503075493527062, -1.4489316521275197,
+                -1.4476212291338886, -1.4468028518225169,
+                -1.4454074885514914, -1.4445246041055146,
+                -1.4439648160821013]
+    np.testing.assert_allclose([r.energy for r in recs], energies,
+                               rtol=1e-12, atol=0)
+
+
 def test_fhm_adaptive_concentrates_at_origin():
     from ahho.benchmarks import get_benchmark
     bench = get_benchmark("fhm-rect")

@@ -50,6 +50,36 @@ def test_p_laplace_basic_values():
     assert np.allclose(d.dw(Z)[0], 0.0)
 
 
+def _p_laplace_d2w_m1(p, A):
+    """D^2 W of |a|^p / p on (..., 1, 2) arguments, written per entry."""
+    r = np.maximum(np.sqrt(np.einsum("...md,...md->...", A, A)), 1e-12)
+    h = np.zeros(A.shape[:-2] + (1, 2, 1, 2))
+    h[..., 0, :, 0, :] = (r ** (p - 2))[..., None, None] * np.eye(2)
+    if p != 2:
+        h[..., 0, :, 0, :] += ((p - 2) * r ** (p - 4))[..., None, None] \
+            * np.einsum("...d,...e->...de", A[..., 0, :], A[..., 0, :])
+    return h
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0, 4.0])
+def test_p_laplace_d2w_any_trailing_shape(p):
+    """d2w of (m, d) arguments is r^(p-2) I + (p-2) r^(p-4) a (x) a; on
+    (1, 2), the shape of G v, it has the bits of the per-entry formula."""
+    rng = np.random.default_rng(31)
+    d2w = p_laplace(p).d2w
+    A = rng.standard_normal((40, 1, 2))
+    A[0] = 0.0
+    assert d2w(A).tobytes() == _p_laplace_d2w_m1(p, A).tobytes()
+    for shape in ((1, 1), (2, 1), (2, 2)):
+        A = rng.standard_normal((40,) + shape)
+        a = A.reshape(40, -1)
+        r = np.sqrt(np.einsum("na,na->n", a, a))[:, None, None]
+        ref = (r ** (p - 2) * np.eye(a.shape[1])
+               + (p - 2) * r ** (p - 4) * np.einsum("na,nb->nab", a, a))
+        np.testing.assert_allclose(d2w(A).reshape(ref.shape), ref,
+                                   rtol=1e-13, atol=0)
+
+
 def test_p_laplace_rejects_bad_exponent():
     with pytest.raises(ValueError):
         p_laplace(1.0)

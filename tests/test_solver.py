@@ -113,6 +113,58 @@ def test_gradient_matches_finite_differences():
             assert abs(fd - g @ w) < 1e-5 * max(1.0, abs(fd))
 
 
+def _safe_pow(mag, e):
+    """mag**e, with 0 at mag = 0 for a negative exponent e."""
+    if e >= 0:
+        return mag ** e
+    out = np.zeros_like(mag)
+    out[mag > 0] = mag[mag > 0] ** e
+    return out
+
+
+def _stabilized_problems():
+    """Stabilized p-Laplace (m = 1, p = 4) and stabilized FHM (m = 2,
+    p = 2)."""
+    from ahho.benchmarks import get_benchmark
+    mesh = square_mesh(2)
+    space = HhoSpace(mesh, 1, variant=STABILIZED,
+                     dirichlet_mask=dirichlet_mask_from_labels(mesh, 1))
+    yield DiscreteProblem(space, p_laplace(4.0),
+                          f=lambda p: np.ones(len(p)), u_dirichlet=affine)
+    bench = get_benchmark("fhm-rect")
+    yield bench.make_problem(bench.initial_mesh(), 1, STABILIZED)
+
+
+def test_stabilized_energy_and_gradient_match_einsum_oracles():
+    """The stabilization term read as the p-Laplace density on S_{K,S} v:
+    the energy against ``stabilization(v, v, p) / p`` and the gradient
+    against sum w |S v|^(p-2) S v . S e_l."""
+    rng = np.random.default_rng(37)
+    for prob in _stabilized_problems():
+        space, ops, p = prob.space, prob.space.ops, prob.p
+        assert prob.stabilized and prob.l2_weight == 0.0
+        v = prob.initial_guess()
+        v.data[prob.free_idx] += 0.3 * rng.standard_normal(
+            len(prob.free_idx))
+        loc = ops.gather_local(v.data)
+        ed, sd = prob._ed, ops.stab_data(p)
+        Gv = np.einsum("tqdl,tml->tqmd", ed["B"], loc)
+        E = (float(np.sum(ed["w"] * prob.density.w(Gv)))
+             - float(prob.load @ v.data) + space.stabilization(v, v, p) / p)
+        assert abs(prob.energy(v) - E) <= 1e-13 * abs(E)
+
+        S = np.einsum("tjql,tml->tjmq", sd["B"], loc)
+        mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
+        g_loc = np.einsum("tq,tqmd,tqdl->tml", ed["w"],
+                          prob.density.dw(Gv), ed["B"])
+        g_loc += np.einsum("tjq,tjq,tjmq,tjql->tml", sd["w"],
+                           _safe_pow(mag, p - 2), S, sd["B"])
+        g = -prob.load
+        ops.scatter_add(g, g_loc)
+        assert np.abs(prob.energy_gradient(v, reduced=False) - g).max() \
+            <= 1e-13 * np.abs(g).max()
+
+
 def test_quadratic_gradient_matches_sparse_assembly():
     """p = 2: the energy is quadratic, E(v) = v.A.v/2 - b.v + c; the
     gradient must match the independently assembled sparse operator."""
@@ -379,13 +431,12 @@ def test_initial_guess_structure():
 def _stab_hessian_einsum(prob, v):
     """Local Hessians of s(v; v)/p by the einsum formulas, (nt, m, nloc,
     m, nloc)."""
-    from ahho.hho import _safe_pow
     ops = prob.space.ops
     p = prob.p
-    S = prob._stab_values(v)
-    mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
     wq = ops.stab_data(p)["w"]
     Bs = ops.stab_data(p)["B"]
+    S = np.einsum("tjql,tml->tjmq", Bs, ops.gather_local(v.data))
+    mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
     H = np.einsum("tjq,tjq,mn,tjql,tjqf->tmlnf", wq, _safe_pow(mag, p - 2),
                   np.eye(prob.space.m), Bs, Bs)
     if p != 2:
@@ -476,12 +527,17 @@ def _courant_cases():
 def _check_newton_system(H, ref, nc, rng, solve_shifts, solve_tol):
     """``H`` against the assembled free x free matrix ``ref``: its
     pattern, ``scale``, Schur complement and ``solve`` at the shifts
-    ``solve_shifts`` x scale to ``solve_tol`` relative."""
+    ``solve_shifts`` x scale to ``solve_tol`` relative.  The skeleton
+    system is laid out in the column order SuperLU picks for it (COLAMD
+    read off the structure alone), so its solve has the bits of
+    ``spsolve`` on the system in the numbering's order."""
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
     ref = ref.toarray()
     indptr, indices = H.pattern[:2]
+    order = H.pattern[-1]
     assert all(a.dtype == np.int32 for a in H.pattern)
+    assert np.array_equal(np.sort(order), np.arange(len(order)))
     assert all(np.all(np.diff(indices[a:b]) > 0)
                for a, b in zip(indptr[:-1], indptr[1:]))
     diag_ref = np.abs(np.diagonal(ref)).max()
@@ -492,6 +548,8 @@ def _check_newton_system(H, ref, nc, rng, solve_shifts, solve_tol):
         schur = C - Bm.T @ np.linalg.solve(A, Bm)
         S = H._condense(np.zeros(len(ref)), shift)[0]
         assert S.format == "csc" and S.has_sorted_indices
+        # column order[c] of S holds skeleton unknown c
+        S = S[:, order]
         assert np.abs(S.toarray() - schur).max() \
             <= 1e-12 * np.abs(schur).max()
     for shift in np.multiply(solve_shifts, H.scale):
@@ -500,6 +558,10 @@ def _check_newton_system(H, ref, nc, rng, solve_shifts, solve_tol):
                              rhs)
         x = H.solve(rhs, shift)
         assert np.abs(x - x_ref).max() <= solve_tol * np.abs(x_ref).max()
+        S, r, _ = H._condense(rhs, shift)
+        S = S[:, order]
+        assert np.array_equal(spla.splu(S).perm_c, order)
+        assert np.array_equal(x[nc:], spla.spsolve(S, r))
 
 
 def test_hessian_pattern_matches_full_assembly():
@@ -525,6 +587,22 @@ def test_hessian_pattern_matches_full_assembly():
         assert H.nc == 0
         _check_newton_system(H, _courant_hessian_full(courant, x), 0, rng,
                              (0.0, 1e-6), 1e-12)
+
+
+def test_condensed_solve_without_free_skeleton_dofs():
+    """Every skeleton dof constrained: the solve is the cell solve."""
+    from ahho.solver import CondensedHessian, hessian_pattern
+    rng = np.random.default_rng(43)
+    nt, nc, ns = 5, 3, 6
+    M = rng.standard_normal((nt, nc + ns, nc + ns))
+    H = np.matmul(M, M.transpose(0, 2, 1))
+    pattern = hessian_pattern(np.zeros((nt, ns), dtype=np.int32), 0)
+    assert len(pattern[0]) == 1 and len(pattern[-1]) == 0
+    rhs = rng.standard_normal(nt * nc)
+    x = CondensedHessian(H, nc, pattern).solve(rhs, 0.5)
+    x_ref = np.linalg.solve(H[:, :nc, :nc] + 0.5 * np.eye(nc),
+                            rhs.reshape(nt, nc, 1))
+    np.testing.assert_allclose(x, x_ref.reshape(-1), rtol=1e-13)
 
 
 def test_hessian_pattern_built_once_per_problem():
@@ -674,7 +752,7 @@ def _condense_lapack(self, rhs, shift):
     solved by LAPACK, whatever its size."""
     import scipy.sparse as sp
     H, nc = self.H, self.nc
-    indptr, indices, slot, diag, side_loc = self.pattern
+    indptr, indices, slot, diag, side_loc, _ = self.pattern
     nt, nfs, nnz = len(H), len(diag), len(indices)
     Hcc = H[:, :nc, :nc] + shift * np.eye(nc)
     X = np.linalg.solve(Hcc, np.concatenate(
