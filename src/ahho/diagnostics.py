@@ -11,12 +11,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .densities import UnsupportedConjugate
+from .densities import UnsupportedConjugate, p_laplace
 from .hho import STABILIZED, _as_components, _batch_eval, _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
 from .solver import CondensedHessian, SolverSettings, eval_neumann, \
-    hessian_pattern, optimize
+    hessian_pattern, optimize, term_energy, term_gradient, term_hessian, \
+    term_values
 
 
 @dataclass
@@ -343,7 +344,10 @@ def fit_rate(ndofs, values, window=None):
 # -- Courant P1 probe ---------------------------------------------------------------
 
 class CourantProblem:
-    """Conforming P1 minimization of the same energy on the same mesh."""
+    """Conforming P1 minimization of the same energy on the same mesh, as
+    terms of the solver's kernel over the vertex values with a load and a
+    constant: the density on the piecewise constant gradient, and the
+    lower-order term as |a|^2/2 on the values at the load's rule."""
 
     def __init__(self, mesh, density, side_mask, f=None, g=None,
                  u_dirichlet=None, l2_weight=0.0, l2_data=None):
@@ -366,14 +370,13 @@ class CourantProblem:
         e2 = corners[:, 2] - corners[:, 0]
         det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
         self.area = 0.5 * np.abs(det)
-        # gradients of the barycentric basis
-        grads = np.empty((mesh.num_triangles, 3, 2))
-        grads[:, 1, 0] = e2[:, 1] / det
+        # gradients of the barycentric basis, (nt, 2, 3)
+        grads = np.empty((mesh.num_triangles, 2, 3))
+        grads[:, 0, 1] = e2[:, 1] / det
         grads[:, 1, 1] = -e2[:, 0] / det
-        grads[:, 2, 0] = -e1[:, 1] / det
-        grads[:, 2, 1] = e1[:, 0] / det
-        grads[:, 0] = -grads[:, 1] - grads[:, 2]
-        self.grad_lambda = grads
+        grads[:, 0, 2] = -e1[:, 1] / det
+        grads[:, 1, 2] = e1[:, 0] / det
+        grads[:, :, 0] = -grads[:, :, 1] - grads[:, :, 2]
 
         # a vertex is constrained in the components of every constrained
         # side it ends; ``at`` accumulates over repeated vertices
@@ -388,23 +391,33 @@ class CourantProblem:
             self.values[nodes] = np.where(mask[nodes], vals, 0.0)
         self.free = ~mask.reshape(-1)
 
+        # dof of component c at local vertex j, (nt, m, 3)
+        self._loc2glob = mesh.triangles[:, None, :] * m \
+            + np.arange(m)[:, None]
+        self._terms = [(grads[:, None], self.area[:, None], self.density)]
+        self.constant = 0.0
+
         # load vector
         degree = max(int(np.ceil(self.density.p)) + 2, 6)
-        self.load = np.zeros(nv * m)
         ref_pts, ref_w = reference_triangle_rule(degree)
         lam = np.stack([1 - ref_pts[:, 0] - ref_pts[:, 1],
                         ref_pts[:, 0], ref_pts[:, 1]], axis=1)
         pts = np.einsum("qj,tjd->tqd", lam, corners)
         wq = np.abs(det)[:, None] * ref_w[None, :]
-        self._vol_pts = pts
-        self._vol_w = wq
-        self._lam = lam
-        # dof of each (triangle, local vertex, component)
-        self._dof = mesh.triangles[:, :, None] * m + np.arange(m)
+        moments = np.zeros(self._loc2glob.shape)
         if self.f is not None:
             fv = _values_at(self.f, pts, m)
-            self.load += self._scatter(
-                np.einsum("tq,qj,tqm->tjm", wq, lam, fv))
+            moments += np.einsum("tq,qj,tqm->tmj", wq, lam, fv)
+        if self.l2_weight > 0.0:
+            zeta = _values_at(self.l2_data, pts, m)
+            moments += self.l2_weight * np.einsum("tq,qj,tqm->tmj", wq, lam,
+                                                  zeta)
+            self.constant = 0.5 * self.l2_weight * float(
+                np.einsum("tq,tqm,tqm->", wq, zeta, zeta))
+            T = np.broadcast_to(lam[:, None, :], (len(wq), len(lam), 1, 3))
+            self._terms.append((T, self.l2_weight * wq, p_laplace(2.0)))
+        self.load = np.bincount(self._loc2glob.reshape(-1),
+                                moments.reshape(-1), minlength=nv * m)
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
             t_ref, w_ref = reference_segment_rule(degree)
@@ -422,43 +435,17 @@ class CourantProblem:
             self.load += np.bincount(
                 dof.reshape(-1), np.stack([mom_a, mom_b], axis=1).reshape(-1),
                 minlength=nv * m)
-        if self.l2_weight > 0.0:
-            self._zeta = _values_at(self.l2_data, pts, m)
 
-    def _scatter(self, per_node):
-        """Sum per-(triangle, local vertex, component) values into the
-        nodal dofs."""
-        return np.bincount(self._dof.reshape(-1), per_node.reshape(-1),
-                           minlength=self.load.size)
-
-    def _gradients(self, x):
-        v = x.reshape(-1, self.m)
-        vt = v[self.mesh.triangles]                  # (nt, 3, m)
-        return np.einsum("tjm,tjd->tmd", vt, self.grad_lambda)
+    def _values(self, x):
+        return term_values(self._terms, self._loc2glob, x)
 
     def energy(self, x):
-        G = self._gradients(x)
-        E = float(self.area @ self.density.w(G)) - float(self.load @ x)
-        if self.l2_weight > 0.0:
-            v = x.reshape(-1, self.m)[self.mesh.triangles]
-            vals = np.einsum("qj,tjm->tqm", self._lam, v)
-            diff = self._zeta - vals
-            E += 0.5 * self.l2_weight * float(
-                np.einsum("tq,tqm,tqm->", self._vol_w, diff, diff))
-        return E
+        return (term_energy(self._terms, self._values(x))
+                - float(self.load @ x) + self.constant)
 
     def gradient(self, x):
-        G = self._gradients(x)
-        dW = self.density.dw(G)
-        per_node = np.einsum("t,tmd,tjd->tjm", self.area, dW,
-                             self.grad_lambda)
-        if self.l2_weight > 0.0:
-            v = x.reshape(-1, self.m)[self.mesh.triangles]
-            vals = np.einsum("qj,tjm->tqm", self._lam, v)
-            diff = vals - self._zeta
-            per_node += self.l2_weight * np.einsum(
-                "tq,qj,tqm->tjm", self._vol_w, self._lam, diff)
-        return self._scatter(per_node) - self.load
+        return term_gradient(self._terms, self._values(x), self._loc2glob,
+                             len(x)) - self.load
 
     @functools.cached_property
     def _pattern(self):
@@ -466,25 +453,14 @@ class CourantProblem:
         nfree = int(self.free.sum())
         pos = np.full(len(self.free), nfree, dtype=np.int32)
         pos[self.free] = np.arange(nfree, dtype=np.int32)
-        return hessian_pattern(pos[self._dof.reshape(len(self._dof), -1)],
-                               nfree)
+        return hessian_pattern(
+            pos[self._loc2glob.reshape(len(self._loc2glob), -1)], nfree)
 
     def hessian(self, x):
         """The Newton system at ``x`` over the free dofs: the
         per-triangle Hessians, without cell blocks to eliminate."""
-        m = self.m
-        G = self._gradients(x)
-        d2 = self.density.d2w(G)
-        Hloc = np.einsum("t,tjd,tmdne,tke->tjmkn", self.area, self.grad_lambda,
-                         d2, self.grad_lambda, optimize=True)
-        if self.l2_weight > 0.0:
-            mass = np.einsum("tq,qj,qk->tjk", self._vol_w, self._lam,
-                             self._lam)
-            Hloc += self.l2_weight * np.einsum("tjk,mn->tjmkn", mass,
-                                               np.eye(m))
-        nt = len(Hloc)
-        return CondensedHessian(Hloc.reshape(nt, 3 * m, 3 * m), 0,
-                                self._pattern)
+        return CondensedHessian(term_hessian(self._terms, self._values(x)),
+                                0, self._pattern)
 
 
 def courant_p1_minimize(courant, settings=None):

@@ -252,10 +252,6 @@ class SpaceOps:
         """(ndof,) -> (nt, m, nloc)."""
         return data[self.loc2glob]
 
-    def scatter_add(self, out, local):
-        out += np.bincount(self.loc2glob.reshape(-1), local.reshape(-1),
-                           minlength=len(out))
-
     # -- L2 projections onto P_k -------------------------------------------------
 
     def project_cells(self, w, phi, vals):
@@ -277,13 +273,10 @@ class SpaceOps:
         gram = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
         return mom, np.linalg.solve(gram, mom[..., None])[..., 0]
 
-    # -- projections and Gram matrices ------------------------------------------
+    # -- P_k tables at the geometry rules -----------------------------------------
 
     def _build_projections(self):
-        # cell Gram of P_k, exact
-        phi_k = self.cell_eval(self.exps_k, self.vol_pts)
-        self.phi_k_vol = phi_k
-        self.gram_k = np.einsum("tq,tqi,tqj->tij", self.vol_w, phi_k, phi_k)
+        self.phi_k_vol = self.cell_eval(self.exps_k, self.vol_pts)
         # traces of the cell basis at the side points of each triangle
         self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
         self.phi_k_side = self.cell_eval(self.exps_k, self.side_pts_t)

@@ -1,10 +1,17 @@
 """Discrete energy assembly and minimization over hybrid unknowns.
 
-The discrete problem couples the density W applied to the reconstructed
-gradient with linear load terms, optional stabilization (stabilized
-variant) and an optional quadratic lower-order term 0.5*||zeta - v_T||^2.
-Constrained (Dirichlet) side dofs are eliminated: the optimizers act on
-the free dofs only, so prescribed values are met exactly.
+Every discrete energy here is a list of terms (T, w, W) and reads
+sum_terms int w W(T v) - load . v + const: the density W applied to the
+reconstructed gradient, the stabilization s(v; v)/p (stabilized variant)
+as the p-Laplace density on S_{K,S} v, and the lower-order term
+0.5*l2_weight*||zeta - v_T||^2 as the density |a|^2/2 on the cell values,
+whose cross term sits in the load and whose int zeta^2 is the constant.
+One kernel (``term_values``, ``term_energy``, ``term_gradient``,
+``term_hessian``) evaluates such a list over a local-to-global map; the
+hybrid problem and the conforming P1 probe
+(``diagnostics.CourantProblem``) only build their terms, load and
+constant.  Constrained (Dirichlet) dofs are eliminated: the optimizers
+act on the free dofs only, so prescribed values are met exactly.
 
 Damped Newton and L-BFGS share one Armijo search (``_armijo``) and one
 driver, :func:`optimize`, which validates the settings and picks the
@@ -68,7 +75,9 @@ class DiscreteSolution:
 
 class DiscreteProblem:
     """Energy E_l(v) = int W(G v) - int f.v_T - int_GammaN g.v_F
-    (+ s(v;v)/p when stabilized, + 0.5*||zeta - v_T||^2 when active).
+    (+ s(v;v)/p when stabilized, + 0.5*l2_weight*||zeta - v_T||^2 when
+    l2_weight > 0), held as the terms (T, w, W) of
+    sum_terms int w W(T v) - load . v + constant.
 
     Parameters
     ----------
@@ -107,11 +116,11 @@ class DiscreteProblem:
     # -- static data -------------------------------------------------------------
 
     def _assemble_static(self):
-        """Load vector, Dirichlet values, lower-order data and the data
-        oscillations: each closure is evaluated once, at the data rule.
-        ``f_osc`` and ``zeta_osc`` hold per triangle int_T |f - Pi_k f|^p'
-        and int_T |zeta - Pi_k zeta|^2, ``g_osc`` per side
-        int_F |g - Pi_k g|^p' (zero off the Neumann sides), and
+        """Energy terms, load vector, constant, Dirichlet values and the
+        data oscillations: each closure is evaluated once, at the data
+        rule.  ``f_osc`` and ``zeta_osc`` hold per triangle
+        int_T |f - Pi_k f|^p' and int_T |zeta - Pi_k zeta|^2, ``g_osc`` per
+        side int_F |g - Pi_k g|^p' (zero off the Neumann sides), and
         ``dirichlet_data`` the values of u_dirichlet on the sides with a
         constrained component, ``dirichlet_sides``."""
         space = self.space
@@ -159,23 +168,29 @@ class DiscreteProblem:
         self.free_mask[self.dirichlet_idx] = False
         self.free_idx = np.nonzero(self.free_mask)[0]
 
-        # lower-order term data
-        if self.l2_weight > 0.0:
-            zv = _values_at(self.l2_data, pts, m)
-            self.zeta_mom, piz = ops.project_cells(w, phi, zv)
-            self.zeta_sq = float(np.einsum("tq,tqm,tqm->", w, zv, zv))
-            self.zeta_osc = _residual_integral(w, phi, zv, piz, 2.0)
-            self.cell_gram = ops.gram_k
         self._ed = ops.energy_data(self.energy_degree)
-        # the energy terms (T, w, density), each int w W(T v) over a table
-        # T (nt, nq, d, nloc) of local responses: the density on G v, and
-        # when stabilized s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p
+        # the energy terms (T, w, density): the density on G v, and when
+        # stabilized s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p
         self._terms = [(self._ed["B"], self._ed["w"], self.density)]
         if self.stabilized:
             sd = ops.stab_data(self.p)
             nt, _, _, nloc = sd["B"].shape
             self._terms.append((sd["B"].reshape(nt, -1, 1, nloc),
                                 sd["w"].reshape(nt, -1), p_laplace(self.p)))
+        # 0.5*l2_weight*||zeta - v_T||^2: |v_T|^2/2 at a rule exact for
+        # it, l2_weight*int zeta phi_i in the load, and the rest constant
+        self.constant = 0.0
+        if self.l2_weight > 0.0:
+            zv = _values_at(self.l2_data, pts, m)
+            mom, piz = ops.project_cells(w, phi, zv)
+            load.cells[:] += self.l2_weight * mom
+            self.constant = 0.5 * self.l2_weight * float(
+                np.einsum("tq,tqm,tqm->", w, zv, zv))
+            self.zeta_osc = _residual_integral(w, phi, zv, piz, 2.0)
+            pts_k, w_k = ops._volume_rule(2 * space.k)
+            T = np.zeros(w_k.shape + (1, ops.nloc))
+            T[:, :, 0, :ops.ncb] = ops.cell_eval(ops.exps_k, pts_k)
+            self._terms.append((T, self.l2_weight * w_k, p_laplace(2.0)))
 
     def dirichlet_data_on(self, sides):
         """u_dirichlet at the data rule on constrained ``sides``,
@@ -200,70 +215,44 @@ class DiscreteProblem:
         self.apply_dirichlet(v)
         return v
 
-    def _local_values(self, v):
-        """T v (nt, nq, m, d) for every energy term; the first is G v.
-        While ``minimize`` runs they are kept for the last point, so the
-        energy, the gradient and the Hessian at one point compute them
-        once."""
+    def _local_values(self, v, count=None):
+        """T v (nt, nq, m, d) for the first ``count`` energy terms (all by
+        default); the first is G v.  While ``minimize`` runs, the values
+        of all terms are kept for the last point, so the energy, the
+        gradient and the Hessian at one point compute them once."""
         point = self._point
         if point and np.array_equal(point[0], v.data):
             return point[1]
-        loc = self.space.ops.gather_local(v.data)
-        values = [np.einsum("tqdl,tml->tqmd", T, loc)
-                  for T, _, _ in self._terms]
-        if point is not None:
+        values = term_values(self._terms[:count], self.space.ops.loc2glob,
+                             v.data)
+        if point is not None and count is None:
             point[:] = (v.data.copy(), values)
         return values
 
     def _grad_values(self, v):
-        """G v at the energy quadrature points, (nt, nq, m, 2)."""
-        return self._local_values(v)[0]
+        """G v at the energy quadrature points, (nt, nq, m, 2); without a
+        kept point, the other terms are not evaluated."""
+        return self._local_values(v, 1)[0]
 
     def energy(self, v):
-        E = 0.0
-        for (_, w, density), Tv in zip(self._terms, self._local_values(v)):
-            E += float(np.sum(w * density.w(Tv)))
-        E -= float(self.load @ v.data)
-        if self.l2_weight > 0.0:
-            vM = np.einsum("tij,tmj->tmi", self.cell_gram, v.cells)
-            quad = np.einsum("tmi,tmi->", v.cells, vM)
-            cross = np.einsum("tmi,tmi->", self.zeta_mom, v.cells)
-            E += 0.5 * self.l2_weight * (self.zeta_sq - 2 * cross + quad)
-        return E
+        return (term_energy(self._terms, self._local_values(v))
+                - float(self.load @ v.data) + self.constant)
 
     def energy_gradient(self, v, reduced=True):
-        g_loc = sum(np.einsum("tqmd,tqdl->tml",
-                              w[..., None, None] * density.dw(Tv), T)
-                    for (T, w, density), Tv in zip(self._terms,
-                                                   self._local_values(v)))
-        grad = np.zeros(self.space.ndof)
-        self.space.ops.scatter_add(grad, g_loc)
-        grad -= self.load
-        if self.l2_weight > 0.0:
-            vM = np.einsum("tij,tmj->tmi", self.cell_gram, v.cells)
-            gl = self.l2_weight * (vM - self.zeta_mom)
-            grad[:self.space.ncell_dofs] += gl.reshape(-1)
-        if reduced:
-            return grad[self.free_idx]
-        return grad
+        grad = term_gradient(self._terms, self._local_values(v),
+                             self.space.ops.loc2glob,
+                             self.space.ndof) - self.load
+        return grad[self.free_idx] if reduced else grad
 
     def energy_hessian(self, v):
         """The Newton system at ``v`` over the free dofs, as a
         :class:`CondensedHessian` of the per-triangle Hessians."""
         ops = self.space.ops
         m = self.space.m
-        H = sum(_term_hessian(T, w, density.d2w(Tv))
-                for (T, w, density), Tv in zip(self._terms,
-                                               self._local_values(v)))
-        if self.l2_weight > 0.0:
-            for c in range(m):
-                H[:, c, :ops.ncb, c, :ops.ncb] += (self.l2_weight
-                                                   * self.cell_gram)
-        nt, nloc = len(H), ops.nloc
-        H = H.reshape(nt, m * nloc, m * nloc)
+        H = term_hessian(self._terms, self._local_values(v))
         if m > 1:
             # the cell dofs of every component first, as in the numbering
-            idx = np.arange(m * nloc).reshape(m, nloc)
+            idx = np.arange(m * ops.nloc).reshape(m, ops.nloc)
             perm = np.concatenate((idx[:, :ops.ncb].reshape(-1),
                                    idx[:, ops.ncb:].reshape(-1)))
             H = H[:, perm[:, None], perm]
@@ -297,21 +286,49 @@ class DiscreteProblem:
         return GradField(self.space, coeffs)
 
 
-def _term_hessian(T, w, d2):
-    """Local Hessians (nt, m, nloc, m, nloc) of int w W(T v) from the
-    table T (nt, nq, d, nloc), the weights w (nt, nq) and D^2 W(T v)
-    (nt, nq, m, d, m, d)."""
-    nt, nq, d, nloc = T.shape
-    m = d2.shape[2]
-    A = (w[..., None, None]
-         * d2.reshape(nt, nq, d * m, d * m)).reshape(nt, nq, -1, d)
-    # AT[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] T[e, f]
-    AT = np.matmul(A, T).reshape(nt, nq, m, d, m * nloc).transpose(
-        0, 2, 1, 3, 4)
-    Tt = T.reshape(nt, 1, nq * d, nloc).transpose(0, 1, 3, 2)
-    # H[t, m, l, (n, f)] = sum_{q, d} T[q, d, l] AT[q, m, d, (n, f)]
-    H = np.matmul(Tt, AT.reshape(nt, m, nq * d, m * nloc))
-    return H.reshape(nt, m, nloc, m, nloc)
+# -- energy terms ---------------------------------------------------------------------
+#
+# A term (T, w, W) contributes int w W(T v): T (nt, nq, d, nloc) holds the
+# responses at nq points of the nloc local unknowns of each triangle, the
+# same for each of the m components, w (nt, nq) the weights, and W is an
+# EnergyDensity of (m, d) arguments.  ``loc2glob`` (nt, m, nloc) numbers
+# component c of local unknown l of triangle t in the global vector.
+
+def term_values(terms, loc2glob, x):
+    """T v (nt, nq, m, d) of every term at the global vector ``x``."""
+    local = x[loc2glob]
+    return [np.einsum("tqdl,tml->tqmd", T, local) for T, _, _ in terms]
+
+
+def term_energy(terms, values):
+    """sum_terms int w W(T v) from the values T v."""
+    return sum(float(np.sum(w * W.w(Tv)))
+               for (_, w, W), Tv in zip(terms, values))
+
+
+def term_gradient(terms, values, loc2glob, n):
+    """The gradient of :func:`term_energy` over the n global unknowns."""
+    g_loc = sum(np.einsum("tqmd,tqdl->tml", w[..., None, None] * W.dw(Tv), T)
+                for (T, w, W), Tv in zip(terms, values))
+    return np.bincount(loc2glob.reshape(-1), g_loc.reshape(-1), minlength=n)
+
+
+def term_hessian(terms, values):
+    """The local Hessians T^T (w D^2W(T v)) T of :func:`term_energy`,
+    (nt, m nloc, m nloc) in the order of ``loc2glob[t].reshape(-1)``."""
+    H = 0
+    for (T, w, W), Tv in zip(terms, values):
+        nt, nq, d, nloc = T.shape
+        m = Tv.shape[2]
+        A = (w[..., None, None] * W.d2w(Tv).reshape(nt, nq, d * m, d * m)
+             ).reshape(nt, nq, -1, d)
+        # AT[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] T[e, f]
+        AT = np.matmul(A, T).reshape(nt, nq, m, d, m * nloc).transpose(
+            0, 2, 1, 3, 4)
+        Tt = T.reshape(nt, 1, nq * d, nloc).transpose(0, 1, 3, 2)
+        # H[t, m, l, (n, f)] = sum_{q, d} T[q, d, l] AT[q, m, d, (n, f)]
+        H = H + np.matmul(Tt, AT.reshape(nt, m, nq * d, m * nloc))
+    return H.reshape(nt, m * nloc, m * nloc)
 
 
 def _residual_integral(w, basis, vals, coeffs, power):
@@ -608,10 +625,14 @@ def optimize(fun_grad, hess, x0, settings):
     if method == "auto":
         method = "newton" if hess is not None else "lbfgs"
     if method == "lbfgs":
-        return _lbfgs(fun_grad, x0, settings) + (method,)
-    if hess is None:
+        result = _lbfgs(fun_grad, x0, settings)
+    elif hess is None:
         raise ValueError("method 'newton' needs the density's Hessian d2w")
-    return _newton(fun_grad, hess, x0, settings) + (method,)
+    else:
+        result = _newton(fun_grad, hess, x0, settings)
+    x, E, it, gnorm, conv = result
+    # a plain bool: gnorm <= grad_tol is a numpy.bool_, which json rejects
+    return x, E, it, gnorm, bool(conv), method
 
 
 def minimize(problem, initial=None, settings=None):

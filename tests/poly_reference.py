@@ -4,7 +4,10 @@ One triangle or side at a time, with physical-coordinate quadrature
 rules: scaled monomial bases of P_k on a triangle and on a side, the
 Raviart-Thomas basis RT_k, L2 projections, and the RT mass matrix.  The
 library evaluates the same objects batched over the mesh (``ahho.hho``);
-the tests check it against these.
+the tests check it against these.  Two energy oracles close the file:
+the lower-order term 0.5*l2_weight*||zeta - v_T||^2 of the hybrid problem
+in Gram form, and the conforming P1 probe's energy, gradient and Hessian
+written out by hand.
 
 Cell bases are scaled monomials centered at the centroid and scaled by
 h_T = |T|^(1/2); side bases are scaled monomials in the normalized
@@ -15,8 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ahho.hho import _values_at
 from ahho.poly import monomial_exponents, reference_segment_rule, \
     reference_triangle_rule
+from ahho.solver import eval_neumann
 
 
 class CellBasis:
@@ -240,3 +245,143 @@ def _tri_area(corners):
                   * (corners[2, 1] - corners[0, 1])
                   - (corners[1, 1] - corners[0, 1])
                   * (corners[2, 0] - corners[0, 0]))
+
+
+# -- energy oracles ------------------------------------------------------------
+
+class GramL2Term:
+    """0.5*l2_weight*||zeta - v_T||^2 of a ``DiscreteProblem`` in Gram
+    form: 0.5*l2_weight*(int zeta^2 - 2 zeta_mom . v_T + v_T . M v_T) with
+    the P_k cell Gram M at the geometry rule and the moments of zeta at the
+    data rule."""
+
+    def __init__(self, prob):
+        ops = prob.space.ops
+        self.weight = prob.l2_weight
+        self.ncell_dofs = prob.space.ncell_dofs
+        self.gram = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
+                              ops.phi_k_vol)
+        pts, w = ops._volume_rule(prob.data_degree)
+        phi = ops.cell_eval(ops.exps_k, pts)
+        zv = _values_at(prob.l2_data, pts, prob.space.m)
+        self.zeta_mom = ops.project_cells(w, phi, zv)[0]
+        self.zeta_sq = float(np.einsum("tq,tqm,tqm->", w, zv, zv))
+
+    def energy(self, v):
+        vM = np.einsum("tij,tmj->tmi", self.gram, v.cells)
+        quad = np.einsum("tmi,tmi->", v.cells, vM)
+        cross = np.einsum("tmi,tmi->", self.zeta_mom, v.cells)
+        return 0.5 * self.weight * (self.zeta_sq - 2 * cross + quad)
+
+    def gradient(self, v):
+        """Over all dofs, zero on the skeleton."""
+        vM = np.einsum("tij,tmj->tmi", self.gram, v.cells)
+        grad = np.zeros(len(v.data))
+        grad[:self.ncell_dofs] = (self.weight
+                                  * (vM - self.zeta_mom)).reshape(-1)
+        return grad
+
+    def hessian(self):
+        """Per triangle, the same for every component, (nt, ncb, ncb)."""
+        return self.weight * self.gram
+
+
+class CourantReference:
+    """The conforming P1 probe's energy, gradient and local Hessians
+    written out with the barycentric gradients: the density on the
+    piecewise constant gradient, the load of f and g, and
+    0.5*l2_weight*int |zeta - v|^2 at the load's rule."""
+
+    def __init__(self, courant):
+        mesh = courant.mesh
+        m = self.m = courant.m
+        self.triangles = mesh.triangles
+        self.density = courant.density
+        self.l2_weight = courant.l2_weight
+        nv = mesh.num_vertices
+        corners = mesh.corners()
+        e1 = corners[:, 1] - corners[:, 0]
+        e2 = corners[:, 2] - corners[:, 0]
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        self.area = 0.5 * np.abs(det)
+        grads = np.empty((mesh.num_triangles, 3, 2))
+        grads[:, 1, 0] = e2[:, 1] / det
+        grads[:, 1, 1] = -e2[:, 0] / det
+        grads[:, 2, 0] = -e1[:, 1] / det
+        grads[:, 2, 1] = e1[:, 0] / det
+        grads[:, 0] = -grads[:, 1] - grads[:, 2]
+        self.grad_lambda = grads
+        # dof of each (triangle, local vertex, component)
+        self.dof = mesh.triangles[:, :, None] * m + np.arange(m)
+
+        degree = max(int(np.ceil(self.density.p)) + 2, 6)
+        ref_pts, ref_w = reference_triangle_rule(degree)
+        self.lam = np.stack([1 - ref_pts[:, 0] - ref_pts[:, 1],
+                             ref_pts[:, 0], ref_pts[:, 1]], axis=1)
+        pts = np.einsum("qj,tjd->tqd", self.lam, corners)
+        self.vol_w = np.abs(det)[:, None] * ref_w[None, :]
+        self.load = np.zeros(nv * m)
+        if courant.f is not None:
+            fv = _values_at(courant.f, pts, m)
+            self.load += self._scatter(
+                np.einsum("tq,qj,tqm->tjm", self.vol_w, self.lam, fv))
+        neumann = mesh.boundary_sides("neumann")
+        if courant.g is not None and len(neumann):
+            t_ref, w_ref = reference_segment_rule(degree)
+            a = mesh.vertices[mesh.sides[neumann, 0]]
+            b = mesh.vertices[mesh.sides[neumann, 1]]
+            spts = (0.5 * (a + b))[:, None, :] \
+                + t_ref[None, :, None] * (b - a)[:, None, :]
+            gv = eval_neumann(courant.g, spts, mesh.normals[neumann], m)
+            h = np.linalg.norm(b - a, axis=1)
+            mom_a = np.einsum("q,q,sqm->sm", w_ref, 0.5 - t_ref, gv)
+            mom_b = np.einsum("q,q,sqm->sm", w_ref, 0.5 + t_ref, gv)
+            dof = mesh.sides[neumann][:, :, None] * m + np.arange(m)
+            self.load += np.bincount(
+                dof.reshape(-1),
+                (np.stack([mom_a, mom_b], axis=1) * h[:, None, None]
+                 ).reshape(-1), minlength=nv * m)
+        if self.l2_weight > 0.0:
+            self.zeta = _values_at(courant.l2_data, pts, m)
+
+    def _scatter(self, per_node):
+        return np.bincount(self.dof.reshape(-1), per_node.reshape(-1),
+                           minlength=self.load.size)
+
+    def _gradients(self, x):
+        vt = x.reshape(-1, self.m)[self.triangles]           # (nt, 3, m)
+        return np.einsum("tjm,tjd->tmd", vt, self.grad_lambda)
+
+    def _values(self, x):
+        return np.einsum("qj,tjm->tqm", self.lam,
+                         x.reshape(-1, self.m)[self.triangles])
+
+    def energy(self, x):
+        E = float(self.area @ self.density.w(self._gradients(x))) \
+            - float(self.load @ x)
+        if self.l2_weight > 0.0:
+            diff = self.zeta - self._values(x)
+            E += 0.5 * self.l2_weight * float(
+                np.einsum("tq,tqm,tqm->", self.vol_w, diff, diff))
+        return E
+
+    def gradient(self, x):
+        dW = self.density.dw(self._gradients(x))
+        per_node = np.einsum("t,tmd,tjd->tjm", self.area, dW,
+                             self.grad_lambda)
+        if self.l2_weight > 0.0:
+            per_node += self.l2_weight * np.einsum(
+                "tq,qj,tqm->tjm", self.vol_w, self.lam,
+                self._values(x) - self.zeta)
+        return self._scatter(per_node) - self.load
+
+    def hessian(self, x):
+        """Local Hessians (nt, 3m, 3m) over the dofs ``dof`` (nt, 3, m)."""
+        m = self.m
+        d2 = self.density.d2w(self._gradients(x))
+        H = np.einsum("t,tjd,tmdne,tke->tjmkn", self.area, self.grad_lambda,
+                      d2, self.grad_lambda)
+        if self.l2_weight > 0.0:
+            mass = np.einsum("tq,qj,qk->tjk", self.vol_w, self.lam, self.lam)
+            H += self.l2_weight * np.einsum("tjk,mn->tjmkn", mass, np.eye(m))
+        return H.reshape(len(H), 3 * m, 3 * m)

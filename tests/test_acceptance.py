@@ -172,7 +172,9 @@ def _companion_defect(space, rng):
     ops = space.ops
     jv = J.at_points(ops.vol_pts)
     mom = np.einsum("tq,tqi,tqm->tim", ops.vol_w, ops.phi_k_vol, jv)
-    cells = np.linalg.solve(ops.gram_k, mom).transpose(0, 2, 1)
+    gram_k = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
+                       ops.phi_k_vol)
+    cells = np.linalg.solve(gram_k, mom).transpose(0, 2, 1)
     worst = float(np.max(np.abs(cells - v.cells)))
     tplus = space.mesh.adjacency[:, 0]
     jv_s = J.at_points(ops.side_pts, tplus)
@@ -196,14 +198,15 @@ def _ele_residual(problem, sol, sigma, rng, n=20):
         gw_vals = np.einsum("tqid,tmi->tqmd", tau, Gw.coeffs)
         lhs = np.einsum("tq,tqmd,tqmd->", problem._ed["w"], sig_vals,
                         gw_vals)
+        # the load holds f, g and l2_weight * int zeta phi_i
         rhs = problem.load @ w.data
         if problem.stabilized:
             rhs -= space.stabilization(sol.u, w, problem.p)
         if problem.l2_weight > 0.0:
-            vM = np.einsum("tij,tmj->tmi", problem.cell_gram, sol.u.cells)
+            u_T = np.einsum("tmi,tqi->tqm", sol.u.cells, ops.phi_k_vol)
+            w_T = np.einsum("tmi,tqi->tqm", w.cells, ops.phi_k_vol)
             rhs -= problem.l2_weight * float(
-                (vM - problem.zeta_mom).reshape(-1)
-                @ w.data[:space.ncell_dofs])
+                np.einsum("tq,tqm,tqm->", ops.vol_w, u_T, w_T))
         worst = max(worst, abs(lhs - rhs))
     return worst
 

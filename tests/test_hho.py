@@ -356,7 +356,9 @@ def _reference_stabilization_op(ops):
     nt, ncb, nsb, nloc = len(ops.corners), ops.ncb, ops.nsb, ops.nloc
     mom = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
                     ops.cell_eval(ops.exps_k1, ops.vol_pts))
-    proj_k_of_k1 = np.linalg.solve(ops.gram_k, mom)
+    gram_k = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
+                       ops.phi_k_vol)
+    proj_k_of_k1 = np.linalg.solve(gram_k, mom)
     inv = np.linalg.inv(np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref,
                                   ops.chi_ref))
     momk = np.einsum("q,qi,tjqn->tjin", ops.side_wref, ops.chi_ref,
@@ -548,7 +550,9 @@ def test_companion_moment_preservation(k, m):
     # cell moments: Pi_T^k J v = v_T
     jv = J.at_points(ops.vol_pts)
     mom = np.einsum("tq,tqi,tqm->tim", ops.vol_w, ops.phi_k_vol, jv)
-    cell_proj = np.linalg.solve(ops.gram_k, mom).transpose(0, 2, 1)
+    gram_k = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
+                       ops.phi_k_vol)
+    cell_proj = np.linalg.solve(gram_k, mom).transpose(0, 2, 1)
     assert np.max(np.abs(cell_proj - v.cells)) < 1e-9
     # side moments: Pi_F^k J v = v_F
     tplus = mesh.adjacency[:, 0]

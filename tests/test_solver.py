@@ -159,8 +159,8 @@ def test_stabilized_energy_and_gradient_match_einsum_oracles():
                           prob.density.dw(Gv), ed["B"])
         g_loc += np.einsum("tjq,tjq,tjmq,tjql->tml", sd["w"],
                            _safe_pow(mag, p - 2), S, sd["B"])
-        g = -prob.load
-        ops.scatter_add(g, g_loc)
+        g = np.bincount(ops.loc2glob.reshape(-1), g_loc.reshape(-1),
+                        minlength=space.ndof) - prob.load
         assert np.abs(prob.energy_gradient(v, reduced=False) - g).max() \
             <= 1e-13 * np.abs(g).max()
 
@@ -459,7 +459,8 @@ def _scatter_free(Hloc, dofs, free):
 
 def _hessian_full_coo(prob, v):
     """Oracle: every local Hessian block scattered into the free x free
-    matrix."""
+    matrix, the L2 term's in Gram form."""
+    from poly_reference import GramL2Term
     ops = prob.space.ops
     m = prob.space.m
     B = prob._ed["B"]
@@ -467,8 +468,8 @@ def _hessian_full_coo(prob, v):
         * prob.density.d2w(prob._grad_values(v))
     Hloc = np.einsum("tqdl,tqmdne,tqef->tmlnf", B, wd2, B)
     if prob.l2_weight > 0.0:
-        Hloc[:, :, :ops.ncb, :, :ops.ncb] += prob.l2_weight * np.einsum(
-            "mn,tij->tminj", np.eye(m), prob.cell_gram)
+        Hloc[:, :, :ops.ncb, :, :ops.ncb] += np.einsum(
+            "mn,tij->tminj", np.eye(m), GramL2Term(prob).hessian())
     if prob.stabilized:
         Hloc = Hloc + _stab_hessian_einsum(prob, v)
     nt, nl = len(Hloc), m * ops.loc2glob.shape[-1]
@@ -479,9 +480,9 @@ def _hessian_full_coo(prob, v):
 def _courant_hessian_full(courant, x):
     """Oracle: the conforming P1 probe's local Hessians scattered into the
     free x free matrix."""
+    loc2glob = courant._loc2glob
     return _scatter_free(courant.hessian(x).H,
-                         courant._dof.reshape(len(courant._dof), -1),
-                         courant.free)
+                         loc2glob.reshape(len(loc2glob), -1), courant.free)
 
 
 class _FullMatrix:
@@ -587,6 +588,85 @@ def test_hessian_pattern_matches_full_assembly():
         assert H.nc == 0
         _check_newton_system(H, _courant_hessian_full(courant, x), 0, rng,
                              (0.0, 1e-6), 1e-12)
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_l2_term_matches_gram_oracle(k):
+    """Two-well: the lower-order term as |v_T|^2/2 at a rule of degree
+    2k, its cross term in the load and int zeta^2 in the constant,
+    against the Gram form added to the same problem without the term."""
+    from ahho.benchmarks import get_benchmark
+    from poly_reference import GramL2Term
+    bench = get_benchmark("two-well-rect")
+    prob = bench.make_problem(refine_uniform(bench.initial_mesh()), k)
+    assert prob.l2_weight > 0.0 and prob.space.m == 1
+    rest = DiscreteProblem(prob.space, prob.density, f=prob.f, g=prob.g,
+                           u_dirichlet=prob.u_dirichlet)
+    l2 = GramL2Term(prob)
+    loc2glob = prob.space.ops.loc2glob
+    rng = np.random.default_rng(47)
+    for _ in range(3):
+        v = prob.initial_guess()
+        v.data[prob.free_idx] += 0.3 * rng.standard_normal(
+            len(prob.free_idx))
+        E = rest.energy(v) + l2.energy(v)
+        assert abs(prob.energy(v) - E) <= 1e-12 * abs(E)
+        g = rest.energy_gradient(v, reduced=False) + l2.gradient(v)
+        assert np.abs(prob.energy_gradient(v, reduced=False) - g).max() \
+            <= 1e-12 * np.abs(g).max()
+        H = _scatter_free(prob.energy_hessian(v).H,
+                          loc2glob.reshape(len(loc2glob), -1),
+                          prob.free_mask)
+        H_ref = _hessian_full_coo(prob, v)
+        assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
+
+
+def test_courant_terms_match_reference_oracle():
+    """The conforming P1 probe built from terms against its energy,
+    gradient and local Hessians written out by hand."""
+    from poly_reference import CourantReference
+    rng = np.random.default_rng(53)
+    for courant in _courant_cases():
+        ref = CourantReference(courant)
+        x = 0.3 * rng.standard_normal(courant.free.shape)
+        E = ref.energy(x)
+        assert abs(courant.energy(x) - E) <= 1e-12 * abs(E)
+        g = ref.gradient(x)
+        assert np.abs(courant.gradient(x) - g).max() \
+            <= 1e-12 * np.abs(g).max()
+        H_ref = _scatter_free(ref.hessian(x),
+                              ref.dof.reshape(len(ref.dof), -1), courant.free)
+        H = _courant_hessian_full(courant, x)
+        assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
+
+
+def test_grad_values_read_the_first_term_only():
+    """Outside a solve, G v alone is contracted: the other terms, here
+    replaced by one that cannot be evaluated, are not read."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark("two-well-rect")
+    prob = bench.make_problem(bench.initial_mesh(), 0)
+    v = prob.initial_guess()
+    Gv = prob._local_values(v)[0]
+    prob._terms = prob._terms[:1] + [(None, None, None)]
+    np.testing.assert_array_equal(prob._grad_values(v), Gv)
+
+
+def test_converged_flag_is_a_bool():
+    """A plain bool, also where the optimizers compare the gradient norm
+    with the tolerance, so that the solution goes into JSON."""
+    import json
+    from ahho.benchmarks import get_benchmark
+    from ahho.diagnostics import courant_p1_minimize
+    prob = affine_problem(k=0)
+    bench = get_benchmark("two-well-rect")
+    courant = bench.make_courant(bench.initial_mesh())
+    for settings in (SolverSettings(), SolverSettings(max_iter=1)):
+        sol = minimize(prob, settings=settings)
+        _, _, conv = courant_p1_minimize(courant, settings)
+        assert type(sol.converged) is bool and type(conv) is bool
+        json.dumps([sol.converged, conv])
+    assert minimize(prob).converged
 
 
 def test_condensed_solve_without_free_skeleton_dofs():
