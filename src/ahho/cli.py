@@ -46,13 +46,8 @@ class RunConfig:
     max_ndof: int = 20000
     max_levels: int = 30
     grad_tol: float = 1e-10
-    step_tol: float = 1e-14
     energy_tol: float = 1e-15
     max_iter: int = 50000
-    method: str = "auto"
-    lbfgs_memory: int = 10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
     out: str = "out"
     timing: bool = False
 
@@ -66,12 +61,9 @@ class RunConfig:
                                kind=benchmark.indicator_kind)
 
     def solver_settings(self):
-        return SolverSettings(grad_tol=self.grad_tol, step_tol=self.step_tol,
+        return SolverSettings(grad_tol=self.grad_tol,
                               energy_tol=self.energy_tol,
-                              max_iter=self.max_iter, method=self.method,
-                              memory=self.lbfgs_memory,
-                              armijo_c1=self.armijo_c1,
-                              backtrack=self.backtrack)
+                              max_iter=self.max_iter)
 
 
 def _check_types(cfg):

@@ -24,7 +24,7 @@ class EnergyDensity:
     m: int
     w: Callable
     dw: Callable
-    d2w: Optional[Callable] = None
+    d2w: Callable
     conjugate: Optional[Callable] = None
     # smallest integer q such that A -> W(A) is (piecewise) polynomial of
     # degree q; drives the quadrature exactness policy q*(k+1)

@@ -475,13 +475,11 @@ def courant_p1_minimize(courant, settings=None):
         return (courant.energy(x) if energy else None,
                 courant.gradient(x)[free] if gradient else None)
 
-    hess = None
-    if courant.density.d2w is not None:
-        def hess(xf):
-            x[free] = xf
-            return courant.hessian(x)
+    def hess(xf):
+        x[free] = xf
+        return courant.hessian(x)
 
-    xf, E, _, _, conv, _ = optimize(fun_grad, hess, x[free],
-                                    settings or SolverSettings())
+    xf, E, _, _, conv = optimize(fun_grad, hess, x[free],
+                                 settings or SolverSettings())
     x[free] = xf
     return E, x.reshape(-1, courant.m), conv

@@ -10,12 +10,12 @@ One kernel (``term_values``, ``term_energy``, ``term_gradient``,
 ``term_hessian``) evaluates such a list over a local-to-global map; the
 hybrid problem and the conforming P1 probe
 (``diagnostics.CourantProblem``) only build their terms, load and
-constant.  Constrained (Dirichlet) dofs are eliminated: the optimizers
-act on the free dofs only, so prescribed values are met exactly.
+constant.  Constrained (Dirichlet) dofs are eliminated: the optimizer
+acts on the free dofs only, so prescribed values are met exactly.
 
-Damped Newton and L-BFGS share one Armijo search (``_armijo``) and one
-driver, :func:`optimize`, which validates the settings and picks the
-method; :func:`minimize` and the conforming P1 probe
+One optimizer, damped Newton with a regularization ladder and an Armijo
+search (:func:`optimize`), minimizes every discrete energy:
+:func:`minimize` and the conforming P1 probe
 (``diagnostics.courant_p1_minimize``) both run through it.
 """
 
@@ -30,37 +30,32 @@ from .densities import p_laplace
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
     _values_at
 
-# Armijo trials per line search, consecutive stalled L-BFGS steps, and
-# consecutive stalled Newton steps before the optimizer stops
+# Armijo trials per line search, the sufficient-decrease constant and the
+# step reduction of each trial, and consecutive stalled Newton steps
+# before the optimizer stops
 MAX_BACKTRACKS = 60
-LBFGS_STALL_LIMIT = 50
+SUFFICIENT_DECREASE = 1e-4
+BACKTRACK = 0.5
 NEWTON_STALL_LIMIT = 5
 
 
 @dataclass
 class SolverSettings:
+    """Newton stops converged once the l2 norm of the free gradient is at
+    most ``grad_tol``; it stops early after ``NEWTON_STALL_LIMIT``
+    consecutive steps that lower the energy by at most
+    ``energy_tol * (1 + |E|)``, or after ``max_iter`` steps."""
     grad_tol: float = 1e-10
-    step_tol: float = 1e-14
     energy_tol: float = 1e-15
     max_iter: int = 50000
-    method: str = "auto"          # auto | newton | lbfgs
-    memory: int = 10
-    armijo_c1: float = 1e-4
-    backtrack: float = 0.5
 
     def validate(self):
-        for name in ("grad_tol", "step_tol", "energy_tol"):
+        for name in ("grad_tol", "energy_tol"):
             # false for the NaN and Infinity that a config file may hold
             if not 0 < getattr(self, name) < np.inf:
                 raise ValueError(f"{name} must be finite and positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
-        if self.method not in ("auto", "newton", "lbfgs"):
-            raise ValueError("method must be auto, newton, or lbfgs")
-        if self.memory < 1:
-            raise ValueError("lbfgs_memory must be positive")
-        if not (0 < self.armijo_c1 < 1) or not (0 < self.backtrack < 1):
-            raise ValueError("line-search parameters must lie in (0, 1)")
 
 
 @dataclass
@@ -70,7 +65,6 @@ class DiscreteSolution:
     iterations: int
     grad_norm: float
     converged: bool
-    method: str
 
 
 class DiscreteProblem:
@@ -465,91 +459,32 @@ class CondensedHessian:
         return np.concatenate((x_c.reshape(-1), y))
 
 
-# -- optimizers -----------------------------------------------------------------------
+# -- optimizer ------------------------------------------------------------------------
 #
 # ``fun_grad(x, energy=True, gradient=True)`` returns the pair (energy,
 # gradient), with None in place of a part not asked for.
 
-def _armijo(fun_grad, x, E, d, gd, step, settings):
-    """Backtracking from ``step`` along ``d`` (slope ``gd``) until the
+def _armijo(fun_grad, x, E, d, gd):
+    """Backtracking from the full step along ``d`` (slope ``gd``) until the
     Armijo condition holds.  The trials need the energy only; the gradient
     is taken at the accepted point.  Returns (x, E, g) there, or None."""
+    step = 1.0
     for _ in range(MAX_BACKTRACKS):
         x_new = x + step * d
         E_new, _ = fun_grad(x_new, gradient=False)
         if np.isfinite(E_new) and \
-                E_new <= E + settings.armijo_c1 * step * gd:
+                E_new <= E + SUFFICIENT_DECREASE * step * gd:
             return x_new, E_new, fun_grad(x_new, energy=False)[1]
-        step *= settings.backtrack
+        step *= BACKTRACK
     return None
 
 
-def _lbfgs(fun_grad, x0, settings):
-    """Limited-memory BFGS with Armijo backtracking; deterministic."""
-    x = x0.copy()
-    E, g = fun_grad(x)
-    svecs, yvecs, rhos = [], [], []
-    n_iter = 0
-    stalls = 0
-    gnorm = np.linalg.norm(g)
-    while n_iter < settings.max_iter:
-        if gnorm <= settings.grad_tol:
-            return x, E, n_iter, gnorm, True
-        # two-loop recursion
-        q = g.copy()
-        alphas = []
-        for s, y, rho in zip(reversed(svecs), reversed(yvecs),
-                             reversed(rhos)):
-            a = rho * (s @ q)
-            alphas.append(a)
-            q -= a * y
-        if yvecs:
-            gamma = (svecs[-1] @ yvecs[-1]) / (yvecs[-1] @ yvecs[-1])
-            q *= gamma
-        for (s, y, rho), a in zip(zip(svecs, yvecs, rhos),
-                                  reversed(alphas)):
-            b = rho * (y @ q)
-            q += (a - b) * s
-        d = -q
-        gd = g @ d
-        if gd >= 0:
-            d = -g
-            gd = -(g @ g)
-        step = 1.0 if yvecs else min(1.0, 1.0 / max(gnorm, 1e-30))
-        accepted = _armijo(fun_grad, x, E, d, gd, step, settings)
-        if accepted is None:
-            return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
-        x_new, E_new, g_new = accepted
-        s_vec = x_new - x
-        y_vec = g_new - g
-        sy = s_vec @ y_vec
-        if sy > 1e-12 * np.linalg.norm(s_vec) * np.linalg.norm(y_vec):
-            svecs.append(s_vec)
-            yvecs.append(y_vec)
-            rhos.append(1.0 / sy)
-            if len(svecs) > settings.memory:
-                svecs.pop(0)
-                yvecs.pop(0)
-                rhos.pop(0)
-        dE = E - E_new
-        dx = np.linalg.norm(s_vec)
-        x, E, g = x_new, E_new, g_new
-        gnorm = np.linalg.norm(g)
-        n_iter += 1
-        if dE <= settings.energy_tol * (1.0 + abs(E)) \
-                and dx <= settings.step_tol * (1.0 + np.linalg.norm(x)):
-            stalls += 1
-            if stalls >= LBFGS_STALL_LIMIT:
-                return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
-        else:
-            stalls = 0
-    return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
-
-
-def _newton(fun_grad, hess, x0, settings):
-    """Damped Newton with a regularization ladder and Armijo search.
-
-    ``hess(x)`` returns the Newton system, a :class:`CondensedHessian`."""
+def optimize(fun_grad, hess, x0, settings):
+    """Validate ``settings`` and minimize from ``x0`` by damped Newton with
+    a regularization ladder and Armijo search; ``hess(x)`` returns the
+    Newton system, a :class:`CondensedHessian`.  Returns (x, energy,
+    iterations, gradient norm, converged)."""
+    settings.validate()
     x = x0.copy()
     E, g = fun_grad(x)
     n_iter = 0
@@ -557,7 +492,7 @@ def _newton(fun_grad, hess, x0, settings):
     gnorm = np.linalg.norm(g)
     while n_iter < settings.max_iter:
         if gnorm <= settings.grad_tol:
-            return x, E, n_iter, gnorm, True
+            break
         H = hess(x)
         scale = max(H.scale, 1e-30)
         d = None
@@ -576,28 +511,26 @@ def _newton(fun_grad, hess, x0, settings):
         if abs(gd) <= noise:
             # the predicted decrease is below the float64 resolution of
             # the energy: accept steps on gradient contraction instead
-            ok = False
             for step in (1.0, 0.5, 0.25):
                 x_new = x + step * d
                 E_new, g_new = fun_grad(x_new)
                 if np.all(np.isfinite(g_new)) \
                         and np.linalg.norm(g_new) < gnorm:
-                    ok = True
                     break
-            if not ok:
-                return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
+            else:           # no trial contracts the gradient
+                break
             x, E, g = x_new, E_new, g_new
             gnorm = np.linalg.norm(g)
             n_iter += 1
             continue
-        accepted = _armijo(fun_grad, x, E, d, gd, 1.0, settings)
+        accepted = _armijo(fun_grad, x, E, d, gd)
         if accepted is None:
             # fall back to a gradient step before giving up
             step = 1.0 / max(gnorm, 1.0)
             x_new = x - step * g
             E_new, g_new = fun_grad(x_new)
             if not np.isfinite(E_new) or E_new >= E:
-                return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
+                break
         else:
             x_new, E_new, g_new = accepted
         dE = E - E_new
@@ -609,30 +542,11 @@ def _newton(fun_grad, hess, x0, settings):
         if dE <= settings.energy_tol * (1.0 + abs(E)):
             stalls += 1
             if stalls >= NEWTON_STALL_LIMIT:
-                return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
+                break
         else:
             stalls = 0
-    return x, E, n_iter, gnorm, gnorm <= settings.grad_tol
-
-
-def optimize(fun_grad, hess, x0, settings):
-    """Validate ``settings`` and minimize from ``x0`` with the method they
-    name; ``"auto"`` is Newton when a Hessian ``hess`` is given (None
-    otherwise) and L-BFGS without.  Returns (x, energy, iterations,
-    gradient norm, converged, method)."""
-    settings.validate()
-    method = settings.method
-    if method == "auto":
-        method = "newton" if hess is not None else "lbfgs"
-    if method == "lbfgs":
-        result = _lbfgs(fun_grad, x0, settings)
-    elif hess is None:
-        raise ValueError("method 'newton' needs the density's Hessian d2w")
-    else:
-        result = _newton(fun_grad, hess, x0, settings)
-    x, E, it, gnorm, conv = result
     # a plain bool: gnorm <= grad_tol is a numpy.bool_, which json rejects
-    return x, E, it, gnorm, bool(conv), method
+    return x, E, n_iter, gnorm, bool(gnorm <= settings.grad_tol)
 
 
 def minimize(problem, initial=None, settings=None):
@@ -654,22 +568,20 @@ def minimize(problem, initial=None, settings=None):
         return (problem.energy(w) if energy else None,
                 problem.energy_gradient(w) if gradient else None)
 
-    hess = None
-    if problem.density.d2w is not None:
-        def hess(xf):
-            full[free] = xf
-            return problem.energy_hessian(HhoVector(problem.space, full))
+    def hess(xf):
+        full[free] = xf
+        return problem.energy_hessian(HhoVector(problem.space, full))
 
     # the adaptive loop keeps every level's problem: the last point and
     # the skeleton pattern live only as long as the solve that uses them
     problem._point = []
     try:
-        x, E, it, gnorm, conv, method = optimize(fun_grad, hess,
-                                                 v.data[free], settings)
+        x, E, it, gnorm, conv = optimize(fun_grad, hess, v.data[free],
+                                         settings)
     finally:
         problem._point = None
         problem._hess_pattern = None
 
     full[free] = x
     u = HhoVector(problem.space, full.copy())
-    return DiscreteSolution(u, E, it, gnorm, conv, method)
+    return DiscreteSolution(u, E, it, gnorm, conv)

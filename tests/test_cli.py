@@ -61,8 +61,8 @@ def test_unknown_keys_rejected(tmp_path):
 
 def test_invalid_values_named(tmp_path):
     for bad in ({"theta": 1.5}, {"mode": "magic"}, {"variant": "x"},
-                {"k": -1}, {"grad_tol": 0.0}, {"method": "cg"},
-                {"max_iter": 0}, {"lbfgs_memory": 0}):
+                {"k": -1}, {"grad_tol": 0.0}, {"energy_tol": -1.0},
+                {"max_iter": 0}):
         path = write_config(tmp_path, benchmark="manufactured-affine", **bad)
         with pytest.raises(ConfigError):
             load_config(path)
@@ -71,7 +71,7 @@ def test_invalid_values_named(tmp_path):
 @pytest.mark.parametrize("bad", [
     {"k": "1"}, {"k": 1.0}, {"k": True}, {"theta": "0.5"},
     {"max_ndof": 100.5}, {"max_levels": "3"}, {"max_iter": False},
-    {"lbfgs_memory": 2.0}, {"grad_tol": "1e-10"}, {"eps": "0.5"},
+    {"max_iter": 2.0}, {"grad_tol": "1e-10"}, {"eps": "0.5"},
     {"eps": True}, {"variant": 1}, {"out": 5}, {"timing": 1}])
 def test_mistyped_values_named(tmp_path, bad):
     """A value of the wrong type is a ConfigError naming the field, not a
@@ -83,9 +83,10 @@ def test_mistyped_values_named(tmp_path, bad):
 
 def test_json_int_accepted_for_float_fields(tmp_path):
     path = write_config(tmp_path, benchmark="manufactured-affine", k=0,
-                        eps=1, backtrack=0.5, grad_tol=1)
+                        eps=1, energy_tol=1, grad_tol=1)
     cfg = load_config(path)
     assert cfg.resolved_eps() == 1.0 and cfg.grad_tol == 1
+    assert cfg.energy_tol == 1
 
 
 @pytest.mark.parametrize("argv,field", [
@@ -184,7 +185,7 @@ def test_cli_main_rejects_bad_eps(tmp_path, capsys):
 
 @pytest.mark.parametrize("bad", [
     {"max_iter": 0}, {"grad_tol": float("nan")},
-    {"step_tol": float("inf")}, {"energy_tol": float("nan")}],
+    {"energy_tol": float("inf")}],
     ids=lambda bad: next(iter(bad)))
 def test_cli_main_rejects_bad_config_file(tmp_path, capsys, bad):
     """A solver setting out of range in a config file exits 2 with the
@@ -196,6 +197,39 @@ def test_cli_main_rejects_bad_config_file(tmp_path, capsys, bad):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and next(iter(bad)) in err
     assert not (tmp_path / "x").exists()
+
+
+# the settings of the removed L-BFGS optimizer and the Armijo constants,
+# now fixed, with the values they used to default to
+REMOVED_SOLVER_KEYS = {"step_tol": 1e-14, "method": "lbfgs",
+                       "lbfgs_memory": 10, "armijo_c1": 1e-4,
+                       "backtrack": 0.5}
+
+
+@pytest.mark.parametrize("key", REMOVED_SOLVER_KEYS)
+def test_cli_main_rejects_removed_solver_keys(tmp_path, capsys, key):
+    """A config that still sets a removed solver key exits 2 instead of
+    running without it."""
+    path = write_config(tmp_path, benchmark="manufactured-affine",
+                        out=str(tmp_path / "x"),
+                        **{key: REMOVED_SOLVER_KEYS[key]})
+    assert main(["run", "--config", str(path)]) == 2
+    assert f"error: unknown config keys: ['{key}']" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_readme_lists_every_config_field(tmp_path):
+    """The README is the list of settings: it names every ``RunConfig``
+    field, and its JSON example is a config that loads."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    missing = [name for name in RunConfig.__dataclass_fields__
+               if f"`{name}`" not in readme and f'"{name}"' not in readme]
+    assert not missing
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "example.json"
+    path.write_text(example, encoding="utf-8")
+    assert load_config(path).benchmark == json.loads(example)["benchmark"]
 
 
 def test_adaptive_run_outputs_and_determinism(tmp_path):
@@ -242,8 +276,7 @@ def test_stabilized_run_writes_stab_column(tmp_path):
 
 def test_solver_failure_nonzero_exit_partial_csv(tmp_path):
     cfg = RunConfig(benchmark="p-laplace-lshape", k=0, mode="uniform",
-                    max_ndof=500, max_iter=2, method="lbfgs",
-                    out=str(tmp_path / "fail"))
+                    max_ndof=500, max_iter=2, out=str(tmp_path / "fail"))
     code = run(cfg)
     assert code == 1
     csv = (tmp_path / "fail" / "convergence.csv").read_text().splitlines()

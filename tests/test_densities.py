@@ -219,8 +219,6 @@ def test_dw_matches_finite_differences(density):
 
 @pytest.mark.parametrize("density", ALL_DENSITIES, ids=lambda d: d.name)
 def test_hessian_matches_fd_of_gradient(density):
-    if density.d2w is None:
-        pytest.skip("no hessian")
     rng = np.random.default_rng(7)
     eps = 1e-6
     for _ in range(10):

@@ -736,11 +736,11 @@ def test_courant_dirichlet_data_match_loop_reference():
                                    atol=0, err_msg=name)
 
 
-def test_courant_rejects_unknown_method():
+def test_courant_rejects_invalid_settings():
     bench = get_benchmark("manufactured-affine")
     courant = bench.make_courant(bench.initial_mesh())
-    with pytest.raises(ValueError, match="method"):
-        courant_p1_minimize(courant, SolverSettings(method="bogus"))
+    with pytest.raises(ValueError, match="max_iter"):
+        courant_p1_minimize(courant, SolverSettings(max_iter=0))
 
 
 def test_error_norms_symmetric_under_zero_perturbation():
