@@ -26,6 +26,9 @@ class EstimatorParams:
     kind: str = STANDARD        # standard | two-well | fhm
 
     def validate(self, k, p, variant):
+        if self.kind not in (STANDARD, TWO_WELL, FHM_VARIANT):
+            raise ValueError(f"unknown estimator kind {self.kind!r}; expected "
+                             f"{STANDARD!r}, {TWO_WELL!r} or {FHM_VARIANT!r}")
         if not (0 < self.theta < 1):
             raise ValueError("bulk parameter requires 0 < theta < 1")
         limit = k + 1.0
@@ -53,7 +56,7 @@ class ElementEstimate:
     lower_order: np.ndarray
 
 
-def estimate(space, problem, u, sigma, params):
+def estimate(space, problem, u, stress_defect, params):
     """Per-element refinement indicator and its total.
 
     Implements the residual functional with |T|-power weights
@@ -61,7 +64,9 @@ def estimate(space, problem, u, sigma, params):
     volume residual, stress projection defect, data oscillations, and
     side terms; the two-well variant adds |T| times the projection
     defect of the lower-order data, the component-map variant replaces
-    the Dirichlet terms by componentwise boundary residuals.
+    the Dirichlet terms by componentwise boundary residuals and drops the
+    stress term.  ``stress_defect`` is what ``problem.discrete_stress(u)``
+    returns next to sigma: per triangle int_T |sigma - DW(G u)|^p'.
     """
     mesh = space.mesh
     ops = space.ops
@@ -95,17 +100,8 @@ def estimate(space, problem, u, sigma, params):
         * np.einsum("tq,tq->t", e_w, mag ** p)
 
     # stress projection defect |T|^(eps*p'/2) ||sigma - DW(G u)||_{p'}^{p'}
-    if params.kind == FHM_VARIANT:
-        stress_term = np.zeros(mesh.num_triangles)
-    else:
-        ed = problem._ed
-        Gu = problem._grad_values(u)
-        dW = problem.density.dw(Gu)
-        sig_vals = sigma.at_points(ed["pts"])
-        dmag = np.sqrt(np.einsum("tqmd,tqmd->tq", sig_vals - dW,
-                                 sig_vals - dW))
-        stress_term = area ** (eps * pp / 2.0) \
-            * np.einsum("tq,tq->t", ed["w"], dmag ** pp)
+    stress_term = (np.zeros(mesh.num_triangles) if params.kind == FHM_VARIANT
+                   else area ** (eps * pp / 2.0) * stress_defect)
 
     # data oscillations, integrated once by the problem; the Neumann
     # sides of T enter with weight |T|^(1/2)
@@ -192,6 +188,8 @@ def mark_doerfler(values, theta):
     if not (0 < theta < 1):
         raise ValueError("requires 0 < theta < 1")
     values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError("indicators must be finite")
     total = values.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
@@ -290,8 +288,8 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         J = None
         if problem.density.conjugate is not None:
             J = space.companion(sol.u)
-        sigma = problem.discrete_stress(sol.u)
-        est, eta = estimate(space, problem, sol.u, sigma, params)
+        sigma, defect = problem.discrete_stress(sol.u)
+        est, eta = estimate(space, problem, sol.u, defect, params)
         stab = None
         if variant == STABILIZED:
             stab = space.stabilization(sol.u, sol.u, problem.p)

@@ -100,7 +100,8 @@ class ReportFields:
         ue, ge, se = self.exact.fields(pts.reshape(-1, 2))
         loc = space.ops.local_coords(pts, tri)
         phi = _batch_eval(space.ops.exps_k, loc)
-        Gu = None if self.g is None else self.g._at_local(loc, phi, tri)
+        Gu = None if self.g is None \
+            else space.ops.grad_values(loc, phi, self.g.coeffs[tri])
         return PointFields(
             tri, w, loc, phi, Gu,
             None if Gu is None else self.density.dw(Gu),
@@ -260,7 +261,7 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, fields=None):
     space = problem.space
     E = problem.energy(u) if energy is None else energy
     vol = (fields or ReportFields(problem, u, exact)).volume
-    sig = sigma._at_local(vol.loc, vol.phi, vol.tri)
+    sig = space.ops.grad_values(vol.loc, vol.phi, sigma.coeffs[vol.tri])
     corr = float(np.einsum("tq,tqmd,tqmd->", vol.w, vol.dW - sig, vol.ge))
     base = E + corr
     if space.variant == STABILIZED:

@@ -10,7 +10,10 @@ are dense matrices acting on the local scalar dof vector
 and are precomputed in batched arrays over all triangles.  Vector-valued
 problems (m > 1) reuse the same operators componentwise.  The
 stabilization s_l, its gradient and its Hessian all read one table per
-exponent p, :meth:`SpaceOps.stab_data`.
+exponent p, :meth:`SpaceOps.stab_data`.  The gradient space (RT_k, or
+P_k(T; R^2) when stabilized) has two kernels, :meth:`SpaceOps.grad_values`
+and its adjoint :meth:`SpaceOps.grad_moments`; G and the discrete stress
+are projected onto the space through the adjoint.
 """
 
 from __future__ import annotations
@@ -123,7 +126,6 @@ class SpaceOps:
         self.side_w = self.h_f[:, None] * self.side_wref[None, :]
 
         self._build_local_maps()
-        self._build_projections()
         self._build_potential_op(self._build_gradient_op())
         if space.variant == STABILIZED:
             self._build_stabilization_op()
@@ -204,28 +206,25 @@ class SpaceOps:
             out[..., 1] += xy[..., 1:2] * s
         return out.reshape(loc.shape[:-1] + (m, 2))
 
-    def grad_basis_eval(self, pts, tri=slice(None)):
-        """The gradient-space fields at points (n, ..., 2) on the triangles
-        ``tri`` (all by default), (n, ..., ng, 2): :meth:`grad_values`
-        with identity coefficients."""
-        loc = self.local_coords(pts, tri)
-        ng = self.grad_space_dim()
-        eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
-        return self.grad_values(loc, _batch_eval(self.exps_k, loc), eye)
-
-    def grad_basis_div(self, pts):
-        """Divergence of the gradient-space fields; the last k+1 (RT)
-        fields have divergence (k+2) q / h_T."""
-        loc = self.local_coords(pts)
-        gphi = _batch_grad(self.exps_k, loc, self.h_t)
+    def grad_moments(self, loc, phi, vals):
+        """The adjoint of :meth:`grad_values`: sum over the points of
+        tau_i . vals for the gradient-space fields tau_i, from values
+        (n, ..., m, 2) with the weights folded in, at points with local
+        coordinates loc and P_k table phi as there; (n, ng, m)."""
         ncb = self.ncb
-        out = np.empty(gphi.shape[:-2] + (self.grad_space_dim(),))
-        out[..., :ncb] = gphi[..., 0]
-        out[..., ncb:2 * ncb] = gphi[..., 1]
+        n, m = len(vals), vals.shape[-2]
+        npt = int(np.prod(loc.shape[1:-1]))
+        phi_t = phi.reshape(n, npt, ncb).transpose(0, 2, 1)
+        vals = vals.reshape(n, npt, m, 2)
+        out = np.empty((n, self.grad_space_dim(), m))
+        # the x and y blocks: (n, ncb, m * 2) -> rows [x-block | y-block]
+        xy = np.matmul(phi_t, vals.reshape(n, npt, 2 * m))
+        out[:, :2 * ncb] = xy.reshape(n, ncb, m, 2).transpose(
+            0, 3, 1, 2).reshape(n, 2 * ncb, m)
         if self.space.variant == RT:
-            hom = self.exps_k[ncb - self.nsb:]
-            h = self.h_t.reshape((-1,) + (1,) * (pts.ndim - 1))
-            out[..., 2 * ncb:] = (2 + self.space.k) * _batch_eval(hom, loc) / h
+            xy = loc.reshape(n, npt, 1, 2)
+            s = xy[..., 0] * vals[..., 0] + xy[..., 1] * vals[..., 1]
+            out[:, 2 * ncb:] = np.matmul(phi_t[:, ncb - self.nsb:], s)
         return out
 
     # -- local dof bookkeeping -------------------------------------------------
@@ -273,36 +272,36 @@ class SpaceOps:
         gram = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
         return mom, np.linalg.solve(gram, mom[..., None])[..., 0]
 
-    # -- P_k tables at the geometry rules -----------------------------------------
-
-    def _build_projections(self):
-        self.phi_k_vol = self.cell_eval(self.exps_k, self.vol_pts)
-        # traces of the cell basis at the side points of each triangle
-        self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
-        self.phi_k_side = self.cell_eval(self.exps_k, self.side_pts_t)
-
-    # -- gradient reconstruction -------------------------------------------------
+    # -- P_k tables at the geometry rules, gradient reconstruction ----------------
 
     def _build_gradient_op(self):
-        w = self.vol_w
-        tau_vol = self.grad_basis_eval(self.vol_pts)       # (nt,nq,ng,2)
-        gram = np.einsum("tq,tqid,tqjd->tij", w, tau_vol, tau_vol)
-        div = self.grad_basis_div(self.vol_pts)            # (nt,nq,ng)
-        rhs_cell = -np.einsum("tq,tqi,tqj->tij", w, div, self.phi_k_vol)
-        ng = gram.shape[1]
-        nt = gram.shape[0]
-        rhs = np.zeros((nt, ng, self.nloc))
-        rhs[:, :, :self.ncb] = rhs_cell
-        tau_side = self.grad_basis_eval(self.side_pts_t)   # (nt,3,nqs,ng,2)
-        taun = np.einsum("tjqid,tjd->tjqi", tau_side, self.nu)
-        wside = (self.h_f[self.sot] * 1.0)[:, :, None] * self.side_wref
+        """The P_k tables at the volume and side points, and G from
+        (G v, tau)_T = (grad v_T, tau)_T + sum_F (v_F - v_T, tau . nu_F)_F,
+        where v_F - v_T is -phi_l for a cell unknown l and chi_n on the
+        unknown's own side; returns the right-hand side."""
+        ncb, nsb = self.ncb, self.nsb
+        loc = self.local_coords(self.vol_pts)
+        self.phi_k_vol = phi = _batch_eval(self.exps_k, loc)
+        # traces of the cell basis at the side points of each triangle
+        self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
+        loc_side = self.local_coords(self.side_pts_t)
+        self.phi_k_side = _batch_eval(self.exps_k, loc_side)
+        w = self.vol_w[..., None, None]
+        ng = self.grad_space_dim()
+        eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
+        self.grad_gram = self.grad_moments(
+            loc, phi, w * self.grad_values(loc, phi, eye))
+        trace = np.zeros(self.phi_k_side.shape[:-1] + (self.nloc,))
+        trace[..., :ncb] = -self.phi_k_side
         for j in range(3):
-            blk = np.einsum("tq,tqi,qn->tin", wside[:, j], taun[:, j],
-                            self.chi_ref)
-            rhs[:, :, self.ncb + j * self.nsb:
-                self.ncb + (j + 1) * self.nsb] = blk
-        self.grad_gram = gram
-        self.G_op = np.linalg.solve(gram, rhs)             # (nt, ng, nloc)
+            trace[:, j, :, ncb + j * nsb:ncb + (j + 1) * nsb] = self.chi_ref
+        wside = self.h_f[self.sot][..., None, None] * self.side_wref[:, None]
+        rhs = self.grad_moments(
+            loc_side, self.phi_k_side,
+            (wside * trace)[..., None] * self.nu[:, :, None, None])
+        rhs[:, :, :ncb] += self.grad_moments(
+            loc, phi, w * _batch_grad(self.exps_k, loc, self.h_t))
+        self.G_op = np.linalg.solve(self.grad_gram, rhs)   # (nt, ng, nloc)
         return rhs
 
     # -- potential reconstruction --------------------------------------------------
@@ -368,6 +367,7 @@ class SpaceOps:
             B = self.grad_values(loc, _batch_eval(self.exps_k, loc),
                                  self.G_op.transpose(0, 2, 1))
             B = np.ascontiguousarray(B.transpose(0, 1, 3, 2))
+            # loc and its P_k table are not kept (about 3% of the peak RSS)
             self._energy_cache[degree] = {"pts": pts, "w": w, "B": B}
         return self._energy_cache[degree]
 
@@ -501,17 +501,8 @@ class GradField:
         default) -> (n, ..., m, 2)."""
         ops = self.space.ops
         loc = ops.local_coords(pts, tri)
-        return self._at_local(loc, _batch_eval(ops.exps_k, loc), tri)
-
-    def _at_local(self, loc, phi, tri):
-        """:meth:`at_points` from the local coordinates (n, ..., 2) of the
-        points and their P_k table ``phi`` (n, ..., ncb), for a caller
-        that reads the table too."""
-        return self.space.ops.grad_values(loc, phi, self.coeffs[tri])
-
-    def div_at_points(self, pts):
-        dv = self.space.ops.grad_basis_div(pts)
-        return np.einsum("t...i,tmi->t...m", dv, self.coeffs)
+        return ops.grad_values(loc, _batch_eval(ops.exps_k, loc),
+                               self.coeffs[tri])
 
     def lp_norm(self, p, degree=None):
         ops = self.space.ops

@@ -28,7 +28,7 @@ import scipy.sparse.linalg as spla
 
 from .densities import p_laplace
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _values_at
+    _batch_eval, _values_at
 
 # Armijo trials per line search, the sufficient-decrease constant and the
 # step reduction of each trial, and consecutive stalled Newton steps
@@ -269,15 +269,20 @@ class DiscreteProblem:
     # -- stress -----------------------------------------------------------------------
 
     def discrete_stress(self, u):
-        """sigma = projection of DW(G u) onto the local gradient space,
-        consistent with the energy quadrature rule."""
+        """sigma, the projection of DW(G u) onto the local gradient space
+        at the energy rule, and its defect per triangle (nt,)
+        int_T |sigma - DW(G u)|^p' on that rule."""
         ops = self.space.ops
-        Gv = self._grad_values(u)
-        dW = self.density.dw(Gv)
-        tau = ops.grad_basis_eval(self._ed["pts"])
-        rhs = np.einsum("tq,tqid,tqmd->tim", self._ed["w"], tau, dW)
-        coeffs = np.linalg.solve(ops.grad_gram, rhs).transpose(0, 2, 1)
-        return GradField(self.space, coeffs)
+        w, pts = self._ed["w"], self._ed["pts"]
+        dW = self.density.dw(self._grad_values(u))
+        loc = ops.local_coords(pts)
+        phi = _batch_eval(ops.exps_k, loc)
+        coeffs = np.linalg.solve(ops.grad_gram, ops.grad_moments(
+            loc, phi, w[..., None, None] * dW)).transpose(0, 2, 1)
+        diff = ops.grad_values(loc, phi, coeffs) - dW
+        mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
+        defect = np.einsum("tq,tq->t", w, mag ** (self.p / (self.p - 1.0)))
+        return GradField(self.space, coeffs), defect
 
 
 # -- energy terms ---------------------------------------------------------------------

@@ -4,7 +4,9 @@ One triangle or side at a time, with physical-coordinate quadrature
 rules: scaled monomial bases of P_k on a triangle and on a side, the
 Raviart-Thomas basis RT_k, L2 projections, and the RT mass matrix.  The
 library evaluates the same objects batched over the mesh (``ahho.hho``);
-the tests check it against these.  Two energy oracles close the file:
+the tests check it against these, and against the gradient-space basis
+as a zero-padded table, its divergence, and G built from the divergence
+form of its defining identity.  Two energy oracles close the file:
 the lower-order term 0.5*l2_weight*||zeta - v_T||^2 of the hybrid problem
 in Gram form, and the conforming P1 probe's energy, gradient and Hessian
 written out by hand.
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ahho.hho import _values_at
+from ahho.hho import RT, _batch_eval, _values_at
 from ahho.poly import monomial_exponents, reference_segment_rule, \
     reference_triangle_rule
 from ahho.solver import eval_neumann
@@ -147,6 +149,61 @@ class RtBasis:
         """tau . n at points on a side, shape (npts, dim)."""
         vals = self.eval(points)
         return vals @ np.asarray(normal, dtype=float)
+
+
+def padded_grad_basis(ops, pts, tri=slice(None)):
+    """The gradient-space basis of ``ops`` at points (n, ..., 2) on the
+    triangles ``tri`` (all by default), built field by field into a
+    zero-padded (n, ..., ng, 2) table."""
+    loc = ops.local_coords(pts, tri)
+    phi = _batch_eval(ops.exps_k, loc)
+    ncb = ops.ncb
+    out = np.zeros(phi.shape[:-1] + (ops.grad_space_dim(), 2))
+    out[..., :ncb, 0] = phi
+    out[..., ncb:2 * ncb, 1] = phi
+    if ops.space.variant == RT:
+        # the homogeneous degree-k monomials are the last k+1 of P_k
+        q = phi[..., ncb - ops.nsb:]
+        out[..., 2 * ncb:, 0] = loc[..., 0:1] * q
+        out[..., 2 * ncb:, 1] = loc[..., 1:2] * q
+    return out
+
+
+def grad_basis_div(ops, pts):
+    """Divergence of the gradient-space basis of ``ops`` at points
+    (nt, ..., 2), (nt, ..., ng), triangle by triangle: ``RtBasis.div``
+    (RT), or the x and y derivatives of ``CellBasis`` (stabilized)."""
+    k = ops.space.k
+    out = np.empty(pts.shape[:-1] + (ops.grad_space_dim(),))
+    for t in range(len(pts)):
+        x = pts[t].reshape(-1, 2)
+        if ops.space.variant == RT:
+            div = RtBasis(k, ops.centroid[t], ops.h_t[t]).div(x)
+        else:
+            g = CellBasis(k, ops.centroid[t], ops.h_t[t]).grad(x)
+            div = np.concatenate((g[..., 0], g[..., 1]), axis=-1)
+        out[t] = div.reshape(out.shape[1:])
+    return out
+
+
+def divergence_form_gradient_op(ops):
+    """G_op (nt, ng, nloc) from (G v, tau)_T = -(v_T, div tau)_T
+    + sum_F (v_F, tau . nu_F)_F, with the Gram matrix of the padded
+    basis table."""
+    w = ops.vol_w
+    tau_vol = padded_grad_basis(ops, ops.vol_pts)
+    gram = np.einsum("tq,tqid,tqjd->tij", w, tau_vol, tau_vol)
+    div = grad_basis_div(ops, ops.vol_pts)
+    rhs = np.zeros(gram.shape[:2] + (ops.nloc,))
+    rhs[:, :, :ops.ncb] = -np.einsum("tq,tqi,tqj->tij", w, div,
+                                     ops.phi_k_vol)
+    taun = np.einsum("tjqid,tjd->tjqi",
+                     padded_grad_basis(ops, ops.side_pts_t), ops.nu)
+    wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
+    for j in range(3):
+        rhs[:, :, ops.ncb + j * ops.nsb:ops.ncb + (j + 1) * ops.nsb] = \
+            np.einsum("tq,tqi,qn->tin", wside[:, j], taun[:, j], ops.chi_ref)
+    return np.linalg.solve(gram, rhs)
 
 
 class QuadratureRule:

@@ -8,8 +8,8 @@ from ahho.adaptivity import (EstimatorParams, estimate, mark_doerfler,
 from ahho.densities import p_laplace
 from ahho.hho import RT, STABILIZED, HhoSpace
 from ahho.mesh import DIRICHLET, NEUMANN, build_triangulation, refine_uniform
-from poly_reference import (CellBasis, SideBasis, side_quadrature,
-                            triangle_quadrature)
+from poly_reference import (CellBasis, SideBasis, padded_grad_basis,
+                            side_quadrature, triangle_quadrature)
 from ahho.solver import DiscreteProblem, minimize
 
 B_AFFINE = np.array([1.5, 0.5])
@@ -26,12 +26,14 @@ def mixed_rule(mid):
 
 
 class AffineFamily:
-    """p = 2 manufactured affine benchmark on the unit square."""
+    """Manufactured affine benchmark on the unit square: the p-Laplace
+    minimizer is ``affine`` for every p (f = 0, g = |b|^(p-2) b . n)."""
 
     m = 1
 
-    def __init__(self, nref=0):
+    def __init__(self, nref=0, p=2.0):
         self.nref = nref
+        self.p = p
 
     def initial_mesh(self):
         mesh = build_triangulation([(0, 0), (1, 0), (1, 1), (0, 1)],
@@ -46,9 +48,10 @@ class AffineFamily:
         space = HhoSpace(mesh, k, m=1, variant=variant, dirichlet_mask=mask)
 
         def g(pts, normals):
-            return normals @ B_AFFINE
+            return np.linalg.norm(B_AFFINE) ** (self.p - 2) \
+                * (normals @ B_AFFINE)
 
-        return DiscreteProblem(space, p_laplace(2.0), g=g,
+        return DiscreteProblem(space, p_laplace(self.p), g=g,
                                u_dirichlet=affine)
 
 
@@ -56,8 +59,7 @@ def solve_level(family, k, variant=RT):
     mesh = family.initial_mesh()
     problem = family.make_problem(mesh, k, variant)
     sol = minimize(problem)
-    sigma = problem.discrete_stress(sol.u)
-    return problem, sol, sigma
+    return (problem, sol) + problem.discrete_stress(sol.u)
 
 
 # -- estimator -------------------------------------------------------------------
@@ -65,9 +67,9 @@ def solve_level(family, k, variant=RT):
 @pytest.mark.parametrize("k", [0, 1])
 def test_estimator_vanishes_on_manufactured_affine(k):
     family = AffineFamily(nref=1)
-    problem, sol, sigma = solve_level(family, k)
+    problem, sol, _, defect = solve_level(family, k)
     params = EstimatorParams(eps=(k + 1) / 100)
-    est, eta = estimate(problem.space, problem, sol.u, sigma, params)
+    est, eta = estimate(problem.space, problem, sol.u, defect, params)
     assert eta < 1e-10
     for term in (est.volume_residual, est.stress_projection,
                  est.f_oscillation, est.g_oscillation, est.dirichlet_trace,
@@ -76,16 +78,19 @@ def test_estimator_vanishes_on_manufactured_affine(k):
 
 
 def test_estimator_total_is_sum_and_nonnegative():
-    family = AffineFamily(nref=1)
-    problem, sol, sigma = solve_level(family, 0)
+    # p != 2, so sigma differs from DW(G u) and the stress term counts
+    family = AffineFamily(nref=1, p=4.0)
+    problem, sol, _, _ = solve_level(family, 0)
     # perturb to make the estimator strictly positive
     rng = np.random.default_rng(5)
     u = sol.u.copy()
     u.data[problem.free_idx] += 0.05 * rng.standard_normal(
         len(problem.free_idx))
     params = EstimatorParams(eps=0.01)
-    est, eta = estimate(problem.space, problem, u, sigma, params)
+    _, defect = problem.discrete_stress(u)
+    est, eta = estimate(problem.space, problem, u, defect, params)
     assert eta > 1e-6
+    assert est.stress_projection.sum() > 1e-8
     assert np.all(est.total >= -1e-15)
     assert abs(eta - est.total.sum()) < 1e-12 * max(1.0, eta)
     recomposed = (est.volume_residual + est.stress_projection
@@ -96,16 +101,18 @@ def test_estimator_total_is_sum_and_nonnegative():
 
 
 def test_estimator_terms_match_straight_quadrature():
-    """Recompute every term with single-element quadrature loops."""
-    family = AffineFamily(nref=1)
+    """Recompute every term with single-element quadrature loops, exact
+    for the even p = 4; sigma = DW(G u) fails there and p' = 4/3."""
+    family = AffineFamily(nref=1, p=4.0)
     k = 1
-    problem, sol, sigma = solve_level(family, k)
+    problem, sol, _, _ = solve_level(family, k)
     rng = np.random.default_rng(11)
     u = sol.u.copy()
     u.data += 0.1 * rng.standard_normal(problem.space.ndof)
     problem.apply_dirichlet(u)
     params = EstimatorParams(eps=0.25)
-    est, eta = estimate(problem.space, problem, u, sigma, params)
+    sigma, defect = problem.discrete_stress(u)
+    est, eta = estimate(problem.space, problem, u, defect, params)
 
     space = problem.space
     mesh = space.mesh
@@ -139,7 +146,7 @@ def test_estimator_terms_match_straight_quadrature():
             s = mesh.side_of_triangle[t, j]
             a = mesh.vertices[mesh.sides[s, 0]]
             b = mesh.vertices[mesh.sides[s, 1]]
-            srule = side_quadrature(a, b, 2 * k + 2)
+            srule = side_quadrature(a, b, int(p) * (k + 1))
             tp, tm = mesh.adjacency[s]
             rv_t = _poly_at(R, t, srule.points)
             if tm >= 0:
@@ -160,18 +167,33 @@ def test_estimator_terms_match_straight_quadrature():
         assert abs(est.side_traces[t] - w_side * trace_o) \
             < 1e-10 * max(1.0, trace_o)
 
-    # stress projection term
+    # stress projection term: sigma as the L2 projection of DW(G u) onto
+    # the padded basis, and int_T |sigma - DW(G u)|^p' per triangle
     ed = problem._ed
+    ops = space.ops
+    tau = padded_grad_basis(ops, ed["pts"])
+    pp = p / (p - 1)
     for t in (2, 6):
-        Gu = problem._grad_values(u)[t]
-        dW = problem.density.dw(Gu)
-        ops = space.ops
-        tau = ops.grad_basis_eval(ed["pts"])[t]
-        sig = np.einsum("qid,i->qd", tau, sigma.coeffs[t, 0])
-        dmag = np.linalg.norm(sig - dW[:, 0, :], axis=1)
-        pp = p / (p - 1)
-        oracle = areas[t] ** (eps * pp / 2) * ed["w"][t] @ dmag ** pp
-        assert abs(est.stress_projection[t] - oracle) < 1e-10 * max(1, oracle)
+        w = ed["w"][t]
+        Gu = tau[t].transpose(0, 2, 1) @ (ops.G_op[t]
+                                          @ u.data[ops.loc2glob[t, 0]])
+        dW = Gu * np.linalg.norm(Gu, axis=1)[:, None] ** (p - 2)
+        gram = np.einsum("q,qid,qjd->ij", w, tau[t], tau[t])
+        coeffs = np.linalg.solve(gram, np.einsum("q,qid,qd->i", w, tau[t], dW))
+        assert np.allclose(sigma.coeffs[t, 0], coeffs, rtol=1e-10, atol=1e-12)
+        dmag = np.linalg.norm(np.einsum("qid,i->qd", tau[t], coeffs) - dW,
+                              axis=1)
+        oracle = w @ dmag ** pp
+        assert oracle > 1e-8
+        assert abs(defect[t] - oracle) < 1e-10 * max(1, oracle)
+        assert abs(est.stress_projection[t]
+                   - areas[t] ** (eps * pp / 2) * oracle) \
+            < 1e-10 * max(1, oracle)
+    # estimate only weighs the defect it is given
+    other = rng.random(mesh.num_triangles)
+    est_other, _ = estimate(space, problem, u, other, params)
+    assert np.allclose(est_other.stress_projection,
+                       areas ** (eps * pp / 2) * other, rtol=1e-14, atol=0)
 
 
 def _poly_at(poly, t, pts):
@@ -180,10 +202,10 @@ def _poly_at(poly, t, pts):
 
 def test_estimator_rejects_bad_variant():
     family = AffineFamily()
-    problem, sol, sigma = solve_level(family, 0)
+    problem, sol, _, defect = solve_level(family, 0)
     params = EstimatorParams(eps=0.5, kind="fhm")
     with pytest.raises(ValueError):
-        estimate(problem.space, problem, sol.u, sigma, params)
+        estimate(problem.space, problem, sol.u, defect, params)
 
 
 def test_estimator_params_validation():
@@ -196,6 +218,8 @@ def test_estimator_params_validation():
     EstimatorParams(eps=1.0).validate(0, 2.0, RT)
     with pytest.warns(UserWarning):
         EstimatorParams(eps=0.0).validate(0, 2.0, RT)
+    with pytest.raises(ValueError, match="'standard', 'two-well' or 'fhm'"):
+        EstimatorParams(eps=0.02, kind="twowell").validate(1, 2.0, RT)
 
 
 # -- marking -----------------------------------------------------------------------
@@ -213,6 +237,12 @@ def test_doerfler_feasibility_and_ties():
     marked = mark_doerfler(vals, 0.5)
     assert vals[marked].sum() >= 0.5 * vals.sum()
     assert set(marked) == {0, 1}  # ties broken by index
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_doerfler_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="indicators must be finite"):
+        mark_doerfler([bad, 1.0, 2.0], 0.5)
 
 
 def brute_force_min_cardinality(values, theta):
@@ -378,7 +408,7 @@ def test_stabilization_bounded_by_indicator_terms():
     problem = family.make_problem(mesh, 1, variant=STABILIZED)
     space = problem.space
     params = EstimatorParams(eps=1e-9)  # weights closest to the raw terms
-    sigma = problem.discrete_stress(problem.initial_guess())
+    _, defect = problem.discrete_stress(problem.initial_guess())
     consts = []
     h_t = space.ops.h_t
     for _ in range(20):
@@ -387,7 +417,7 @@ def test_stabilization_bounded_by_indicator_terms():
         problem.apply_dirichlet(v)
         _, s_elem, _ = space.stabilization(v, v, problem.p,
                                            return_parts=True)
-        est, _ = estimate(space, problem, v, sigma, params)
+        est, _ = estimate(space, problem, v, defect, params)
         # eps ~ 0: volume term carries |T|^{-p/2} = h^-p, traces h^{1-p}
         control = (est.volume_residual * h_t ** (-2.0)
                    + est.side_traces * h_t ** (-2.0)) + 1e-30
@@ -469,7 +499,7 @@ def test_zero_estimator_implies_consistency():
     """eta = 0 forces vanishing potential jumps, sigma = DW(G u) element
     by element, and vanishing data oscillations (manufactured case)."""
     family = AffineFamily(nref=1)
-    problem, sol, sigma = solve_level(family, 1)
+    problem, sol, sigma, _ = solve_level(family, 1)
     space = problem.space
     ops = space.ops
     mesh = space.mesh
@@ -480,7 +510,7 @@ def test_zero_estimator_implies_consistency():
     r_minus = R.at_points(ops.side_pts[interior], mesh.adjacency[interior, 1])
     assert np.max(np.abs(r_plus - r_minus)) < 1e-9
     ed = problem._ed
-    tau = ops.grad_basis_eval(ed["pts"])
+    tau = padded_grad_basis(ops, ed["pts"])
     sig_vals = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
     dW = problem.density.dw(problem._grad_values(sol.u))
     assert np.max(np.abs(sig_vals - dW)) < 1e-9

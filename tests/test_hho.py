@@ -5,8 +5,10 @@ from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
                       _batch_eval, _batch_grad, _CompanionGeometry)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
 from ahho.poly import cell_dim, monomial_exponents, reference_triangle_rule
-from poly_reference import (CellBasis, RtBasis, SideBasis, l2_project_cell,
-                            l2_project_side, rt_project, side_quadrature,
+from poly_reference import (CellBasis, RtBasis, SideBasis,
+                            divergence_form_gradient_op, grad_basis_div,
+                            l2_project_cell, l2_project_side,
+                            padded_grad_basis, rt_project, side_quadrature,
                             triangle_quadrature)
 
 
@@ -56,23 +58,6 @@ def test_running_product_kernels_match_cell_basis(k):
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
-def _padded_grad_basis(ops, pts, tri=slice(None)):
-    """The gradient-space basis table built field by field into a
-    zero-padded (n, ..., ng, 2) array."""
-    loc = ops.local_coords(pts, tri)
-    phi = _batch_eval(ops.exps_k, loc)
-    ncb = ops.ncb
-    out = np.zeros(phi.shape[:-1] + (ops.grad_space_dim(), 2))
-    out[..., :ncb, 0] = phi
-    out[..., ncb:2 * ncb, 1] = phi
-    if ops.space.variant == RT:
-        # the homogeneous degree-k monomials are the last k+1 of P_k
-        q = phi[..., ncb - ops.nsb:]
-        out[..., 2 * ncb:, 0] = loc[..., 0:1] * q
-        out[..., 2 * ncb:, 1] = loc[..., 1:2] * q
-    return out
-
-
 def _grad_field_cases(ops):
     """(tri, pts): all triangles and subsets, (n, nq, 2) and (n, 3, nq, 2)
     points, and an empty subset."""
@@ -116,14 +101,50 @@ def test_grad_field_at_points_matches_basis_table(variant, k, m):
 @pytest.mark.parametrize("k", [0, 1, 2])
 @pytest.mark.parametrize("m", [1, 2])
 def test_grad_basis_eval_is_the_padded_table(variant, k, m):
-    """The basis table from the field kernel with identity coefficients
-    has the bytes of the zero-padded table."""
+    """``grad_values`` with identity coefficients has the bytes of the
+    zero-padded basis table."""
     ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
+    ng = ops.grad_space_dim()
     for tri, pts in _grad_field_cases(ops):
-        got = ops.grad_basis_eval(pts, tri)
-        want = _padded_grad_basis(ops, pts, tri)
+        loc = ops.local_coords(pts, tri)
+        eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
+        got = ops.grad_values(loc, _batch_eval(ops.exps_k, loc), eye)
+        want = padded_grad_basis(ops, pts, tri)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("m", [1, 2])
+def test_grad_moments_is_the_adjoint_of_grad_values(variant, k, m):
+    """<grad_values(c), V> = <c, grad_moments(V)> triangle by triangle,
+    on volume and side points and on subsets of the triangles."""
+    rng = np.random.default_rng(17 + k + 3 * m)
+    ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
+    for tri, pts in _grad_field_cases(ops):
+        loc = ops.local_coords(pts, tri)
+        phi = _batch_eval(ops.exps_k, loc)
+        c = rng.standard_normal((len(loc), m, ops.grad_space_dim()))
+        V = rng.standard_normal(pts.shape[:-1] + (m, 2))
+        mom = ops.grad_moments(loc, phi, V)
+        assert mom.shape == (len(loc), ops.grad_space_dim(), m)
+        lhs = (ops.grad_values(loc, phi, c) * V).sum(
+            axis=tuple(range(1, V.ndim)))
+        rhs = np.einsum("tmi,tim->t", c, mom)
+        np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * max(
+            1.0, np.abs(lhs).max(initial=0)))
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_gradient_op_matches_divergence_form(variant, k):
+    """G from the gradient form of its defining identity equals G from
+    the divergence form, to 1e-13 relative."""
+    ops = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant).ops
+    want = divergence_form_gradient_op(ops)
+    np.testing.assert_allclose(ops.G_op, want, rtol=0,
+                               atol=1e-13 * np.abs(want).max())
 
 
 @pytest.mark.parametrize("variant", [RT, STABILIZED])
@@ -134,7 +155,7 @@ def test_energy_table_matches_padded_contraction(variant, k):
     ops = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant).ops
     for degree in (2 * k + 2, 2 * k + 6):
         ed = ops.energy_data(degree)
-        want = np.einsum("tqid,til->tqdl", _padded_grad_basis(ops, ed["pts"]),
+        want = np.einsum("tqid,til->tqdl", padded_grad_basis(ops, ed["pts"]),
                          ops.G_op)
         assert ed["B"].shape == want.shape
         np.testing.assert_allclose(ed["B"], want, rtol=0,
@@ -247,13 +268,13 @@ def test_gradient_defining_identity(k):
     v = random_vector(space, rng)
     g = space.gradient_reconstruction(v)
 
-    tau_vol = ops.grad_basis_eval(ops.vol_pts)
-    div_vol = ops.grad_basis_div(ops.vol_pts)
+    tau_vol = padded_grad_basis(ops, ops.vol_pts)
+    div_vol = grad_basis_div(ops, ops.vol_pts)
     gv = g.at_points(ops.vol_pts)[:, :, 0, :]
     vT = np.einsum("tmi,tqi->tq", v.cells, ops.phi_k_vol)
     lhs = np.einsum("tq,tqd,tqid->ti", ops.vol_w, gv, tau_vol)
     rhs = -np.einsum("tq,tq,tqi->ti", ops.vol_w, vT, div_vol)
-    tau_side = ops.grad_basis_eval(ops.side_pts_t)
+    tau_side = padded_grad_basis(ops, ops.side_pts_t)
     taun = np.einsum("tjqid,tjd->tjqi", tau_side, ops.nu)
     vF = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)[ops.sot][..., 0]
     wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
