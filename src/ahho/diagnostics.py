@@ -1,7 +1,7 @@
 """Error norms, certified energy bounds, extrapolation, rate fits, and
 the conforming Courant P1 probe.  The probe constrains the vertices of
-the benchmark's Dirichlet side mask and minimizes through the optimizer
-driver of the hybrid solver, ``solver.optimize``."""
+the benchmark's Dirichlet side mask; it is a ``solver.TermProblem``, so
+``solver.minimize`` minimizes it like the hybrid problem."""
 
 from __future__ import annotations
 
@@ -15,9 +15,7 @@ from .densities import UnsupportedConjugate, p_laplace
 from .hho import STABILIZED, _as_components, _batch_eval, _values_at
 from .poly import _read_only, reference_segment_rule, \
     reference_triangle_rule
-from .solver import CondensedHessian, SolverSettings, eval_neumann, \
-    hessian_pattern, optimize, term_energy, term_gradient, term_hessian, \
-    term_values
+from .solver import TermProblem, eval_neumann
 
 
 @dataclass
@@ -344,11 +342,11 @@ def fit_rate(ndofs, values, window=None):
 
 # -- Courant P1 probe ---------------------------------------------------------------
 
-class CourantProblem:
+class CourantProblem(TermProblem):
     """Conforming P1 minimization of the same energy on the same mesh, as
-    terms of the solver's kernel over the vertex values with a load and a
-    constant: the density on the piecewise constant gradient, and the
-    lower-order term as |a|^2/2 on the values at the load's rule."""
+    a ``solver.TermProblem`` over the vertex values without cell unknowns:
+    the density on the piecewise constant gradient, and the lower-order
+    term as |a|^2/2 on the values at the load's rule."""
 
     def __init__(self, mesh, density, side_mask, f=None, g=None,
                  u_dirichlet=None, l2_weight=0.0, l2_data=None):
@@ -385,16 +383,20 @@ class CourantProblem:
         np.logical_or.at(mask, mesh.sides.reshape(-1),
                          np.repeat(side_mask, 2, axis=0))
         self.dirichlet_mask = mask
-        self.values = np.zeros((nv, m))
+        self.dirichlet_idx = np.nonzero(mask.reshape(-1))[0]
+        self.dirichlet_values = np.zeros(len(self.dirichlet_idx))
         if self.u_dirichlet is not None and mask.any():
             nodes = np.nonzero(mask.any(axis=1))[0]
             vals = _values_at(self.u_dirichlet, mesh.vertices[nodes], m)
-            self.values[nodes] = np.where(mask[nodes], vals, 0.0)
-        self.free = ~mask.reshape(-1)
+            # constrained (vertex, component) pairs in dirichlet_idx order
+            self.dirichlet_values = vals[mask[nodes]]
+        self.free_mask = ~mask.reshape(-1)
+        self.free_idx = np.nonzero(self.free_mask)[0]
 
         # dof of component c at local vertex j, (nt, m, 3)
-        self._loc2glob = mesh.triangles[:, None, :] * m \
+        self.loc2glob = mesh.triangles[:, None, :] * m \
             + np.arange(m)[:, None]
+        self.nc = 0
         self._terms = [(grads[:, None], self.area[:, None], self.density)]
         self.constant = 0.0
 
@@ -405,7 +407,7 @@ class CourantProblem:
                         ref_pts[:, 0], ref_pts[:, 1]], axis=1)
         pts = np.einsum("qj,tjd->tqd", lam, corners)
         wq = np.abs(det)[:, None] * ref_w[None, :]
-        moments = np.zeros(self._loc2glob.shape)
+        moments = np.zeros(self.loc2glob.shape)
         if self.f is not None:
             fv = _values_at(self.f, pts, m)
             moments += np.einsum("tq,qj,tqm->tmj", wq, lam, fv)
@@ -417,7 +419,7 @@ class CourantProblem:
                 np.einsum("tq,tqm,tqm->", wq, zeta, zeta))
             T = np.broadcast_to(lam[:, None, :], (len(wq), len(lam), 1, 3))
             self._terms.append((T, self.l2_weight * wq, p_laplace(2.0)))
-        self.load = np.bincount(self._loc2glob.reshape(-1),
+        self.load = np.bincount(self.loc2glob.reshape(-1),
                                 moments.reshape(-1), minlength=nv * m)
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
@@ -437,50 +439,8 @@ class CourantProblem:
                 dof.reshape(-1), np.stack([mom_a, mom_b], axis=1).reshape(-1),
                 minlength=nv * m)
 
-    def _values(self, x):
-        return term_values(self._terms, self._loc2glob, x)
-
-    def energy(self, x):
-        return (term_energy(self._terms, self._values(x))
-                - float(self.load @ x) + self.constant)
-
-    def gradient(self, x):
-        return term_gradient(self._terms, self._values(x), self._loc2glob,
-                             len(x)) - self.load
-
-    @functools.cached_property
-    def _pattern(self):
-        """:func:`solver.hessian_pattern` of the free vertex dofs."""
-        nfree = int(self.free.sum())
-        pos = np.full(len(self.free), nfree, dtype=np.int32)
-        pos[self.free] = np.arange(nfree, dtype=np.int32)
-        return hessian_pattern(
-            pos[self._loc2glob.reshape(len(self._loc2glob), -1)], nfree)
-
-    def hessian(self, x):
-        """The Newton system at ``x`` over the free dofs: the
-        per-triangle Hessians, without cell blocks to eliminate."""
-        return CondensedHessian(term_hessian(self._terms, self._values(x)),
-                                0, self._pattern)
-
-
-def courant_p1_minimize(courant, settings=None):
-    """Minimize the conforming P1 energy with the optimizer driver of the
-    hybrid solver; returns (energy, nodal values, converged flag)."""
-    x = np.zeros(courant.mesh.num_vertices * courant.m)
-    x.reshape(-1, courant.m)[:] = courant.values
-    free = np.nonzero(courant.free)[0]
-
-    def fun_grad(xf, energy=True, gradient=True):
-        x[free] = xf
-        return (courant.energy(x) if energy else None,
-                courant.gradient(x)[free] if gradient else None)
-
-    def hess(xf):
-        x[free] = xf
-        return courant.hessian(x)
-
-    xf, E, _, _, conv = optimize(fun_grad, hess, x[free],
-                                 settings or SolverSettings())
-    x[free] = xf
-    return E, x.reshape(-1, courant.m), conv
+    def initial_guess(self):
+        """Zero, with the Dirichlet dofs at their values."""
+        x = np.zeros(len(self.load))
+        self.apply_dirichlet(x)
+        return x

@@ -488,6 +488,14 @@ class HhoVector:
     def copy(self):
         return HhoVector(self.space, self.data.copy())
 
+    def __array__(self, dtype=None, copy=None):
+        """``data`` itself unless a copy or another dtype is asked for, so
+        that ``np.asarray(v)`` reads and writes it (NumPy 1.x passes no
+        ``copy``, and its ``np.array`` rejects ``copy=None``)."""
+        if copy:
+            return np.array(self.data, dtype=dtype)
+        return np.asarray(self.data, dtype=dtype)
+
 
 class GradField:
     """Piecewise field in the local gradient space, coefficients (nt, m, ng)."""

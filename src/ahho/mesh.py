@@ -78,12 +78,19 @@ class Triangulation:
             raise MeshError("triangles must be an (nt, 3) array")
         if tri.size and (tri.min() < 0 or tri.max() >= len(self.vertices)):
             raise MeshError("triangle references a vertex out of range")
+        if ref.shape != (len(tri),) or not np.isin(ref, (0, 1, 2)).all():
+            raise MeshError("refinement edges must be one local edge "
+                            "0, 1 or 2 per triangle")
 
         # Normalize to counterclockwise orientation; swapping the last two
         # vertices exchanges the local edges 1 and 2.
         p = self.vertices
         area = _signed_area(p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]])
-        if np.any(np.abs(area) < 1e-14):
+        # relative to the triangle's own scale, so that a fine or a small
+        # mesh is not taken for a degenerate one
+        edges = p[tri] - p[np.roll(tri, 1, axis=1)]
+        if np.any(np.abs(area) <= 1e-14 * np.einsum(
+                "tjd,tjd->tj", edges, edges).max(axis=1, initial=0.0)):
             raise MeshError("degenerate (zero-area) triangle")
         flip = area < 0
         tri[flip] = tri[flip][:, [0, 2, 1]]

@@ -1,22 +1,21 @@
-"""Discrete energy assembly and minimization over hybrid unknowns.
+"""Discrete energy assembly and minimization.
 
-Every discrete energy here is a list of terms (T, w, W) and reads
-sum_terms int w W(T v) - load . v + const: the density W applied to the
-reconstructed gradient, the stabilization s(v; v)/p (stabilized variant)
-as the p-Laplace density on S_{K,S} v, and the lower-order term
-0.5*l2_weight*||zeta - v_T||^2 as the density |a|^2/2 on the cell values,
-whose cross term sits in the load and whose int zeta^2 is the constant.
-One kernel (``term_values``, ``term_energy``, ``term_gradient``,
-``term_hessian``) evaluates such a list over a local-to-global map; the
-hybrid problem and the conforming P1 probe
-(``diagnostics.CourantProblem``) only build their terms, load and
-constant.  Constrained (Dirichlet) dofs are eliminated: the optimizer
-acts on the free dofs only, so prescribed values are met exactly.
+Every discrete energy is a :class:`TermProblem`, a list of terms
+(T, w, W) read as sum_terms int w W(T x) - load . x + const; its
+subclasses only build their terms, load, constant and constrained dofs.
+The hybrid problem (:class:`DiscreteProblem`) holds the density applied
+to the reconstructed gradient, the stabilization s(v; v)/p (stabilized
+variant) as the p-Laplace density on S_{K,S} v, and the lower-order term
+0.5*l2_weight*||zeta - v_T||^2 as the density |a|^2/2 on the cell
+values, whose cross term sits in the load and whose int zeta^2 is the
+constant; the conforming P1 probe (``diagnostics.CourantProblem``) the
+same energy over the vertex values.  Constrained (Dirichlet) dofs are
+eliminated: the optimizer acts on the free dofs only, so prescribed
+values are met exactly.
 
 One optimizer, damped Newton with a regularization ladder and an Armijo
-search (:func:`optimize`), minimizes every discrete energy:
-:func:`minimize` and the conforming P1 probe
-(``diagnostics.courant_p1_minimize``) both run through it.
+search (:func:`optimize`), minimizes every discrete energy through
+:func:`minimize`.
 """
 
 from __future__ import annotations
@@ -60,18 +59,113 @@ class SolverSettings:
 
 @dataclass
 class DiscreteSolution:
-    u: HhoVector
+    """``u`` has the type of the vector :func:`minimize` started from."""
+    u: object
     energy: float
     iterations: int
     grad_norm: float
     converged: bool
 
 
-class DiscreteProblem:
+class TermProblem:
+    """Energy sum_terms int w W(T x) - load . x + constant of a global
+    vector x (read through ``np.asarray``), with its gradient and Newton
+    system over the free dofs, which :func:`minimize` minimizes.
+
+    A term (T, w, W) contributes int w W(T x): T (nt, nq, d, nloc) holds
+    the responses at nq points of the nloc local unknowns of each
+    triangle, the same for each of the m components, w (nt, nq) the
+    weights, and W is an EnergyDensity of (m, d) arguments.  ``loc2glob``
+    (nt, m, nloc) numbers component c of local unknown l of triangle t in
+    the global vector.  The first ``nc`` local unknowns of each component
+    are cell unknowns, which couple only within their triangle, are free
+    and are numbered first: Newton eliminates them triangle by triangle.
+    A subclass sets these, ``load``, ``constant``, ``dirichlet_idx`` and
+    ``dirichlet_values``, ``free_mask`` and ``free_idx``, and provides
+    ``initial_guess``."""
+
+    # released when minimize returns: the skeleton pattern of the Newton
+    # systems, and the last point with its local values
+    _hess_pattern = None
+    _point = None
+
+    def apply_dirichlet(self, v):
+        np.asarray(v)[self.dirichlet_idx] = self.dirichlet_values
+
+    def _local_values(self, v, count=None):
+        """T v (nt, nq, m, d) for the first ``count`` energy terms (all by
+        default).  While ``minimize`` runs, the values of all terms are
+        kept for the last point, so the energy, the gradient and the
+        Hessian at one point compute them once."""
+        x = np.asarray(v)
+        point = self._point
+        if point and np.array_equal(point[0], x):
+            return point[1]
+        local = x[self.loc2glob]
+        values = [np.einsum("tqdl,tml->tqmd", T, local)
+                  for T, _, _ in self._terms[:count]]
+        if point is not None and count is None:
+            point[:] = (x.copy(), values)
+        return values
+
+    def energy(self, v):
+        return (sum(float(np.sum(w * W.w(Tv))) for (_, w, W), Tv
+                    in zip(self._terms, self._local_values(v)))
+                - float(self.load @ np.asarray(v)) + self.constant)
+
+    def energy_gradient(self, v, reduced=True):
+        g_loc = sum(
+            np.einsum("tqmd,tqdl->tml", w[..., None, None] * W.dw(Tv), T)
+            for (T, w, W), Tv in zip(self._terms, self._local_values(v)))
+        grad = np.bincount(self.loc2glob.reshape(-1), g_loc.reshape(-1),
+                           minlength=len(self.load)) - self.load
+        return grad[self.free_idx] if reduced else grad
+
+    def energy_hessian(self, v):
+        """The Newton system at ``v`` over the free dofs, as a
+        :class:`CondensedHessian` of the per-triangle Hessians
+        T^T (w D^2W(T v)) T."""
+        nt, m, nloc = self.loc2glob.shape
+        H = 0
+        for (T, w, W), Tv in zip(self._terms, self._local_values(v)):
+            nq, d = T.shape[1:3]
+            A = (w[..., None, None] * W.d2w(Tv).reshape(nt, nq, d * m, d * m)
+                 ).reshape(nt, nq, -1, d)
+            # AT[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] T[e, f]
+            AT = np.matmul(A, T).reshape(nt, nq, m, d, m * nloc).transpose(
+                0, 2, 1, 3, 4)
+            Tt = T.reshape(nt, 1, nq * d, nloc).transpose(0, 1, 3, 2)
+            # H[t, m, l, (n, f)] = sum_{q, d} T[q, d, l] AT[q, m, d, (n, f)]
+            H = H + np.matmul(Tt, AT.reshape(nt, m, nq * d, m * nloc)
+                              ).reshape(nt, m * nloc, m * nloc)
+        if m > 1:
+            # the cell dofs of every component first, as in the numbering
+            idx = np.arange(m * nloc).reshape(m, nloc)
+            perm = np.concatenate((idx[:, :self.nc].reshape(-1),
+                                   idx[:, self.nc:].reshape(-1)))
+            H = H[:, perm[:, None], perm]
+        return CondensedHessian(H, m * self.nc, self._skeleton_pattern())
+
+    def _skeleton_pattern(self):
+        """:func:`hessian_pattern` of the free dofs past the cell
+        unknowns, built on first use."""
+        if self._hess_pattern is None:
+            nt, m, _ = self.loc2glob.shape
+            ncell = nt * m * self.nc
+            nfs = len(self.free_idx) - ncell
+            pos = np.full(len(self.load), nfs, dtype=np.int32)
+            pos[self.free_idx[ncell:]] = np.arange(nfs, dtype=np.int32)
+            self._hess_pattern = hessian_pattern(
+                pos[self.loc2glob[:, :, self.nc:]].reshape(nt, -1), nfs)
+        return self._hess_pattern
+
+
+class DiscreteProblem(TermProblem):
     """Energy E_l(v) = int W(G v) - int f.v_T - int_GammaN g.v_F
     (+ s(v;v)/p when stabilized, + 0.5*l2_weight*||zeta - v_T||^2 when
-    l2_weight > 0), held as the terms (T, w, W) of
-    sum_terms int w W(T v) - load . v + constant.
+    l2_weight > 0) of the hybrid unknowns, held as the terms of a
+    :class:`TermProblem` over ``space.ops.loc2glob``; its cell unknowns
+    are the P_k coefficients on each triangle.
 
     Parameters
     ----------
@@ -96,10 +190,8 @@ class DiscreteProblem:
         self.l2_data = l2_data
         self.stabilized = space.variant == STABILIZED
         self.p = density.p
-        # released when minimize returns: the skeleton pattern of the
-        # Newton systems, and the last point with its local values
-        self._hess_pattern = None
-        self._point = None
+        self.loc2glob = space.ops.loc2glob
+        self.nc = space.ops.ncb
 
         k = space.k
         self.energy_degree = max(density.quad_growth * (k + 1), 2 * (k + 1))
@@ -195,11 +287,6 @@ class DiscreteProblem:
         return self.dirichlet_data[np.searchsorted(self.dirichlet_sides,
                                                    sides)]
 
-    # -- energy, gradient, hessian --------------------------------------------------
-
-    def apply_dirichlet(self, v):
-        v.data[self.dirichlet_idx] = self.dirichlet_values
-
     def initial_guess(self):
         """Cell and skeleton unknowns equal to one, Dirichlet dofs set to
         the projected boundary values."""
@@ -209,62 +296,10 @@ class DiscreteProblem:
         self.apply_dirichlet(v)
         return v
 
-    def _local_values(self, v, count=None):
-        """T v (nt, nq, m, d) for the first ``count`` energy terms (all by
-        default); the first is G v.  While ``minimize`` runs, the values
-        of all terms are kept for the last point, so the energy, the
-        gradient and the Hessian at one point compute them once."""
-        point = self._point
-        if point and np.array_equal(point[0], v.data):
-            return point[1]
-        values = term_values(self._terms[:count], self.space.ops.loc2glob,
-                             v.data)
-        if point is not None and count is None:
-            point[:] = (v.data.copy(), values)
-        return values
-
     def _grad_values(self, v):
         """G v at the energy quadrature points, (nt, nq, m, 2); without a
         kept point, the other terms are not evaluated."""
         return self._local_values(v, 1)[0]
-
-    def energy(self, v):
-        return (term_energy(self._terms, self._local_values(v))
-                - float(self.load @ v.data) + self.constant)
-
-    def energy_gradient(self, v, reduced=True):
-        grad = term_gradient(self._terms, self._local_values(v),
-                             self.space.ops.loc2glob,
-                             self.space.ndof) - self.load
-        return grad[self.free_idx] if reduced else grad
-
-    def energy_hessian(self, v):
-        """The Newton system at ``v`` over the free dofs, as a
-        :class:`CondensedHessian` of the per-triangle Hessians."""
-        ops = self.space.ops
-        m = self.space.m
-        H = term_hessian(self._terms, self._local_values(v))
-        if m > 1:
-            # the cell dofs of every component first, as in the numbering
-            idx = np.arange(m * ops.nloc).reshape(m, ops.nloc)
-            perm = np.concatenate((idx[:, :ops.ncb].reshape(-1),
-                                   idx[:, ops.ncb:].reshape(-1)))
-            H = H[:, perm[:, None], perm]
-        return CondensedHessian(H, m * ops.ncb, self._skeleton_pattern())
-
-    def _skeleton_pattern(self):
-        """:func:`hessian_pattern` of the free skeleton dofs, built on
-        first use."""
-        if self._hess_pattern is None:
-            ops = self.space.ops
-            ncell = self.space.ncell_dofs
-            nfs = len(self.free_idx) - ncell
-            pos = np.full(self.space.ndof, nfs, dtype=np.int32)
-            pos[self.free_idx[ncell:]] = np.arange(nfs, dtype=np.int32)
-            side_loc = pos[ops.loc2glob[:, :, ops.ncb:]].reshape(
-                len(ops.loc2glob), -1)
-            self._hess_pattern = hessian_pattern(side_loc, nfs)
-        return self._hess_pattern
 
     # -- stress -----------------------------------------------------------------------
 
@@ -283,51 +318,6 @@ class DiscreteProblem:
         mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
         defect = np.einsum("tq,tq->t", w, mag ** (self.p / (self.p - 1.0)))
         return GradField(self.space, coeffs), defect
-
-
-# -- energy terms ---------------------------------------------------------------------
-#
-# A term (T, w, W) contributes int w W(T v): T (nt, nq, d, nloc) holds the
-# responses at nq points of the nloc local unknowns of each triangle, the
-# same for each of the m components, w (nt, nq) the weights, and W is an
-# EnergyDensity of (m, d) arguments.  ``loc2glob`` (nt, m, nloc) numbers
-# component c of local unknown l of triangle t in the global vector.
-
-def term_values(terms, loc2glob, x):
-    """T v (nt, nq, m, d) of every term at the global vector ``x``."""
-    local = x[loc2glob]
-    return [np.einsum("tqdl,tml->tqmd", T, local) for T, _, _ in terms]
-
-
-def term_energy(terms, values):
-    """sum_terms int w W(T v) from the values T v."""
-    return sum(float(np.sum(w * W.w(Tv)))
-               for (_, w, W), Tv in zip(terms, values))
-
-
-def term_gradient(terms, values, loc2glob, n):
-    """The gradient of :func:`term_energy` over the n global unknowns."""
-    g_loc = sum(np.einsum("tqmd,tqdl->tml", w[..., None, None] * W.dw(Tv), T)
-                for (T, w, W), Tv in zip(terms, values))
-    return np.bincount(loc2glob.reshape(-1), g_loc.reshape(-1), minlength=n)
-
-
-def term_hessian(terms, values):
-    """The local Hessians T^T (w D^2W(T v)) T of :func:`term_energy`,
-    (nt, m nloc, m nloc) in the order of ``loc2glob[t].reshape(-1)``."""
-    H = 0
-    for (T, w, W), Tv in zip(terms, values):
-        nt, nq, d, nloc = T.shape
-        m = Tv.shape[2]
-        A = (w[..., None, None] * W.d2w(Tv).reshape(nt, nq, d * m, d * m)
-             ).reshape(nt, nq, -1, d)
-        # AT[t, q, (m, d, n), f] = sum_e D2W[m, d, n, e] T[e, f]
-        AT = np.matmul(A, T).reshape(nt, nq, m, d, m * nloc).transpose(
-            0, 2, 1, 3, 4)
-        Tt = T.reshape(nt, 1, nq * d, nloc).transpose(0, 1, 3, 2)
-        # H[t, m, l, (n, f)] = sum_{q, d} T[q, d, l] AT[q, m, d, (n, f)]
-        H = H + np.matmul(Tt, AT.reshape(nt, m, nq * d, m * nloc))
-    return H.reshape(nt, m * nloc, m * nloc)
 
 
 def _residual_integral(w, basis, vals, coeffs, power):
@@ -405,8 +395,9 @@ class CondensedHessian:
     triangle, so ``solve`` eliminates the cell blocks triangle by triangle
     and solves the Schur complement on the free skeleton dofs, assembled
     through ``pattern`` (:func:`hessian_pattern` of the skeleton dofs).
-    With nc = 0 there is nothing to eliminate; the conforming P1 probe's
-    system, its per-triangle Hessians over the free vertex dofs, is one.
+    With nc = 0 there is nothing to eliminate: the conforming P1 probe's
+    :class:`TermProblem` has no cell unknowns, so its system is the
+    per-triangle Hessians over the free vertex dofs.
 
     ``scale`` is the largest |diagonal entry| of the assembled system."""
 
@@ -453,7 +444,7 @@ class CondensedHessian:
 
     def solve(self, rhs, shift):
         """(H + shift I)^{-1} rhs, for rhs over the free dofs, ordered as
-        ``DiscreteProblem.free_idx``: the cell dofs, then the skeleton."""
+        ``TermProblem.free_idx``: the cell dofs, then the skeleton."""
         S, r, X = self._condense(rhs, shift)
         # the columns of S are already in SuperLU's order
         side_loc, order = self.pattern[-2:]
@@ -555,38 +546,37 @@ def optimize(fun_grad, hess, x0, settings):
 
 
 def minimize(problem, initial=None, settings=None):
-    """Minimize the discrete energy over the free dofs.
+    """Minimize the energy of the :class:`TermProblem` ``problem`` over its
+    free dofs, from a copy of ``initial`` (the problem's
+    ``initial_guess()`` by default) with its Dirichlet dofs reset.  The
+    solution's ``u`` is that vector, updated in place.
 
     Deterministic: identical inputs produce the identical iterate sequence.
     """
     settings = settings or SolverSettings()
-    if initial is None:
-        initial = problem.initial_guess()
-    v = initial.copy()
-    problem.apply_dirichlet(v)
-    full = v.data.copy()
+    u = problem.initial_guess() if initial is None else initial.copy()
+    problem.apply_dirichlet(u)
+    full = np.asarray(u)
     free = problem.free_idx
 
     def fun_grad(xf, energy=True, gradient=True):
         full[free] = xf
-        w = HhoVector(problem.space, full)
-        return (problem.energy(w) if energy else None,
-                problem.energy_gradient(w) if gradient else None)
+        return (problem.energy(full) if energy else None,
+                problem.energy_gradient(full) if gradient else None)
 
     def hess(xf):
         full[free] = xf
-        return problem.energy_hessian(HhoVector(problem.space, full))
+        return problem.energy_hessian(full)
 
     # the adaptive loop keeps every level's problem: the last point and
     # the skeleton pattern live only as long as the solve that uses them
     problem._point = []
     try:
-        x, E, it, gnorm, conv = optimize(fun_grad, hess, v.data[free],
+        x, E, it, gnorm, conv = optimize(fun_grad, hess, full[free],
                                          settings)
     finally:
         problem._point = None
         problem._hess_pattern = None
 
     full[free] = x
-    u = HhoVector(problem.space, full.copy())
     return DiscreteSolution(u, E, it, gnorm, conv)

@@ -3,9 +3,9 @@ import pytest
 
 from ahho.benchmarks import get_benchmark, register_benchmarks
 from ahho.densities import p_laplace
-from ahho.diagnostics import (aitken_extrapolate, courant_p1_minimize,
-                              data_oscillations, dual_bound, error_norms,
-                              ReportFields, fit_rate, lower_energy_bound)
+from ahho.diagnostics import (aitken_extrapolate, data_oscillations,
+                              dual_bound, error_norms, ReportFields,
+                              fit_rate, lower_energy_bound)
 from ahho.hho import HhoSpace, _values_at
 from ahho.mesh import DIRICHLET, NEUMANN, build_triangulation, refine_uniform
 from ahho.solver import DiscreteProblem, SolverSettings, minimize
@@ -668,41 +668,38 @@ def test_courant_exact_on_affine():
     bench = get_benchmark("manufactured-affine")
     mesh = refine_uniform(bench.initial_mesh())
     courant = bench.make_courant(mesh)
-    E, x, conv = courant_p1_minimize(courant)
-    assert conv
-    assert abs(E - bench.reference_energy) < 1e-10
+    sol = minimize(courant)
+    assert sol.converged
+    assert abs(sol.energy - bench.reference_energy) < 1e-10
 
 
 def test_courant_p2_matches_direct_sparse_solve():
     bench = get_benchmark("manufactured-affine")
     mesh = refine_uniform(refine_uniform(bench.initial_mesh()))
     courant = bench.make_courant(mesh)
-    E, x, conv = courant_p1_minimize(courant)
+    x = minimize(courant).u
     # quadratic case: assemble the linear system by probing the gradient
-    n = mesh.num_vertices
-    x0 = np.zeros(n)
-    x0reshaped = x0.reshape(-1, 1)
-    x0reshaped[:] = courant.values
-    g0 = courant.gradient(x0)
-    free = np.nonzero(courant.free)[0]
+    x0 = courant.initial_guess()
+    g0 = courant.energy_gradient(x0, reduced=False)
+    free = np.nonzero(courant.free_mask)[0]
     cols = []
     for j in free:
         e = x0.copy()
         e[j] += 1.0
-        cols.append((courant.gradient(e) - g0)[free])
+        cols.append((courant.energy_gradient(e, reduced=False) - g0)[free])
     A = np.array(cols).T
     direct = np.linalg.solve(A, -g0[free])
-    assert np.allclose(x.reshape(-1)[free], direct, atol=1e-8)
+    assert np.allclose(x[free], direct, atol=1e-8)
 
 
 def test_courant_fhm_energy_above_reference():
     bench = get_benchmark("fhm-rect")
     mesh = refine_uniform(bench.initial_mesh())
     courant = bench.make_courant(mesh)
-    E, x, conv = courant_p1_minimize(courant)
-    assert conv
+    sol = minimize(courant)
+    assert sol.converged
     # conforming energies lie above the exact minimum
-    assert E > bench.reference_energy
+    assert sol.energy > bench.reference_energy
 
 
 def _courant_dirichlet_loop(bench, mesh):
@@ -733,16 +730,16 @@ def test_courant_dirichlet_data_match_loop_reference():
         courant = bench.make_courant(mesh)
         assert np.array_equal(bench.dirichlet_mask(mesh), side), name
         assert np.array_equal(courant.dirichlet_mask, node), name
-        assert np.array_equal(courant.free, ~node.reshape(-1)), name
-        np.testing.assert_allclose(courant.values, values, rtol=1e-14,
-                                   atol=0, err_msg=name)
+        assert np.array_equal(courant.free_mask, ~node.reshape(-1)), name
+        np.testing.assert_allclose(courant.initial_guess().reshape(-1, bench.m),
+                                   values, rtol=1e-14, atol=0, err_msg=name)
 
 
 def test_courant_rejects_invalid_settings():
     bench = get_benchmark("manufactured-affine")
     courant = bench.make_courant(bench.initial_mesh())
     with pytest.raises(ValueError, match="max_iter"):
-        courant_p1_minimize(courant, SolverSettings(max_iter=0))
+        minimize(courant, settings=SolverSettings(max_iter=0))
 
 
 def test_error_norms_symmetric_under_zero_perturbation():

@@ -199,6 +199,23 @@ def test_ndof_layout():
             assert space.ndof == expected
 
 
+def test_vector_array_view_and_copy():
+    """``np.asarray`` of an HhoVector is its data, writable in place; a copy
+    is made only when asked for, also in NumPy 1.x's call without ``copy``."""
+    v = random_vector(HhoSpace(square_mesh(), 1), np.random.default_rng(3))
+    a = np.asarray(v)
+    assert a is v.data
+    a[0] = 7.0
+    assert v.data[0] == 7.0
+    assert v.__array__() is v.data
+    assert v.__array__(np.float64) is v.data
+    for c in (np.array(v), v.__array__(copy=True)):
+        assert not np.shares_memory(c, v.data)
+        np.testing.assert_array_equal(c, v.data)
+    f32 = v.__array__(np.float32)
+    assert f32.dtype == np.float32 and not np.shares_memory(f32, v.data)
+
+
 # -- interpolation ---------------------------------------------------------------
 
 def test_interpolate_constant():

@@ -87,6 +87,42 @@ def test_degenerate_triangle_rejected():
                             all_dirichlet)
 
 
+def test_degenerate_check_is_relative_to_the_triangle_scale():
+    """A small or a much bisected triangle is valid; a collinear one and
+    a sliver with area 1e-16 times its longest edge squared are not."""
+    tiny = build_triangulation(1e-8 * np.array([(0, 0), (1, 0), (0, 1)]),
+                               [(0, 1, 2)], all_dirichlet)
+    assert tiny.num_triangles == 1
+    m = reference_triangle()
+    for _ in range(60):
+        m = refine_nvb(m, [0])
+    assert m.num_triangles > 60
+    for vertices in ([(0, 0), (1, 0), (2, 0)],
+                     [(0, 0), (1, 0), (0.5, 2e-16)]):
+        with pytest.raises(MeshError, match="degenerate"):
+            build_triangulation(vertices, [(0, 1, 2)], all_dirichlet)
+
+
+def test_refinement_edge_out_of_range_rejected():
+    """A refinement edge must be one local edge 0, 1 or 2 per triangle."""
+    vertices, triangles = [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]
+    for ref in ([-1], [3], [0, 1], []):
+        with pytest.raises(MeshError, match="refinement edges"):
+            Triangulation(vertices, triangles, ref, all_dirichlet)
+
+
+def test_read_mesh_rejects_refinement_edge_out_of_range(tmp_path):
+    m = unit_square()
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    head, *rows = path.read_text().splitlines()
+    a, b, c, _ = rows[m.num_vertices].split()
+    rows[m.num_vertices] = f"{a} {b} {c} 3"
+    path.write_text("\n".join([head] + rows) + "\n")
+    with pytest.raises(MeshError, match="refinement edges"):
+        read_mesh(path)
+
+
 def test_hanging_node_rejected():
     vertices = [(0, 0), (2, 0), (1, 0), (1, 1)]
     triangles = [(0, 2, 3), (2, 1, 3), (0, 1, 3)]

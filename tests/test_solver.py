@@ -480,9 +480,10 @@ def _hessian_full_coo(prob, v):
 def _courant_hessian_full(courant, x):
     """Oracle: the conforming P1 probe's local Hessians scattered into the
     free x free matrix."""
-    loc2glob = courant._loc2glob
-    return _scatter_free(courant.hessian(x).H,
-                         loc2glob.reshape(len(loc2glob), -1), courant.free)
+    loc2glob = courant.loc2glob
+    return _scatter_free(courant.energy_hessian(x).H,
+                         loc2glob.reshape(len(loc2glob), -1),
+                         courant.free_mask)
 
 
 class _FullMatrix:
@@ -581,10 +582,10 @@ def test_hessian_pattern_matches_full_assembly():
                              _hessian_full_coo(prob, v),
                              prob.space.ncell_dofs, rng, (1e-6,), 1e-10)
     for courant in _courant_cases():
-        x = np.zeros(courant.free.shape)
-        x.reshape(-1, courant.m)[:] = courant.values
-        x[courant.free] = 0.3 * rng.standard_normal(courant.free.sum())
-        H = courant.hessian(x)
+        x = courant.initial_guess()
+        x[courant.free_mask] = 0.3 * rng.standard_normal(
+            courant.free_mask.sum())
+        H = courant.energy_hessian(x)
         assert H.nc == 0
         _check_newton_system(H, _courant_hessian_full(courant, x), 0, rng,
                              (0.0, 1e-6), 1e-12)
@@ -628,14 +629,15 @@ def test_courant_terms_match_reference_oracle():
     rng = np.random.default_rng(53)
     for courant in _courant_cases():
         ref = CourantReference(courant)
-        x = 0.3 * rng.standard_normal(courant.free.shape)
+        x = 0.3 * rng.standard_normal(courant.free_mask.shape)
         E = ref.energy(x)
         assert abs(courant.energy(x) - E) <= 1e-12 * abs(E)
         g = ref.gradient(x)
-        assert np.abs(courant.gradient(x) - g).max() \
+        assert np.abs(courant.energy_gradient(x, reduced=False) - g).max() \
             <= 1e-12 * np.abs(g).max()
         H_ref = _scatter_free(ref.hessian(x),
-                              ref.dof.reshape(len(ref.dof), -1), courant.free)
+                              ref.dof.reshape(len(ref.dof), -1),
+                              courant.free_mask)
         H = _courant_hessian_full(courant, x)
         assert abs(H - H_ref).max() <= 1e-12 * abs(H_ref).max()
 
@@ -657,13 +659,12 @@ def test_converged_flag_is_a_bool():
     with the tolerance, so that the solution goes into JSON."""
     import json
     from ahho.benchmarks import get_benchmark
-    from ahho.diagnostics import courant_p1_minimize
     prob = affine_problem(k=0)
     bench = get_benchmark("two-well-rect")
     courant = bench.make_courant(bench.initial_mesh())
     for settings in (SolverSettings(), SolverSettings(max_iter=1)):
         sol = minimize(prob, settings=settings)
-        _, _, conv = courant_p1_minimize(courant, settings)
+        conv = minimize(courant, settings=settings).converged
         assert type(sol.converged) is bool and type(conv) is bool
         json.dumps([sol.converged, conv])
     assert minimize(prob).converged
@@ -686,19 +687,21 @@ def test_condensed_solve_without_free_skeleton_dofs():
 
 
 def test_hessian_pattern_built_once_per_problem():
+    """For the hybrid problem and for the conforming P1 probe."""
     rng = np.random.default_rng(29)
-    prob = next(_hessian_cases())
-    v = prob.initial_guess()
-    prob.energy_hessian(v)
-    pattern = prob._hess_pattern
-    assert all(a.dtype == np.int32 for a in pattern)
-    v.data[prob.free_idx] += rng.standard_normal(len(prob.free_idx))
-    prob.energy_hessian(v)
-    assert prob._hess_pattern is pattern
-    # the adaptive loop keeps every level's problem alive: a solve
-    # releases the structure it built
-    minimize(prob)
-    assert prob._hess_pattern is None
+    for prob in (next(_hessian_cases()), next(_courant_cases())):
+        v = prob.initial_guess()
+        prob.energy_hessian(v)
+        pattern = prob._hess_pattern
+        assert all(a.dtype == np.int32 for a in pattern)
+        np.asarray(v)[prob.free_idx] += rng.standard_normal(
+            len(prob.free_idx))
+        prob.energy_hessian(v)
+        assert prob._hess_pattern is pattern
+        # the adaptive loop keeps every level's problem alive: a solve
+        # releases the structure it built
+        minimize(prob)
+        assert prob._hess_pattern is None
 
 
 def _eager_newton(fun, grad, hess, x0):
@@ -769,15 +772,14 @@ def test_courant_p1_minimize_converges_with_lazy_gradients():
     on its own system, and the same steps as Newton on the full free x
     free matrix (through the oracle adapter ``_FullMatrix``)."""
     from ahho.benchmarks import get_benchmark
-    from ahho.diagnostics import courant_p1_minimize
     bench = get_benchmark("two-well-rect")
     courant = bench.make_courant(refine_uniform(bench.initial_mesh()))
-    E, x, conv = courant_p1_minimize(courant)
-    assert conv
+    sol = minimize(courant)
+    E, x = sol.energy, sol.u
+    assert sol.converged
 
-    free = np.nonzero(courant.free)[0]
-    full = np.zeros(courant.mesh.num_vertices * courant.m)
-    full.reshape(-1, courant.m)[:] = courant.values
+    free = np.nonzero(courant.free_mask)[0]
+    full = courant.initial_guess()
     x0 = full[free].copy()
 
     def at(xf):
@@ -785,13 +787,13 @@ def test_courant_p1_minimize_converges_with_lazy_gradients():
         return full
     (x_ref, E_ref, it, _, conv_ref), (_, E_full, it_full, _, conv_full) = [
         _eager_newton(lambda xf: courant.energy(at(xf)),
-                      lambda xf: courant.gradient(at(xf))[free], hess, x0)
-        for hess in (lambda xf: courant.hessian(at(xf)),
+                      lambda xf: courant.energy_gradient(at(xf)), hess, x0)
+        for hess in (lambda xf: courant.energy_hessian(at(xf)),
                      lambda xf: _FullMatrix(_courant_hessian_full(courant,
                                                                   at(xf))))]
     assert conv_ref and conv_full and it == it_full
     assert abs(E - E_ref) <= 1e-14 * abs(E_ref)
-    assert np.array_equal(x.reshape(-1)[free], x_ref)
+    assert np.array_equal(x[free], x_ref)
     assert abs(E - E_full) <= 1e-14 * abs(E_full)
 
 
