@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .hho import RT, STABILIZED, dof_counts
+from .hho import RT, STABILIZED, dof_counts, lp_integral
 from .mesh import _signed_area
 from .solver import minimize
 
@@ -86,18 +86,22 @@ def estimate(space, problem, u, stress_defect, params):
     phi_k_e = ops.cell_eval(ops.exps_k, e_pts)
     spts_e, w_e, chi_e = ops.side_rule(pdeg)
 
-    # volume residual |T|^((eps*p - p)/2) || Pi_T^k (R u - u_T) ||_p^p
+    # volume residual |T|^((eps*p - p)/2) ||delta_K u||_p^p and trace term
+    # ||delta_S u||_p^p over the sides of T, delta_K u = Pi_T^k R u - u_T
+    # and delta_S u = Pi_F^k (R u)|_T - u_F (``SpaceOps.residuals``); the
+    # polytopal variant drops both projections
     if space.variant == STABILIZED:
-        # the polytopal indicator uses the unprojected volume residual
-        diff_vals = (R.at_points(e_pts)
-                     - np.einsum("tmi,tqi->tqm", u.cells, phi_k_e))
+        vol_vals = (R.at_points(e_pts)
+                    - np.einsum("tmi,tqi->tqm", u.cells, phi_k_e))
+        trace_vals = (R.at_points(spts_e[ops.sot])
+                      - np.einsum("smn,qn->sqm", u.sides, chi_e)[ops.sot])
     else:
-        _, r_proj = ops.project_cells(ops.vol_w, ops.phi_k_vol,
-                                      R.at_points(ops.vol_pts))
-        diff_vals = np.einsum("tmi,tqi->tqm", r_proj - u.cells, phi_k_e)
-    mag = np.sqrt(np.einsum("tqm,tqm->tq", diff_vals, diff_vals))
-    vol_term = area ** ((eps * p - p) / 2.0) \
-        * np.einsum("tq,tq->t", e_w, mag ** p)
+        d_k, d_s = ops.residuals(ops.gather_local(u.data))
+        vol_vals = np.einsum("tmi,tqi->tqm", d_k, phi_k_e)
+        trace_vals = np.einsum("tjmi,qi->tjqm", d_s, chi_e)
+    vol_term = area ** ((eps * p - p) / 2.0) * lp_integral(e_w, vol_vals, p)
+    trace_term_sides = lp_integral(ops.h_f[ops.sot][..., None] * w_e,
+                                   trace_vals, p)
 
     # stress projection defect |T|^(eps*p'/2) ||sigma - DW(G u)||_{p'}^{p'}
     stress_term = (np.zeros(mesh.num_triangles) if params.kind == FHM_VARIANT
@@ -108,37 +112,15 @@ def estimate(space, problem, u, stress_defect, params):
     f_term = area ** (pp / 2.0) * problem.f_osc
     g_term = area ** 0.5 * problem.g_osc[ops.sot].sum(axis=1)
 
-    # side terms evaluated at the exact-degree side points
-    h_side = ops.h_f[ops.sot]
-    w_phys = h_side[..., None] * w_e
-
     # interior jumps || [R u]_F ||_p^p, counted once per adjacent triangle
     tplus = mesh.adjacency[:, 0]
-    tminus = mesh.adjacency[:, 1]
     interior = mesh.interior_sides()
     jump_per_side = np.zeros(mesh.num_sides)
-    if len(interior):
-        jmp = (R.at_points(spts_e[interior], tplus[interior])
-               - R.at_points(spts_e[interior], tminus[interior]))
-        magj = np.sqrt(np.einsum("sqm,sqm->sq", jmp, jmp))
-        jump_per_side[interior] = (ops.h_f[interior][:, None] * w_e
-                                   * magj ** p).sum(axis=1)
+    jump_per_side[interior] = lp_integral(
+        ops.h_f[interior][:, None] * w_e,
+        R.at_points(spts_e[interior], tplus[interior])
+        - R.at_points(spts_e[interior], mesh.adjacency[interior, 1]), p)
     jump_term_sides = jump_per_side[ops.sot].sum(axis=1)
-
-    # trace term || Pi_F^k ((R u)|_T - u_F) ||_p^p over all sides of T;
-    # the polytopal variant drops the projection.  The projection uses the
-    # exact geometric side rule; its p-th power the exact-degree points.
-    uF_e = np.einsum("smn,qn->sqm", u.sides, chi_e)[ops.sot]
-    if space.variant == STABILIZED:
-        trace_vals = R.at_points(spts_e[ops.sot]) - uF_e   # (nt, 3, nqe, m)
-    else:
-        r_side_g = R.at_points(ops.side_pts_t)
-        uF_g = np.einsum("smn,qn->sqm", u.sides, ops.chi_ref)[ops.sot]
-        _, coef_tr = ops.project_sides(ops.side_wref, ops.chi_ref,
-                                       r_side_g - uF_g)
-        trace_vals = np.einsum("tjmi,qi->tjqm", coef_tr, chi_e)
-    magt = np.sqrt(np.einsum("tjqm,tjqm->tjq", trace_vals, trace_vals))
-    trace_term_sides = np.einsum("tjq,tjq->t", w_phys, magt ** p)
 
     # boundary-condition residuals || (R u)_comps - target ||_p^p on the
     # sides with ``label``; the target is u_D, or zero
@@ -152,9 +134,8 @@ def estimate(space, problem, u, stress_defect, params):
         diff = R.at_points(pts, tplus[sel])[..., comps]
         if dirichlet:
             diff = diff - problem.dirichlet_data_on(sel)
-        mag = np.sqrt(np.einsum("sqm,sqm->sq", diff, diff))
-        dir_per_side[sel] = (ops.h_f[sel][:, None] * w_ref * mag ** p
-                             ).sum(axis=1)
+        dir_per_side[sel] = lp_integral(ops.h_f[sel][:, None] * w_ref, diff,
+                                        p)
 
     if params.kind == FHM_VARIANT:
         boundary_residual("gamma1", [0], False)
@@ -216,18 +197,9 @@ def prolong(fine_space, J, problem=None):
                                  v[:, (j + 2) % 3]) for j in range(3)])
     if np.any(lam < -1e-12 * coarse.area[parent]):
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
-    degree = 2 * J.degree
-    pts, w = ops._volume_rule(degree)
-    spts, w_ref, chi = ops.side_rule(degree)
-
-    v = fine_space.zero_vector()
-    # cell projections from the coarse polynomial
-    v.cells[:] = ops.project_cells(w, ops.cell_eval(ops.exps_k, pts),
-                                   J.at_points(pts, mesh.parent))[1]
-    # side projections: evaluate through T_plus's coarse ancestor
-    anc = mesh.parent[mesh.adjacency[:, 0]]
-    v.sides[:] = ops.project_sides(w_ref, chi, J.at_points(spts, anc))[1]
-
+    # J evaluated through each fine triangle's coarse ancestor
+    v = fine_space.project(lambda pts, tri: J.at_points(pts, parent[tri]),
+                           2 * J.degree)
     if problem is not None:
         problem.apply_dirichlet(v)
     return v

@@ -8,12 +8,16 @@ are dense matrices acting on the local scalar dof vector
     [cell basis coefficients | side 0 | side 1 | side 2]
 
 and are precomputed in batched arrays over all triangles.  Vector-valued
-problems (m > 1) reuse the same operators componentwise.  The
-stabilization s_l, its gradient and its Hessian all read one table per
-exponent p, :meth:`SpaceOps.stab_data`.  The gradient space (RT_k, or
-P_k(T; R^2) when stabilized) has two kernels, :meth:`SpaceOps.grad_values`
-and its adjoint :meth:`SpaceOps.grad_moments`; G and the discrete stress
-are projected onto the space through the adjoint.
+problems (m > 1) reuse the same operators componentwise.  The gradient
+space (RT_k, or P_k(T; R^2) when stabilized) has two kernels,
+:meth:`SpaceOps.grad_values` and its adjoint :meth:`SpaceOps.grad_moments`,
+through which G and the discrete stress are projected.
+:meth:`SpaceOps.residuals` maps v to delta_K v = Pi_K^k R v - v_K and
+delta_S v = Pi_S^k (R v)|_S - v_S: the RT estimator reads them for u, and
+S_{K,S} v = (delta_K v)|_S - delta_S v is built from them once; s_l and
+its derivatives read one table per p, :meth:`SpaceOps.stab_data`.
+:meth:`HhoSpace.project` is the L2 projection onto the space, and
+:func:`lp_integral` the per-element sum of w |values|^p.
 """
 
 from __future__ import annotations
@@ -128,7 +132,14 @@ class SpaceOps:
         self._build_local_maps()
         self._build_potential_op(self._build_gradient_op())
         if space.variant == STABILIZED:
-            self._build_stabilization_op()
+            # S_{K,S} v = (delta_K v)|_S - delta_S v from the residuals of
+            # the local unit vectors; delta_K v is in P_k, so the side
+            # projection of its trace is its trace in the side basis
+            eye = np.broadcast_to(np.eye(self.nloc), (nt,) + (self.nloc,) * 2)
+            d_k, d_s = self.residuals(eye)
+            trace = np.einsum("tjqi,tli->tjql", self.phi_k_side, d_k)
+            S = self.project_sides(self.side_wref, self.chi_ref, trace)[1]
+            self.S_op = (S - d_s).transpose(0, 1, 3, 2)  # (nt, 3, nsb, nloc)
         self._energy_cache = {}
         self._stab_cache = {}
 
@@ -336,25 +347,25 @@ class SpaceOps:
         rhs_aug[:, nk1, :self.ncb] = mean[:, :self.ncb]
         self.R_op = np.linalg.solve(aug, rhs_aug)[:, :nk1]  # (nt, nk1, nloc)
 
-    # -- stabilization -----------------------------------------------------------
+    # -- HHO residuals -------------------------------------------------------
 
-    def _build_stabilization_op(self):
-        """S_{K,S} v = v_S - Pi_S^k (w|_S) with w = v_K + (1 - Pi_K^k) R v
-        in P_{k+1} (P_k's monomials are the first ncb of P_{k+1}'s)."""
-        ncb, nsb = self.ncb, self.nsb
-        # Pi_K^k of the P_{k+1} monomials (nt, nk1, ncb), and Pi_S^k of
-        # their traces on each side (nt, 3, nk1, nsb)
-        pk1_vol = self.cell_eval(self.exps_k1, self.vol_pts)
-        proj = self.project_cells(self.vol_w, self.phi_k_vol, pk1_vol)[1]
-        pk1_side = self.cell_eval(self.exps_k1, self.side_pts_t)
-        trace = self.project_sides(self.side_wref, self.chi_ref, pk1_side)[1]
-        w_op = self.R_op.copy()
-        w_op[:, :ncb] -= np.einsum("tni,tnl->til", proj, self.R_op)
-        w_op[:, :ncb, :ncb] += np.eye(ncb)
-        S = -np.einsum("tjni,tnl->tjil", trace, w_op)
-        for j in range(3):
-            S[:, j, :, ncb + j * nsb:ncb + (j + 1) * nsb] += np.eye(nsb)
-        self.S_op = S                                   # (nt, 3, nsb, nloc)
+    def residuals(self, v_loc):
+        """The local residuals of values v_loc (nt, m, nloc): per cell
+        delta_K v = Pi_K^k R v - v_K, (nt, m, ncb), and per side
+        delta_S v = Pi_S^k (R v)|_S - v_S, (nt, 3, m, nsb), with the
+        projections on the geometry rules."""
+        n, m = v_loc.shape[:2]
+        r = np.einsum("til,tml->tmi", self.R_op, v_loc)        # R v
+        rv = np.einsum("tqi,tmi->tqm",
+                       self.cell_eval(self.exps_k1, self.vol_pts), r)
+        d_k = self.project_cells(self.vol_w, self.phi_k_vol, rv)[1] \
+            - v_loc[..., :self.ncb]
+        rv = np.einsum("tjqi,tmi->tjqm",
+                       self.cell_eval(self.exps_k1, self.side_pts_t), r)
+        v_s = v_loc[..., self.ncb:].reshape(n, m, 3, self.nsb)
+        d_s = self.project_sides(self.side_wref, self.chi_ref, rv)[1] \
+            - v_s.transpose(0, 2, 1, 3)
+        return d_k, d_s
 
     # -- energy-rule data (degree depends on the density) ---------------------------
 
@@ -394,11 +405,6 @@ class _CompanionGeometry:
         space = ops.space
         mesh = space.mesh
         k = space.k
-        # lambda(x) = solve(A, [x, y, 1]) with A rows [corners^T; 1 1 1]
-        A = np.concatenate([ops.corners.transpose(0, 2, 1),
-                            np.ones((mesh.num_triangles, 1, 3))], axis=1)
-        self.bary_inv = np.linalg.inv(A)                     # (nt, 3, 3)
-
         self.bary_k1 = lattice_nodes(k + 1)                  # (nn1, 3)
         self.bary_k3 = lattice_nodes(k + 3)                  # (nn3, 3)
         self.nodes_k1 = np.einsum("nj,tjd->tnd", self.bary_k1,
@@ -420,16 +426,15 @@ class _CompanionGeometry:
                              ops.chi_ref, ops.chi_ref)
         self.side_bubble_gram = gram_ref                     # scaled by h_F later
 
-        # cell bubble Gram: int_T bT phi_i phi_j, bT = lambda1 lambda2 lambda3
-        bT = self._bary_at(ops.vol_pts).prod(axis=-1)        # (nt, nq)
-        self.cell_bubble_gram = np.einsum("tq,tq,tqi,tqj->tij", ops.vol_w, bT,
-                                          ops.phi_k_vol, ops.phi_k_vol)
+        # barycentric coordinates of the volume points (nq, 3): the
+        # reference rule's (x, y) are lambda_1 and lambda_2 on every triangle
+        ref = reference_triangle_rule(ops.vol_deg)[0]
+        self.bary_vol = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
 
-    def _bary_at(self, pts):
-        """Barycentric coordinates of per-triangle points (nt, ..., 2)."""
-        shape = pts.shape
-        aug = np.concatenate([pts, np.ones(shape[:-1] + (1,))], axis=-1)
-        return np.einsum("t...d,tjd->t...j", aug, self.bary_inv)
+        # cell bubble Gram: int_T bT phi_i phi_j, bT = lambda1 lambda2 lambda3
+        self.cell_bubble_gram = np.einsum(
+            "tq,q,tqi,tqj->tij", ops.vol_w, self.bary_vol.prod(axis=-1),
+            ops.phi_k_vol, ops.phi_k_vol)
 
     def _global_node_ids(self, mesh, degree, bary):
         """Global ids of the degree-``degree`` lattice nodes, (nt, nn):
@@ -516,8 +521,7 @@ class GradField:
         ops = self.space.ops
         data = ops.energy_data(degree or (2 * (self.space.k + 1)))
         vals = self.at_points(data["pts"])
-        frob = np.sqrt(np.einsum("tqmd,tqmd->tq", vals, vals))
-        return (np.sum(data["w"] * frob ** p)) ** (1.0 / p)
+        return lp_integral(data["w"], vals, p).sum() ** (1.0 / p)
 
 
 class PiecewisePoly:
@@ -568,6 +572,10 @@ class HhoSpace:
         if dirichlet_mask is None:
             dirichlet_mask = np.zeros((mesh.num_sides, m), dtype=bool)
         self.dirichlet_mask = np.asarray(dirichlet_mask, dtype=bool)
+        if self.dirichlet_mask.shape != (mesh.num_sides, m):
+            raise ValueError(f"Dirichlet mask of shape "
+                             f"{self.dirichlet_mask.shape}; expected "
+                             f"(num_sides, m) = {(mesh.num_sides, m)}")
         boundary = mesh.adjacency[:, 1] < 0
         if np.any(self.dirichlet_mask[~boundary]):
             raise ValueError("Dirichlet mask set on an interior side")
@@ -589,23 +597,30 @@ class HhoSpace:
         off = self.ncell_dofs + (s * self.m + c) * (self.k + 1)
         return (off[:, None] + np.arange(self.k + 1)).reshape(-1)
 
-    # -- interpolation -----------------------------------------------------------
+    # -- projection and interpolation ----------------------------------------
 
-    def interpolate(self, fn, degree=None):
-        """I_l v = (cell L2 projections, side L2 projections).
-
-        ``fn(points (..., 2)) -> (..., m)`` (or (...,) when m == 1).
-        """
+    def project(self, values, degree):
+        """The cell and side L2 projections onto P_k, at rules exact to
+        ``degree``, of ``values(pts, tri)``: the values (n, ..., m) at
+        points (n, ..., 2) in the triangles ``tri``, which are all
+        triangles for the cell points and each side's T_plus for the side
+        points."""
         ops = self.ops
-        degree = max(degree or (2 * self.k + 8), 2 * self.k)
         pts, w = ops._volume_rule(degree)
         spts, w_ref, chi = ops.side_rule(degree)
         v = self.zero_vector()
-        v.cells[:] = ops.project_cells(w, ops.cell_eval(ops.exps_k, pts),
-                                       _values_at(fn, pts, self.m))[1]
-        v.sides[:] = ops.project_sides(w_ref, chi,
-                                       _values_at(fn, spts, self.m))[1]
+        v.cells[:] = ops.project_cells(
+            w, ops.cell_eval(ops.exps_k, pts),
+            values(pts, np.arange(self.mesh.num_triangles)))[1]
+        v.sides[:] = ops.project_sides(
+            w_ref, chi, values(spts, self.mesh.adjacency[:, 0]))[1]
         return v
+
+    def interpolate(self, fn, degree=None):
+        """I_l v, the projection of ``fn(points (..., 2)) -> (..., m)``
+        (or (...,) when m == 1)."""
+        return self.project(lambda pts, tri: _values_at(fn, pts, self.m),
+                            max(degree or (2 * self.k + 8), 2 * self.k))
 
     # -- reconstructions -----------------------------------------------------------
 
@@ -669,7 +684,8 @@ class HhoSpace:
 
         # evaluate corrections at volume points and k+3 nodes
         def side_corrections_at(pts, lam):
-            """Sum of the three side corrections at per-triangle points."""
+            """Sum of the three side corrections at per-triangle points
+            (nt, n, 2) with barycentric coordinates lam (n, 3)."""
             out = np.zeros(pts.shape[:-1] + (m,))
             for j in range(3):
                 s = ops.sot[:, j]
@@ -686,8 +702,7 @@ class HhoSpace:
                 out += bub[..., None] * qvals
             return out
 
-        lam_vol = geom._bary_at(ops.vol_pts)
-        corr_vol = side_corrections_at(ops.vol_pts, lam_vol)
+        corr_vol = side_corrections_at(ops.vol_pts, geom.bary_vol)
         w_vol = w_poly.at_points(ops.vol_pts)
         v_T_vals = np.einsum("tmi,tqi->tqm", v.cells, ops.phi_k_vol)
         resid = v_T_vals - w_vol - corr_vol
@@ -695,10 +710,9 @@ class HhoSpace:
         qT = np.linalg.solve(geom.cell_bubble_gram, rhs_T)    # (nt, ncb, m)
 
         # assemble everything at the P_{k+3} lattice nodes
-        lam3 = geom._bary_at(geom.nodes_k3)
         total = (w_poly.at_points(geom.nodes_k3)
-                 + side_corrections_at(geom.nodes_k3, lam3))
-        bT3 = lam3.prod(axis=-1)
+                 + side_corrections_at(geom.nodes_k3, geom.bary_k3))
+        bT3 = geom.bary_k3.prod(axis=-1)
         phi_k_n3 = ops.cell_eval(ops.exps_k, geom.nodes_k3)
         total += bT3[..., None] * np.einsum("tni,tim->tnm", phi_k_n3, qT)
         coeffs = np.einsum("tin,tnm->tmi", geom.vand_k3_inv, total)
@@ -710,18 +724,25 @@ class HhoSpace:
         """||v||_l^p = ||grad_pw v_T||_p^p + sum_T sum_F h_F^{1-p}
         ||v_T - v_F||_{L^p(F)}^p, returned as the p-th root."""
         ops = self.ops
-        gphi = ops.cell_grad(ops.exps_k, ops.vol_pts)
-        gv = np.einsum("tqid,tmi->tqmd", gphi, v.cells)
-        frob = np.sqrt(np.einsum("tqmd,tqmd->tq", gv, gv))
-        total = np.sum(ops.vol_w * frob ** p)
+        gv = np.einsum("tqid,tmi->tqmd",
+                       ops.cell_grad(ops.exps_k, ops.vol_pts), v.cells)
         vT_side = np.einsum("tmi,tjqi->tjqm", v.cells, ops.phi_k_side)
         vF = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)[ops.sot]
-        diff = vT_side - vF
-        mag = np.sqrt(np.einsum("tjqm,tjqm->tjq", diff, diff))
-        h = ops.h_f[ops.sot]
-        per_side = np.einsum("tjq,q->tj", mag ** p, ops.side_wref) * h
-        total += np.sum(h ** (1.0 - p) * per_side)
+        # h_F^(1-p) times the rule on the side, h_F w_ref
+        w_side = ops.h_f[ops.sot][..., None] ** (2.0 - p) * ops.side_wref
+        total = (lp_integral(ops.vol_w, gv, p).sum()
+                 + lp_integral(w_side, vT_side - vF, p).sum())
         return total ** (1.0 / p)
+
+
+def lp_integral(w, vals, p):
+    """Per element (the first axis) sum over the points of w |vals|^p,
+    for weights w (n, ...) and values (n, ..., *value axes) with the
+    Frobenius norm over the value axes; (n,)."""
+    n, npt = len(w), int(np.prod(w.shape[1:]))
+    vals = vals.reshape(n, npt, int(np.prod(vals.shape[w.ndim:])))
+    mag = np.sqrt(np.einsum("nqi,nqi->nq", vals, vals))
+    return np.einsum("nq,nq->n", w.reshape(n, npt), mag ** p)
 
 
 def _as_components(vals, m):

@@ -35,6 +35,15 @@ def _signed_area(p0, p1, p2):
                   - (p1[..., 1] - p0[..., 1]) * (p2[..., 0] - p0[..., 0]))
 
 
+def _index_array(values, what):
+    """``values`` as an int64 array; bools and non-integers are refused."""
+    arr = np.asarray(values)
+    if not (arr.dtype.kind in "iu" or arr.dtype.kind == "f" and (
+            np.isfinite(arr) & (arr == np.trunc(arr))).all()):
+        raise MeshError(f"{what} must be integers")
+    return np.array(arr, dtype=np.int64, order="C")
+
+
 class Triangulation:
     """Conforming triangulation of a polygonal domain.
 
@@ -70,8 +79,8 @@ class Triangulation:
     def __init__(self, vertices, triangles, ref_edge, labels_or_rule,
                  parent=None, _skip_checks=False):
         self.vertices = np.array(vertices, dtype=float, order="C")
-        tri = np.array(triangles, dtype=np.int64, order="C")
-        ref = np.array(ref_edge, dtype=np.int64, order="C")
+        tri = _index_array(triangles, "triangle vertex indices")
+        ref = _index_array(ref_edge, "refinement edges")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
         if tri.ndim != 2 or tri.shape[1] != 3:

@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .densities import p_laplace
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _batch_eval, _values_at
+    _batch_eval, _values_at, lp_integral
 
 # Armijo trials per line search, the sufficient-decrease constant and the
 # step reduction of each trial, and consecutive stalled Newton steps
@@ -225,7 +225,8 @@ class DiscreteProblem(TermProblem):
             fv = _values_at(self.f, pts, m)
             mom, pif = ops.project_cells(w, phi, fv)
             load.cells[:] = mom
-            self.f_osc = _residual_integral(w, phi, fv, pif, pp)
+            self.f_osc = lp_integral(
+                w, fv - np.einsum("tqi,tmi->tqm", phi, pif), pp)
 
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
@@ -234,8 +235,9 @@ class DiscreteProblem(TermProblem):
             mom, pig = ops.project_sides(w_ref, chi, gv)
             h = ops.h_f[neumann]
             load.sides[neumann] = mom * h[:, None, None]
-            self.g_osc[neumann] = _residual_integral(h[:, None] * w_ref, chi,
-                                                     gv, pig, pp)
+            self.g_osc[neumann] = lp_integral(
+                h[:, None] * w_ref, gv - np.einsum("qi,smi->sqm", chi, pig),
+                pp)
 
         self.dirichlet_idx = space.dirichlet_dofs()
         self.dirichlet_values = np.zeros(len(self.dirichlet_idx))
@@ -272,7 +274,8 @@ class DiscreteProblem(TermProblem):
             load.cells[:] += self.l2_weight * mom
             self.constant = 0.5 * self.l2_weight * float(
                 np.einsum("tq,tqm,tqm->", w, zv, zv))
-            self.zeta_osc = _residual_integral(w, phi, zv, piz, 2.0)
+            self.zeta_osc = lp_integral(
+                w, zv - np.einsum("tqi,tmi->tqm", phi, piz), 2.0)
             pts_k, w_k = ops._volume_rule(2 * space.k)
             T = np.zeros(w_k.shape + (1, ops.nloc))
             T[:, :, 0, :ops.ncb] = ops.cell_eval(ops.exps_k, pts_k)
@@ -314,19 +317,9 @@ class DiscreteProblem(TermProblem):
         phi = _batch_eval(ops.exps_k, loc)
         coeffs = np.linalg.solve(ops.grad_gram, ops.grad_moments(
             loc, phi, w[..., None, None] * dW)).transpose(0, 2, 1)
-        diff = ops.grad_values(loc, phi, coeffs) - dW
-        mag = np.sqrt(np.einsum("tqmd,tqmd->tq", diff, diff))
-        defect = np.einsum("tq,tq->t", w, mag ** (self.p / (self.p - 1.0)))
+        defect = lp_integral(w, ops.grad_values(loc, phi, coeffs) - dW,
+                             self.p / (self.p - 1.0))
         return GradField(self.space, coeffs), defect
-
-
-def _residual_integral(w, basis, vals, coeffs, power):
-    """Per element int |vals - sum_i coeffs_i basis_i|^power for values
-    (n, nq, m) at a rule with weights (n, nq), basis values (n, nq, dim)
-    or (nq, dim) and coefficients (n, m, dim)."""
-    resid = vals - np.einsum("...qi,...mi->...qm", basis, coeffs)
-    mag = np.sqrt(np.einsum("nqm,nqm->nq", resid, resid))
-    return np.einsum("nq,nq->n", w, mag ** power)
 
 
 def eval_neumann(g, side_points, side_normals, m):

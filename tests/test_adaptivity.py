@@ -100,12 +100,14 @@ def test_estimator_total_is_sum_and_nonnegative():
     assert np.allclose(est.total, recomposed)
 
 
-def test_estimator_terms_match_straight_quadrature():
+@pytest.mark.parametrize("variant, k", [(RT, 1), (RT, 2), (STABILIZED, 1)])
+def test_estimator_terms_match_straight_quadrature(variant, k):
     """Recompute every term with single-element quadrature loops, exact
-    for the even p = 4; sigma = DW(G u) fails there and p' = 4/3."""
+    for the even p = 4; sigma = DW(G u) fails there and p' = 4/3.  The
+    volume and trace terms project R u onto P_k, except in the
+    stabilized variant, which drops both projections."""
     family = AffineFamily(nref=1, p=4.0)
-    k = 1
-    problem, sol, _, _ = solve_level(family, k)
+    problem, sol, _, _ = solve_level(family, k, variant)
     rng = np.random.default_rng(11)
     u = sol.u.copy()
     u.data += 0.1 * rng.standard_normal(problem.space.ndof)
@@ -120,11 +122,12 @@ def test_estimator_terms_match_straight_quadrature():
     eps = params.eps
     R = space.potential_reconstruction(u)
     areas = mesh.areas()
+    projected = variant == RT
 
     # volume residual on a few triangles
     for t in (0, 3, 5):
         corners = mesh.corners()[t]
-        rule = triangle_quadrature(corners, 2 * (k + 1) + 2)
+        rule = triangle_quadrature(corners, int(p) * (k + 1))
         cb = CellBasis(k + 1, corners.mean(axis=0),
                        np.sqrt(areas[t]))
         rv = cb.eval(rule.points) @ R.coeffs[t, 0]
@@ -133,7 +136,8 @@ def test_estimator_terms_match_straight_quadrature():
         gram = phi.T @ (rule.weights[:, None] * phi)
         mom = phi.T @ (rule.weights * rv)
         pr = np.linalg.solve(gram, mom)
-        diff = phi @ (pr - u.cells[t, 0])
+        diff = phi @ (pr - u.cells[t, 0]) if projected \
+            else rv - phi @ u.cells[t, 0]
         oracle = areas[t] ** ((eps * p - p) / 2) \
             * rule.weights @ np.abs(diff) ** p
         assert abs(est.volume_residual[t] - oracle) < 1e-10 * max(1, oracle)
@@ -159,7 +163,8 @@ def test_estimator_terms_match_straight_quadrature():
             uF = chi @ u.sides[s, 0]
             gram = chi.T @ (srule.weights[:, None] * chi)
             mom = chi.T @ (srule.weights * (rv_t - uF))
-            proj = chi @ np.linalg.solve(gram, mom)
+            proj = chi @ np.linalg.solve(gram, mom) if projected \
+                else rv_t - uF
             trace_o += srule.weights @ np.abs(proj) ** p
         w_side = areas[t] ** ((eps * p + 1 - p) / 2)
         assert abs(est.interior_jumps[t] - w_side * jump_o) \

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
-                      _batch_eval, _batch_grad, _CompanionGeometry)
+                      _batch_eval, _batch_grad, _CompanionGeometry,
+                      lp_integral)
 from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
 from ahho.poly import cell_dim, monomial_exponents, reference_triangle_rule
 from poly_reference import (CellBasis, RtBasis, SideBasis,
@@ -833,3 +834,65 @@ def test_dirichlet_dofs_follow_mask_order():
     got = space.dirichlet_dofs()
     assert got.dtype == want.dtype
     assert np.array_equal(got, want)
+
+
+def test_dirichlet_mask_must_have_one_column_per_component():
+    """On the L-shape, an (ns, 2) mask on a scalar space (side 0,
+    component 1 set) and an (ns,) mask are refused when the space is
+    built, not read as other dofs or failing later."""
+    mesh = lshape_mesh()
+    ns = mesh.num_sides
+    assert mesh.adjacency[0, 1] < 0
+    wide = np.zeros((ns, 2), dtype=bool)
+    wide[0, 1] = True
+    for mask in (wide, np.zeros(ns, dtype=bool)):
+        with pytest.raises(ValueError, match="Dirichlet mask of shape"):
+            HhoSpace(mesh, 1, dirichlet_mask=mask)
+    space = HhoSpace(mesh, 1, m=2, dirichlet_mask=wide)
+    assert np.array_equal(space.dirichlet_dofs(), space.side_dof_indices(0, 1))
+
+
+@pytest.mark.parametrize("shape", [(5, 7), (5, 3, 7), (0, 7), (0, 3, 7)])
+def test_lp_integral_matches_written_out_sum(shape):
+    """Per element sum of w |vals|^p with the Frobenius norm over the
+    value axes, for one and two point axes and for no element at all."""
+    rng = np.random.default_rng(2)
+    w = rng.random(shape)
+    vals = rng.standard_normal(shape + (2, 2))
+    got = lp_integral(w, vals, 3.0)
+    want = (w * np.linalg.norm(vals.reshape(shape + (4,)), axis=-1) ** 3
+            ).reshape(shape[0], int(np.prod(shape[1:]))).sum(axis=1)
+    assert got.shape == (shape[0],)
+    np.testing.assert_allclose(got, want, rtol=1e-13)
+
+
+@pytest.mark.parametrize("variant", [RT, STABILIZED])
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_residuals_match_projections_of_reconstruction(k, variant):
+    """delta_K v = Pi_K^k R v - v_K and delta_S v = Pi_S^k (R v)|_S - v_S,
+    against the per-element reference projections."""
+    rng = np.random.default_rng(29)
+    mesh = nvb_lshape_mesh()
+    space = HhoSpace(mesh, k, m=2, variant=variant)
+    ops = space.ops
+    v = random_vector(space, rng)
+    d_k, d_s = ops.residuals(ops.gather_local(v.data))
+    assert d_k.shape == (mesh.num_triangles, 2, ops.ncb)
+    assert d_s.shape == (mesh.num_triangles, 3, 2, ops.nsb)
+    R = space.potential_reconstruction(v)
+    corners = mesh.corners()
+    for t in range(0, mesh.num_triangles, 7):
+        pot = CellBasis(k + 1, ops.centroid[t], ops.h_t[t])
+        for c in range(2):
+            def rv(x):
+                return pot.eval(x) @ R.coeffs[t, c]
+            want, _ = l2_project_cell(rv, corners[t], k, 2 * k + 2)
+            np.testing.assert_allclose(d_k[t, c], want - v.cells[t, c],
+                                       rtol=0, atol=1e-11)
+            for j in range(3):
+                s = mesh.side_of_triangle[t, j]
+                a, b = mesh.vertices[mesh.sides[s]]
+                want, _ = l2_project_side(rv, a, b, k, 2 * k + 2)
+                np.testing.assert_allclose(d_s[t, j, c],
+                                           want - v.sides[s, c],
+                                           rtol=0, atol=1e-11)

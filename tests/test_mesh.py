@@ -111,6 +111,25 @@ def test_refinement_edge_out_of_range_rejected():
             Triangulation(vertices, triangles, ref, all_dirichlet)
 
 
+def test_non_integer_indices_rejected():
+    """Triangle vertices and refinement edges must be integers: a float
+    index is not truncated and a bool is not taken for 0 or 1, while
+    integer-valued floats are accepted."""
+    vertices, triangles = [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]
+    with pytest.raises(MeshError, match="triangle vertex indices"):
+        Triangulation(vertices, [(0.9, 1, 2.2)], [1], all_dirichlet)
+    with pytest.raises(MeshError, match="triangle vertex indices"):
+        Triangulation(vertices, np.array([[False, True, True]]), [1],
+                      all_dirichlet)
+    for ref in ([1.7], [True], [np.nan], ["1"]):
+        with pytest.raises(MeshError, match="refinement edges"):
+            Triangulation(vertices, triangles, ref, all_dirichlet)
+    mesh = Triangulation(vertices, np.array(triangles, dtype=float), [1.0],
+                         all_dirichlet)
+    assert mesh.triangles.dtype == np.int64
+    assert mesh.ref_edge.tolist() == [1]
+
+
 def test_read_mesh_rejects_refinement_edge_out_of_range(tmp_path):
     m = unit_square()
     path = tmp_path / "mesh.txt"
