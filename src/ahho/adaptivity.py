@@ -96,7 +96,7 @@ def estimate(space, problem, u, stress_defect, params):
         trace_vals = (R.at_points(spts_e[ops.sot])
                       - np.einsum("smn,qn->sqm", u.sides, chi_e)[ops.sot])
     else:
-        d_k, d_s = ops.residuals(ops.gather_local(u.data))
+        d_k, d_s = ops.residuals(ops.gather_local(u.data), R.coeffs)
         vol_vals = np.einsum("tmi,tqi->tqm", d_k, phi_k_e)
         trace_vals = np.einsum("tjmi,qi->tjqm", d_s, chi_e)
     vol_term = area ** ((eps * p - p) / 2.0) * lp_integral(e_w, vol_vals, p)

@@ -2,8 +2,8 @@
 
 A :class:`HhoSpace` couples polynomial unknowns on cells and on the mesh
 skeleton.  All element-local operators (gradient and potential
-reconstruction, the stabilization operator S_{K,S}, companion machinery)
-are dense matrices acting on the local scalar dof vector
+reconstruction, the stabilization operator S_{K,S}) are dense matrices
+acting on the local scalar dof vector
 
     [cell basis coefficients | side 0 | side 1 | side 2]
 
@@ -18,6 +18,10 @@ S_{K,S} v = (delta_K v)|_S - delta_S v is built from them once; s_l and
 its derivatives read one table per p, :meth:`SpaceOps.stab_data`.
 :meth:`HhoSpace.project` is the L2 projection onto the space, and
 :func:`lp_integral` the per-element sum of w |values|^p.
+:meth:`HhoSpace.companion` builds the conforming J v from the nodal
+averages of R v at the P_{k+1} Lagrange nodes, keyed by their integer
+lattice weights (:func:`lagrange_node_ids`), plus side and cell bubble
+corrections, interpolated at the P_{k+3} lattice.
 """
 
 from __future__ import annotations
@@ -65,12 +69,27 @@ def _batch_grad(exps, loc, h):
 
 
 def lattice_nodes(degree):
-    """Uniform barycentric lattice on the triangle, shape (dim, 3)."""
-    nodes = []
-    for i in range(degree + 1):
-        for j in range(degree + 1 - i):
-            nodes.append((degree - i - j, j, i))
-    return np.array(nodes, dtype=float) / degree
+    """The integer barycentric lattice of the degree-``degree`` Lagrange
+    nodes on the triangle, each row summing to ``degree``; (dim, 3)."""
+    return np.array([(degree - i - j, j, i) for i in range(degree + 1)
+                     for j in range(degree + 1 - i)], dtype=np.int64)
+
+
+def lagrange_node_ids(triangles, lattice):
+    """Global ids of the Lagrange nodes with integer lattice weights
+    ``lattice`` (nn, 3) on the triangles (nt, 3), (nt, nn), numbered
+    0, 1, ... .  A node is keyed by the sorted vertex_id (degree + 1) +
+    weight over the vertices of positive weight, -1 for the others, which
+    is the same on every triangle that holds the node."""
+    base = int(lattice[0].sum()) + 1
+    key = np.sort(np.where(lattice > 0, triangles[:, None] * base + lattice,
+                           -1), axis=-1).reshape(-1, 3)
+    order = np.lexsort(key.T)
+    new = np.ones(len(key), dtype=bool)
+    new[1:] = np.any(key[order[1:]] != key[order[:-1]], axis=1)
+    ids = np.empty(len(key), dtype=np.int64)
+    ids[order] = np.cumsum(new) - 1
+    return ids.reshape(len(triangles), len(lattice))
 
 
 def dof_counts(mesh, k, m):
@@ -136,7 +155,7 @@ class SpaceOps:
             # the local unit vectors; delta_K v is in P_k, so the side
             # projection of its trace is its trace in the side basis
             eye = np.broadcast_to(np.eye(self.nloc), (nt,) + (self.nloc,) * 2)
-            d_k, d_s = self.residuals(eye)
+            d_k, d_s = self.residuals(eye, self.R_op.transpose(0, 2, 1))
             trace = np.einsum("tjqi,tli->tjql", self.phi_k_side, d_k)
             S = self.project_sides(self.side_wref, self.chi_ref, trace)[1]
             self.S_op = (S - d_s).transpose(0, 1, 3, 2)  # (nt, 3, nsb, nloc)
@@ -349,13 +368,13 @@ class SpaceOps:
 
     # -- HHO residuals -------------------------------------------------------
 
-    def residuals(self, v_loc):
-        """The local residuals of values v_loc (nt, m, nloc): per cell
+    def residuals(self, v_loc, r):
+        """The local residuals of values v_loc (nt, m, nloc) with the
+        coefficients r (nt, m, nk1) of R v: per cell
         delta_K v = Pi_K^k R v - v_K, (nt, m, ncb), and per side
         delta_S v = Pi_S^k (R v)|_S - v_S, (nt, 3, m, nsb), with the
         projections on the geometry rules."""
         n, m = v_loc.shape[:2]
-        r = np.einsum("til,tml->tmi", self.R_op, v_loc)        # R v
         rv = np.einsum("tqi,tmi->tqm",
                        self.cell_eval(self.exps_k1, self.vol_pts), r)
         d_k = self.project_cells(self.vol_w, self.phi_k_vol, rv)[1] \
@@ -396,72 +415,6 @@ class SpaceOps:
                 "B": np.einsum("qn,tjnl->tjql", chi, self.S_op),
                 "w": h[..., None] ** (2.0 - p) * w_ref}
         return self._stab_cache[p]
-
-
-class _CompanionGeometry:
-    """Node tables and bubble systems for the conforming companion."""
-
-    def __init__(self, ops):
-        space = ops.space
-        mesh = space.mesh
-        k = space.k
-        self.bary_k1 = lattice_nodes(k + 1)                  # (nn1, 3)
-        self.bary_k3 = lattice_nodes(k + 3)                  # (nn3, 3)
-        self.nodes_k1 = np.einsum("nj,tjd->tnd", self.bary_k1,
-                                  ops.corners)               # (nt, nn1, 2)
-        self.nodes_k3 = np.einsum("nj,tjd->tnd", self.bary_k3, ops.corners)
-
-        self.node_gid = self._global_node_ids(mesh, k + 1, self.bary_k1)
-        self.n_global = self.node_gid.max() + 1
-
-        phi1 = ops.cell_eval(ops.exps_k1, self.nodes_k1)     # (nt, nn1, nk1)
-        self.vand_k1 = phi1
-        phi3 = ops.cell_eval(ops.exps_k3, self.nodes_k3)
-        self.vand_k3_inv = np.linalg.inv(phi3)
-
-        # side bubble Gram: int_F bF chi_i chi_j with bF(t) = 1/4 - t^2
-        t, _ = reference_segment_rule(ops.side_deg)
-        bub = 0.25 - t ** 2
-        gram_ref = np.einsum("q,q,qi,qj->ij", ops.side_wref, bub,
-                             ops.chi_ref, ops.chi_ref)
-        self.side_bubble_gram = gram_ref                     # scaled by h_F later
-
-        # barycentric coordinates of the volume points (nq, 3): the
-        # reference rule's (x, y) are lambda_1 and lambda_2 on every triangle
-        ref = reference_triangle_rule(ops.vol_deg)[0]
-        self.bary_vol = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
-
-        # cell bubble Gram: int_T bT phi_i phi_j, bT = lambda1 lambda2 lambda3
-        self.cell_bubble_gram = np.einsum(
-            "tq,q,tqi,tqj->tij", ops.vol_w, self.bary_vol.prod(axis=-1),
-            ops.phi_k_vol, ops.phi_k_vol)
-
-    def _global_node_ids(self, mesh, degree, bary):
-        """Global ids of the degree-``degree`` lattice nodes, (nt, nn):
-        vertex nodes take the vertex number, the degree-1 nodes inside
-        side s follow at nv + s (degree-1), numbered from the side's first
-        vertex, and the interior nodes of each triangle come last."""
-        nt = mesh.num_triangles
-        nv = mesh.num_vertices
-        gid = np.empty((nt, len(bary)), dtype=np.int64)
-        next_id = nv + mesh.num_sides * (degree - 1)
-        for n, lam in enumerate(bary):
-            zero = np.nonzero(np.abs(lam) < 1e-12)[0]
-            if len(zero) == 2:
-                gid[:, n] = mesh.triangles[:, np.argmax(lam)]
-            elif len(zero) == 1:
-                j = zero[0]           # node on the edge opposite vertex j
-                s = mesh.side_of_triangle[:, j]
-                pos = round(lam[(j + 2) % 3] * degree)
-                # position measured from the side's first vertex
-                pos = np.where(mesh.sides[s, 0]
-                               == mesh.triangles[:, (j + 1) % 3],
-                               pos, degree - pos)
-                gid[:, n] = nv + s * (degree - 1) + pos - 1
-            else:
-                gid[:, n] = next_id + np.arange(nt)
-                next_id += nt
-        return gid
 
 
 class HhoVector:
@@ -652,71 +605,72 @@ class HhoSpace:
         return total
 
     def companion(self, v):
-        """Conforming post-processing J v: globally continuous, preserves
-        all cell and side moments of degree <= k; the moment conditions
-        determine J completely."""
+        """Conforming companion J v in P_{k+3}: globally continuous, it
+        keeps all cell and side moments of degree <= k.  The nodal averages
+        w of R v at the P_{k+1} Lagrange nodes, plus side bubbles
+        lambda_a lambda_b q_F and a cell bubble lambda_1 lambda_2 lambda_3
+        q_T that restore the side and then the cell moments, interpolated
+        at the P_{k+3} lattice."""
         ops = self.ops
-        geom = _CompanionGeometry(ops)
-        m = self.m
+        k, m = self.k, self.m
         mesh = self.mesh
         nt = mesh.num_triangles
 
-        R = self.potential_reconstruction(v)
-        r_nodes = R.at_points(geom.nodes_k1)                 # (nt, nn1, m)
-        gid = geom.node_gid.reshape(-1)
-        cnt = np.bincount(gid, minlength=geom.n_global)
-        avg = np.stack([np.bincount(gid, r_nodes[..., c].reshape(-1),
-                                    minlength=geom.n_global)
-                        for c in range(m)], axis=-1) / cnt[:, None]
-        w_nodal = avg[geom.node_gid]                         # (nt, nn1, m)
-        w_coef = np.linalg.solve(geom.vand_k1[:, None],
-                                 w_nodal.transpose(0, 2, 1)[..., None]
-                                 )[..., 0]                   # (nt, m, nk1)
-        w_poly = PiecewisePoly(self, self.k + 1, w_coef)
+        lat = lattice_nodes(k + 1)
+        gid = lagrange_node_ids(mesh.triangles, lat).reshape(-1)
+        nodes = np.einsum("nj,tjd->tnd", lat / (k + 1), ops.corners)
+        vand = ops.cell_eval(ops.exps_k1, nodes)             # (nt, nn1, nk1)
+        r = np.einsum("tni,tmi->tnm", vand,
+                      self.potential_reconstruction(v).coeffs).reshape(-1, m)
+        avg = np.stack([np.bincount(gid, r[:, c]) for c in range(m)],
+                       axis=-1) / np.bincount(gid)[:, None]
+        w = PiecewisePoly(self, k + 1, np.linalg.solve(
+            vand[:, None], avg[gid].reshape(nt, -1, m).transpose(
+                0, 2, 1)[..., None])[..., 0])                # (nt, m, nk1)
 
-        # side corrections: bF * q_F with q_F in P_k(F)
-        tplus = mesh.adjacency[:, 0]
-        w_side = w_poly.at_points(ops.side_pts, tplus)    # (ns, nqs, m)
-        vF_vals = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)
-        rhs = np.einsum("q,qi,sqm->sim", ops.side_wref, ops.chi_ref,
-                        vF_vals - w_side)
-        qF = np.linalg.solve(geom.side_bubble_gram, rhs)     # (ns, nsb, m)
+        # side bubbles b_F q_F, b_F(t) = 1/4 - t^2, with Pi_F^k (w + b_F q_F)
+        # = v_F on every side
+        t, _ = reference_segment_rule(ops.side_deg)
+        gram = np.einsum("q,q,qi,qj->ij", ops.side_wref, 0.25 - t ** 2,
+                         ops.chi_ref, ops.chi_ref)
+        resid = (np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)
+                 - w.at_points(ops.side_pts, mesh.adjacency[:, 0]))
+        qF = np.linalg.solve(gram, np.einsum(                # (ns, nsb, m)
+            "q,qi,sqm->sim", ops.side_wref, ops.chi_ref, resid))
 
-        # evaluate corrections at volume points and k+3 nodes
-        def side_corrections_at(pts, lam):
-            """Sum of the three side corrections at per-triangle points
-            (nt, n, 2) with barycentric coordinates lam (n, 3)."""
-            out = np.zeros(pts.shape[:-1] + (m,))
+        def w_and_sides(pts, lam):
+            """w plus the three side bubbles at points (nt, n, 2) with
+            barycentric coordinates lam (n, 3); q_F is extended constant
+            along the side's normal."""
+            corr = np.zeros(pts.shape[:-1] + (m,))
             for j in range(3):
                 s = ops.sot[:, j]
-                a_loc, b_loc = (j + 1) % 3, (j + 2) % 3
-                bub = lam[..., a_loc] * lam[..., b_loc]
-                t_par = (np.einsum("t...d,td->t...", pts
-                                   - ops.s_mid[s].reshape((nt,) + (1,)
-                                                          * (pts.ndim - 2)
-                                                          + (2,)),
-                                   ops.s_tang[s]) / ops.h_f[s].reshape(
-                                       (nt,) + (1,) * (pts.ndim - 2)))
-                chi = _powers(t_par, self.k)
-                qvals = np.einsum("t...n,tnm->t...m", chi, qF[s])
-                out += bub[..., None] * qvals
-            return out
+                t_par = np.einsum("tnd,td->tn", pts - ops.s_mid[s][:, None],
+                                  ops.s_tang[s]) / ops.h_f[s][:, None]
+                corr += (lam[:, (j + 1) % 3] * lam[:, (j + 2) % 3])[:, None] \
+                    * np.einsum("tnl,tlm->tnm", _powers(t_par, k), qF[s])
+            return w.at_points(pts) + corr
 
-        corr_vol = side_corrections_at(ops.vol_pts, geom.bary_vol)
-        w_vol = w_poly.at_points(ops.vol_pts)
-        v_T_vals = np.einsum("tmi,tqi->tqm", v.cells, ops.phi_k_vol)
-        resid = v_T_vals - w_vol - corr_vol
-        rhs_T = np.einsum("tq,tqi,tqm->tim", ops.vol_w, ops.phi_k_vol, resid)
-        qT = np.linalg.solve(geom.cell_bubble_gram, rhs_T)    # (nt, ncb, m)
+        # cell bubble b_T q_T with Pi_T^k (w + side bubbles + b_T q_T) = v_T;
+        # the reference rule's (x, y) are lambda_1 and lambda_2
+        ref = reference_triangle_rule(ops.vol_deg)[0]
+        lam = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
+        phi = ops.phi_k_vol
+        resid = (np.einsum("tmi,tqi->tqm", v.cells, phi)
+                 - w_and_sides(ops.vol_pts, lam))
+        qT = np.linalg.solve(                                # (nt, ncb, m)
+            np.einsum("tq,q,tqi,tqj->tij", ops.vol_w, lam.prod(axis=-1),
+                      phi, phi),
+            np.einsum("tq,tqi,tqm->tim", ops.vol_w, phi, resid))
 
-        # assemble everything at the P_{k+3} lattice nodes
-        total = (w_poly.at_points(geom.nodes_k3)
-                 + side_corrections_at(geom.nodes_k3, geom.bary_k3))
-        bT3 = geom.bary_k3.prod(axis=-1)
-        phi_k_n3 = ops.cell_eval(ops.exps_k, geom.nodes_k3)
-        total += bT3[..., None] * np.einsum("tni,tim->tnm", phi_k_n3, qT)
-        coeffs = np.einsum("tin,tnm->tmi", geom.vand_k3_inv, total)
-        return PiecewisePoly(self, self.k + 3, coeffs)
+        # interpolation at the P_{k+3} lattice
+        lam = lattice_nodes(k + 3) / (k + 3)
+        nodes = np.einsum("nj,tjd->tnd", lam, ops.corners)
+        vand = ops.cell_eval(ops.exps_k3, nodes)             # (nt, nn3, nk3)
+        vals = w_and_sides(nodes, lam) + lam.prod(axis=-1)[:, None] \
+            * np.einsum("tni,tim->tnm", vand[..., :ops.ncb], qT)
+        return PiecewisePoly(self, k + 3, np.linalg.solve(
+            vand, vals).transpose(0, 2, 1))
 
     # -- seminorm ------------------------------------------------------------------
 

@@ -38,8 +38,12 @@ def _signed_area(p0, p1, p2):
 def _index_array(values, what):
     """``values`` as an int64 array; bools and non-integers are refused."""
     arr = np.asarray(values)
-    if not (arr.dtype.kind in "iu" or arr.dtype.kind == "f" and (
-            np.isfinite(arr) & (arr == np.trunc(arr))).all()):
+    integral = arr.dtype.kind in "iu" or arr.dtype.kind == "f" and (
+        np.isfinite(arr) & (arr == np.trunc(arr))).all()
+    # numpy casts a bool inside a list of ints to 0 or 1
+    if not integral or isinstance(values, (list, tuple)) and any(
+            isinstance(x, (bool, np.bool_))
+            for x in np.asarray(values, dtype=object).flat):
         raise MeshError(f"{what} must be integers")
     return np.array(arr, dtype=np.int64, order="C")
 

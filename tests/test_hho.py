@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from ahho.hho import (RT, STABILIZED, GradField, HhoSpace, HhoVector,
-                      _batch_eval, _batch_grad, _CompanionGeometry,
-                      lp_integral)
-from ahho.mesh import DIRICHLET, build_triangulation, refine_uniform
+                      _batch_eval, _batch_grad, lagrange_node_ids,
+                      lattice_nodes, lp_integral)
+from ahho.mesh import (DIRICHLET, Triangulation, build_triangulation,
+                       refine_uniform)
 from ahho.poly import cell_dim, monomial_exponents, reference_triangle_rule
 from poly_reference import (CellBasis, RtBasis, SideBasis,
                             divergence_form_gradient_op, grad_basis_div,
@@ -791,16 +792,51 @@ def test_companion_node_ids_identify_equal_nodes(k):
     for _ in range(3):
         near = np.nonzero(np.hypot(*mesh.centroids().T) < 0.5)[0]
         mesh = mesh.refine_nvb(near)
-    geom = _CompanionGeometry(HhoSpace(mesh, k).ops)
-    gid = geom.node_gid.reshape(-1)
-    xy = np.round(geom.nodes_k1.reshape(-1, 2), 12)
+    lat = lattice_nodes(k + 1)
+    gid = lagrange_node_ids(mesh.triangles, lat).reshape(-1)
+    xy = np.round(np.einsum("nj,tjd->tnd", lat / (k + 1),
+                            mesh.corners()).reshape(-1, 2), 12)
     _, coord_id = np.unique(xy, axis=0, return_inverse=True)
     pairs = np.unique(np.stack([gid, coord_id.reshape(-1)]), axis=1)
     assert len(np.unique(pairs[0])) == pairs.shape[1]
     assert len(np.unique(pairs[1])) == pairs.shape[1]
-    assert geom.n_global == (mesh.num_vertices + k * mesh.num_sides
-                             + mesh.num_triangles * k * (k - 1) // 2)
-    assert geom.n_global == pairs.shape[1]
+    n_global = gid.max() + 1
+    assert n_global == (mesh.num_vertices + k * mesh.num_sides
+                        + mesh.num_triangles * k * (k - 1) // 2)
+    assert n_global == pairs.shape[1]
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+def test_companion_independent_of_numbering(k):
+    """Renumbering the vertices and triangles of a refined L-shape and
+    rotating each triangle's local vertex order, keeping its refinement
+    edge, leaves J of the interpolated data unchanged at fixed points.
+    The data are a polynomial that the interpolation's rule integrates
+    exactly, since rotating a triangle moves its quadrature points."""
+    rng = np.random.default_rng(53)
+    mesh = nvb_lshape_mesh()
+    nv, nt = mesh.num_vertices, mesh.num_triangles
+    vorder = rng.permutation(nv)            # new vertex j = old vorder[j]
+    vnew = np.empty(nv, dtype=np.int64)
+    vnew[vorder] = np.arange(nv)
+    torder = rng.permutation(nt)            # new triangle i = old torder[i]
+    shift = rng.integers(0, 3, nt)
+    tri = np.take_along_axis(vnew[mesh.triangles[torder]],
+                             (np.arange(3) + shift[:, None]) % 3, axis=1)
+    other = Triangulation(mesh.vertices[vorder], tri,
+                          (mesh.ref_edge[torder] - shift) % 3, all_dirichlet)
+
+    def fn(x):
+        return x[:, 0] ** 5 * x[:, 1] - 3 * x[:, 0] ** 2 * x[:, 1] ** 3 \
+            + x[:, 1] ** 4 - x[:, 0]
+
+    pts = np.einsum("nj,tjd->tnd", lattice_nodes(k + 4) / (k + 4),
+                    mesh.corners())
+    J = HhoSpace(mesh, k).companion(HhoSpace(mesh, k).interpolate(fn))
+    space = HhoSpace(other, k)
+    J_other = space.companion(space.interpolate(fn))
+    np.testing.assert_allclose(J_other.at_points(pts[torder]),
+                               J.at_points(pts)[torder], rtol=0, atol=1e-12)
 
 
 def test_rt_ops_keep_no_stabilization_or_companion_state():
@@ -814,8 +850,6 @@ def test_rt_ops_keep_no_stabilization_or_companion_state():
     space.companion(random_vector(space, rng))
     assert vars(ops).keys() == before.keys()
     assert all(vars(ops)[key] is val for key, val in before.items())
-    assert not any(isinstance(val, _CompanionGeometry)
-                   for val in vars(ops).values())
     assert hasattr(HhoSpace(square_mesh(), 1, variant=STABILIZED).ops,
                    "S_op")
 
@@ -876,10 +910,10 @@ def test_residuals_match_projections_of_reconstruction(k, variant):
     space = HhoSpace(mesh, k, m=2, variant=variant)
     ops = space.ops
     v = random_vector(space, rng)
-    d_k, d_s = ops.residuals(ops.gather_local(v.data))
+    R = space.potential_reconstruction(v)
+    d_k, d_s = ops.residuals(ops.gather_local(v.data), R.coeffs)
     assert d_k.shape == (mesh.num_triangles, 2, ops.ncb)
     assert d_s.shape == (mesh.num_triangles, 3, 2, ops.nsb)
-    R = space.potential_reconstruction(v)
     corners = mesh.corners()
     for t in range(0, mesh.num_triangles, 7):
         pot = CellBasis(k + 1, ops.centroid[t], ops.h_t[t])

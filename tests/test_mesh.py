@@ -113,17 +113,21 @@ def test_refinement_edge_out_of_range_rejected():
 
 def test_non_integer_indices_rejected():
     """Triangle vertices and refinement edges must be integers: a float
-    index is not truncated and a bool is not taken for 0 or 1, while
-    integer-valued floats are accepted."""
+    index is not truncated and a bool, alone or inside a list of ints, is
+    not taken for 0 or 1, while integer-valued floats are accepted."""
     vertices, triangles = [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]
     with pytest.raises(MeshError, match="triangle vertex indices"):
         Triangulation(vertices, [(0.9, 1, 2.2)], [1], all_dirichlet)
-    with pytest.raises(MeshError, match="triangle vertex indices"):
-        Triangulation(vertices, np.array([[False, True, True]]), [1],
-                      all_dirichlet)
-    for ref in ([1.7], [True], [np.nan], ["1"]):
+    for tri in (np.array([[False, True, True]]), [(False, True, 2)],
+                [(0, np.True_, 2)], ([0, 1, True],)):
+        with pytest.raises(MeshError, match="triangle vertex indices"):
+            Triangulation(vertices, tri, [1], all_dirichlet)
+    for ref in ([1.7], [True], (np.True_,), [np.nan], ["1"]):
         with pytest.raises(MeshError, match="refinement edges"):
             Triangulation(vertices, triangles, ref, all_dirichlet)
+    with pytest.raises(MeshError, match="refinement edges"):
+        Triangulation(vertices + [(1, 1)], [(0, 1, 2), (1, 3, 2)], [0, True],
+                      all_dirichlet)
     mesh = Triangulation(vertices, np.array(triangles, dtype=float), [1.0],
                          all_dirichlet)
     assert mesh.triangles.dtype == np.int64
