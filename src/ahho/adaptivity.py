@@ -56,7 +56,7 @@ class ElementEstimate:
     lower_order: np.ndarray
 
 
-def estimate(space, problem, u, stress_defect, params):
+def estimate(problem, u, stress_defect, params):
     """Per-element refinement indicator and its total.
 
     Implements the residual functional with |T|-power weights
@@ -68,8 +68,8 @@ def estimate(space, problem, u, stress_defect, params):
     stress term.  ``stress_defect`` is what ``problem.discrete_stress(u)``
     returns next to sigma: per triangle int_T |sigma - DW(G u)|^p'.
     """
+    space = problem.space
     mesh = space.mesh
-    ops = space.ops
     k = space.k
     p = problem.p
     pp = p / (p - 1.0)
@@ -77,30 +77,30 @@ def estimate(space, problem, u, stress_defect, params):
     if params.kind == FHM_VARIANT and space.m < 2:
         raise ValueError("componentwise indicator needs a vector problem")
 
-    area = ops.area
+    area = space.area
     R = space.potential_reconstruction(u)
 
     # rules exact for the p-th powers of the polynomial residuals
     pdeg = int(np.ceil(p)) * (k + 1)
-    e_pts, e_w = ops._volume_rule(pdeg)
-    phi_k_e = ops.cell_eval(ops.exps_k, e_pts)
-    spts_e, w_e, chi_e = ops.side_rule(pdeg)
+    e_pts, e_w = space.volume_rule(pdeg)
+    phi_k_e = space.cell_eval(space.exps_k, e_pts)
+    spts_e, w_e, chi_e = space.side_rule(pdeg)
 
     # volume residual |T|^((eps*p - p)/2) ||delta_K u||_p^p and trace term
     # ||delta_S u||_p^p over the sides of T, delta_K u = Pi_T^k R u - u_T
-    # and delta_S u = Pi_F^k (R u)|_T - u_F (``SpaceOps.residuals``); the
+    # and delta_S u = Pi_F^k (R u)|_T - u_F (``HhoSpace.residuals``); the
     # polytopal variant drops both projections
     if space.variant == STABILIZED:
         vol_vals = (R.at_points(e_pts)
                     - np.einsum("tmi,tqi->tqm", u.cells, phi_k_e))
-        trace_vals = (R.at_points(spts_e[ops.sot])
-                      - np.einsum("smn,qn->sqm", u.sides, chi_e)[ops.sot])
+        trace_vals = (R.at_points(spts_e[space.sot])
+                      - np.einsum("smn,qn->sqm", u.sides, chi_e)[space.sot])
     else:
-        d_k, d_s = ops.residuals(ops.gather_local(u.data), R.coeffs)
+        d_k, d_s = space.residuals(u.data[space.loc2glob], R.coeffs)
         vol_vals = np.einsum("tmi,tqi->tqm", d_k, phi_k_e)
         trace_vals = np.einsum("tjmi,qi->tjqm", d_s, chi_e)
     vol_term = area ** ((eps * p - p) / 2.0) * lp_integral(e_w, vol_vals, p)
-    trace_term_sides = lp_integral(ops.h_f[ops.sot][..., None] * w_e,
+    trace_term_sides = lp_integral(space.h_f[space.sot][..., None] * w_e,
                                    trace_vals, p)
 
     # stress projection defect |T|^(eps*p'/2) ||sigma - DW(G u)||_{p'}^{p'}
@@ -110,17 +110,17 @@ def estimate(space, problem, u, stress_defect, params):
     # data oscillations, integrated once by the problem; the Neumann
     # sides of T enter with weight |T|^(1/2)
     f_term = area ** (pp / 2.0) * problem.f_osc
-    g_term = area ** 0.5 * problem.g_osc[ops.sot].sum(axis=1)
+    g_term = area ** 0.5 * problem.g_osc[space.sot].sum(axis=1)
 
     # interior jumps || [R u]_F ||_p^p, counted once per adjacent triangle
     tplus = mesh.adjacency[:, 0]
     interior = mesh.interior_sides()
     jump_per_side = np.zeros(mesh.num_sides)
     jump_per_side[interior] = lp_integral(
-        ops.h_f[interior][:, None] * w_e,
+        space.h_f[interior][:, None] * w_e,
         R.at_points(spts_e[interior], tplus[interior])
         - R.at_points(spts_e[interior], mesh.adjacency[interior, 1]), p)
-    jump_term_sides = jump_per_side[ops.sot].sum(axis=1)
+    jump_term_sides = jump_per_side[space.sot].sum(axis=1)
 
     # boundary-condition residuals || (R u)_comps - target ||_p^p on the
     # sides with ``label``; the target is u_D, or zero
@@ -130,12 +130,12 @@ def estimate(space, problem, u, stress_defect, params):
         sel = mesh.boundary_sides(label)
         if len(sel) == 0 or (dirichlet and problem.u_dirichlet is None):
             return
-        pts, w_ref, _ = ops.side_rule(problem.data_degree, sel)
+        pts, w_ref, _ = space.side_rule(problem.data_degree, sel)
         diff = R.at_points(pts, tplus[sel])[..., comps]
         if dirichlet:
             diff = diff - problem.dirichlet_data_on(sel)
-        dir_per_side[sel] = lp_integral(ops.h_f[sel][:, None] * w_ref, diff,
-                                        p)
+        dir_per_side[sel] = lp_integral(space.h_f[sel][:, None] * w_ref,
+                                        diff, p)
 
     if params.kind == FHM_VARIANT:
         boundary_residual("gamma1", [0], False)
@@ -143,7 +143,7 @@ def estimate(space, problem, u, stress_defect, params):
         boundary_residual("gamma3", slice(None), True)
     else:
         boundary_residual("dirichlet", slice(None), True)
-    dir_term_sides = dir_per_side[ops.sot].sum(axis=1)
+    dir_term_sides = dir_per_side[space.sot].sum(axis=1)
 
     side_weight = area ** ((eps * p + 1 - p) / 2.0)
     dirichlet_term = side_weight * dir_term_sides
@@ -187,13 +187,12 @@ def prolong(fine_space, J, problem=None):
     be a refinement of J's mesh: every parent index in range, and every
     fine centroid in its parent (barycentric coordinates >= -1e-12)."""
     mesh = fine_space.mesh
-    ops = fine_space.ops
-    coarse = J.space.ops
+    coarse = J.space
     parent = mesh.parent
     if parent.min() < 0 or parent.max() >= len(coarse.corners):
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
     v = coarse.corners[parent]
-    lam = np.stack([_signed_area(ops.centroid, v[:, (j + 1) % 3],
+    lam = np.stack([_signed_area(fine_space.centroid, v[:, (j + 1) % 3],
                                  v[:, (j + 2) % 3]) for j in range(3)])
     if np.any(lam < -1e-12 * coarse.area[parent]):
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
@@ -261,7 +260,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
         if problem.density.conjugate is not None:
             J = space.companion(sol.u)
         sigma, defect = problem.discrete_stress(sol.u)
-        est, eta = estimate(space, problem, sol.u, defect, params)
+        est, eta = estimate(problem, sol.u, defect, params)
         stab = None
         if variant == STABILIZED:
             stab = space.stabilization(sol.u, sol.u, problem.p)

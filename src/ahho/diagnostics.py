@@ -96,10 +96,10 @@ class ReportFields:
         m = space.m
         shape = pts.shape[:-1]
         ue, ge, se = self.exact.fields(pts.reshape(-1, 2))
-        loc = space.ops.local_coords(pts, tri)
-        phi = _batch_eval(space.ops.exps_k, loc)
+        loc = space.local_coords(pts, tri)
+        phi = _batch_eval(space.exps_k, loc)
         Gu = None if self.g is None \
-            else space.ops.grad_values(loc, phi, self.g.coeffs[tri])
+            else space.grad_values(loc, phi, self.g.coeffs[tri])
         return PointFields(
             tri, w, loc, phi, Gu,
             None if Gu is None else self.density.dw(Gu),
@@ -112,7 +112,7 @@ class ReportFields:
     def volume(self):
         """Built on first read, so that a larger point set evaluated
         before it (the graded corner rule) is gone when it is made."""
-        return self.on(slice(None), *self.space.ops._volume_rule(self.degree))
+        return self.on(slice(None), *self.space.volume_rule(self.degree))
 
 
 @functools.lru_cache(maxsize=None)
@@ -219,7 +219,7 @@ def error_norms(problem, u, exact, degree=None, singular_point=None,
         # the graded rule, which has the most points of the level, before
         # the first read of the volume rule's fields: never both at once
         graded = integrals(fields.on(tri, *_graded_corner_rule(
-            space.ops.corners[tri], v_loc, fields.degree)))
+            space.corners[tri], v_loc, fields.degree)))
         rest = np.delete(np.arange(space.mesh.num_triangles), tri)
         terms = [None if a is None else a + b for a, b in zip(
             integrals(fields.volume, rest), graded)]
@@ -236,12 +236,12 @@ def data_oscillations(problem):
     """osc(f, T) and osc_N(g, F(Gamma_N)) with the h_T / h_F weights, and
     the oscillation of the lower-order datum, from the per-element
     integrals the problem computed with its load."""
-    ops = problem.space.ops
+    space = problem.space
     pp = problem.p / (problem.p - 1.0)
-    osc_f = float(np.sum(ops.h_t * problem.f_osc) ** (1.0 / pp))
-    osc_g = float(np.sum(ops.h_f * problem.g_osc) ** (1.0 / pp))
+    osc_f = float(np.sum(space.h_t * problem.f_osc) ** (1.0 / pp))
+    osc_g = float(np.sum(space.h_f * problem.g_osc) ** (1.0 / pp))
     osc_zeta = problem.l2_weight \
-        * float(np.sqrt(np.sum(ops.h_t ** 2 * problem.zeta_osc)))
+        * float(np.sqrt(np.sum(space.h_t ** 2 * problem.zeta_osc)))
     return osc_f, osc_g, osc_zeta
 
 
@@ -259,7 +259,7 @@ def lower_energy_bound(problem, u, sigma, exact, energy=None, fields=None):
     space = problem.space
     E = problem.energy(u) if energy is None else energy
     vol = (fields or ReportFields(problem, u, exact)).volume
-    sig = space.ops.grad_values(vol.loc, vol.phi, sigma.coeffs[vol.tri])
+    sig = space.grad_values(vol.loc, vol.phi, sigma.coeffs[vol.tri])
     corr = float(np.einsum("tq,tqmd,tqmd->", vol.w, vol.dW - sig, vol.ge))
     base = E + corr
     if space.variant == STABILIZED:
@@ -292,7 +292,7 @@ def dual_bound(problem, u, sigma, J, energy=None):
     wstar = problem.density.conjugate(sigma.at_points(ed["pts"]))
     e_dual = -float(np.sum(ed["w"] * wstar))
     # companion defect, exact quadrature
-    pts, w = space.ops._volume_rule(2 * (space.k + 2))
+    pts, w = space.volume_rule(2 * (space.k + 2))
     Gu = space.gradient_reconstruction(u).at_points(pts)
     gJ = J.grad_at_points(pts)
     defect = float(np.sqrt(np.einsum("tq,tqmd,tqmd->", w, Gu - gJ,

@@ -1,27 +1,27 @@
 """Hybrid high-order spaces and reconstruction operators.
 
 A :class:`HhoSpace` couples polynomial unknowns on cells and on the mesh
-skeleton.  All element-local operators (gradient and potential
-reconstruction, the stabilization operator S_{K,S}) are dense matrices
-acting on the local scalar dof vector
+skeleton, and holds its geometry, rules and element-local operators
+(gradient and potential reconstruction, the stabilization S_{K,S}):
+dense matrices, batched over all triangles, acting on the local scalar
+dof vector ``data[loc2glob]``
 
-    [cell basis coefficients | side 0 | side 1 | side 2]
+    [cell basis coefficients | side 0 | side 1 | side 2].
 
-and are precomputed in batched arrays over all triangles.  Vector-valued
-problems (m > 1) reuse the same operators componentwise.  The gradient
-space (RT_k, or P_k(T; R^2) when stabilized) has two kernels,
-:meth:`SpaceOps.grad_values` and its adjoint :meth:`SpaceOps.grad_moments`,
-through which G and the discrete stress are projected.
-:meth:`SpaceOps.residuals` maps v to delta_K v = Pi_K^k R v - v_K and
-delta_S v = Pi_S^k (R v)|_S - v_S: the RT estimator reads them for u, and
-S_{K,S} v = (delta_K v)|_S - delta_S v is built from them once; s_l and
-its derivatives read one table per p, :meth:`SpaceOps.stab_data`.
-:meth:`HhoSpace.project` is the L2 projection onto the space, and
-:func:`lp_integral` the per-element sum of w |values|^p.
-:meth:`HhoSpace.companion` builds the conforming J v from the nodal
-averages of R v at the P_{k+1} Lagrange nodes, keyed by their integer
-lattice weights (:func:`lagrange_node_ids`), plus side and cell bubble
-corrections, interpolated at the P_{k+3} lattice.
+Vector-valued problems (m > 1) reuse the same operators componentwise.
+The gradient space (RT_k, or P_k(T; R^2) when stabilized; ``ng``
+fields) has two kernels, :meth:`HhoSpace.grad_values` and its adjoint
+:meth:`HhoSpace.grad_moments`, through which G and the discrete stress
+are projected.  :meth:`HhoSpace.residuals` maps v to delta_K v =
+Pi_K^k R v - v_K and delta_S v = Pi_S^k (R v)|_S - v_S: the RT estimator
+reads them for u, and S_{K,S} v = (delta_K v)|_S - delta_S v is built
+from them once; s_l and its derivatives read one table per p,
+:meth:`HhoSpace.stab_data`.  :meth:`HhoSpace.project` is the L2
+projection onto the space, and :func:`lp_integral` the per-element sum
+of w |values|^p.  :meth:`HhoSpace.companion` builds the conforming J v
+from the nodal averages of R v at the P_{k+1} Lagrange nodes, keyed by
+their integer lattice weights (:func:`lagrange_node_ids`), plus side and
+cell bubble corrections, interpolated at the P_{k+3} lattice.
 """
 
 from __future__ import annotations
@@ -104,16 +104,125 @@ def stabilization_degree(k, p):
     return max(2 * (k + 1) + k, int(np.ceil(p)) * (k + 1))
 
 
-class SpaceOps:
-    """Batched geometry, quadrature, and local operators for one space."""
+class HhoVector:
+    """Coefficient vector of a hybrid space, with cell and side views."""
 
-    def __init__(self, space):
-        mesh = space.mesh
-        k = space.k
+    def __init__(self, space, data=None):
         self.space = space
-        nt = mesh.num_triangles
-        ns = mesh.num_sides
+        if data is None:
+            data = np.zeros(space.ndof)
+        data = np.asarray(data, dtype=float)
+        if data.shape != (space.ndof,):
+            raise ValueError("coefficient vector has wrong length")
+        self.data = data
 
+    @property
+    def cells(self):
+        """(nt, m, ncb) view."""
+        s = self.space
+        return self.data[:s.ncell_dofs].reshape(
+            s.mesh.num_triangles, s.m, s.ncb)
+
+    @property
+    def sides(self):
+        """(ns, m, nsb) view."""
+        s = self.space
+        return self.data[s.ncell_dofs:].reshape(
+            s.mesh.num_sides, s.m, s.nsb)
+
+    def copy(self):
+        return HhoVector(self.space, self.data.copy())
+
+    def __array__(self, dtype=None, copy=None):
+        """``data`` itself unless a copy or another dtype is asked for, so
+        that ``np.asarray(v)`` reads and writes it (NumPy 1.x passes no
+        ``copy``, and its ``np.array`` rejects ``copy=None``)."""
+        if copy:
+            return np.array(self.data, dtype=dtype)
+        return np.asarray(self.data, dtype=dtype)
+
+
+class GradField:
+    """Piecewise field in the local gradient space, coefficients (nt, m, ng)."""
+
+    def __init__(self, space, coeffs):
+        self.space = space
+        self.coeffs = coeffs
+
+    def at_points(self, pts, tri=slice(None)):
+        """Values at points (n, ..., 2) on the triangles ``tri`` (all by
+        default) -> (n, ..., m, 2)."""
+        space = self.space
+        loc = space.local_coords(pts, tri)
+        return space.grad_values(loc, _batch_eval(space.exps_k, loc),
+                                 self.coeffs[tri])
+
+    def lp_norm(self, p, degree=None):
+        data = self.space.energy_data(degree or (2 * (self.space.k + 1)))
+        vals = self.at_points(data["pts"])
+        return lp_integral(data["w"], vals, p).sum() ** (1.0 / p)
+
+
+class PiecewisePoly:
+    """Piecewise polynomial on the mesh, coefficients (nt, m, dim) in the
+    per-element scaled monomial basis."""
+
+    def __init__(self, space, degree, coeffs):
+        self.space = space
+        self.degree = degree
+        self.coeffs = coeffs
+        self.exps = monomial_exponents(degree)
+
+    def at_points(self, pts, tri=slice(None)):
+        """Values at points (n, ..., 2) on the triangles ``tri`` (all by
+        default) -> (n, ..., m)."""
+        phi = self.space.cell_eval(self.exps, pts, tri)
+        return np.einsum("t...i,tmi->t...m", phi, self.coeffs[tri])
+
+    def grad_at_points(self, pts):
+        g = self.space.cell_grad(self.exps, pts)
+        return np.einsum("t...id,tmi->t...md", g, self.coeffs)
+
+
+class HhoSpace:
+    """Hybrid high-order space P_k(T; R^m) x P_k(F; R^m), with its batched
+    geometry, rules and local operators ``G_op``, ``R_op`` and (when
+    stabilized) ``S_op`` on the local values ``data[loc2glob]``.
+
+    Parameters
+    ----------
+    mesh : Triangulation
+    k : polynomial degree >= 0
+    m : number of components
+    variant : "rt" (Raviart-Thomas gradients, no stabilization) or
+        "stabilized" (broken P_k matrix gradients with stabilization)
+    dirichlet_mask : (ns, m) bool array marking constrained side dofs
+    """
+
+    def __init__(self, mesh, k, m=1, variant=RT, dirichlet_mask=None):
+        if k < 0:
+            raise ValueError("k must be >= 0")
+        if variant not in (RT, STABILIZED):
+            raise ValueError(f"unknown variant {variant!r}")
+        self.mesh = mesh
+        self.k = k
+        self.m = m
+        self.variant = variant
+        self.ncell_dofs, self.nside_dofs = dof_counts(mesh, k, m)
+        self.ndof = self.ncell_dofs + self.nside_dofs
+        if dirichlet_mask is None:
+            dirichlet_mask = np.zeros((mesh.num_sides, m), dtype=bool)
+        self.dirichlet_mask = np.asarray(dirichlet_mask, dtype=bool)
+        if self.dirichlet_mask.shape != (mesh.num_sides, m):
+            raise ValueError(f"Dirichlet mask of shape "
+                             f"{self.dirichlet_mask.shape}; expected "
+                             f"(num_sides, m) = {(mesh.num_sides, m)}")
+        boundary = mesh.adjacency[:, 1] < 0
+        if np.any(self.dirichlet_mask[~boundary]):
+            raise ValueError("Dirichlet mask set on an interior side")
+
+        # batched geometry of the triangles and sides
+        nt = mesh.num_triangles
         self.corners = mesh.corners()
         self.area = mesh.areas()
         self.centroid = self.corners.mean(axis=1)
@@ -138,10 +247,12 @@ class SpaceOps:
         self.nk1 = cell_dim(k + 1)
         self.nsb = k + 1
         self.nloc = self.ncb + 3 * self.nsb
+        # the gradient space: RT_k, or P_k(T; R^2) when stabilized
+        self.ng = (k + 1) * (k + 3) if variant == RT else 2 * self.ncb
 
         # volume geometry rule, exact to degree 2k+3
         self.vol_deg = 2 * k + 3
-        self.vol_pts, self.vol_w = self._volume_rule(self.vol_deg)
+        self.vol_pts, self.vol_w = self.volume_rule(self.vol_deg)
         # side geometry rule, exact to degree 2k+2
         self.side_deg = 2 * k + 2
         self.side_pts, self.side_wref, self.chi_ref = self.side_rule(
@@ -150,7 +261,7 @@ class SpaceOps:
 
         self._build_local_maps()
         self._build_potential_op(self._build_gradient_op())
-        if space.variant == STABILIZED:
+        if variant == STABILIZED:
             # S_{K,S} v = (delta_K v)|_S - delta_S v from the residuals of
             # the local unit vectors; delta_K v is in P_k, so the side
             # projection of its trace is its trace in the side basis
@@ -162,9 +273,25 @@ class SpaceOps:
         self._energy_cache = {}
         self._stab_cache = {}
 
+    # -- dof helpers -----------------------------------------------------------
+
+    def zero_vector(self):
+        return HhoVector(self)
+
+    def side_dof_indices(self, side, comp):
+        off = self.ncell_dofs + (side * self.m + comp) * (self.k + 1)
+        return np.arange(off, off + self.k + 1)
+
+    def dirichlet_dofs(self):
+        """Indices of all constrained side dofs, side by side and component
+        by component."""
+        s, c = np.nonzero(self.dirichlet_mask)
+        off = self.ncell_dofs + (s * self.m + c) * (self.k + 1)
+        return (off[:, None] + np.arange(self.k + 1)).reshape(-1)
+
     # -- rules ---------------------------------------------------------------
 
-    def _volume_rule(self, degree, tri=slice(None)):
+    def volume_rule(self, degree, tri=slice(None)):
         """Rule exact to ``degree`` on the triangles ``tri`` (all by
         default): points (n, nq, 2), weights (n, nq)."""
         ref_pts, ref_w = reference_triangle_rule(degree)
@@ -209,11 +336,6 @@ class SpaceOps:
 
     # -- RT / gradient-space basis --------------------------------------------
 
-    def grad_space_dim(self):
-        if self.space.variant == RT:
-            return (self.space.k + 1) * (self.space.k + 3)
-        return 2 * self.ncb
-
     def grad_values(self, loc, phi, c):
         """Fields of the local gradient space with coefficients c (n, m, ng)
         at points with local coordinates loc (n, ..., 2) and P_k table phi
@@ -228,7 +350,7 @@ class SpaceOps:
         cxy = c[:, :, :2 * ncb].reshape(n, m, 2, ncb).transpose(0, 3, 1, 2)
         out = np.matmul(phi, cxy.reshape(n, ncb, 2 * m)).reshape(
             n, npt, m, 2)
-        if self.space.variant == RT:
+        if self.variant == RT:
             s = np.matmul(phi[..., ncb - self.nsb:],
                           c[:, :, 2 * ncb:].transpose(0, 2, 1))
             xy = loc.reshape(n, npt, 2)
@@ -246,12 +368,12 @@ class SpaceOps:
         npt = int(np.prod(loc.shape[1:-1]))
         phi_t = phi.reshape(n, npt, ncb).transpose(0, 2, 1)
         vals = vals.reshape(n, npt, m, 2)
-        out = np.empty((n, self.grad_space_dim(), m))
+        out = np.empty((n, self.ng, m))
         # the x and y blocks: (n, ncb, m * 2) -> rows [x-block | y-block]
         xy = np.matmul(phi_t, vals.reshape(n, npt, 2 * m))
         out[:, :2 * ncb] = xy.reshape(n, ncb, m, 2).transpose(
             0, 3, 1, 2).reshape(n, 2 * ncb, m)
-        if self.space.variant == RT:
+        if self.variant == RT:
             xy = loc.reshape(n, npt, 1, 2)
             s = xy[..., 0] * vals[..., 0] + xy[..., 1] * vals[..., 1]
             out[:, 2 * ncb:] = np.matmul(phi_t[:, ncb - self.nsb:], s)
@@ -260,10 +382,8 @@ class SpaceOps:
     # -- local dof bookkeeping -------------------------------------------------
 
     def _build_local_maps(self):
-        space = self.space
-        mesh = space.mesh
-        nt = mesh.num_triangles
-        m = space.m
+        nt = self.mesh.num_triangles
+        m = self.m
         loc2glob = np.empty((nt, m, self.nloc), dtype=np.int64)
         t_idx = np.arange(nt)
         for c in range(m):
@@ -271,15 +391,11 @@ class SpaceOps:
             loc2glob[:, c, :self.ncb] = base + np.arange(self.ncb)
             for j in range(3):
                 s = self.sot[:, j]
-                off = space.ncell_dofs + (s * m + c)[:, None] * self.nsb
+                off = self.ncell_dofs + (s * m + c)[:, None] * self.nsb
                 loc2glob[:, c, self.ncb + j * self.nsb:
                          self.ncb + (j + 1) * self.nsb] = (
                     off + np.arange(self.nsb))
         self.loc2glob = loc2glob
-
-    def gather_local(self, data):
-        """(ndof,) -> (nt, m, nloc)."""
-        return data[self.loc2glob]
 
     # -- L2 projections onto P_k -------------------------------------------------
 
@@ -317,7 +433,7 @@ class SpaceOps:
         loc_side = self.local_coords(self.side_pts_t)
         self.phi_k_side = _batch_eval(self.exps_k, loc_side)
         w = self.vol_w[..., None, None]
-        ng = self.grad_space_dim()
+        ng = self.ng
         eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
         self.grad_gram = self.grad_moments(
             loc, phi, w * self.grad_values(loc, phi, eye))
@@ -345,7 +461,7 @@ class SpaceOps:
         their gradients: d/dx of the monomial (a, b) is a/h_T times the P_k
         monomial (a-1, b) in the x-block, d/dy is b/h_T times (a, b-1) in
         the y-block, and the RT rows stay zero."""
-        D = np.zeros((self.grad_space_dim(), self.nk1))
+        D = np.zeros((self.ng, self.nk1))
         for j, (a, b) in enumerate(self.exps_k1):
             row = (a + b) * (a + b - 1) // 2   # first monomial of degree a+b-1
             if a:
@@ -389,9 +505,9 @@ class SpaceOps:
     # -- energy-rule data (degree depends on the density) ---------------------------
 
     def energy_data(self, degree):
-        degree = max(degree, 2 * (self.space.k + 1))
+        degree = max(degree, 2 * (self.k + 1))
         if degree not in self._energy_cache:
-            pts, w = self._volume_rule(degree)
+            pts, w = self.volume_rule(degree)
             loc = self.local_coords(pts)
             # B[t, q, :, l] is G applied to the l-th local unit vector
             B = self.grad_values(loc, _batch_eval(self.exps_k, loc),
@@ -408,147 +524,12 @@ class SpaceOps:
         and "w" (nt, 3, nq), the weights h_S^(2-p) w_ref, that is the rule
         on the side (h_S w_ref) times h_S^(1-p)."""
         if p not in self._stab_cache:
-            _, w_ref, chi = self.side_rule(
-                stabilization_degree(self.space.k, p))
+            _, w_ref, chi = self.side_rule(stabilization_degree(self.k, p))
             h = self.h_f[self.sot]
             self._stab_cache[p] = {
                 "B": np.einsum("qn,tjnl->tjql", chi, self.S_op),
                 "w": h[..., None] ** (2.0 - p) * w_ref}
         return self._stab_cache[p]
-
-
-class HhoVector:
-    """Coefficient vector of a hybrid space, with cell and side views."""
-
-    def __init__(self, space, data=None):
-        self.space = space
-        if data is None:
-            data = np.zeros(space.ndof)
-        data = np.asarray(data, dtype=float)
-        if data.shape != (space.ndof,):
-            raise ValueError("coefficient vector has wrong length")
-        self.data = data
-
-    @property
-    def cells(self):
-        """(nt, m, ncb) view."""
-        s = self.space
-        return self.data[:s.ncell_dofs].reshape(
-            s.mesh.num_triangles, s.m, s.ops.ncb)
-
-    @property
-    def sides(self):
-        """(ns, m, nsb) view."""
-        s = self.space
-        return self.data[s.ncell_dofs:].reshape(
-            s.mesh.num_sides, s.m, s.ops.nsb)
-
-    def copy(self):
-        return HhoVector(self.space, self.data.copy())
-
-    def __array__(self, dtype=None, copy=None):
-        """``data`` itself unless a copy or another dtype is asked for, so
-        that ``np.asarray(v)`` reads and writes it (NumPy 1.x passes no
-        ``copy``, and its ``np.array`` rejects ``copy=None``)."""
-        if copy:
-            return np.array(self.data, dtype=dtype)
-        return np.asarray(self.data, dtype=dtype)
-
-
-class GradField:
-    """Piecewise field in the local gradient space, coefficients (nt, m, ng)."""
-
-    def __init__(self, space, coeffs):
-        self.space = space
-        self.coeffs = coeffs
-
-    def at_points(self, pts, tri=slice(None)):
-        """Values at points (n, ..., 2) on the triangles ``tri`` (all by
-        default) -> (n, ..., m, 2)."""
-        ops = self.space.ops
-        loc = ops.local_coords(pts, tri)
-        return ops.grad_values(loc, _batch_eval(ops.exps_k, loc),
-                               self.coeffs[tri])
-
-    def lp_norm(self, p, degree=None):
-        ops = self.space.ops
-        data = ops.energy_data(degree or (2 * (self.space.k + 1)))
-        vals = self.at_points(data["pts"])
-        return lp_integral(data["w"], vals, p).sum() ** (1.0 / p)
-
-
-class PiecewisePoly:
-    """Piecewise polynomial on the mesh, coefficients (nt, m, dim) in the
-    per-element scaled monomial basis."""
-
-    def __init__(self, space, degree, coeffs):
-        self.space = space
-        self.degree = degree
-        self.coeffs = coeffs
-        self.exps = monomial_exponents(degree)
-
-    def at_points(self, pts, tri=slice(None)):
-        """Values at points (n, ..., 2) on the triangles ``tri`` (all by
-        default) -> (n, ..., m)."""
-        phi = self.space.ops.cell_eval(self.exps, pts, tri)
-        return np.einsum("t...i,tmi->t...m", phi, self.coeffs[tri])
-
-    def grad_at_points(self, pts):
-        g = self.space.ops.cell_grad(self.exps, pts)
-        return np.einsum("t...id,tmi->t...md", g, self.coeffs)
-
-
-class HhoSpace:
-    """Hybrid high-order space P_k(T; R^m) x P_k(F; R^m).
-
-    Parameters
-    ----------
-    mesh : Triangulation
-    k : polynomial degree >= 0
-    m : number of components
-    variant : "rt" (Raviart-Thomas gradients, no stabilization) or
-        "stabilized" (broken P_k matrix gradients with stabilization)
-    dirichlet_mask : (ns, m) bool array marking constrained side dofs
-    """
-
-    def __init__(self, mesh, k, m=1, variant=RT, dirichlet_mask=None):
-        if k < 0:
-            raise ValueError("k must be >= 0")
-        if variant not in (RT, STABILIZED):
-            raise ValueError(f"unknown variant {variant!r}")
-        self.mesh = mesh
-        self.k = k
-        self.m = m
-        self.variant = variant
-        self.ncell_dofs, self.nside_dofs = dof_counts(mesh, k, m)
-        self.ndof = self.ncell_dofs + self.nside_dofs
-        if dirichlet_mask is None:
-            dirichlet_mask = np.zeros((mesh.num_sides, m), dtype=bool)
-        self.dirichlet_mask = np.asarray(dirichlet_mask, dtype=bool)
-        if self.dirichlet_mask.shape != (mesh.num_sides, m):
-            raise ValueError(f"Dirichlet mask of shape "
-                             f"{self.dirichlet_mask.shape}; expected "
-                             f"(num_sides, m) = {(mesh.num_sides, m)}")
-        boundary = mesh.adjacency[:, 1] < 0
-        if np.any(self.dirichlet_mask[~boundary]):
-            raise ValueError("Dirichlet mask set on an interior side")
-        self.ops = SpaceOps(self)
-
-    # -- dof helpers -----------------------------------------------------------
-
-    def zero_vector(self):
-        return HhoVector(self)
-
-    def side_dof_indices(self, side, comp):
-        off = self.ncell_dofs + (side * self.m + comp) * (self.k + 1)
-        return np.arange(off, off + self.k + 1)
-
-    def dirichlet_dofs(self):
-        """Indices of all constrained side dofs, side by side and component
-        by component."""
-        s, c = np.nonzero(self.dirichlet_mask)
-        off = self.ncell_dofs + (s * self.m + c) * (self.k + 1)
-        return (off[:, None] + np.arange(self.k + 1)).reshape(-1)
 
     # -- projection and interpolation ----------------------------------------
 
@@ -558,14 +539,13 @@ class HhoSpace:
         points (n, ..., 2) in the triangles ``tri``, which are all
         triangles for the cell points and each side's T_plus for the side
         points."""
-        ops = self.ops
-        pts, w = ops._volume_rule(degree)
-        spts, w_ref, chi = ops.side_rule(degree)
+        pts, w = self.volume_rule(degree)
+        spts, w_ref, chi = self.side_rule(degree)
         v = self.zero_vector()
-        v.cells[:] = ops.project_cells(
-            w, ops.cell_eval(ops.exps_k, pts),
+        v.cells[:] = self.project_cells(
+            w, self.cell_eval(self.exps_k, pts),
             values(pts, np.arange(self.mesh.num_triangles)))[1]
-        v.sides[:] = ops.project_sides(
+        v.sides[:] = self.project_sides(
             w_ref, chi, values(spts, self.mesh.adjacency[:, 0]))[1]
         return v
 
@@ -578,24 +558,23 @@ class HhoSpace:
     # -- reconstructions -----------------------------------------------------------
 
     def gradient_reconstruction(self, v):
-        loc = self.ops.gather_local(v.data)
-        coeffs = np.einsum("til,tml->tmi", self.ops.G_op, loc)
+        loc = v.data[self.loc2glob]
+        coeffs = np.einsum("til,tml->tmi", self.G_op, loc)
         return GradField(self, coeffs)
 
     def potential_reconstruction(self, v):
-        loc = self.ops.gather_local(v.data)
-        coeffs = np.einsum("til,tml->tmi", self.ops.R_op, loc)
+        loc = v.data[self.loc2glob]
+        coeffs = np.einsum("til,tml->tmi", self.R_op, loc)
         return PiecewisePoly(self, self.k + 1, coeffs)
 
     def stabilization(self, u, v, p, return_parts=False):
         """s_l(u; v) = sum_K sum_S h_S^{1-p} int_S |S u|^(p-2) S u . S v,
         the p-Laplace DW(S u) . S v, with the parts per element (nt,) and
         per side (nt, 3) on request."""
-        ops = self.ops
-        sd = ops.stab_data(p)
-        Su = np.einsum("tjql,tml->tjqm", sd["B"], ops.gather_local(u.data))
+        sd = self.stab_data(p)
+        Su = np.einsum("tjql,tml->tjqm", sd["B"], u.data[self.loc2glob])
         Sv = Su if v is u else np.einsum("tjql,tml->tjqm", sd["B"],
-                                         ops.gather_local(v.data))
+                                         v.data[self.loc2glob])
         dW = p_laplace(p).dw(Su[..., None])[..., 0]
         per_side = np.einsum("tjq,tjqm,tjqm->tj", sd["w"], dW, Sv)
         per_elem = per_side.sum(axis=1)
@@ -611,15 +590,14 @@ class HhoSpace:
         lambda_a lambda_b q_F and a cell bubble lambda_1 lambda_2 lambda_3
         q_T that restore the side and then the cell moments, interpolated
         at the P_{k+3} lattice."""
-        ops = self.ops
         k, m = self.k, self.m
         mesh = self.mesh
         nt = mesh.num_triangles
 
         lat = lattice_nodes(k + 1)
         gid = lagrange_node_ids(mesh.triangles, lat).reshape(-1)
-        nodes = np.einsum("nj,tjd->tnd", lat / (k + 1), ops.corners)
-        vand = ops.cell_eval(ops.exps_k1, nodes)             # (nt, nn1, nk1)
+        nodes = np.einsum("nj,tjd->tnd", lat / (k + 1), self.corners)
+        vand = self.cell_eval(self.exps_k1, nodes)           # (nt, nn1, nk1)
         r = np.einsum("tni,tmi->tnm", vand,
                       self.potential_reconstruction(v).coeffs).reshape(-1, m)
         avg = np.stack([np.bincount(gid, r[:, c]) for c in range(m)],
@@ -630,13 +608,13 @@ class HhoSpace:
 
         # side bubbles b_F q_F, b_F(t) = 1/4 - t^2, with Pi_F^k (w + b_F q_F)
         # = v_F on every side
-        t, _ = reference_segment_rule(ops.side_deg)
-        gram = np.einsum("q,q,qi,qj->ij", ops.side_wref, 0.25 - t ** 2,
-                         ops.chi_ref, ops.chi_ref)
-        resid = (np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)
-                 - w.at_points(ops.side_pts, mesh.adjacency[:, 0]))
+        t, _ = reference_segment_rule(self.side_deg)
+        gram = np.einsum("q,q,qi,qj->ij", self.side_wref, 0.25 - t ** 2,
+                         self.chi_ref, self.chi_ref)
+        resid = (np.einsum("smn,qn->sqm", v.sides, self.chi_ref)
+                 - w.at_points(self.side_pts, mesh.adjacency[:, 0]))
         qF = np.linalg.solve(gram, np.einsum(                # (ns, nsb, m)
-            "q,qi,sqm->sim", ops.side_wref, ops.chi_ref, resid))
+            "q,qi,sqm->sim", self.side_wref, self.chi_ref, resid))
 
         def w_and_sides(pts, lam):
             """w plus the three side bubbles at points (nt, n, 2) with
@@ -644,31 +622,31 @@ class HhoSpace:
             along the side's normal."""
             corr = np.zeros(pts.shape[:-1] + (m,))
             for j in range(3):
-                s = ops.sot[:, j]
-                t_par = np.einsum("tnd,td->tn", pts - ops.s_mid[s][:, None],
-                                  ops.s_tang[s]) / ops.h_f[s][:, None]
+                s = self.sot[:, j]
+                t_par = np.einsum("tnd,td->tn", pts - self.s_mid[s][:, None],
+                                  self.s_tang[s]) / self.h_f[s][:, None]
                 corr += (lam[:, (j + 1) % 3] * lam[:, (j + 2) % 3])[:, None] \
                     * np.einsum("tnl,tlm->tnm", _powers(t_par, k), qF[s])
             return w.at_points(pts) + corr
 
         # cell bubble b_T q_T with Pi_T^k (w + side bubbles + b_T q_T) = v_T;
         # the reference rule's (x, y) are lambda_1 and lambda_2
-        ref = reference_triangle_rule(ops.vol_deg)[0]
+        ref = reference_triangle_rule(self.vol_deg)[0]
         lam = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
-        phi = ops.phi_k_vol
+        phi = self.phi_k_vol
         resid = (np.einsum("tmi,tqi->tqm", v.cells, phi)
-                 - w_and_sides(ops.vol_pts, lam))
+                 - w_and_sides(self.vol_pts, lam))
         qT = np.linalg.solve(                                # (nt, ncb, m)
-            np.einsum("tq,q,tqi,tqj->tij", ops.vol_w, lam.prod(axis=-1),
+            np.einsum("tq,q,tqi,tqj->tij", self.vol_w, lam.prod(axis=-1),
                       phi, phi),
-            np.einsum("tq,tqi,tqm->tim", ops.vol_w, phi, resid))
+            np.einsum("tq,tqi,tqm->tim", self.vol_w, phi, resid))
 
         # interpolation at the P_{k+3} lattice
         lam = lattice_nodes(k + 3) / (k + 3)
-        nodes = np.einsum("nj,tjd->tnd", lam, ops.corners)
-        vand = ops.cell_eval(ops.exps_k3, nodes)             # (nt, nn3, nk3)
+        nodes = np.einsum("nj,tjd->tnd", lam, self.corners)
+        vand = self.cell_eval(self.exps_k3, nodes)           # (nt, nn3, nk3)
         vals = w_and_sides(nodes, lam) + lam.prod(axis=-1)[:, None] \
-            * np.einsum("tni,tim->tnm", vand[..., :ops.ncb], qT)
+            * np.einsum("tni,tim->tnm", vand[..., :self.ncb], qT)
         return PiecewisePoly(self, k + 3, np.linalg.solve(
             vand, vals).transpose(0, 2, 1))
 
@@ -677,14 +655,13 @@ class HhoSpace:
     def seminorm(self, v, p):
         """||v||_l^p = ||grad_pw v_T||_p^p + sum_T sum_F h_F^{1-p}
         ||v_T - v_F||_{L^p(F)}^p, returned as the p-th root."""
-        ops = self.ops
         gv = np.einsum("tqid,tmi->tqmd",
-                       ops.cell_grad(ops.exps_k, ops.vol_pts), v.cells)
-        vT_side = np.einsum("tmi,tjqi->tjqm", v.cells, ops.phi_k_side)
-        vF = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)[ops.sot]
+                       self.cell_grad(self.exps_k, self.vol_pts), v.cells)
+        vT_side = np.einsum("tmi,tjqi->tjqm", v.cells, self.phi_k_side)
+        vF = np.einsum("smn,qn->sqm", v.sides, self.chi_ref)[self.sot]
         # h_F^(1-p) times the rule on the side, h_F w_ref
-        w_side = ops.h_f[ops.sot][..., None] ** (2.0 - p) * ops.side_wref
-        total = (lp_integral(ops.vol_w, gv, p).sum()
+        w_side = self.h_f[self.sot][..., None] ** (2.0 - p) * self.side_wref
+        total = (lp_integral(self.vol_w, gv, p).sum()
                  + lp_integral(w_side, vT_side - vF, p).sum())
         return total ** (1.0 / p)
 

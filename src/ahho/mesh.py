@@ -36,8 +36,12 @@ def _signed_area(p0, p1, p2):
 
 
 def _index_array(values, what):
-    """``values`` as an int64 array; bools and non-integers are refused."""
-    arr = np.asarray(values)
+    """``values`` as an int64 array; ragged input, bools and non-integers
+    are refused."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:
+        raise MeshError(f"{what} must form a rectangular array") from None
     integral = arr.dtype.kind in "iu" or arr.dtype.kind == "f" and (
         np.isfinite(arr) & (arr == np.trunc(arr))).all()
     # numpy casts a bool inside a list of ints to 0 or 1
@@ -82,11 +86,17 @@ class Triangulation:
 
     def __init__(self, vertices, triangles, ref_edge, labels_or_rule,
                  parent=None, _skip_checks=False):
-        self.vertices = np.array(vertices, dtype=float, order="C")
+        try:
+            self.vertices = np.array(vertices, dtype=float, order="C")
+        except (TypeError, ValueError):
+            raise MeshError("vertices must be an (nv, 2) array of real "
+                            "numbers") from None
         tri = _index_array(triangles, "triangle vertex indices")
         ref = _index_array(ref_edge, "refinement edges")
         if self.vertices.ndim != 2 or self.vertices.shape[1] != 2:
             raise MeshError("vertices must be an (nv, 2) array")
+        if not np.isfinite(self.vertices).all():
+            raise MeshError("vertex coordinates must be finite")
         if tri.ndim != 2 or tri.shape[1] != 3:
             raise MeshError("triangles must be an (nt, 3) array")
         if tri.size and (tri.min() < 0 or tri.max() >= len(self.vertices)):

@@ -164,7 +164,7 @@ class DiscreteProblem(TermProblem):
     """Energy E_l(v) = int W(G v) - int f.v_T - int_GammaN g.v_F
     (+ s(v;v)/p when stabilized, + 0.5*l2_weight*||zeta - v_T||^2 when
     l2_weight > 0) of the hybrid unknowns, held as the terms of a
-    :class:`TermProblem` over ``space.ops.loc2glob``; its cell unknowns
+    :class:`TermProblem` over ``space.loc2glob``; its cell unknowns
     are the P_k coefficients on each triangle.
 
     Parameters
@@ -190,8 +190,8 @@ class DiscreteProblem(TermProblem):
         self.l2_data = l2_data
         self.stabilized = space.variant == STABILIZED
         self.p = density.p
-        self.loc2glob = space.ops.loc2glob
-        self.nc = space.ops.ncb
+        self.loc2glob = space.loc2glob
+        self.nc = space.ncb
 
         k = space.k
         self.energy_degree = max(density.quad_growth * (k + 1), 2 * (k + 1))
@@ -210,7 +210,6 @@ class DiscreteProblem(TermProblem):
         ``dirichlet_data`` the values of u_dirichlet on the sides with a
         constrained component, ``dirichlet_sides``."""
         space = self.space
-        ops = space.ops
         mesh = space.mesh
         m = space.m
         pp = self.p / (self.p - 1.0)
@@ -219,21 +218,21 @@ class DiscreteProblem(TermProblem):
         self.f_osc = np.zeros(mesh.num_triangles)
         self.zeta_osc = np.zeros(mesh.num_triangles)
         self.g_osc = np.zeros(mesh.num_sides)
-        pts, w = ops._volume_rule(self.data_degree)
-        phi = ops.cell_eval(ops.exps_k, pts)
+        pts, w = space.volume_rule(self.data_degree)
+        phi = space.cell_eval(space.exps_k, pts)
         if self.f is not None:
             fv = _values_at(self.f, pts, m)
-            mom, pif = ops.project_cells(w, phi, fv)
+            mom, pif = space.project_cells(w, phi, fv)
             load.cells[:] = mom
             self.f_osc = lp_integral(
                 w, fv - np.einsum("tqi,tmi->tqm", phi, pif), pp)
 
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
-            spts, w_ref, chi = ops.side_rule(self.data_degree, neumann)
+            spts, w_ref, chi = space.side_rule(self.data_degree, neumann)
             gv = eval_neumann(self.g, spts, mesh.normals[neumann], m)
-            mom, pig = ops.project_sides(w_ref, chi, gv)
-            h = ops.h_f[neumann]
+            mom, pig = space.project_sides(w_ref, chi, gv)
+            h = space.h_f[neumann]
             load.sides[neumann] = mom * h[:, None, None]
             self.g_osc[neumann] = lp_integral(
                 h[:, None] * w_ref, gv - np.einsum("qi,smi->sqm", chi, pig),
@@ -245,10 +244,10 @@ class DiscreteProblem(TermProblem):
             space.dirichlet_mask.any(axis=1))[0]
         self.dirichlet_data = None
         if len(self.dirichlet_idx) and self.u_dirichlet is not None:
-            spts, w_ref, chi = ops.side_rule(self.data_degree,
-                                             self.dirichlet_sides)
+            spts, w_ref, chi = space.side_rule(self.data_degree,
+                                               self.dirichlet_sides)
             self.dirichlet_data = _values_at(self.u_dirichlet, spts, m)
-            _, coeffs = ops.project_sides(w_ref, chi, self.dirichlet_data)
+            _, coeffs = space.project_sides(w_ref, chi, self.dirichlet_data)
             # constrained (side, component) pairs in dirichlet_dofs order
             self.dirichlet_values = coeffs[
                 space.dirichlet_mask[self.dirichlet_sides]].reshape(-1)
@@ -256,12 +255,12 @@ class DiscreteProblem(TermProblem):
         self.free_mask[self.dirichlet_idx] = False
         self.free_idx = np.nonzero(self.free_mask)[0]
 
-        self._ed = ops.energy_data(self.energy_degree)
+        self._ed = space.energy_data(self.energy_degree)
         # the energy terms (T, w, density): the density on G v, and when
         # stabilized s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p
         self._terms = [(self._ed["B"], self._ed["w"], self.density)]
         if self.stabilized:
-            sd = ops.stab_data(self.p)
+            sd = space.stab_data(self.p)
             nt, _, _, nloc = sd["B"].shape
             self._terms.append((sd["B"].reshape(nt, -1, 1, nloc),
                                 sd["w"].reshape(nt, -1), p_laplace(self.p)))
@@ -270,15 +269,15 @@ class DiscreteProblem(TermProblem):
         self.constant = 0.0
         if self.l2_weight > 0.0:
             zv = _values_at(self.l2_data, pts, m)
-            mom, piz = ops.project_cells(w, phi, zv)
+            mom, piz = space.project_cells(w, phi, zv)
             load.cells[:] += self.l2_weight * mom
             self.constant = 0.5 * self.l2_weight * float(
                 np.einsum("tq,tqm,tqm->", w, zv, zv))
             self.zeta_osc = lp_integral(
                 w, zv - np.einsum("tqi,tmi->tqm", phi, piz), 2.0)
-            pts_k, w_k = ops._volume_rule(2 * space.k)
-            T = np.zeros(w_k.shape + (1, ops.nloc))
-            T[:, :, 0, :ops.ncb] = ops.cell_eval(ops.exps_k, pts_k)
+            pts_k, w_k = space.volume_rule(2 * space.k)
+            T = np.zeros(w_k.shape + (1, space.nloc))
+            T[:, :, 0, :space.ncb] = space.cell_eval(space.exps_k, pts_k)
             self._terms.append((T, self.l2_weight * w_k, p_laplace(2.0)))
 
     def dirichlet_data_on(self, sides):
@@ -310,16 +309,16 @@ class DiscreteProblem(TermProblem):
         """sigma, the projection of DW(G u) onto the local gradient space
         at the energy rule, and its defect per triangle (nt,)
         int_T |sigma - DW(G u)|^p' on that rule."""
-        ops = self.space.ops
+        space = self.space
         w, pts = self._ed["w"], self._ed["pts"]
         dW = self.density.dw(self._grad_values(u))
-        loc = ops.local_coords(pts)
-        phi = _batch_eval(ops.exps_k, loc)
-        coeffs = np.linalg.solve(ops.grad_gram, ops.grad_moments(
+        loc = space.local_coords(pts)
+        phi = _batch_eval(space.exps_k, loc)
+        coeffs = np.linalg.solve(space.grad_gram, space.grad_moments(
             loc, phi, w[..., None, None] * dW)).transpose(0, 2, 1)
-        defect = lp_integral(w, ops.grad_values(loc, phi, coeffs) - dW,
+        defect = lp_integral(w, space.grad_values(loc, phi, coeffs) - dW,
                              self.p / (self.p - 1.0))
-        return GradField(self.space, coeffs), defect
+        return GradField(space, coeffs), defect
 
 
 def eval_neumann(g, side_points, side_normals, m):

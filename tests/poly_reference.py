@@ -151,58 +151,59 @@ class RtBasis:
         return vals @ np.asarray(normal, dtype=float)
 
 
-def padded_grad_basis(ops, pts, tri=slice(None)):
-    """The gradient-space basis of ``ops`` at points (n, ..., 2) on the
+def padded_grad_basis(space, pts, tri=slice(None)):
+    """The gradient-space basis of ``space`` at points (n, ..., 2) on the
     triangles ``tri`` (all by default), built field by field into a
     zero-padded (n, ..., ng, 2) table."""
-    loc = ops.local_coords(pts, tri)
-    phi = _batch_eval(ops.exps_k, loc)
-    ncb = ops.ncb
-    out = np.zeros(phi.shape[:-1] + (ops.grad_space_dim(), 2))
+    loc = space.local_coords(pts, tri)
+    phi = _batch_eval(space.exps_k, loc)
+    ncb = space.ncb
+    out = np.zeros(phi.shape[:-1] + (space.ng, 2))
     out[..., :ncb, 0] = phi
     out[..., ncb:2 * ncb, 1] = phi
-    if ops.space.variant == RT:
+    if space.variant == RT:
         # the homogeneous degree-k monomials are the last k+1 of P_k
-        q = phi[..., ncb - ops.nsb:]
+        q = phi[..., ncb - space.nsb:]
         out[..., 2 * ncb:, 0] = loc[..., 0:1] * q
         out[..., 2 * ncb:, 1] = loc[..., 1:2] * q
     return out
 
 
-def grad_basis_div(ops, pts):
-    """Divergence of the gradient-space basis of ``ops`` at points
+def grad_basis_div(space, pts):
+    """Divergence of the gradient-space basis of ``space`` at points
     (nt, ..., 2), (nt, ..., ng), triangle by triangle: ``RtBasis.div``
     (RT), or the x and y derivatives of ``CellBasis`` (stabilized)."""
-    k = ops.space.k
-    out = np.empty(pts.shape[:-1] + (ops.grad_space_dim(),))
+    k = space.k
+    out = np.empty(pts.shape[:-1] + (space.ng,))
     for t in range(len(pts)):
         x = pts[t].reshape(-1, 2)
-        if ops.space.variant == RT:
-            div = RtBasis(k, ops.centroid[t], ops.h_t[t]).div(x)
+        if space.variant == RT:
+            div = RtBasis(k, space.centroid[t], space.h_t[t]).div(x)
         else:
-            g = CellBasis(k, ops.centroid[t], ops.h_t[t]).grad(x)
+            g = CellBasis(k, space.centroid[t], space.h_t[t]).grad(x)
             div = np.concatenate((g[..., 0], g[..., 1]), axis=-1)
         out[t] = div.reshape(out.shape[1:])
     return out
 
 
-def divergence_form_gradient_op(ops):
+def divergence_form_gradient_op(space):
     """G_op (nt, ng, nloc) from (G v, tau)_T = -(v_T, div tau)_T
     + sum_F (v_F, tau . nu_F)_F, with the Gram matrix of the padded
     basis table."""
-    w = ops.vol_w
-    tau_vol = padded_grad_basis(ops, ops.vol_pts)
+    w = space.vol_w
+    tau_vol = padded_grad_basis(space, space.vol_pts)
     gram = np.einsum("tq,tqid,tqjd->tij", w, tau_vol, tau_vol)
-    div = grad_basis_div(ops, ops.vol_pts)
-    rhs = np.zeros(gram.shape[:2] + (ops.nloc,))
-    rhs[:, :, :ops.ncb] = -np.einsum("tq,tqi,tqj->tij", w, div,
-                                     ops.phi_k_vol)
+    div = grad_basis_div(space, space.vol_pts)
+    rhs = np.zeros(gram.shape[:2] + (space.nloc,))
+    rhs[:, :, :space.ncb] = -np.einsum("tq,tqi,tqj->tij", w, div,
+                                       space.phi_k_vol)
     taun = np.einsum("tjqid,tjd->tjqi",
-                     padded_grad_basis(ops, ops.side_pts_t), ops.nu)
-    wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
+                     padded_grad_basis(space, space.side_pts_t), space.nu)
+    wside = space.h_f[space.sot][:, :, None] * space.side_wref
+    ncb, nsb = space.ncb, space.nsb
     for j in range(3):
-        rhs[:, :, ops.ncb + j * ops.nsb:ops.ncb + (j + 1) * ops.nsb] = \
-            np.einsum("tq,tqi,qn->tin", wside[:, j], taun[:, j], ops.chi_ref)
+        rhs[:, :, ncb + j * nsb:ncb + (j + 1) * nsb] = np.einsum(
+            "tq,tqi,qn->tin", wside[:, j], taun[:, j], space.chi_ref)
     return np.linalg.solve(gram, rhs)
 
 
@@ -313,15 +314,15 @@ class GramL2Term:
     data rule."""
 
     def __init__(self, prob):
-        ops = prob.space.ops
+        space = prob.space
         self.weight = prob.l2_weight
         self.ncell_dofs = prob.space.ncell_dofs
-        self.gram = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
-                              ops.phi_k_vol)
-        pts, w = ops._volume_rule(prob.data_degree)
-        phi = ops.cell_eval(ops.exps_k, pts)
+        self.gram = np.einsum("tq,tqi,tqj->tij", space.vol_w, space.phi_k_vol,
+                              space.phi_k_vol)
+        pts, w = space.volume_rule(prob.data_degree)
+        phi = space.cell_eval(space.exps_k, pts)
         zv = _values_at(prob.l2_data, pts, prob.space.m)
-        self.zeta_mom = ops.project_cells(w, phi, zv)[0]
+        self.zeta_mom = space.project_cells(w, phi, zv)[0]
         self.zeta_sq = float(np.einsum("tq,tqm,tqm->", w, zv, zv))
 
     def energy(self, v):

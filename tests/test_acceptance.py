@@ -144,7 +144,7 @@ def _commutativity_defect(space, rng):
         g = space.gradient_reconstruction(v)
         for t in range(0, mesh.num_triangles,
                        max(1, mesh.num_triangles // 7)):
-            pts = space.ops.vol_pts[t]
+            pts = space.vol_pts[t]
             for comp in range(space.m):
                 field = lambda q: np.einsum("qid,i->qd", cb.grad(q), c[comp])
                 if space.variant == RT:
@@ -155,7 +155,7 @@ def _commutativity_defect(space, rng):
                     oracle = np.stack([
                         _proj_eval(field, corners[t], k, pts, d)
                         for d in range(2)], axis=-1)
-                mine = g.at_points(space.ops.vol_pts)[t, :, comp, :]
+                mine = g.at_points(space.vol_pts)[t, :, comp, :]
                 worst = max(worst, float(np.max(np.abs(mine - oracle))))
     return worst
 
@@ -169,25 +169,24 @@ def _proj_eval(field, corners, k, pts, d):
 def _companion_defect(space, rng):
     v = HhoVector(space, rng.standard_normal(space.ndof))
     J = space.companion(v)
-    ops = space.ops
-    jv = J.at_points(ops.vol_pts)
-    mom = np.einsum("tq,tqi,tqm->tim", ops.vol_w, ops.phi_k_vol, jv)
-    gram_k = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
-                       ops.phi_k_vol)
+    jv = J.at_points(space.vol_pts)
+    mom = np.einsum("tq,tqi,tqm->tim", space.vol_w, space.phi_k_vol, jv)
+    gram_k = np.einsum("tq,tqi,tqj->tij", space.vol_w, space.phi_k_vol,
+                       space.phi_k_vol)
     cells = np.linalg.solve(gram_k, mom).transpose(0, 2, 1)
     worst = float(np.max(np.abs(cells - v.cells)))
     tplus = space.mesh.adjacency[:, 0]
-    jv_s = J.at_points(ops.side_pts, tplus)
-    mom_s = np.einsum("q,qi,sqm->smi", ops.side_wref, ops.chi_ref, jv_s)
-    gram_s = np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref, ops.chi_ref)
+    jv_s = J.at_points(space.side_pts, tplus)
+    mom_s = np.einsum("q,qi,sqm->smi", space.side_wref, space.chi_ref, jv_s)
+    gram_s = np.einsum("q,qi,qj->ij", space.side_wref, space.chi_ref,
+                       space.chi_ref)
     sides = np.linalg.solve(gram_s, mom_s[..., None])[..., 0]
     return max(worst, float(np.max(np.abs(sides - v.sides))))
 
 
 def _ele_residual(problem, sol, sigma, rng, n=20):
     space = problem.space
-    ops = space.ops
-    tau = padded_grad_basis(ops, problem._ed["pts"])
+    tau = padded_grad_basis(space, problem._ed["pts"])
     sig_vals = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
     worst = 0.0
     for _ in range(n):
@@ -203,35 +202,34 @@ def _ele_residual(problem, sol, sigma, rng, n=20):
         if problem.stabilized:
             rhs -= space.stabilization(sol.u, w, problem.p)
         if problem.l2_weight > 0.0:
-            u_T = np.einsum("tmi,tqi->tqm", sol.u.cells, ops.phi_k_vol)
-            w_T = np.einsum("tmi,tqi->tqm", w.cells, ops.phi_k_vol)
+            u_T = np.einsum("tmi,tqi->tqm", sol.u.cells, space.phi_k_vol)
+            w_T = np.einsum("tmi,tqi->tqm", w.cells, space.phi_k_vol)
             rhs -= problem.l2_weight * float(
-                np.einsum("tq,tqm,tqm->", ops.vol_w, u_T, w_T))
+                np.einsum("tq,tqm,tqm->", space.vol_w, u_T, w_T))
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
 def _hdiv_defects(problem, sigma):
     space = problem.space
-    ops = space.ops
     mesh = space.mesh
     # interior normal-jump continuity
-    tau_side = padded_grad_basis(ops, ops.side_pts_t)
+    tau_side = padded_grad_basis(space, space.side_pts_t)
     sig_side = np.einsum("tjqid,tmi->tjqmd", tau_side, sigma.coeffs)
     jump_worst = 0.0
     for s in mesh.interior_sides():
         tp, tm = mesh.adjacency[s]
-        jp = _side_vals(sig_side, ops, tp, s) @ mesh.normals[s]
-        jm = _side_vals(sig_side, ops, tm, s) @ mesh.normals[s]
-        wq = ops.side_w[s]
+        jp = _side_vals(sig_side, space, tp, s) @ mesh.normals[s]
+        jm = _side_vals(sig_side, space, tm, s) @ mesh.normals[s]
+        wq = space.side_w[s]
         jump_worst = max(jump_worst, float(np.sqrt(
             wq @ np.sum((jp - jm) ** 2, axis=-1))))
     # div sigma + Pi_k f - w*(u_T - Pi_k zeta) = 0
-    pts, w = ops._volume_rule(problem.data_degree)
-    phi = ops.cell_eval(ops.exps_k, pts)
+    pts, w = space.volume_rule(problem.data_degree)
+    phi = space.cell_eval(space.exps_k, pts)
     gram = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
     target = np.zeros((mesh.num_triangles, space.m,
-                       ops.ncb))
+                       space.ncb))
     if problem.f is not None:
         from ahho.hho import _as_components
         fv = _as_components(problem.f(pts.reshape(-1, 2)), space.m)
@@ -247,12 +245,12 @@ def _hdiv_defects(problem, sigma):
         # the lower-order term shifts the equilibrium equation
         sol_u = problem._last_u
         target -= problem.l2_weight * (sol_u.cells - piz)
-    div_vals = np.einsum("tqi,tmi->tqm", grad_basis_div(ops, ops.vol_pts),
+    div_vals = np.einsum("tqi,tmi->tqm", grad_basis_div(space, space.vol_pts),
                          sigma.coeffs)
-    tgt_vals = np.einsum("tmi,tqi->tqm", target, ops.phi_k_vol)
+    tgt_vals = np.einsum("tmi,tqi->tqm", target, space.phi_k_vol)
     resid = div_vals + tgt_vals
     div_worst = float(np.sqrt(np.max(
-        np.einsum("tq,tqm,tqm->t", ops.vol_w, resid, resid))))
+        np.einsum("tq,tqm,tqm->t", space.vol_w, resid, resid))))
     # Neumann traces: project g with the same (data) rule the load used
     neu_worst = 0.0
     from ahho.poly import reference_segment_rule
@@ -263,24 +261,24 @@ def _hdiv_defects(problem, sigma):
         chi_d = t_ref[:, None] ** np.arange(space.k + 1)
         d = (mesh.vertices[mesh.sides[neumann, 1]]
              - mesh.vertices[mesh.sides[neumann, 0]])
-        spts = (ops.s_mid[neumann][:, None, :]
+        spts = (space.s_mid[neumann][:, None, :]
                 + t_ref[None, :, None] * d[:, None, :])
         gv = eval_neumann(problem.g, spts, mesh.normals[neumann], space.m)
         gram_d = np.einsum("q,qi,qj->ij", w_ref, chi_d, chi_d)
         mom = np.einsum("q,qi,sqm->smi", w_ref, chi_d, gv)
         pig = np.linalg.solve(gram_d, mom[..., None])[..., 0]
-        pig_vals = np.einsum("smi,qi->sqm", pig, ops.chi_ref)
+        pig_vals = np.einsum("smi,qi->sqm", pig, space.chi_ref)
         for i, s in enumerate(neumann):
             t = mesh.adjacency[s, 0]
-            tr = _side_vals(sig_side, ops, t, s) @ mesh.normals[s]
-            wq = ops.side_w[s]
+            tr = _side_vals(sig_side, space, t, s) @ mesh.normals[s]
+            wq = space.side_w[s]
             neu_worst = max(neu_worst, float(np.sqrt(
                 wq @ np.sum((tr - pig_vals[i]) ** 2, axis=-1))))
     return jump_worst, div_worst, neu_worst
 
 
-def _side_vals(sig_side, ops, t, s):
-    j = int(np.where(ops.sot[t] == s)[0][0])
+def _side_vals(sig_side, space, t, s):
+    j = int(np.where(space.sot[t] == s)[0][0])
     return sig_side[t, j]
 
 

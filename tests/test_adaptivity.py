@@ -69,7 +69,7 @@ def test_estimator_vanishes_on_manufactured_affine(k):
     family = AffineFamily(nref=1)
     problem, sol, _, defect = solve_level(family, k)
     params = EstimatorParams(eps=(k + 1) / 100)
-    est, eta = estimate(problem.space, problem, sol.u, defect, params)
+    est, eta = estimate(problem, sol.u, defect, params)
     assert eta < 1e-10
     for term in (est.volume_residual, est.stress_projection,
                  est.f_oscillation, est.g_oscillation, est.dirichlet_trace,
@@ -88,7 +88,7 @@ def test_estimator_total_is_sum_and_nonnegative():
         len(problem.free_idx))
     params = EstimatorParams(eps=0.01)
     _, defect = problem.discrete_stress(u)
-    est, eta = estimate(problem.space, problem, u, defect, params)
+    est, eta = estimate(problem, u, defect, params)
     assert eta > 1e-6
     assert est.stress_projection.sum() > 1e-8
     assert np.all(est.total >= -1e-15)
@@ -114,7 +114,7 @@ def test_estimator_terms_match_straight_quadrature(variant, k):
     problem.apply_dirichlet(u)
     params = EstimatorParams(eps=0.25)
     sigma, defect = problem.discrete_stress(u)
-    est, eta = estimate(problem.space, problem, u, defect, params)
+    est, eta = estimate(problem, u, defect, params)
 
     space = problem.space
     mesh = space.mesh
@@ -175,13 +175,12 @@ def test_estimator_terms_match_straight_quadrature(variant, k):
     # stress projection term: sigma as the L2 projection of DW(G u) onto
     # the padded basis, and int_T |sigma - DW(G u)|^p' per triangle
     ed = problem._ed
-    ops = space.ops
-    tau = padded_grad_basis(ops, ed["pts"])
+    tau = padded_grad_basis(space, ed["pts"])
     pp = p / (p - 1)
     for t in (2, 6):
         w = ed["w"][t]
-        Gu = tau[t].transpose(0, 2, 1) @ (ops.G_op[t]
-                                          @ u.data[ops.loc2glob[t, 0]])
+        Gu = tau[t].transpose(0, 2, 1) @ (space.G_op[t]
+                                          @ u.data[space.loc2glob[t, 0]])
         dW = Gu * np.linalg.norm(Gu, axis=1)[:, None] ** (p - 2)
         gram = np.einsum("q,qid,qjd->ij", w, tau[t], tau[t])
         coeffs = np.linalg.solve(gram, np.einsum("q,qid,qd->i", w, tau[t], dW))
@@ -196,7 +195,7 @@ def test_estimator_terms_match_straight_quadrature(variant, k):
             < 1e-10 * max(1, oracle)
     # estimate only weighs the defect it is given
     other = rng.random(mesh.num_triangles)
-    est_other, _ = estimate(space, problem, u, other, params)
+    est_other, _ = estimate(problem, u, other, params)
     assert np.allclose(est_other.stress_projection,
                        areas ** (eps * pp / 2) * other, rtol=1e-14, atol=0)
 
@@ -210,7 +209,7 @@ def test_estimator_rejects_bad_variant():
     problem, sol, _, defect = solve_level(family, 0)
     params = EstimatorParams(eps=0.5, kind="fhm")
     with pytest.raises(ValueError):
-        estimate(problem.space, problem, sol.u, defect, params)
+        estimate(problem, sol.u, defect, params)
 
 
 def test_estimator_params_validation():
@@ -415,14 +414,14 @@ def test_stabilization_bounded_by_indicator_terms():
     params = EstimatorParams(eps=1e-9)  # weights closest to the raw terms
     _, defect = problem.discrete_stress(problem.initial_guess())
     consts = []
-    h_t = space.ops.h_t
+    h_t = space.h_t
     for _ in range(20):
         v = space.zero_vector()
         v.data[:] = rng.standard_normal(space.ndof)
         problem.apply_dirichlet(v)
         _, s_elem, _ = space.stabilization(v, v, problem.p,
                                            return_parts=True)
-        est, _ = estimate(space, problem, v, defect, params)
+        est, _ = estimate(problem, v, defect, params)
         # eps ~ 0: volume term carries |T|^{-p/2} = h^-p, traces h^{1-p}
         control = (est.volume_residual * h_t ** (-2.0)
                    + est.side_traces * h_t ** (-2.0)) + 1e-30
@@ -506,16 +505,16 @@ def test_zero_estimator_implies_consistency():
     family = AffineFamily(nref=1)
     problem, sol, sigma, _ = solve_level(family, 1)
     space = problem.space
-    ops = space.ops
     mesh = space.mesh
     R = space.potential_reconstruction(sol.u)
     tplus = mesh.adjacency[:, 0]
     interior = mesh.interior_sides()
-    r_plus = R.at_points(ops.side_pts[interior], tplus[interior])
-    r_minus = R.at_points(ops.side_pts[interior], mesh.adjacency[interior, 1])
+    r_plus = R.at_points(space.side_pts[interior], tplus[interior])
+    r_minus = R.at_points(space.side_pts[interior],
+                          mesh.adjacency[interior, 1])
     assert np.max(np.abs(r_plus - r_minus)) < 1e-9
     ed = problem._ed
-    tau = padded_grad_basis(ops, ed["pts"])
+    tau = padded_grad_basis(space, ed["pts"])
     sig_vals = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
     dW = problem.density.dw(problem._grad_values(sol.u))
     assert np.max(np.abs(sig_vals - dW)) < 1e-9

@@ -155,7 +155,6 @@ def _error_norms_overwrite_reference(problem, u, exact, singular_point):
     from ahho.diagnostics import _graded_corner_rule, _singular_triangles
     from ahho.hho import _values_at
     space = problem.space
-    ops = space.ops
     m, p = space.m, problem.p
     pp = p / (p - 1.0)
     degree = problem.energy_degree + 4
@@ -163,7 +162,7 @@ def _error_norms_overwrite_reference(problem, u, exact, singular_point):
 
     def per_element(pts, w, tri):
         Gu = np.matmul(g.coeffs[tri][:, None],
-                       padded_grad_basis(ops, pts, tri))
+                       padded_grad_basis(space, pts, tri))
         diff = _matrix_values(exact.grad_u, pts, m) - Gu
         grad = np.einsum("tq,tq->t", w, np.sqrt(np.einsum(
             "tqmd,tqmd->tq", diff, diff)) ** p)
@@ -171,14 +170,14 @@ def _error_norms_overwrite_reference(problem, u, exact, singular_point):
         stress = np.einsum("tq,tq->t", w, np.sqrt(np.einsum(
             "tqmd,tqmd->tq", diff, diff)) ** pp)
         uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
-                       ops.cell_eval(ops.exps_k, pts, tri))
+                       space.cell_eval(space.exps_k, pts, tri))
         diff = _values_at(exact.u, pts, m) - uT
         return grad, stress, np.einsum("tq,tqm,tqm->t", w, diff, diff)
 
-    terms = per_element(*ops._volume_rule(degree), slice(None))
+    terms = per_element(*space.volume_rule(degree), slice(None))
     tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
                           dtype=np.int64).reshape(-1, 2).T
-    gpts, gw = _graded_corner_rule(ops.corners[tri], v_loc, degree)
+    gpts, gw = _graded_corner_rule(space.corners[tri], v_loc, degree)
     for term, graded in zip(terms, per_element(gpts, gw, tri)):
         term[tri] = graded
     return (terms[0].sum() ** (1.0 / p), terms[1].sum() ** (1.0 / pp),
@@ -363,7 +362,6 @@ def _error_norms_closure_reference(problem, u, exact, singular_point):
     P_k table built once for G u and again for u_T."""
     from ahho.diagnostics import _graded_corner_rule, _singular_triangles
     space = problem.space
-    ops = space.ops
     m, p = space.m, problem.p
     pp = p / (p - 1.0)
     degree = problem.energy_degree + 4
@@ -378,19 +376,19 @@ def _error_norms_closure_reference(problem, u, exact, singular_point):
         stress = np.einsum("tq,tq->", w, np.sqrt(np.einsum(
             "tqmd,tqmd->tq", diff, diff)) ** pp)
         uT = np.einsum("tmi,tqi->tqm", u.cells[tri],
-                       ops.cell_eval(ops.exps_k, pts, tri))
+                       space.cell_eval(space.exps_k, pts, tri))
         diff = _values_at(exact.u, pts, m) - uT
         return grad, stress, np.einsum("tq,tqm,tqm->", w, diff, diff)
 
     if singular_point is None:
-        terms = integrals(slice(None), *ops._volume_rule(degree))
+        terms = integrals(slice(None), *space.volume_rule(degree))
     else:
         tri, v_loc = np.array(_singular_triangles(space.mesh, singular_point),
                               dtype=np.int64).reshape(-1, 2).T
         rest = np.delete(np.arange(space.mesh.num_triangles), tri)
         terms = [a + b for a, b in zip(
-            integrals(rest, *ops._volume_rule(degree, rest)),
-            integrals(tri, *_graded_corner_rule(ops.corners[tri], v_loc,
+            integrals(rest, *space.volume_rule(degree, rest)),
+            integrals(tri, *_graded_corner_rule(space.corners[tri], v_loc,
                                                 degree)))]
     return (float(terms[0] ** (1.0 / p)), float(terms[1] ** (1.0 / pp)),
             float(np.sqrt(terms[2])))
@@ -480,7 +478,7 @@ def _leb_stacked_reference(problem, u, sigma, exact, energy):
     from ahho.hho import GradField
     space = problem.space
     m = space.m
-    pts, w = space.ops._volume_rule(problem.energy_degree + 4)
+    pts, w = space.volume_rule(problem.energy_degree + 4)
     both = GradField(space, np.concatenate(
         (space.gradient_reconstruction(u).coeffs, sigma.coeffs), axis=1)
     ).at_points(pts)
@@ -495,7 +493,7 @@ def _leb_separate_reference(problem, u, sigma, exact, energy):
     """The lower energy bound with G u, sigma, W'(G u) and grad u each
     evaluated on its own at the volume rule."""
     space = problem.space
-    pts, w = space.ops._volume_rule(problem.energy_degree + 4)
+    pts, w = space.volume_rule(problem.energy_degree + 4)
     dW = problem.density.dw(space.gradient_reconstruction(u).at_points(pts))
     base = energy + float(np.einsum(
         "tq,tqmd,tqmd->", w, dW - sigma.at_points(pts),
@@ -569,9 +567,8 @@ def test_dual_bound_conjugate_matches_grid_oracle():
     bench, problem, sol, sigma = solve_benchmark("odp-lshape", k=0, nref=1)
     # dual energy piece against a brute-force grid maximization
     space = problem.space
-    ops = space.ops
     ed = problem._ed
-    tau = padded_grad_basis(ops, ed["pts"])
+    tau = padded_grad_basis(space, ed["pts"])
     sig = np.einsum("tqid,tmi->tqmd", tau, sigma.coeffs)
     mine = problem.density.conjugate(sig)
     par = problem.density.params
@@ -790,7 +787,7 @@ def test_f_and_g_oscillations_match_per_element_projection():
     u = problem.initial_guess()
     _, defect = problem.discrete_stress(u)
     params = EstimatorParams(eps=0.02)
-    est, _ = estimate(problem.space, problem, u, defect, params)
+    est, _ = estimate(problem, u, defect, params)
     p = problem.p
     pp = p / (p - 1.0)
     deg = problem.data_degree
@@ -833,7 +830,7 @@ def test_lower_order_oscillation_matches_per_element_projection():
     u = problem.initial_guess()
     _, defect = problem.discrete_stress(u)
     params = EstimatorParams(eps=0.01, kind=bench.indicator_kind)
-    est, _ = estimate(problem.space, problem, u, defect, params)
+    est, _ = estimate(problem, u, defect, params)
     area = mesh.areas()
     cell = [_cell_osc(bench.l2_data, mesh.corners()[t], 0,
                       problem.data_degree, 2.0)

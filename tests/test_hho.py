@@ -60,14 +60,14 @@ def test_running_product_kernels_match_cell_basis(k):
                                    atol=1e-13 * np.max(np.abs(want)))
 
 
-def _grad_field_cases(ops):
+def _grad_field_cases(space):
     """(tri, pts): all triangles and subsets, (n, nq, 2) and (n, 3, nq, 2)
     points, and an empty subset."""
     subset = np.array([7, 0, 13, 13, 2])
-    return [(slice(None), ops.vol_pts), (slice(None), ops.side_pts_t),
-            (subset, ops.vol_pts[subset]),
-            (subset, ops.side_pts_t[subset]),
-            (subset[:0], ops.vol_pts[:0])]
+    return [(slice(None), space.vol_pts), (slice(None), space.side_pts_t),
+            (subset, space.vol_pts[subset]),
+            (subset, space.side_pts_t[subset]),
+            (subset[:0], space.vol_pts[:0])]
 
 
 @pytest.mark.parametrize("variant", [RT, STABILIZED])
@@ -78,22 +78,22 @@ def test_grad_field_at_points_matches_basis_table(variant, k, m):
     per-element RT_k basis (RT) or the P_k basis in each row (stabilized),
     triangle by triangle."""
     rng = np.random.default_rng(11 + k + 3 * m)
-    ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
-    nt = len(ops.corners)
-    c = rng.standard_normal((nt, m, ops.grad_space_dim()))
-    field = GradField(ops.space, c)
-    for tri, pts in _grad_field_cases(ops):
+    space = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant)
+    nt = len(space.corners)
+    c = rng.standard_normal((nt, m, space.ng))
+    field = GradField(space, c)
+    for tri, pts in _grad_field_cases(space):
         got = field.at_points(pts, tri)
         assert got.shape == pts.shape[:-1] + (m, 2)
         for i, t in enumerate(np.arange(nt)[tri]):
             x = pts[i].reshape(-1, 2)
             if variant == RT:
-                tau = RtBasis(k, ops.centroid[t], ops.h_t[t]).eval(x)
+                tau = RtBasis(k, space.centroid[t], space.h_t[t]).eval(x)
                 want = np.einsum("pid,mi->pmd", tau, c[t])
             else:
-                phi = CellBasis(k, ops.centroid[t], ops.h_t[t]).eval(x)
+                phi = CellBasis(k, space.centroid[t], space.h_t[t]).eval(x)
                 want = np.einsum("pi,mdi->pmd", phi,
-                                 c[t].reshape(m, 2, ops.ncb))
+                                 c[t].reshape(m, 2, space.ncb))
             np.testing.assert_allclose(
                 got[i].reshape(want.shape), want, rtol=0,
                 atol=1e-14 * np.abs(want).max(initial=1))
@@ -105,13 +105,13 @@ def test_grad_field_at_points_matches_basis_table(variant, k, m):
 def test_grad_basis_eval_is_the_padded_table(variant, k, m):
     """``grad_values`` with identity coefficients has the bytes of the
     zero-padded basis table."""
-    ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
-    ng = ops.grad_space_dim()
-    for tri, pts in _grad_field_cases(ops):
-        loc = ops.local_coords(pts, tri)
+    space = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant)
+    ng = space.ng
+    for tri, pts in _grad_field_cases(space):
+        loc = space.local_coords(pts, tri)
         eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
-        got = ops.grad_values(loc, _batch_eval(ops.exps_k, loc), eye)
-        want = padded_grad_basis(ops, pts, tri)
+        got = space.grad_values(loc, _batch_eval(space.exps_k, loc), eye)
+        want = padded_grad_basis(space, pts, tri)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
 
@@ -123,15 +123,15 @@ def test_grad_moments_is_the_adjoint_of_grad_values(variant, k, m):
     """<grad_values(c), V> = <c, grad_moments(V)> triangle by triangle,
     on volume and side points and on subsets of the triangles."""
     rng = np.random.default_rng(17 + k + 3 * m)
-    ops = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant).ops
-    for tri, pts in _grad_field_cases(ops):
-        loc = ops.local_coords(pts, tri)
-        phi = _batch_eval(ops.exps_k, loc)
-        c = rng.standard_normal((len(loc), m, ops.grad_space_dim()))
+    space = HhoSpace(refine_uniform(lshape_mesh()), k, m, variant)
+    for tri, pts in _grad_field_cases(space):
+        loc = space.local_coords(pts, tri)
+        phi = _batch_eval(space.exps_k, loc)
+        c = rng.standard_normal((len(loc), m, space.ng))
         V = rng.standard_normal(pts.shape[:-1] + (m, 2))
-        mom = ops.grad_moments(loc, phi, V)
-        assert mom.shape == (len(loc), ops.grad_space_dim(), m)
-        lhs = (ops.grad_values(loc, phi, c) * V).sum(
+        mom = space.grad_moments(loc, phi, V)
+        assert mom.shape == (len(loc), space.ng, m)
+        lhs = (space.grad_values(loc, phi, c) * V).sum(
             axis=tuple(range(1, V.ndim)))
         rhs = np.einsum("tmi,tim->t", c, mom)
         np.testing.assert_allclose(lhs, rhs, rtol=0, atol=1e-13 * max(
@@ -143,9 +143,9 @@ def test_grad_moments_is_the_adjoint_of_grad_values(variant, k, m):
 def test_gradient_op_matches_divergence_form(variant, k):
     """G from the gradient form of its defining identity equals G from
     the divergence form, to 1e-13 relative."""
-    ops = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant).ops
-    want = divergence_form_gradient_op(ops)
-    np.testing.assert_allclose(ops.G_op, want, rtol=0,
+    space = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant)
+    want = divergence_form_gradient_op(space)
+    np.testing.assert_allclose(space.G_op, want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
 
 
@@ -154,41 +154,42 @@ def test_gradient_op_matches_divergence_form(variant, k):
 def test_energy_table_matches_padded_contraction(variant, k):
     """B = G applied to the local unit vectors at the energy rule equals
     the padded basis table contracted with G_op, to 1e-14 relative."""
-    ops = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant).ops
+    space = HhoSpace(refine_uniform(lshape_mesh()), k, 1, variant)
     for degree in (2 * k + 2, 2 * k + 6):
-        ed = ops.energy_data(degree)
-        want = np.einsum("tqid,til->tqdl", padded_grad_basis(ops, ed["pts"]),
-                         ops.G_op)
+        ed = space.energy_data(degree)
+        want = np.einsum("tqid,til->tqdl", padded_grad_basis(space, ed["pts"]),
+                         space.G_op)
         assert ed["B"].shape == want.shape
         np.testing.assert_allclose(ed["B"], want, rtol=0,
                                    atol=1e-14 * np.abs(want).max())
 
 
-def test_volume_rule_and_local_coords_match_broadcast_formulas():
-    """The per-component affine maps give the same bits as the maps
-    broadcast over the trailing axis of length 2."""
-    ops = HhoSpace(refine_uniform(lshape_mesh()), 1).ops
+def test_triangle_rule_and_local_coords_match_broadcast_formulas():
+    """``volume_rule`` and ``local_coords``: the per-component affine
+    maps give the same bits as the maps broadcast over the trailing axis
+    of length 2."""
+    space = HhoSpace(refine_uniform(lshape_mesh()), 1)
     subset = np.array([5, 1, 1, 20])
     for degree in (3, 9):
         ref_pts, ref_w = reference_triangle_rule(degree)
         for tri in (slice(None), subset):
-            corners = ops.corners[tri]
+            corners = space.corners[tri]
             p0 = corners[:, 0]
             e1 = corners[:, 1] - p0
             e2 = corners[:, 2] - p0
             det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
             want = (ref_pts[None, :, 0:1] * e1[:, None, :]
                     + ref_pts[None, :, 1:2] * e2[:, None, :] + p0[:, None, :])
-            pts, w = ops._volume_rule(degree, tri)
+            pts, w = space.volume_rule(degree, tri)
             assert np.array_equal(pts, want)
             assert np.array_equal(w, det[:, None] * ref_w[None, :])
-    for tri, pts in ((slice(None), ops.vol_pts),
-                     (slice(None), ops.side_pts_t),
-                     (subset, ops.side_pts_t[subset])):
+    for tri, pts in ((slice(None), space.vol_pts),
+                     (slice(None), space.side_pts_t),
+                     (subset, space.side_pts_t[subset])):
         extra = pts.ndim - 2
-        c = ops.centroid[tri].reshape((-1,) + (1,) * extra + (2,))
-        h = ops.h_t[tri].reshape((-1,) + (1,) * (extra + 1))
-        assert np.array_equal(ops.local_coords(pts, tri), (pts - c) / h)
+        c = space.centroid[tri].reshape((-1,) + (1,) * extra + (2,))
+        h = space.h_t[tri].reshape((-1,) + (1,) * (extra + 1))
+        assert np.array_equal(space.local_coords(pts, tri), (pts - c) / h)
 
 
 def test_ndof_layout():
@@ -231,11 +232,10 @@ def test_interpolate_constant():
 
 def test_interpolate_affine_roundtrip():
     space = HhoSpace(square_mesh(), 1)
-    ops = space.ops
     fn = lambda p: 1.0 + 2.0 * p[..., 0] - 0.5 * p[..., 1]
     v = space.interpolate(fn)
-    vals = np.einsum("tmi,tqi->tqm", v.cells, ops.phi_k_vol)
-    exact = fn(ops.vol_pts)
+    vals = np.einsum("tmi,tqi->tqm", v.cells, space.phi_k_vol)
+    exact = fn(space.vol_pts)
     assert np.allclose(vals[:, :, 0], exact, atol=1e-12)
 
 
@@ -266,7 +266,7 @@ def test_gradient_of_affine_interpolant_is_constant(k, variant):
     B = np.array([1.7, -0.3])
     v = space.interpolate(lambda p: 0.4 + p @ B)
     g = space.gradient_reconstruction(v)
-    vals = g.at_points(space.ops.vol_pts)
+    vals = g.at_points(space.vol_pts)
     assert np.allclose(vals[:, :, 0, :], B, atol=1e-11)
 
 
@@ -283,20 +283,19 @@ def test_gradient_defining_identity(k):
     rng = np.random.default_rng(42)
     mesh = square_mesh()
     space = HhoSpace(mesh, k)
-    ops = space.ops
     v = random_vector(space, rng)
     g = space.gradient_reconstruction(v)
 
-    tau_vol = padded_grad_basis(ops, ops.vol_pts)
-    div_vol = grad_basis_div(ops, ops.vol_pts)
-    gv = g.at_points(ops.vol_pts)[:, :, 0, :]
-    vT = np.einsum("tmi,tqi->tq", v.cells, ops.phi_k_vol)
-    lhs = np.einsum("tq,tqd,tqid->ti", ops.vol_w, gv, tau_vol)
-    rhs = -np.einsum("tq,tq,tqi->ti", ops.vol_w, vT, div_vol)
-    tau_side = padded_grad_basis(ops, ops.side_pts_t)
-    taun = np.einsum("tjqid,tjd->tjqi", tau_side, ops.nu)
-    vF = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)[ops.sot][..., 0]
-    wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
+    tau_vol = padded_grad_basis(space, space.vol_pts)
+    div_vol = grad_basis_div(space, space.vol_pts)
+    gv = g.at_points(space.vol_pts)[:, :, 0, :]
+    vT = np.einsum("tmi,tqi->tq", v.cells, space.phi_k_vol)
+    lhs = np.einsum("tq,tqd,tqid->ti", space.vol_w, gv, tau_vol)
+    rhs = -np.einsum("tq,tq,tqi->ti", space.vol_w, vT, div_vol)
+    tau_side = padded_grad_basis(space, space.side_pts_t)
+    taun = np.einsum("tjqid,tjd->tjqi", tau_side, space.nu)
+    vF = np.einsum("smn,qn->sqm", v.sides, space.chi_ref)[space.sot][..., 0]
+    wside = space.h_f[space.sot][:, :, None] * space.side_wref
     rhs += np.einsum("tjq,tjq,tjqi->ti", wside, vF, taun)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -320,9 +319,9 @@ def test_commutativity_with_projection_oracle(k):
         for t in range(0, mesh.num_triangles, 3):
             field = lambda p: np.einsum("qid,i->qd", cb.grad(p), c)
             coeff, basis = rt_project(field, corners[t], k, 2 * cdeg + 2)
-            pts = space.ops.vol_pts[t]
+            pts = space.vol_pts[t]
             oracle = np.einsum("qid,i->qd", basis.eval(pts), coeff)
-            mine = g.at_points(space.ops.vol_pts)[t, :, 0, :]
+            mine = g.at_points(space.vol_pts)[t, :, 0, :]
             assert np.max(np.abs(mine - oracle)) < 1e-9
 
 
@@ -338,8 +337,8 @@ def test_potential_reproduces_pk1(k):
     fn = lambda p: cb.eval(p.reshape(-1, 2)) @ c
     v = space.interpolate(fn, degree=2 * (k + 1) + 2)
     R = space.potential_reconstruction(v)
-    vals = R.at_points(space.ops.vol_pts)[:, :, 0]
-    pts = space.ops.vol_pts
+    vals = R.at_points(space.vol_pts)[:, :, 0]
+    pts = space.vol_pts
     exact = (cb.eval(pts.reshape(-1, 2)) @ c).reshape(pts.shape[:2])
     assert np.max(np.abs(vals - exact)) < 1e-10
 
@@ -348,72 +347,74 @@ def test_potential_constant():
     space = HhoSpace(square_mesh(), 1)
     v = space.interpolate(lambda p: np.full(len(p), 3.25))
     R = space.potential_reconstruction(v)
-    vals = R.at_points(space.ops.vol_pts)[:, :, 0]
+    vals = R.at_points(space.vol_pts)[:, :, 0]
     assert np.allclose(vals, 3.25, atol=1e-11)
 
 
-def _pk1_laplacians(ops):
+def _pk1_laplacians(space):
     """Laplacians of the P_{k+1} basis at the volume rule, (nt, nq, nk1),
     triangle by triangle from the reference basis."""
-    k = ops.space.k
-    return np.stack([CellBasis(k + 1, ops.centroid[t], ops.h_t[t]).laplace(x)
-                     for t, x in enumerate(ops.vol_pts)])
+    k = space.k
+    return np.stack([
+        CellBasis(k + 1, space.centroid[t], space.h_t[t]).laplace(x)
+        for t, x in enumerate(space.vol_pts)])
 
 
-def _reference_potential_op(ops):
+def _reference_potential_op(space):
     """R built from scratch, by a Laplacian volume term and a side loop:
     int grad R v . grad phi = -int v_K lap phi + sum_S int_S v_S grad phi
     . nu_T for phi in P_{k+1}, with the mean of R v that of v_K."""
-    w = ops.vol_w
-    gphi = ops.cell_grad(ops.exps_k1, ops.vol_pts)
+    w = space.vol_w
+    gphi = space.cell_grad(space.exps_k1, space.vol_pts)
     stiff = np.einsum("tq,tqid,tqjd->tij", w, gphi, gphi)
-    rhs_cell = -np.einsum("tq,tqi,tqj->tij", w, _pk1_laplacians(ops),
-                          ops.phi_k_vol)
-    nt, nk1 = stiff.shape[0], ops.nk1
-    rhs = np.zeros((nt, nk1, ops.nloc))
-    rhs[:, :, :ops.ncb] = rhs_cell
-    gphi_side = ops.cell_grad(ops.exps_k1, ops.side_pts_t)
-    gn = np.einsum("tjqid,tjd->tjqi", gphi_side, ops.nu)
-    wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
+    rhs_cell = -np.einsum("tq,tqi,tqj->tij", w, _pk1_laplacians(space),
+                          space.phi_k_vol)
+    nt, nk1, ncb, nsb = stiff.shape[0], space.nk1, space.ncb, space.nsb
+    rhs = np.zeros((nt, nk1, space.nloc))
+    rhs[:, :, :ncb] = rhs_cell
+    gphi_side = space.cell_grad(space.exps_k1, space.side_pts_t)
+    gn = np.einsum("tjqid,tjd->tjqi", gphi_side, space.nu)
+    wside = space.h_f[space.sot][:, :, None] * space.side_wref
     for j in range(3):
-        blk = np.einsum("tq,tqi,qn->tin", wside[:, j], gn[:, j], ops.chi_ref)
-        rhs[:, :, ops.ncb + j * ops.nsb:ops.ncb + (j + 1) * ops.nsb] = blk
-    mean = np.einsum("tq,tqi->ti", w, ops.cell_eval(ops.exps_k1, ops.vol_pts))
+        blk = np.einsum("tq,tqi,qn->tin", wside[:, j], gn[:, j], space.chi_ref)
+        rhs[:, :, ncb + j * nsb:ncb + (j + 1) * nsb] = blk
+    mean = np.einsum("tq,tqi->ti", w,
+                     space.cell_eval(space.exps_k1, space.vol_pts))
     aug = np.zeros((nt, nk1 + 1, nk1 + 1))
     aug[:, :nk1, :nk1] = stiff
     aug[:, :nk1, nk1] = mean
     aug[:, nk1, :nk1] = mean
-    rhs_aug = np.zeros((nt, nk1 + 1, ops.nloc))
+    rhs_aug = np.zeros((nt, nk1 + 1, space.nloc))
     rhs_aug[:, :nk1] = rhs
-    rhs_aug[:, nk1, :ops.ncb] = np.einsum("tq,tqi->ti", w, ops.phi_k_vol)
+    rhs_aug[:, nk1, :ncb] = np.einsum("tq,tqi->ti", w, space.phi_k_vol)
     return np.linalg.solve(aug, rhs_aug)[:, :nk1]
 
 
-def _reference_stabilization_op(ops):
+def _reference_stabilization_op(space):
     """S_{K,S} from hand-written Gram matrices and moments: the identity
     on the side dofs minus the projected traces of v_K and of
     (1 - Pi_K^k) R v."""
-    nt, ncb, nsb, nloc = len(ops.corners), ops.ncb, ops.nsb, ops.nloc
-    mom = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
-                    ops.cell_eval(ops.exps_k1, ops.vol_pts))
-    gram_k = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
-                       ops.phi_k_vol)
+    nt, ncb, nsb, nloc = len(space.corners), space.ncb, space.nsb, space.nloc
+    mom = np.einsum("tq,tqi,tqj->tij", space.vol_w, space.phi_k_vol,
+                    space.cell_eval(space.exps_k1, space.vol_pts))
+    gram_k = np.einsum("tq,tqi,tqj->tij", space.vol_w, space.phi_k_vol,
+                       space.phi_k_vol)
     proj_k_of_k1 = np.linalg.solve(gram_k, mom)
-    inv = np.linalg.inv(np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref,
-                                  ops.chi_ref))
-    momk = np.einsum("q,qi,tjqn->tjin", ops.side_wref, ops.chi_ref,
-                     ops.phi_k_side)
-    momk1 = np.einsum("q,qi,tjqn->tjin", ops.side_wref, ops.chi_ref,
-                      ops.cell_eval(ops.exps_k1, ops.side_pts_t))
+    inv = np.linalg.inv(np.einsum("q,qi,qj->ij", space.side_wref,
+                                  space.chi_ref, space.chi_ref))
+    momk = np.einsum("q,qi,tjqn->tjin", space.side_wref, space.chi_ref,
+                     space.phi_k_side)
+    momk1 = np.einsum("q,qi,tjqn->tjin", space.side_wref, space.chi_ref,
+                      space.cell_eval(space.exps_k1, space.side_pts_t))
     trace_proj_k = np.einsum("in,tjnl->tjil", inv, momk)
     trace_proj_k1 = np.einsum("in,tjnl->tjil", inv, momk1)
     S = np.zeros((nt, 3, nsb, nloc))
-    R_proj = np.einsum("tci,til->tcl", proj_k_of_k1, ops.R_op)
+    R_proj = np.einsum("tci,til->tcl", proj_k_of_k1, space.R_op)
     for j in range(3):
         sl = slice(ncb + j * nsb, ncb + (j + 1) * nsb)
         S[:, j, :, sl] += np.eye(nsb)
         S[:, j, :, :ncb] -= trace_proj_k[:, j]
-        S[:, j] -= (np.einsum("tin,tnl->til", trace_proj_k1[:, j], ops.R_op)
+        S[:, j] -= (np.einsum("tin,tnl->til", trace_proj_k1[:, j], space.R_op)
                     - np.einsum("tin,tnl->til", trace_proj_k[:, j], R_proj))
     return S
 
@@ -434,17 +435,17 @@ def test_potential_and_stabilization_match_reference_builds(k, variant):
     """R read off G equals R built from scratch: the same bits at k = 0,
     1e-13 relative above; S from the shared projections equals S from
     hand-written Gram matrices to 1e-13."""
-    ops = HhoSpace(nvb_lshape_mesh(), k, variant=variant).ops
-    want = _reference_potential_op(ops)
-    assert ops.R_op.shape == want.shape
+    space = HhoSpace(nvb_lshape_mesh(), k, variant=variant)
+    want = _reference_potential_op(space)
+    assert space.R_op.shape == want.shape
     if k == 0:
-        assert np.array_equal(ops.R_op, want)
-    np.testing.assert_allclose(ops.R_op, want, rtol=0,
+        assert np.array_equal(space.R_op, want)
+    np.testing.assert_allclose(space.R_op, want, rtol=0,
                                atol=1e-13 * np.abs(want).max())
     if variant == STABILIZED:
-        want = _reference_stabilization_op(ops)
-        assert ops.S_op.shape == want.shape
-        np.testing.assert_allclose(ops.S_op, want, rtol=0,
+        want = _reference_stabilization_op(space)
+        assert space.S_op.shape == want.shape
+        np.testing.assert_allclose(space.S_op, want, rtol=0,
                                    atol=1e-13 * np.abs(want).max())
 
 
@@ -454,25 +455,24 @@ def test_potential_mean_and_stiffness_identity(k, variant):
     rng = np.random.default_rng(11)
     mesh = square_mesh()
     space = HhoSpace(mesh, k, variant=variant)
-    ops = space.ops
     v = random_vector(space, rng)
     R = space.potential_reconstruction(v)
     # mean constraint
-    mean_R = np.einsum("tq,tqm->tm", ops.vol_w, R.at_points(ops.vol_pts))
-    mean_v = np.einsum("tq,tqm->tm", ops.vol_w,
-                       np.einsum("tmi,tqi->tqm", v.cells, ops.phi_k_vol))
+    mean_R = np.einsum("tq,tqm->tm", space.vol_w, R.at_points(space.vol_pts))
+    mean_v = np.einsum("tq,tqm->tm", space.vol_w,
+                       np.einsum("tmi,tqi->tqm", v.cells, space.phi_k_vol))
     assert np.max(np.abs(mean_R - mean_v)) < 1e-11
     # stiffness identity against all P_{k+1} test functions
-    gR = R.grad_at_points(ops.vol_pts)[:, :, 0, :]
-    gphi = ops.cell_grad(ops.exps_k1, ops.vol_pts)
-    lhs = np.einsum("tq,tqd,tqid->ti", ops.vol_w, gR, gphi)
-    lap = np.einsum("tq,tqi,tq->ti", ops.vol_w, _pk1_laplacians(ops),
-                    np.einsum("tmi,tqi->tq", v.cells, ops.phi_k_vol))
+    gR = R.grad_at_points(space.vol_pts)[:, :, 0, :]
+    gphi = space.cell_grad(space.exps_k1, space.vol_pts)
+    lhs = np.einsum("tq,tqd,tqid->ti", space.vol_w, gR, gphi)
+    lap = np.einsum("tq,tqi,tq->ti", space.vol_w, _pk1_laplacians(space),
+                    np.einsum("tmi,tqi->tq", v.cells, space.phi_k_vol))
     rhs = -lap
-    gphi_side = ops.cell_grad(ops.exps_k1, ops.side_pts_t)
-    gn = np.einsum("tjqid,tjd->tjqi", gphi_side, ops.nu)
-    vF = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)[ops.sot][..., 0]
-    wside = ops.h_f[ops.sot][:, :, None] * ops.side_wref
+    gphi_side = space.cell_grad(space.exps_k1, space.side_pts_t)
+    gn = np.einsum("tjqid,tjd->tjqi", gphi_side, space.nu)
+    vF = np.einsum("smn,qn->sqm", v.sides, space.chi_ref)[space.sot][..., 0]
+    wside = space.h_f[space.sot][:, :, None] * space.side_wref
     rhs += np.einsum("tjq,tjq,tjqi->ti", wside, vF, gn)
     assert np.max(np.abs(lhs - rhs)) < 1e-10
 
@@ -484,14 +484,13 @@ def test_potential_gradient_is_projection_of_g(k, variant):
     rng = np.random.default_rng(13)
     mesh = square_mesh()
     space = HhoSpace(mesh, k, variant=variant)
-    ops = space.ops
     v = random_vector(space, rng)
     R = space.potential_reconstruction(v)
     G = space.gradient_reconstruction(v)
-    gR = R.grad_at_points(ops.vol_pts)[:, :, 0, :]
-    gv = G.at_points(ops.vol_pts)[:, :, 0, :]
-    gphi = ops.cell_grad(ops.exps_k1, ops.vol_pts)
-    resid = np.einsum("tq,tqd,tqid->ti", ops.vol_w, gv - gR, gphi)
+    gR = R.grad_at_points(space.vol_pts)[:, :, 0, :]
+    gv = G.at_points(space.vol_pts)[:, :, 0, :]
+    gphi = space.cell_grad(space.exps_k1, space.vol_pts)
+    resid = np.einsum("tq,tqd,tqid->ti", space.vol_w, gv - gR, gphi)
     assert np.max(np.abs(resid)) < 1e-10
 
 
@@ -517,14 +516,13 @@ def test_stabilization_op_matches_definition(k):
     rng = np.random.default_rng(19)
     mesh = nvb_lshape_mesh()
     space = HhoSpace(mesh, k, variant=STABILIZED)
-    ops = space.ops
     v = random_vector(space, rng)
-    loc = ops.gather_local(v.data)[:, 0]
+    loc = v.data[space.loc2glob][:, 0]
     rc = space.potential_reconstruction(v).coeffs[:, 0]
     corners = mesh.corners()
     for t in range(0, mesh.num_triangles, 5):
-        cell = CellBasis(k, ops.centroid[t], ops.h_t[t])
-        pot = CellBasis(k + 1, ops.centroid[t], ops.h_t[t])
+        cell = CellBasis(k, space.centroid[t], space.h_t[t])
+        pot = CellBasis(k + 1, space.centroid[t], space.h_t[t])
         pc, pb = l2_project_cell(lambda x: pot.eval(x) @ rc[t], corners[t],
                                  k, 2 * k + 2)
         for j in range(3):
@@ -537,7 +535,7 @@ def test_stabilization_op_matches_definition(k):
                         - cell.eval(x) @ v.cells[t, 0]
                         - pot.eval(x) @ rc[t] + pb.eval(x) @ pc)
             want, _ = l2_project_side(f, a, b, k, 2 * k + 2)
-            got = ops.S_op[t, j] @ loc[t]
+            got = space.S_op[t, j] @ loc[t]
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
 
@@ -573,7 +571,7 @@ def test_companion_reproduces_continuous_pk1(k):
     fn = lambda p: cb.eval(p.reshape(-1, 2)) @ c
     v = space.interpolate(fn, degree=2 * (k + 1) + 2)
     J = space.companion(v)
-    pts = space.ops.vol_pts
+    pts = space.vol_pts
     exact = (cb.eval(pts.reshape(-1, 2)) @ c).reshape(pts.shape[:2])
     assert np.max(np.abs(J.at_points(pts)[:, :, 0] - exact)) < 1e-9
 
@@ -584,21 +582,21 @@ def test_companion_moment_preservation(k, m):
     rng = np.random.default_rng(37)
     mesh = square_mesh()
     space = HhoSpace(mesh, k, m=m)
-    ops = space.ops
     v = random_vector(space, rng)
     J = space.companion(v)
     # cell moments: Pi_T^k J v = v_T
-    jv = J.at_points(ops.vol_pts)
-    mom = np.einsum("tq,tqi,tqm->tim", ops.vol_w, ops.phi_k_vol, jv)
-    gram_k = np.einsum("tq,tqi,tqj->tij", ops.vol_w, ops.phi_k_vol,
-                       ops.phi_k_vol)
+    jv = J.at_points(space.vol_pts)
+    mom = np.einsum("tq,tqi,tqm->tim", space.vol_w, space.phi_k_vol, jv)
+    gram_k = np.einsum("tq,tqi,tqj->tij", space.vol_w, space.phi_k_vol,
+                       space.phi_k_vol)
     cell_proj = np.linalg.solve(gram_k, mom).transpose(0, 2, 1)
     assert np.max(np.abs(cell_proj - v.cells)) < 1e-9
     # side moments: Pi_F^k J v = v_F
     tplus = mesh.adjacency[:, 0]
-    jv_side = J.at_points(ops.side_pts, tplus)
-    mom_s = np.einsum("q,qi,sqm->smi", ops.side_wref, ops.chi_ref, jv_side)
-    gram_s = np.einsum("q,qi,qj->ij", ops.side_wref, ops.chi_ref, ops.chi_ref)
+    jv_side = J.at_points(space.side_pts, tplus)
+    mom_s = np.einsum("q,qi,sqm->smi", space.side_wref, space.chi_ref, jv_side)
+    gram_s = np.einsum("q,qi,qj->ij", space.side_wref, space.chi_ref,
+                       space.chi_ref)
     side_proj = np.linalg.solve(gram_s, mom_s[..., None])[..., 0]
     assert np.max(np.abs(side_proj - v.sides)) < 1e-9
 
@@ -607,12 +605,11 @@ def test_companion_continuity_across_interior_sides():
     rng = np.random.default_rng(41)
     mesh = square_mesh()
     space = HhoSpace(mesh, 1)
-    ops = space.ops
     v = random_vector(space, rng)
     J = space.companion(v)
     for s in mesh.interior_sides():
         tp, tm = mesh.adjacency[s]
-        pts = ops.side_pts[s][None]
+        pts = space.side_pts[s][None]
         vp = J.at_points(pts, np.array([tp]))
         vm = J.at_points(pts, np.array([tm]))
         assert np.max(np.abs(vp - vm)) < 1e-9
@@ -683,7 +680,7 @@ def test_seminorm_matches_quadrature_oracle():
     for t in range(mesh.num_triangles):
         rule = triangle_quadrature(corners[t], 6)
         cb = CellBasis(1, corners[t].mean(axis=0),
-                       np.sqrt(space.ops.area[t]))
+                       np.sqrt(space.area[t]))
         gv = np.einsum("qid,i->qd", cb.grad(rule.points), v.cells[t, 0])
         total += rule.weights @ np.sum(gv ** 2, axis=1)
         for j in range(3):
@@ -733,7 +730,7 @@ def test_companion_gradient_matches_on_resolved_data():
                               degree=2 * (k + 1) + 4)
         G = space.gradient_reconstruction(v)
         J = space.companion(v)
-        pts = space.ops.vol_pts
+        pts = space.vol_pts
         gv = G.at_points(pts)
         gj = J.grad_at_points(pts)
         assert np.max(np.abs(gv - gj)) < 1e-9
@@ -746,22 +743,21 @@ def test_companion_distance_controlled_by_jump_terms():
     mesh = square_mesh()
     p = 2.0
     space = HhoSpace(mesh, 1)
-    ops = space.ops
     for _ in range(10):
         v = random_vector(space, rng)
         G = space.gradient_reconstruction(v)
         J = space.companion(v)
-        pts = ops.vol_pts
+        pts = space.vol_pts
         diff = G.at_points(pts) - J.grad_at_points(pts)
-        lhs = np.sum(ops.vol_w * np.einsum("tqmd,tqmd->tq", diff, diff))
+        lhs = np.sum(space.vol_w * np.einsum("tqmd,tqmd->tq", diff, diff))
         # skeleton terms: h^{1-p}-weighted traces of v_T - v_F
-        vT_side = np.einsum("tmi,tjqi->tjqm", v.cells, ops.phi_k_side)
-        vF = np.einsum("smn,qn->sqm", v.sides, ops.chi_ref)[ops.sot]
+        vT_side = np.einsum("tmi,tjqi->tjqm", v.cells, space.phi_k_side)
+        vF = np.einsum("smn,qn->sqm", v.sides, space.chi_ref)[space.sot]
         d = vT_side - vF
         mag = np.einsum("tjqm,tjqm->tjq", d, d)
-        h = ops.h_f[ops.sot]
+        h = space.h_f[space.sot]
         rhs = np.sum(h ** (1.0 - p)
-                     * np.einsum("tjq,q->tj", mag, ops.side_wref) * h)
+                     * np.einsum("tjq,q->tj", mag, space.side_wref) * h)
         assert np.isfinite(lhs)
         assert lhs <= 100.0 * rhs
 
@@ -841,17 +837,15 @@ def test_companion_independent_of_numbering(k):
 
 def test_rt_ops_keep_no_stabilization_or_companion_state():
     """An RT space builds no stabilization operator, and the companion
-    leaves no geometry behind on the space's operators."""
+    leaves no geometry behind on the space."""
     rng = np.random.default_rng(3)
     space = HhoSpace(square_mesh(), 1)
-    ops = space.ops
-    assert not hasattr(ops, "S_op")
-    before = dict(vars(ops))
+    assert not hasattr(space, "S_op")
+    before = dict(vars(space))
     space.companion(random_vector(space, rng))
-    assert vars(ops).keys() == before.keys()
-    assert all(vars(ops)[key] is val for key, val in before.items())
-    assert hasattr(HhoSpace(square_mesh(), 1, variant=STABILIZED).ops,
-                   "S_op")
+    assert vars(space).keys() == before.keys()
+    assert all(vars(space)[key] is val for key, val in before.items())
+    assert hasattr(HhoSpace(square_mesh(), 1, variant=STABILIZED), "S_op")
 
 
 def test_dirichlet_dofs_follow_mask_order():
@@ -908,15 +902,14 @@ def test_residuals_match_projections_of_reconstruction(k, variant):
     rng = np.random.default_rng(29)
     mesh = nvb_lshape_mesh()
     space = HhoSpace(mesh, k, m=2, variant=variant)
-    ops = space.ops
     v = random_vector(space, rng)
     R = space.potential_reconstruction(v)
-    d_k, d_s = ops.residuals(ops.gather_local(v.data), R.coeffs)
-    assert d_k.shape == (mesh.num_triangles, 2, ops.ncb)
-    assert d_s.shape == (mesh.num_triangles, 3, 2, ops.nsb)
+    d_k, d_s = space.residuals(v.data[space.loc2glob], R.coeffs)
+    assert d_k.shape == (mesh.num_triangles, 2, space.ncb)
+    assert d_s.shape == (mesh.num_triangles, 3, 2, space.nsb)
     corners = mesh.corners()
     for t in range(0, mesh.num_triangles, 7):
-        pot = CellBasis(k + 1, ops.centroid[t], ops.h_t[t])
+        pot = CellBasis(k + 1, space.centroid[t], space.h_t[t])
         for c in range(2):
             def rv(x):
                 return pot.eval(x) @ R.coeffs[t, c]

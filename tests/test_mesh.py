@@ -134,6 +134,50 @@ def test_non_integer_indices_rejected():
     assert mesh.ref_edge.tolist() == [1]
 
 
+@pytest.mark.parametrize("ragged", ["vertices", "triangles", "ref_edge"])
+def test_ragged_input_rejected(ragged):
+    """A ragged nested list is a MeshError, not numpy's ValueError."""
+    args = {"vertices": [(0, 0), (1, 0), (0, 1)],
+            "triangles": [(0, 1, 2)], "ref_edge": [0]}
+    bad, match = {
+        "vertices": ([(0, 0), (1, 0), (0,)], "vertices must be an"),
+        "triangles": ([(0, 1, 2), (0, 1)], "triangle vertex indices must "
+                      "form a rectangular array"),
+        "ref_edge": ([0, (1, 2)], "refinement edges must form a "
+                     "rectangular array")}[ragged]
+    args[ragged] = bad
+    with pytest.raises(MeshError, match=match):
+        Triangulation(args["vertices"], args["triangles"], args["ref_edge"],
+                      all_dirichlet)
+
+
+@pytest.mark.parametrize("bad", [{}, 1j, "x"])
+def test_non_numeric_vertices_rejected(bad):
+    """A vertex coordinate that is not a real number is a MeshError, not
+    numpy's TypeError or ValueError."""
+    with pytest.raises(MeshError, match="array of real numbers"):
+        Triangulation([(0, 0), (1, 0), (bad, 1)], [(0, 1, 2)], [0],
+                      all_dirichlet)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vertices_rejected(bad, tmp_path):
+    """A nan or infinite coordinate is refused by name, both when built
+    from arrays and when read from a file (where it would otherwise give
+    a NaN area and NaN normals, or pass as a degenerate triangle)."""
+    with pytest.raises(MeshError, match="vertex coordinates must be finite"):
+        build_triangulation([(0, 0), (1, 0), (0, bad)], [(0, 1, 2)],
+                            all_dirichlet)
+    m = unit_square()
+    path = tmp_path / "mesh.txt"
+    write_mesh(m, path)
+    head, *rows = path.read_text().splitlines()
+    rows[2] = f"{rows[2].split()[0]} {bad!r}"
+    path.write_text("\n".join([head] + rows) + "\n")
+    with pytest.raises(MeshError, match="vertex coordinates must be finite"):
+        read_mesh(path)
+
+
 def test_read_mesh_rejects_refinement_edge_out_of_range(tmp_path):
     m = unit_square()
     path = tmp_path / "mesh.txt"

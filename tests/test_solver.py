@@ -70,7 +70,7 @@ def test_affine_manufactured_energy_and_gradient(k):
     assert abs(sol.energy - exact) < 1e-10
     # reconstructed gradient is exactly B
     g = prob.space.gradient_reconstruction(sol.u)
-    vals = g.at_points(prob.space.ops.vol_pts)
+    vals = g.at_points(prob.space.vol_pts)
     assert np.max(np.abs(vals[:, :, 0, :] - B_AFFINE)) < 1e-9
 
 
@@ -142,13 +142,13 @@ def test_stabilized_energy_and_gradient_match_einsum_oracles():
     against sum w |S v|^(p-2) S v . S e_l."""
     rng = np.random.default_rng(37)
     for prob in _stabilized_problems():
-        space, ops, p = prob.space, prob.space.ops, prob.p
+        space, p = prob.space, prob.p
         assert prob.stabilized and prob.l2_weight == 0.0
         v = prob.initial_guess()
         v.data[prob.free_idx] += 0.3 * rng.standard_normal(
             len(prob.free_idx))
-        loc = ops.gather_local(v.data)
-        ed, sd = prob._ed, ops.stab_data(p)
+        loc = v.data[space.loc2glob]
+        ed, sd = prob._ed, space.stab_data(p)
         Gv = np.einsum("tqdl,tml->tqmd", ed["B"], loc)
         E = (float(np.sum(ed["w"] * prob.density.w(Gv)))
              - float(prob.load @ v.data) + space.stabilization(v, v, p) / p)
@@ -160,7 +160,7 @@ def test_stabilized_energy_and_gradient_match_einsum_oracles():
                           prob.density.dw(Gv), ed["B"])
         g_loc += np.einsum("tjq,tjq,tjmq,tjql->tml", sd["w"],
                            _safe_pow(mag, p - 2), S, sd["B"])
-        g = np.bincount(ops.loc2glob.reshape(-1), g_loc.reshape(-1),
+        g = np.bincount(space.loc2glob.reshape(-1), g_loc.reshape(-1),
                         minlength=space.ndof) - prob.load
         assert np.abs(prob.energy_gradient(v, reduced=False) - g).max() \
             <= 1e-13 * np.abs(g).max()
@@ -258,7 +258,7 @@ def test_ele_residual_random_test_vectors():
         sol = minimize(prob, settings=settings)
         assert sol.converged
         sigma, _ = prob.discrete_stress(sol.u)
-        tau = padded_grad_basis(space.ops, prob._ed["pts"])
+        tau = padded_grad_basis(space, prob._ed["pts"])
         for _ in range(20):
             w = space.zero_vector()
             w.data[prob.free_idx] = rng.standard_normal(len(prob.free_idx))
@@ -289,40 +289,39 @@ def test_hdiv_conformity_of_stress():
     sol = minimize(prob, settings=settings)
     assert sol.converged
     sigma, _ = prob.discrete_stress(sol.u)
-    ops = space.ops
 
     # normal jump continuity across interior sides
     for s in mesh.interior_sides():
         tp, tm = mesh.adjacency[s]
-        pts = ops.side_pts[s]
+        pts = space.side_pts[s]
         vals_p = _stress_at(sigma, tp, pts)
         vals_m = _stress_at(sigma, tm, pts)
         jump = (vals_p - vals_m) @ mesh.normals[s]
-        wq = ops.side_w[s]
+        wq = space.side_w[s]
         assert np.sqrt(wq @ jump ** 2) < 1e-8
 
     # div sigma + Pi_k f = 0 elementwise (same quadrature data)
-    pts, w = ops._volume_rule(prob.data_degree)
+    pts, w = space.volume_rule(prob.data_degree)
     fvals = prob.f(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    phi = ops.cell_eval(ops.exps_k, pts)
+    phi = space.cell_eval(space.exps_k, pts)
     mom = np.einsum("tq,tqi,tq->ti", w, phi, fvals)
     gram_k = np.einsum("tq,tqi,tqj->tij", w, phi, phi)
     pif = np.linalg.solve(gram_k, mom[..., None])[..., 0]
-    div_sigma = np.einsum("tqi,ti->tq", grad_basis_div(ops, ops.vol_pts),
+    div_sigma = np.einsum("tqi,ti->tq", grad_basis_div(space, space.vol_pts),
                           sigma.coeffs[:, 0])
-    pif_vals = np.einsum("ti,tqi->tq", pif, ops.phi_k_vol)
+    pif_vals = np.einsum("ti,tqi->tq", pif, space.phi_k_vol)
     resid = div_sigma + pif_vals
-    l2 = np.sqrt(np.sum(ops.vol_w * resid ** 2))
+    l2 = np.sqrt(np.sum(space.vol_w * resid ** 2))
     assert l2 < 1e-8
 
     # Neumann trace matches the projection of g
     for s in mesh.boundary_sides(NEUMANN):
         t = mesh.adjacency[s, 0]
-        pts_s = ops.side_pts[s]
+        pts_s = space.side_pts[s]
         vals = _stress_at(sigma, t, pts_s) @ mesh.normals[s]
         gv = prob.g(pts_s, np.tile(mesh.normals[s], (len(pts_s), 1)))
-        chi = ops.chi_ref
-        wq = ops.side_w[s]
+        chi = space.chi_ref
+        wq = space.side_w[s]
         mom_g = chi.T @ (wq * gv)
         gram = chi.T @ (wq[:, None] * chi)
         pig = chi @ np.linalg.solve(gram, mom_g)
@@ -331,9 +330,9 @@ def test_hdiv_conformity_of_stress():
 
 def _stress_at(sigma, t, pts):
     """Evaluate a GradField on one triangle at physical points (nq, 2)."""
-    ops = sigma.space.ops
-    c = ops.centroid[t]
-    h = ops.h_t[t]
+    space = sigma.space
+    c = space.centroid[t]
+    h = space.h_t[t]
     loc = (pts - c) / h
     k = sigma.space.k
     from ahho.hho import _batch_eval
@@ -367,14 +366,13 @@ def test_two_well_lower_order_term():
     E = prob.energy(v)
     # direct quadrature oracle: quadratic term with the data rule, the
     # density term with the energy rule (matching the assembly policy)
-    ops = space.ops
-    pts, w = ops._volume_rule(prob.data_degree)
+    pts, w = space.volume_rule(prob.data_degree)
     zv = zeta(pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    vT = np.einsum("tmi,tqi->tq", v.cells, ops.cell_eval(ops.exps_k, pts))
+    vT = np.einsum("tmi,tqi->tq", v.cells, space.cell_eval(space.exps_k, pts))
     quad_term = 0.5 * np.sum(w * (zv - vT) ** 2)
     g = space.gradient_reconstruction(v)
     epts, ew = prob._ed["pts"], prob._ed["w"]
-    gvals = np.einsum("tqid,tmi->tqmd", padded_grad_basis(ops, epts),
+    gvals = np.einsum("tqid,tmi->tqmd", padded_grad_basis(space, epts),
                       g.coeffs)
     wterm = np.sum(ew * prob.density.w(gvals))
     assert abs(E - (wterm + quad_term)) < 1e-10 * max(1.0, abs(E))
@@ -399,15 +397,14 @@ def test_fhm_free_component_natural_condition():
     assert sol.converged
     sigma, _ = problem.discrete_stress(sol.u)
     space = problem.space
-    ops = space.ops
-    tau_side = padded_grad_basis(ops, ops.side_pts_t)
+    tau_side = padded_grad_basis(space, space.side_pts_t)
     sig_side = np.einsum("tjqid,tmi->tjqmd", tau_side, sigma.coeffs)
     for label, free_comp in (("gamma1", 1), ("gamma2", 0)):
         for s in mesh.boundary_sides(label):
             t = mesh.adjacency[s, 0]
             j = int(np.where(mesh.side_of_triangle[t] == s)[0][0])
             trace = sig_side[t, j] @ mesh.normals[s]   # (nq, m)
-            moments = ops.chi_ref.T @ (ops.side_w[s] * trace[:, free_comp])
+            moments = space.chi_ref.T @ (space.side_w[s] * trace[:, free_comp])
             assert np.max(np.abs(moments)) < 1e-9
 
 
@@ -431,11 +428,11 @@ def test_initial_guess_structure():
 def _stab_hessian_einsum(prob, v):
     """Local Hessians of s(v; v)/p by the einsum formulas, (nt, m, nloc,
     m, nloc)."""
-    ops = prob.space.ops
+    space = prob.space
     p = prob.p
-    wq = ops.stab_data(p)["w"]
-    Bs = ops.stab_data(p)["B"]
-    S = np.einsum("tjql,tml->tjmq", Bs, ops.gather_local(v.data))
+    wq = space.stab_data(p)["w"]
+    Bs = space.stab_data(p)["B"]
+    S = np.einsum("tjql,tml->tjmq", Bs, v.data[space.loc2glob])
     mag = np.sqrt(np.einsum("tjmq,tjmq->tjq", S, S))
     H = np.einsum("tjq,tjq,mn,tjql,tjqf->tmlnf", wq, _safe_pow(mag, p - 2),
                   np.eye(prob.space.m), Bs, Bs)
@@ -461,20 +458,20 @@ def _hessian_full_coo(prob, v):
     """Oracle: every local Hessian block scattered into the free x free
     matrix, the L2 term's in Gram form."""
     from poly_reference import GramL2Term
-    ops = prob.space.ops
+    space = prob.space
     m = prob.space.m
     B = prob._ed["B"]
     wd2 = prob._ed["w"][..., None, None, None, None] \
         * prob.density.d2w(prob._grad_values(v))
     Hloc = np.einsum("tqdl,tqmdne,tqef->tmlnf", B, wd2, B)
     if prob.l2_weight > 0.0:
-        Hloc[:, :, :ops.ncb, :, :ops.ncb] += np.einsum(
+        Hloc[:, :, :space.ncb, :, :space.ncb] += np.einsum(
             "mn,tij->tminj", np.eye(m), GramL2Term(prob).hessian())
     if prob.stabilized:
         Hloc = Hloc + _stab_hessian_einsum(prob, v)
-    nt, nl = len(Hloc), m * ops.loc2glob.shape[-1]
+    nt, nl = len(Hloc), m * space.loc2glob.shape[-1]
     return _scatter_free(Hloc.reshape(nt, nl, nl),
-                         ops.loc2glob.reshape(nt, nl), prob.free_mask)
+                         space.loc2glob.reshape(nt, nl), prob.free_mask)
 
 
 def _courant_hessian_full(courant, x):
@@ -604,7 +601,7 @@ def test_l2_term_matches_gram_oracle(k):
     rest = DiscreteProblem(prob.space, prob.density, f=prob.f, g=prob.g,
                            u_dirichlet=prob.u_dirichlet)
     l2 = GramL2Term(prob)
-    loc2glob = prob.space.ops.loc2glob
+    loc2glob = prob.space.loc2glob
     rng = np.random.default_rng(47)
     for _ in range(3):
         v = prob.initial_guess()
