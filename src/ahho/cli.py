@@ -123,11 +123,14 @@ def validate_config(cfg):
 
 def load_config(path):
     """Read a JSON config file, apply defaults, and validate."""
-    with open(path, encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: "
+                          f"{getattr(exc, 'strerror', exc)}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     known = set(RunConfig.__dataclass_fields__)
@@ -205,7 +208,10 @@ def run(cfg):
     """Execute one configured run; returns the exit code."""
     bench = validate_config(cfg)
     out = Path(cfg.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {out}: {exc.strerror}") from None
     serialize_config(cfg, out / "run.json")
     params = cfg.estimator_params(bench)
     records = run_ahho(bench, cfg.k, params, max_ndof=cfg.max_ndof,
@@ -273,11 +279,10 @@ def main(argv=None):
                     setattr(cfg, key, val)
             if args.eps is not None:
                 cfg.eps = _parse_eps(args.eps)
-            validate_config(cfg)
+            return run(cfg)
         except ConfigError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-        return run(cfg)
     return 2
 
 

@@ -13,9 +13,11 @@ import numpy as np
 
 from .densities import UnsupportedConjugate, p_laplace
 from .hho import STABILIZED, _as_components, _batch_eval, _values_at
-from .poly import _read_only, reference_segment_rule, \
+from .poly import _read_only, affine_rule, reference_segment_rule, \
     reference_triangle_rule
 from .solver import TermProblem, eval_neumann
+
+GRADED_LEVELS = 36  # dyadic levels of the graded corner rule
 
 
 @dataclass
@@ -116,31 +118,26 @@ class ReportFields:
 
 
 @functools.lru_cache(maxsize=None)
-def _graded_reference_rule(degree, levels):
+def _graded_reference_rule(degree):
     """Dyadically graded rule on the reference triangle (0,0), (1,0),
-    (0,1), graded toward the origin: ``levels`` times, the three children
-    away from the origin get the degree-``degree`` rule and the child at
-    the origin is split again; the last one gets the rule too."""
+    (0,1), graded toward the origin: ``GRADED_LEVELS`` times, the three
+    children away from the origin get the degree-``degree`` rule and the
+    child at the origin is split again; the last one gets the rule too.
+    Built once per degree, read-only."""
     tri = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     children = []
-    for _ in range(levels):
+    for _ in range(GRADED_LEVELS):
         m01 = 0.5 * (tri[0] + tri[1])
         m02 = 0.5 * (tri[0] + tri[2])
         m12 = 0.5 * (tri[1] + tri[2])
         children += [(m01, tri[1], m12), (m02, m12, tri[2]), (m01, m12, m02)]
         tri = np.array([tri[0], m01, m02])
-    children = np.array(children + [tri])                  # (nc, 3, 2)
-    e1 = children[:, 1] - children[:, 0]
-    e2 = children[:, 2] - children[:, 0]
-    det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-    ref_pts, ref_w = reference_triangle_rule(degree)
-    pts = (children[:, None, 0] + ref_pts[None, :, 0:1] * e1[:, None]
-           + ref_pts[None, :, 1:2] * e2[:, None])
-    w = det[:, None] * ref_w[None, :]
+    pts, w = affine_rule(np.array(children + [tri]),       # (nc, 3, 2)
+                         *reference_triangle_rule(degree))
     return _read_only(pts.reshape(-1, 2), w.reshape(-1))
 
 
-def _graded_corner_rule(corners, v_loc, degree, levels=36):
+def _graded_corner_rule(corners, v_loc, degree):
     """Quadrature on triangles (..., 3, 2) with an integrable point
     singularity at local vertex ``v_loc`` (...,): dyadic grading toward the
     corner restores the accuracy a fixed-degree rule loses there.  The
@@ -149,16 +146,7 @@ def _graded_corner_rule(corners, v_loc, degree, levels=36):
     order = (np.asarray(v_loc)[..., None] + np.arange(3)) % 3
     tri = np.take_along_axis(np.asarray(corners, dtype=float),
                              order[..., None], axis=-2)
-    ref_pts, ref_w = _graded_reference_rule(degree, levels)
-    e1 = tri[..., 1, :] - tri[..., 0, :]
-    e2 = tri[..., 2, :] - tri[..., 0, :]
-    # one component at a time: a trailing axis of length 2 is slow
-    pts = np.empty(tri.shape[:-2] + ref_w.shape + (2,))
-    for d in range(2):
-        pts[..., d] = (tri[..., None, 0, d] + ref_pts[:, 0] * e1[..., None, d]
-                       + ref_pts[:, 1] * e2[..., None, d])
-    det = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
-    return pts, det[..., None] * ref_w
+    return affine_rule(tri, *_graded_reference_rule(degree))
 
 
 def _singular_triangles(mesh, singular_point):
@@ -367,8 +355,8 @@ class CourantProblem(TermProblem):
         corners = mesh.corners()
         e1 = corners[:, 1] - corners[:, 0]
         e2 = corners[:, 2] - corners[:, 0]
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        self.area = 0.5 * np.abs(det)
+        self.area = mesh.areas()
+        det = 2.0 * self.area
         # gradients of the barycentric basis, (nt, 2, 3)
         grads = np.empty((mesh.num_triangles, 2, 3))
         grads[:, 0, 1] = e2[:, 1] / det
@@ -405,8 +393,7 @@ class CourantProblem(TermProblem):
         ref_pts, ref_w = reference_triangle_rule(degree)
         lam = np.stack([1 - ref_pts[:, 0] - ref_pts[:, 1],
                         ref_pts[:, 0], ref_pts[:, 1]], axis=1)
-        pts = np.einsum("qj,tjd->tqd", lam, corners)
-        wq = np.abs(det)[:, None] * ref_w[None, :]
+        pts, wq = affine_rule(corners, ref_pts, ref_w)
         moments = np.zeros(self.loc2glob.shape)
         if self.f is not None:
             fv = _values_at(self.f, pts, m)
@@ -424,20 +411,16 @@ class CourantProblem(TermProblem):
         neumann = mesh.boundary_sides("neumann")
         if self.g is not None and len(neumann):
             t_ref, w_ref = reference_segment_rule(degree)
-            a = mesh.vertices[mesh.sides[neumann, 0]]
-            b = mesh.vertices[mesh.sides[neumann, 1]]
-            spts = (0.5 * (a + b))[:, None, :] \
-                + t_ref[None, :, None] * (b - a)[:, None, :]
+            spts = mesh.side_midpoints[neumann][:, None, :] \
+                + t_ref[None, :, None] * mesh.side_vectors[neumann][:, None, :]
             gv = eval_neumann(self.g, spts, mesh.normals[neumann], m)
-            h = np.linalg.norm(b - a, axis=1)
-            lam_a = 0.5 - t_ref
-            lam_b = 0.5 + t_ref
-            mom_a = np.einsum("q,q,sqm->sm", w_ref, lam_a, gv) * h[:, None]
-            mom_b = np.einsum("q,q,sqm->sm", w_ref, lam_b, gv) * h[:, None]
+            # the hat functions of the side's ends a and b
+            lam = np.stack([0.5 - t_ref, 0.5 + t_ref], axis=1)
+            mom = np.einsum("q,qj,sqm->sjm", w_ref, lam, gv) \
+                * mesh.side_lengths[neumann][:, None, None]
             dof = mesh.sides[neumann][:, :, None] * m + np.arange(m)
-            self.load += np.bincount(
-                dof.reshape(-1), np.stack([mom_a, mom_b], axis=1).reshape(-1),
-                minlength=nv * m)
+            self.load += np.bincount(dof.reshape(-1), mom.reshape(-1),
+                                     minlength=nv * m)
 
     def initial_guess(self):
         """Zero, with the Dirichlet dofs at their values."""

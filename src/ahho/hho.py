@@ -1,10 +1,11 @@
 """Hybrid high-order spaces and reconstruction operators.
 
 A :class:`HhoSpace` couples polynomial unknowns on cells and on the mesh
-skeleton, and holds its geometry, rules and element-local operators
-(gradient and potential reconstruction, the stabilization S_{K,S}):
-dense matrices, batched over all triangles, acting on the local scalar
-dof vector ``data[loc2glob]``
+skeleton.  It reads h_T, h_F and the side geometry off the mesh, maps
+every volume rule and Lagrange lattice by :func:`ahho.poly.affine_rule`,
+and holds the element-local operators (gradient and potential
+reconstruction, the stabilization S_{K,S}): dense matrices, batched over
+all triangles, acting on the local scalar dof vector ``data[loc2glob]``
 
     [cell basis coefficients | side 0 | side 1 | side 2].
 
@@ -29,8 +30,8 @@ from __future__ import annotations
 import numpy as np
 
 from .densities import p_laplace
-from .poly import (cell_dim, monomial_exponents, reference_segment_rule,
-                   reference_triangle_rule)
+from .poly import (affine_rule, cell_dim, monomial_exponents,
+                   reference_segment_rule, reference_triangle_rule)
 
 RT = "rt"
 STABILIZED = "stabilized"
@@ -226,13 +227,10 @@ class HhoSpace:
         self.corners = mesh.corners()
         self.area = mesh.areas()
         self.centroid = self.corners.mean(axis=1)
-        self.h_t = np.sqrt(self.area)
-        d = mesh.vertices[mesh.sides[:, 1]] - mesh.vertices[mesh.sides[:, 0]]
-        self.h_f = np.sqrt(np.einsum("sd,sd->s", d, d))
-        self.s_mid = 0.5 * (mesh.vertices[mesh.sides[:, 0]]
-                            + mesh.vertices[mesh.sides[:, 1]])
-        self.s_vec = d
-        self.s_tang = d / self.h_f[:, None]
+        self.h_t, self.h_f = mesh.mesh_size()
+        self.s_mid = mesh.side_midpoints
+        self.s_vec = mesh.side_vectors
+        self.s_tang = self.s_vec / self.h_f[:, None]
 
         self.sot = mesh.side_of_triangle
         # +1 where the triangle is T_plus of the side (normal points outward)
@@ -279,33 +277,19 @@ class HhoSpace:
         return HhoVector(self)
 
     def side_dof_indices(self, side, comp):
-        off = self.ncell_dofs + (side * self.m + comp) * (self.k + 1)
-        return np.arange(off, off + self.k + 1)
+        return self.side_dofs[side, comp]
 
     def dirichlet_dofs(self):
         """Indices of all constrained side dofs, side by side and component
         by component."""
-        s, c = np.nonzero(self.dirichlet_mask)
-        off = self.ncell_dofs + (s * self.m + c) * (self.k + 1)
-        return (off[:, None] + np.arange(self.k + 1)).reshape(-1)
+        return self.side_dofs[self.dirichlet_mask].reshape(-1)
 
     # -- rules ---------------------------------------------------------------
 
     def volume_rule(self, degree, tri=slice(None)):
         """Rule exact to ``degree`` on the triangles ``tri`` (all by
         default): points (n, nq, 2), weights (n, nq)."""
-        ref_pts, ref_w = reference_triangle_rule(degree)
-        corners = self.corners[tri]
-        p0 = corners[:, 0]
-        e1 = corners[:, 1] - p0
-        e2 = corners[:, 2] - p0
-        det = np.abs(e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0])
-        # one component at a time: a trailing axis of length 2 is slow
-        pts = np.empty((len(corners), len(ref_w), 2))
-        for d in range(2):
-            pts[..., d] = (ref_pts[:, 0] * e1[:, None, d]
-                           + ref_pts[:, 1] * e2[:, None, d] + p0[:, None, d])
-        return pts, det[:, None] * ref_w[None, :]
+        return affine_rule(self.corners[tri], *reference_triangle_rule(degree))
 
     def side_rule(self, degree, sides=slice(None)):
         """Gauss rule exact to ``degree`` on the given sides (all by
@@ -382,20 +366,16 @@ class HhoSpace:
     # -- local dof bookkeeping -------------------------------------------------
 
     def _build_local_maps(self):
-        nt = self.mesh.num_triangles
-        m = self.m
-        loc2glob = np.empty((nt, m, self.nloc), dtype=np.int64)
-        t_idx = np.arange(nt)
-        for c in range(m):
-            base = (t_idx * m + c)[:, None] * self.ncb
-            loc2glob[:, c, :self.ncb] = base + np.arange(self.ncb)
-            for j in range(3):
-                s = self.sot[:, j]
-                off = self.ncell_dofs + (s * m + c)[:, None] * self.nsb
-                loc2glob[:, c, self.ncb + j * self.nsb:
-                         self.ncb + (j + 1) * self.nsb] = (
-                    off + np.arange(self.nsb))
-        self.loc2glob = loc2glob
+        """``side_dofs`` (ns, m, nsb), the dof numbers laid out as in
+        ``HhoVector.sides``, and ``loc2glob`` (nt, m, nloc): the cell's as
+        in ``HhoVector.cells``, then its sides' in local order."""
+        nt, m, ncb = self.mesh.num_triangles, self.m, self.ncb
+        dofs = np.arange(self.ndof)
+        self.side_dofs = dofs[self.ncell_dofs:].reshape(-1, m, self.nsb)
+        sides = self.side_dofs[self.sot]
+        self.loc2glob = np.empty((nt, m, self.nloc), dtype=np.int64)
+        self.loc2glob[..., :ncb] = dofs[:self.ncell_dofs].reshape(nt, m, ncb)
+        self.loc2glob[..., ncb:] = sides.swapaxes(1, 2).reshape(nt, m, -1)
 
     # -- L2 projections onto P_k -------------------------------------------------
 
@@ -596,7 +576,7 @@ class HhoSpace:
 
         lat = lattice_nodes(k + 1)
         gid = lagrange_node_ids(mesh.triangles, lat).reshape(-1)
-        nodes = np.einsum("nj,tjd->tnd", lat / (k + 1), self.corners)
+        nodes = affine_rule(self.corners, lat[:, 1:] / (k + 1))
         vand = self.cell_eval(self.exps_k1, nodes)           # (nt, nn1, nk1)
         r = np.einsum("tni,tmi->tnm", vand,
                       self.potential_reconstruction(v).coeffs).reshape(-1, m)
@@ -643,7 +623,7 @@ class HhoSpace:
 
         # interpolation at the P_{k+3} lattice
         lam = lattice_nodes(k + 3) / (k + 3)
-        nodes = np.einsum("nj,tjd->tnd", lam, self.corners)
+        nodes = affine_rule(self.corners, lam[:, 1:])
         vand = self.cell_eval(self.exps_k3, nodes)           # (nt, nn3, nk3)
         vals = w_and_sides(nodes, lam) + lam.prod(axis=-1)[:, None] \
             * np.einsum("tni,tim->tnm", vand[..., :self.ncb], qT)

@@ -1,9 +1,10 @@
 """Conforming 2D simplicial triangulations with newest-vertex bisection.
 
 A :class:`Triangulation` stores vertices, triangles with a distinguished
-refinement edge, a global side table with oriented unit normals, boundary
-labels, and (after refinement) parent links to the previous level.  Meshes
-are immutable after construction; refinement returns a new mesh.
+refinement edge, a global side table with side vectors, lengths,
+midpoints and oriented unit normals, boundary labels, and (after
+refinement) parent links to the previous level.  Meshes are immutable
+after construction; refinement returns a new mesh.
 
 Refinement bisects every triangle by its pattern of split edges, after
 Funken, Praetorius & Wissgott (CMAM 2011).  Labels are inherited: an
@@ -71,6 +72,9 @@ class Triangulation:
         Triangles ``(t_plus, t_minus)`` sharing each side; ``t_minus = -1``
         on the boundary.  The side normal equals the outward normal of
         ``t_plus`` on that side.
+    side_vectors, side_lengths, side_midpoints : (ns, 2), (ns,), (ns, 2)
+        ``vertices[b] - vertices[a]`` of each side (a, b), its length and
+        its midpoint.
     normals : (ns, 2) float array
         Unit normals fixing the side orientation.
     labels : (ns,) array of str
@@ -109,12 +113,6 @@ class Triangulation:
         # vertices exchanges the local edges 1 and 2.
         p = self.vertices
         area = _signed_area(p[tri[:, 0]], p[tri[:, 1]], p[tri[:, 2]])
-        # relative to the triangle's own scale, so that a fine or a small
-        # mesh is not taken for a degenerate one
-        edges = p[tri] - p[np.roll(tri, 1, axis=1)]
-        if np.any(np.abs(area) <= 1e-14 * np.einsum(
-                "tjd,tjd->tj", edges, edges).max(axis=1, initial=0.0)):
-            raise MeshError("degenerate (zero-area) triangle")
         flip = area < 0
         tri[flip] = tri[flip][:, [0, 2, 1]]
         swap = flip & (ref > 0)
@@ -122,7 +120,7 @@ class Triangulation:
         self.triangles = tri
         self.ref_edge = ref
 
-        self._build_sides()
+        self._build_sides(area)
         if not _skip_checks:
             self._check_conforming()
         self._assign_labels(labels_or_rule)
@@ -133,13 +131,15 @@ class Triangulation:
         self.parent = np.array(parent, dtype=np.int64, order="C")
 
         for arr in (self.vertices, self.triangles, self.ref_edge, self.sides,
-                    self.side_of_triangle, self.adjacency, self.normals,
+                    self.side_of_triangle, self.adjacency, self.side_vectors,
+                    self.side_lengths, self.side_midpoints, self.normals,
                     self.parent):
             arr.flags.writeable = False
 
     # -- construction helpers ------------------------------------------------
 
-    def _build_sides(self):
+    def _build_sides(self, area):
+        """Side table and geometry; a degenerate triangle is refused."""
         tri = self.triangles
         nt = len(tri)
         # local edge i is (i+1, i+2) mod 3
@@ -173,9 +173,16 @@ class Triangulation:
         tplus = adjacency[:, 0]
         opp = tri[tplus, order[first] % 3]
         a = p[sides[:, 0]]
-        tang = p[sides[:, 1]] - a
+        self.side_vectors = tang = p[sides[:, 1]] - a
+        self.side_midpoints = 0.5 * (a + p[sides[:, 1]])
+        self.side_lengths = np.sqrt(tang[:, 0] ** 2 + tang[:, 1] ** 2)
+        # relative to the triangle's own scale, so that a fine or a small
+        # mesh is not taken for a degenerate one
+        if np.any(np.abs(area) <= 1e-14 * self.side_lengths[
+                self.side_of_triangle].max(axis=1, initial=0.0) ** 2):
+            raise MeshError("degenerate (zero-area) triangle")
         normals = np.stack([tang[:, 1], -tang[:, 0]], axis=1)
-        normals /= np.sqrt(normals[:, 0] ** 2 + normals[:, 1] ** 2)[:, None]
+        normals /= self.side_lengths[:, None]
         away = p[opp] - a
         flip = normals[:, 0] * away[:, 0] + normals[:, 1] * away[:, 1] > 0
         normals[flip] *= -1
@@ -191,9 +198,9 @@ class Triangulation:
         p = self.vertices
         a = p[self.sides[:, 0]]
         b = p[self.sides[:, 1]]
-        tang = b - a
+        tang = self.side_vectors
         length2 = np.einsum("sd,sd->s", tang, tang)
-        pad = 1e-11 * np.sqrt(length2)[:, None]
+        pad = 1e-11 * self.side_lengths[:, None]
         lo = np.minimum(a, b) - pad
         hi = np.maximum(a, b) + pad
         order = np.argsort(p[:, 0], kind="stable")
@@ -232,12 +239,13 @@ class Triangulation:
         else:
             labels = np.full(len(self.sides), INTERIOR, dtype=object)
             if callable(labels_or_rule):
-                mids = 0.5 * (self.vertices[self.sides[:, 0]]
-                              + self.vertices[self.sides[:, 1]])
                 for s in np.nonzero(boundary)[0]:
-                    labels[s] = labels_or_rule(mids[s])
-            else:
+                    labels[s] = labels_or_rule(self.side_midpoints[s])
+            elif np.shape(labels_or_rule) in ((), labels.shape):
                 labels[:] = labels_or_rule
+            else:
+                raise MeshError(f"{np.size(labels_or_rule)} side labels "
+                                f"given for {len(labels)} sides")
         unlabeled = boundary & ~np.isin(labels, BOUNDARY_LABELS)
         if unlabeled.any():
             s = np.argmax(unlabeled)
@@ -273,10 +281,7 @@ class Triangulation:
 
     def mesh_size(self):
         """Per-triangle h_T = |T|^(1/2) and per-side diameter h_F."""
-        h_t = np.sqrt(self.areas())
-        d = self.vertices[self.sides[:, 1]] - self.vertices[self.sides[:, 0]]
-        h_f = np.sqrt(np.einsum("sd,sd->s", d, d))
-        return h_t, h_f
+        return np.sqrt(self.areas()), self.side_lengths
 
     def centroids(self):
         return self.corners().mean(axis=1)
@@ -308,11 +313,9 @@ class Triangulation:
     def _refine(self, split):
         """Bisect each triangle according to its pattern of split edges."""
         nv, nt = self.num_vertices, self.num_triangles
-        ends = self.vertices[self.sides[split]]
-        vertices = np.vstack([self.vertices,
-                              0.5 * (ends[:, 0] + ends[:, 1])])
+        vertices = np.vstack([self.vertices, self.side_midpoints[split]])
         midpoint = np.full(self.num_sides, -1, dtype=np.int64)
-        midpoint[split] = nv + np.arange(len(ends))
+        midpoint[split] = np.arange(nv, len(vertices))
 
         # local edges e, e+1, e+2 face peak, a, b; their midpoints are m
         # (refinement edge), mr on (b, peak) and ml on (peak, a)
@@ -368,10 +371,7 @@ class Triangulation:
 
     def shape_regularity(self):
         """Minimum over triangles of inradius / circumradius."""
-        c = self.corners()
-        l0 = np.linalg.norm(c[:, 2] - c[:, 1], axis=1)
-        l1 = np.linalg.norm(c[:, 0] - c[:, 2], axis=1)
-        l2 = np.linalg.norm(c[:, 1] - c[:, 0], axis=1)
+        l0, l1, l2 = self.side_lengths[self.side_of_triangle].T
         area = self.areas()
         s = 0.5 * (l0 + l1 + l2)
         r_in = area / s
@@ -393,10 +393,8 @@ def build_triangulation(vertices, triangles, boundary_label_rule):
     mesh = Triangulation(vertices, triangles,
                          np.zeros(len(triangles), dtype=np.int64),
                          boundary_label_rule)
-    c = mesh.corners()
-    lengths = np.stack([np.linalg.norm(c[:, 2] - c[:, 1], axis=1),
-                        np.linalg.norm(c[:, 0] - c[:, 2], axis=1),
-                        np.linalg.norm(c[:, 1] - c[:, 0], axis=1)], axis=1)
+    # local edge i is side side_of_triangle[:, i]
+    lengths = mesh.side_lengths[mesh.side_of_triangle]
     lmax = lengths.max(axis=1, keepdims=True)
     longest = lengths > lmax - 1e-12 * lmax
     ref = np.argmin(np.where(longest, mesh.side_of_triangle, mesh.num_sides),

@@ -1,10 +1,11 @@
-"""Monomial exponents and the reference quadrature rules.
+"""Monomial exponents, the reference quadrature rules and their affine
+image.
 
 The reference triangle rules are exact for total degree d on
-{x, y >= 0, x + y <= 1}; the segment rules are Gauss-Legendre on
-[-1/2, 1/2].  The per-element bases and projections that the tests
-compare the batched code of ``ahho.hho`` against live in
-``tests/poly_reference.py``.
+{x, y >= 0, x + y <= 1}, and :func:`affine_rule` maps them onto
+triangles; the segment rules are Gauss-Legendre on [-1/2, 1/2].  The
+per-element bases and projections that the tests compare the batched
+code of ``ahho.hho`` against live in ``tests/poly_reference.py``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,24 @@ def reference_triangle_rule(d):
     if d in _REF_RULES:
         return _REF_RULES[d]
     return _collapsed_rule(d)
+
+
+def affine_rule(corners, ref_pts, ref_w=None):
+    """Reference points (nq, 2) on triangles (..., 3, 2) as x e1 + y e2 +
+    p0, e_i = p_i - p0: (..., nq, 2), and given ``ref_w`` also the weights
+    |det(e1, e2)| ref_w, (..., nq)."""
+    p0 = corners[..., 0, :]
+    e1 = corners[..., 1, :] - p0
+    e2 = corners[..., 2, :] - p0
+    # one component at a time: a trailing axis of length 2 is slow
+    pts = np.empty(corners.shape[:-2] + (len(ref_pts), 2))
+    for d in range(2):
+        pts[..., d] = (ref_pts[:, 0] * e1[..., None, d]
+                       + ref_pts[:, 1] * e2[..., None, d] + p0[..., None, d])
+    if ref_w is None:
+        return pts
+    det = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
+    return pts, det[..., None] * ref_w
 
 
 @functools.lru_cache(maxsize=None)

@@ -199,6 +199,31 @@ def test_cli_main_rejects_bad_config_file(tmp_path, capsys, bad):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8",
+                                  "out-is-file"])
+def test_cli_main_unusable_paths_exit_2(tmp_path, capsys, monkeypatch,
+                                        case):
+    """A config file that is missing, a directory or not UTF-8 text, and
+    an output path that is a regular file, exit 2 with an ``error:``
+    line naming the path, before any level is solved."""
+    import ahho.cli as cli
+    monkeypatch.setattr(cli, "run_ahho", lambda *a, **kw: pytest.fail(
+        "a level was solved"))
+    path = tmp_path / "config.json"
+    argv = ["--config", str(path), "--out", str(tmp_path / "x")]
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(b'{"benchmark": "manufactured-affine\xff"}')
+    elif case == "out-is-file":
+        path = tmp_path / "x"
+        path.write_text("not a directory")
+        argv = ["--benchmark", "manufactured-affine", "--out", str(path)]
+    assert main(["run", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
+
+
 # the settings of the removed L-BFGS optimizer and the Armijo constants,
 # now fixed, with the values they used to default to
 REMOVED_SOLVER_KEYS = {"step_tol": 1e-14, "method": "lbfgs",

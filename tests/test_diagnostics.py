@@ -83,11 +83,11 @@ def test_graded_corner_rule_matches_broadcast_formula():
         pts, w = _graded_corner_rule(corners, v_loc, degree)
         order = (v_loc[:, None] + np.arange(3)) % 3
         tri = np.take_along_axis(corners, order[..., None], axis=-2)
-        ref_pts, ref_w = _graded_reference_rule(degree, 36)
+        ref_pts, ref_w = _graded_reference_rule(degree)
         e1 = tri[..., 1, :] - tri[..., 0, :]
         e2 = tri[..., 2, :] - tri[..., 0, :]
-        want = (tri[..., None, 0, :] + ref_pts[:, 0:1] * e1[..., None, :]
-                + ref_pts[:, 1:2] * e2[..., None, :])
+        want = (ref_pts[:, 0:1] * e1[..., None, :]
+                + ref_pts[:, 1:2] * e2[..., None, :] + tri[..., None, 0, :])
         det = np.abs(e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0])
         assert np.array_equal(pts, want)
         assert np.array_equal(w, det[..., None] * ref_w)
@@ -687,6 +687,47 @@ def test_courant_p2_matches_direct_sparse_solve():
     A = np.array(cols).T
     direct = np.linalg.solve(A, -g0[free])
     assert np.allclose(x[free], direct, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", ["p-laplace-lshape", "two-well-rect"])
+def test_courant_load_matches_per_element_loop(name):
+    """The probe's load vector, int f phi_v + l2_weight int zeta phi_v
+    over the triangles plus int g phi_v over the Neumann sides, against
+    sums triangle by triangle and side by side with the barycentric
+    coordinates solved for at each point, on rules of the same degree."""
+    from ahho.mesh import NEUMANN, refine_nvb
+    from ahho.solver import eval_neumann
+    from poly_reference import side_quadrature, triangle_quadrature
+    bench = get_benchmark(name)
+    mesh = refine_nvb(refine_uniform(bench.initial_mesh()), [0, 5, 7])
+    courant = bench.make_courant(mesh)
+    m = courant.m
+    degree = max(int(np.ceil(bench.density.p)) + 2, 6)
+    want = np.zeros((mesh.num_vertices, m))
+    for tri in mesh.triangles:
+        c = mesh.vertices[tri]
+        rule = triangle_quadrature(c, degree)
+        lam = np.linalg.solve(np.vstack([c.T, np.ones(3)]), np.vstack(
+            [rule.points.T, np.ones(len(rule.weights))]))       # (3, nq)
+        vals = np.zeros((len(rule.weights), m))
+        if bench.f is not None:
+            vals += _values_at(bench.f, rule.points, m)
+        if bench.l2_weight:
+            vals += bench.l2_weight * _values_at(bench.l2_data,
+                                                 rule.points, m)
+        want[tri] += lam @ (rule.weights[:, None] * vals)
+    neumann = mesh.boundary_sides(NEUMANN)
+    assert (len(neumann) > 0) == (bench.g is not None)
+    for s in neumann:
+        a, b = mesh.vertices[mesh.sides[s]]
+        rule = side_quadrature(a, b, degree)
+        lam_b = (rule.points - a) @ (b - a) / ((b - a) @ (b - a))
+        g = eval_neumann(bench.g, rule.points[None], mesh.normals[[s]], m)
+        want[mesh.sides[s]] += np.stack([1.0 - lam_b, lam_b]) \
+            @ (rule.weights[:, None] * g[0])
+    assert np.abs(want).max() > 0
+    assert np.max(np.abs(courant.load - want.reshape(-1))) \
+        <= 1e-13 * np.abs(want).max()
 
 
 def test_courant_fhm_energy_above_reference():

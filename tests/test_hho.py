@@ -864,6 +864,28 @@ def test_dirichlet_dofs_follow_mask_order():
     assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("k, m", [(0, 1), (1, 2), (2, 3)])
+def test_local_maps_follow_dof_layout(k, m):
+    """loc2glob[t, c] lists the cell dofs (t m + c) ncb + i, then for each
+    local side j the side dofs ncell + (s m + c)(k + 1) + n of its side
+    s; side_dof_indices gives the latter."""
+    mesh = lshape_mesh()
+    space = HhoSpace(mesh, k, m)
+    ncb, nsb = cell_dim(k), k + 1
+    ncell = mesh.num_triangles * m * ncb
+    for t in range(mesh.num_triangles):
+        for c in range(m):
+            sides = [ncell + (s * m + c) * nsb + np.arange(nsb)
+                     for s in mesh.side_of_triangle[t]]
+            want = np.concatenate([(t * m + c) * ncb + np.arange(ncb)]
+                                  + sides)
+            assert np.array_equal(space.loc2glob[t, c], want)
+            for s, dofs in zip(mesh.side_of_triangle[t], sides):
+                assert np.array_equal(space.side_dof_indices(s, c), dofs)
+    assert space.loc2glob.dtype == np.int64
+    assert space.loc2glob.flags.c_contiguous
+
+
 def test_dirichlet_mask_must_have_one_column_per_component():
     """On the L-shape, an (ns, 2) mask on a scalar space (side 0,
     component 1 set) and an (ns,) mask are refused when the space is

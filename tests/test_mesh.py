@@ -814,3 +814,38 @@ def test_refine_nvb_accepts_any_iterable():
     for marked in ([11, 2, 7], np.array([7, 2, 11, 2, 7]), iter([2, 7, 11])):
         _assert_same_mesh(refine_nvb(m, marked), ref)
     _assert_same_mesh(refine_nvb(m, []), refine_nvb(m, set()))
+
+
+def test_side_geometry_kept_read_only():
+    """On NVB-refined meshes of every benchmark, ``side_vectors``,
+    ``side_lengths`` and ``side_midpoints`` are b - a, |b - a| and
+    (a + b)/2 of each side (a, b), and read-only."""
+    from ahho.benchmarks import register_benchmarks
+    for name, factory in register_benchmarks().items():
+        mesh = factory().initial_mesh()
+        for _ in range(3):
+            mesh = refine_nvb(mesh, range(0, mesh.num_triangles, 3))
+        a = mesh.vertices[mesh.sides[:, 0]]
+        b = mesh.vertices[mesh.sides[:, 1]]
+        assert np.array_equal(mesh.side_vectors, b - a), name
+        assert np.array_equal(mesh.side_lengths,
+                              np.linalg.norm(b - a, axis=1)), name
+        assert np.array_equal(mesh.side_midpoints, 0.5 * (a + b)), name
+        for arr in (mesh.side_vectors, mesh.side_lengths,
+                    mesh.side_midpoints):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+
+def test_label_array_of_wrong_length_rejected():
+    """An explicit per-side label array must have one label per side; a
+    single label and an array of the right length are taken."""
+    vertices, triangles = [(0, 0), (1, 0), (0, 1)], [(0, 1, 2)]
+    for n in (2, 4):
+        with pytest.raises(MeshError,
+                           match=f"{n} side labels given for 3 sides"):
+            build_triangulation(vertices, triangles, [DIRICHLET] * n)
+    for labels in (DIRICHLET, [DIRICHLET] * 3):
+        mesh = build_triangulation(vertices, triangles, labels)
+        assert list(mesh.labels) == [DIRICHLET] * 3

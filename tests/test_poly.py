@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 
-from ahho.poly import cell_dim
+from ahho.poly import affine_rule, cell_dim, reference_triangle_rule
 from poly_reference import (CellBasis, SideBasis, l2_project_cell,
                             l2_project_side, rt_mass_matrix, rt_project,
                             side_quadrature, triangle_quadrature)
@@ -235,3 +235,24 @@ def test_rt_project_matches_dense_oracle():
         rhs[i] = np.sum(rule.weights * np.sum(tau[:, i, :] * g, axis=1))
     oracle = np.linalg.solve(gram, rhs)
     assert np.allclose(coeff, oracle, atol=1e-9)
+
+
+def test_affine_rule_matches_per_triangle_quadrature():
+    """``affine_rule`` on one triangle (3, 2), a stack (n, 3, 2) and a
+    block (2, n, 3, 2): each triangle's points and weights are those of
+    the per-triangle rule, and without weights it gives the points."""
+    rng = np.random.default_rng(5)
+    block = rng.uniform(-1.0, 1.0, (2, 4, 3, 2))
+    for degree in (2, 7):
+        ref_pts, ref_w = reference_triangle_rule(degree)
+        nq = len(ref_w)
+        for corners in (block[0, 0], block[1], block):
+            pts, w = affine_rule(corners, ref_pts, ref_w)
+            assert pts.shape == corners.shape[:-2] + (nq, 2)
+            assert w.shape == corners.shape[:-2] + (nq,)
+            assert np.array_equal(affine_rule(corners, ref_pts), pts)
+            for c, x, wt in zip(corners.reshape(-1, 3, 2),
+                                pts.reshape(-1, nq, 2), w.reshape(-1, nq)):
+                rule = triangle_quadrature(c, degree)
+                assert np.max(np.abs(x - rule.points)) <= 1e-14
+                assert np.max(np.abs(wt - rule.weights)) <= 1e-14
