@@ -82,8 +82,7 @@ def estimate(problem, u, stress_defect, params):
 
     # rules exact for the p-th powers of the polynomial residuals
     pdeg = int(np.ceil(p)) * (k + 1)
-    e_pts, e_w = space.volume_rule(pdeg)
-    phi_k_e = space.cell_eval(space.exps_k, e_pts)
+    e_pts, e_w, _, phi_k_e = space.tables(pdeg)
     spts_e, w_e, chi_e = space.side_rule(pdeg)
 
     # volume residual |T|^((eps*p - p)/2) ||delta_K u||_p^p and trace term
@@ -250,6 +249,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
             J = prev.companion
             if J is None:
                 J = prev.problem.space.companion(prev.solution.u)
+                prev.problem.space.release_tables()
             initial = prolong(space, J, problem)
         else:
             initial = problem.initial_guess()
@@ -268,6 +268,8 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
                           eta, stab, sol, problem, sigma, J, est,
                           time.perf_counter() - t0, sol.converged)
         records.append(rec)
+        # the tables this level read would otherwise stay with its record
+        space.release_tables()
         if not sol.converged:
             break
         if eta <= 1e-16 * (1.0 + abs(sol.energy)):

@@ -188,6 +188,7 @@ def build_reports(records, bench):
         except UnsupportedConjugate:
             pass
         rows.append(row)
+        problem.space.release_tables()
     return rows
 
 

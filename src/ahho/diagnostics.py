@@ -12,7 +12,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .densities import UnsupportedConjugate, p_laplace
-from .hho import STABILIZED, _as_components, _batch_eval, _values_at
+from .hho import STABILIZED, _as_components, _values_at
 from .poly import _read_only, affine_rule, reference_segment_rule, \
     reference_triangle_rule
 from .solver import TermProblem, eval_neumann
@@ -92,14 +92,12 @@ class ReportFields:
         self.g = self.space.gradient_reconstruction(u) \
             if exact.grad_u is not None else None
 
-    def on(self, tri, pts, w):
-        """The :class:`PointFields` on the rule (pts, w) on ``tri``."""
+    def on(self, tri, pts, w, loc, phi):
+        """The :class:`PointFields` on ``HhoSpace.rule_tables`` on ``tri``."""
         space = self.space
         m = space.m
         shape = pts.shape[:-1]
         ue, ge, se = self.exact.fields(pts.reshape(-1, 2))
-        loc = space.local_coords(pts, tri)
-        phi = _batch_eval(space.exps_k, loc)
         Gu = None if self.g is None \
             else space.grad_values(loc, phi, self.g.coeffs[tri])
         return PointFields(
@@ -114,7 +112,7 @@ class ReportFields:
     def volume(self):
         """Built on first read, so that a larger point set evaluated
         before it (the graded corner rule) is gone when it is made."""
-        return self.on(slice(None), *self.space.volume_rule(self.degree))
+        return self.on(slice(None), *self.space.tables(self.degree))
 
 
 @functools.lru_cache(maxsize=None)
@@ -206,8 +204,9 @@ def error_norms(problem, u, exact, degree=None, singular_point=None,
                               dtype=np.int64).reshape(-1, 2).T
         # the graded rule, which has the most points of the level, before
         # the first read of the volume rule's fields: never both at once
-        graded = integrals(fields.on(tri, *_graded_corner_rule(
-            space.corners[tri], v_loc, fields.degree)))
+        graded = integrals(fields.on(tri, *space.rule_tables(
+            *_graded_corner_rule(space.corners[tri], v_loc, fields.degree),
+            tri)))
         rest = np.delete(np.arange(space.mesh.num_triangles), tri)
         terms = [None if a is None else a + b for a, b in zip(
             integrals(fields.volume, rest), graded)]
@@ -275,13 +274,18 @@ def dual_bound(problem, u, sigma, J, energy=None):
             f"density {problem.density.name!r} has no convex conjugate")
     space = problem.space
     E = problem.energy(u) if energy is None else energy
-    # dual energy with the same quadrature policy as the primal density
-    ed = problem._ed
-    wstar = problem.density.conjugate(sigma.at_points(ed["pts"]))
-    e_dual = -float(np.sum(ed["w"] * wstar))
+    # dual energy with the same quadrature policy as the primal density;
+    # the reports read neither rule again, so their tables are not kept
+    _, w, loc, phi = space.rule_tables(
+        *space.volume_rule(problem.energy_degree))
+    wstar = problem.density.conjugate(
+        space.grad_values(loc, phi, sigma.coeffs))
+    e_dual = -float(np.sum(w * wstar))
     # companion defect, exact quadrature
-    pts, w = space.volume_rule(2 * (space.k + 2))
-    Gu = space.gradient_reconstruction(u).at_points(pts)
+    pts, w, loc, phi = space.rule_tables(
+        *space.volume_rule(2 * (space.k + 2)))
+    Gu = space.grad_values(loc, phi,
+                           space.gradient_reconstruction(u).coeffs)
     gJ = J.grad_at_points(pts)
     defect = float(np.sqrt(np.einsum("tq,tqmd,tqmd->", w, Gu - gJ,
                                      Gu - gJ)))

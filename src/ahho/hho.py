@@ -23,6 +23,11 @@ of w |values|^p.  :meth:`HhoSpace.companion` builds the conforming J v
 from the nodal averages of R v at the P_{k+1} Lagrange nodes, keyed by
 their integer lattice weights (:func:`lagrange_node_ids`), plus side and
 cell bubble corrections, interpolated at the P_{k+3} lattice.
+
+Full-mesh callers read a volume rule with its local coordinates and P_k
+table from :meth:`HhoSpace.tables`, kept with the P_{k+1}, energy and
+stabilization tables for one level: the loop and the reports call
+:meth:`HhoSpace.release_tables` once its record, and its row, is made.
 """
 
 from __future__ import annotations
@@ -153,15 +158,13 @@ class GradField:
     def at_points(self, pts, tri=slice(None)):
         """Values at points (n, ..., 2) on the triangles ``tri`` (all by
         default) -> (n, ..., m, 2)."""
-        space = self.space
-        loc = space.local_coords(pts, tri)
-        return space.grad_values(loc, _batch_eval(space.exps_k, loc),
-                                 self.coeffs[tri])
+        _, _, loc, phi = self.space.rule_tables(pts, tri=tri)
+        return self.space.grad_values(loc, phi, self.coeffs[tri])
 
     def lp_norm(self, p, degree=None):
-        data = self.space.energy_data(degree or (2 * (self.space.k + 1)))
-        vals = self.at_points(data["pts"])
-        return lp_integral(data["w"], vals, p).sum() ** (1.0 / p)
+        _, w, loc, phi = self.space.tables(degree or 2 * (self.space.k + 1))
+        vals = self.space.grad_values(loc, phi, self.coeffs)
+        return lp_integral(w, vals, p).sum() ** (1.0 / p)
 
 
 class PiecewisePoly:
@@ -248,9 +251,10 @@ class HhoSpace:
         # the gradient space: RT_k, or P_k(T; R^2) when stabilized
         self.ng = (k + 1) * (k + 3) if variant == RT else 2 * self.ncb
 
-        # volume geometry rule, exact to degree 2k+3
+        # volume geometry rule, exact to degree 2k+3, and its P_k table
         self.vol_deg = 2 * k + 3
-        self.vol_pts, self.vol_w = self.volume_rule(self.vol_deg)
+        self._tables = {}
+        self.vol_pts, self.vol_w, _, self.phi_k_vol = self.tables(self.vol_deg)
         # side geometry rule, exact to degree 2k+2
         self.side_deg = 2 * k + 2
         self.side_pts, self.side_wref, self.chi_ref = self.side_rule(
@@ -268,8 +272,6 @@ class HhoSpace:
             trace = np.einsum("tjqi,tli->tjql", self.phi_k_side, d_k)
             S = self.project_sides(self.side_wref, self.chi_ref, trace)[1]
             self.S_op = (S - d_s).transpose(0, 1, 3, 2)  # (nt, 3, nsb, nloc)
-        self._energy_cache = {}
-        self._stab_cache = {}
 
     # -- dof helpers -----------------------------------------------------------
 
@@ -311,6 +313,29 @@ class HhoSpace:
         for d in range(2):
             loc[..., d] = (pts[..., d] - c[:, d].reshape(shape)) / h
         return loc
+
+    def rule_tables(self, pts, w=None, tri=slice(None)):
+        """The rule (pts, w) on the triangles ``tri`` (all by default) with
+        its local coordinates and P_k table: (pts, w, loc, phi), not kept."""
+        loc = self.local_coords(pts, tri)
+        return pts, w, loc, _batch_eval(self.exps_k, loc)
+
+    def tables(self, degree):
+        """:meth:`rule_tables` of the volume rule exact to ``degree`` on all
+        triangles, kept until :meth:`release_tables`."""
+        if degree not in self._tables:
+            self._tables[degree] = self.rule_tables(*self.volume_rule(degree))
+        return self._tables[degree]
+
+    def _phi_k1_vol(self):
+        """The P_{k+1} table at the geometry rule, kept like :meth:`tables`."""
+        if "k1" not in self._tables:
+            self._tables["k1"] = self.cell_eval(self.exps_k1, self.vol_pts)
+        return self._tables["k1"]
+
+    def release_tables(self):
+        """Drop every kept table; the next request builds it again."""
+        self._tables.clear()
 
     def cell_eval(self, exps, pts, tri=slice(None)):
         return _batch_eval(exps, self.local_coords(pts, tri))
@@ -401,17 +426,15 @@ class HhoSpace:
     # -- P_k tables at the geometry rules, gradient reconstruction ----------------
 
     def _build_gradient_op(self):
-        """The P_k tables at the volume and side points, and G from
+        """The P_k table at the side points, and G from
         (G v, tau)_T = (grad v_T, tau)_T + sum_F (v_F - v_T, tau . nu_F)_F,
         where v_F - v_T is -phi_l for a cell unknown l and chi_n on the
         unknown's own side; returns the right-hand side."""
         ncb, nsb = self.ncb, self.nsb
-        loc = self.local_coords(self.vol_pts)
-        self.phi_k_vol = phi = _batch_eval(self.exps_k, loc)
+        _, _, loc, phi = self.tables(self.vol_deg)
         # traces of the cell basis at the side points of each triangle
         self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
-        loc_side = self.local_coords(self.side_pts_t)
-        self.phi_k_side = _batch_eval(self.exps_k, loc_side)
+        _, _, loc_side, self.phi_k_side = self.rule_tables(self.side_pts_t)
         w = self.vol_w[..., None, None]
         ng = self.ng
         eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
@@ -451,8 +474,7 @@ class HhoSpace:
         D = D / self.h_t[:, None, None]
         Dt = D.transpose(0, 2, 1)
         nt, nk1 = D.shape[0], self.nk1
-        mean = np.einsum("tq,tqi->ti", self.vol_w,
-                         self.cell_eval(self.exps_k1, self.vol_pts))
+        mean = np.einsum("tq,tqi->ti", self.vol_w, self._phi_k1_vol())
         aug = np.zeros((nt, nk1 + 1, nk1 + 1))
         aug[:, :nk1, :nk1] = Dt @ self.grad_gram @ D
         aug[:, :nk1, nk1] = mean
@@ -471,8 +493,7 @@ class HhoSpace:
         delta_S v = Pi_S^k (R v)|_S - v_S, (nt, 3, m, nsb), with the
         projections on the geometry rules."""
         n, m = v_loc.shape[:2]
-        rv = np.einsum("tqi,tmi->tqm",
-                       self.cell_eval(self.exps_k1, self.vol_pts), r)
+        rv = np.einsum("tqi,tmi->tqm", self._phi_k1_vol(), r)
         d_k = self.project_cells(self.vol_w, self.phi_k_vol, rv)[1] \
             - v_loc[..., :self.ncb]
         rv = np.einsum("tjqi,tmi->tjqm",
@@ -485,31 +506,29 @@ class HhoSpace:
     # -- energy-rule data (degree depends on the density) ---------------------------
 
     def energy_data(self, degree):
-        degree = max(degree, 2 * (self.k + 1))
-        if degree not in self._energy_cache:
-            pts, w = self.volume_rule(degree)
-            loc = self.local_coords(pts)
-            # B[t, q, :, l] is G applied to the l-th local unit vector
-            B = self.grad_values(loc, _batch_eval(self.exps_k, loc),
-                                 self.G_op.transpose(0, 2, 1))
-            B = np.ascontiguousarray(B.transpose(0, 1, 3, 2))
-            # loc and its P_k table are not kept (about 3% of the peak RSS)
-            self._energy_cache[degree] = {"pts": pts, "w": w, "B": B}
-        return self._energy_cache[degree]
+        """The energy table "B" (nt, nq, 2, nloc), G of each local unit
+        vector, with "pts" and "w" of ``tables(degree)``, kept like them."""
+        if ("B", degree) not in self._tables:
+            pts, w, loc, phi = self.tables(degree)
+            B = self.grad_values(loc, phi, self.G_op.transpose(0, 2, 1))
+            self._tables["B", degree] = {
+                "pts": pts, "w": w,
+                "B": np.ascontiguousarray(B.transpose(0, 1, 3, 2))}
+        return self._tables["B", degree]
 
     def stab_data(self, p):
         """The table of s_l for the exponent ``p``, on the side rule of
-        ``stabilization_degree`` (stabilized spaces only, cached per p):
-        "B" (nt, 3, nq, nloc), the responses of S_{K,S} at the side points,
-        and "w" (nt, 3, nq), the weights h_S^(2-p) w_ref, that is the rule
-        on the side (h_S w_ref) times h_S^(1-p)."""
-        if p not in self._stab_cache:
+        ``stabilization_degree`` (stabilized spaces only, kept like
+        :meth:`tables`): "B" (nt, 3, nq, nloc), the responses of S_{K,S}
+        at the side points, and "w" (nt, 3, nq), the weights
+        h_S^(2-p) w_ref, the rule on the side (h_S w_ref) times h_S^(1-p)."""
+        if ("S", p) not in self._tables:
             _, w_ref, chi = self.side_rule(stabilization_degree(self.k, p))
             h = self.h_f[self.sot]
-            self._stab_cache[p] = {
+            self._tables["S", p] = {
                 "B": np.einsum("qn,tjnl->tjql", chi, self.S_op),
                 "w": h[..., None] ** (2.0 - p) * w_ref}
-        return self._stab_cache[p]
+        return self._tables["S", p]
 
     # -- projection and interpolation ----------------------------------------
 
@@ -519,12 +538,13 @@ class HhoSpace:
         points (n, ..., 2) in the triangles ``tri``, which are all
         triangles for the cell points and each side's T_plus for the side
         points."""
-        pts, w = self.volume_rule(degree)
+        # a kept table is read, but none is kept for the prolongation
+        pts, w, _, phi = self._tables.get(degree) \
+            or self.rule_tables(*self.volume_rule(degree))
         spts, w_ref, chi = self.side_rule(degree)
         v = self.zero_vector()
         v.cells[:] = self.project_cells(
-            w, self.cell_eval(self.exps_k, pts),
-            values(pts, np.arange(self.mesh.num_triangles)))[1]
+            w, phi, values(pts, np.arange(self.mesh.num_triangles)))[1]
         v.sides[:] = self.project_sides(
             w_ref, chi, values(spts, self.mesh.adjacency[:, 0]))[1]
         return v
@@ -596,10 +616,10 @@ class HhoSpace:
         qF = np.linalg.solve(gram, np.einsum(                # (ns, nsb, m)
             "q,qi,sqm->sim", self.side_wref, self.chi_ref, resid))
 
-        def w_and_sides(pts, lam):
-            """w plus the three side bubbles at points (nt, n, 2) with
-            barycentric coordinates lam (n, 3); q_F is extended constant
-            along the side's normal."""
+        def side_bubbles(pts, lam):
+            """The three side bubbles at points (nt, n, 2) with barycentric
+            coordinates lam (n, 3); q_F is extended constant along the
+            side's normal."""
             corr = np.zeros(pts.shape[:-1] + (m,))
             for j in range(3):
                 s = self.sot[:, j]
@@ -607,7 +627,7 @@ class HhoSpace:
                                   self.s_tang[s]) / self.h_f[s][:, None]
                 corr += (lam[:, (j + 1) % 3] * lam[:, (j + 2) % 3])[:, None] \
                     * np.einsum("tnl,tlm->tnm", _powers(t_par, k), qF[s])
-            return w.at_points(pts) + corr
+            return corr
 
         # cell bubble b_T q_T with Pi_T^k (w + side bubbles + b_T q_T) = v_T;
         # the reference rule's (x, y) are lambda_1 and lambda_2
@@ -615,7 +635,8 @@ class HhoSpace:
         lam = np.column_stack([1.0 - ref[:, 0] - ref[:, 1], ref])
         phi = self.phi_k_vol
         resid = (np.einsum("tmi,tqi->tqm", v.cells, phi)
-                 - w_and_sides(self.vol_pts, lam))
+                 - (np.einsum("tqi,tmi->tqm", self._phi_k1_vol(), w.coeffs)
+                    + side_bubbles(self.vol_pts, lam)))
         qT = np.linalg.solve(                                # (nt, ncb, m)
             np.einsum("tq,q,tqi,tqj->tij", self.vol_w, lam.prod(axis=-1),
                       phi, phi),
@@ -625,7 +646,8 @@ class HhoSpace:
         lam = lattice_nodes(k + 3) / (k + 3)
         nodes = affine_rule(self.corners, lam[:, 1:])
         vand = self.cell_eval(self.exps_k3, nodes)           # (nt, nn3, nk3)
-        vals = w_and_sides(nodes, lam) + lam.prod(axis=-1)[:, None] \
+        vals = w.at_points(nodes) + side_bubbles(nodes, lam) \
+            + lam.prod(axis=-1)[:, None] \
             * np.einsum("tni,tim->tnm", vand[..., :self.ncb], qT)
         return PiecewisePoly(self, k + 3, np.linalg.solve(
             vand, vals).transpose(0, 2, 1))

@@ -444,7 +444,8 @@ def read_mesh(path):
     raises :class:`MeshError`.  The side rows must list every side of the
     mesh exactly once.
     """
-    with open(path, encoding="ascii") as fh:
+    # a non-ASCII byte reads as U+FFFD, which no header, value or label parses
+    with open(path, encoding="ascii", errors="replace") as fh:
         lines = [ln for ln in fh if not ln.isspace()]
     try:
         head = lines[0].replace("/", " ").split()

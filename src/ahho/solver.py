@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 from .densities import p_laplace
 from .hho import STABILIZED, GradField, HhoVector, _as_components, \
-    _batch_eval, _values_at, lp_integral
+    _values_at, lp_integral
 
 # Armijo trials per line search, the sufficient-decrease constant and the
 # step reduction of each trial, and consecutive stalled Newton steps
@@ -218,8 +218,8 @@ class DiscreteProblem(TermProblem):
         self.f_osc = np.zeros(mesh.num_triangles)
         self.zeta_osc = np.zeros(mesh.num_triangles)
         self.g_osc = np.zeros(mesh.num_sides)
-        pts, w = space.volume_rule(self.data_degree)
-        phi = space.cell_eval(space.exps_k, pts)
+        pts, w, _, phi = space.rule_tables(
+            *space.volume_rule(self.data_degree))
         if self.f is not None:
             fv = _values_at(self.f, pts, m)
             mom, pif = space.project_cells(w, phi, fv)
@@ -310,10 +310,8 @@ class DiscreteProblem(TermProblem):
         at the energy rule, and its defect per triangle (nt,)
         int_T |sigma - DW(G u)|^p' on that rule."""
         space = self.space
-        w, pts = self._ed["w"], self._ed["pts"]
+        _, w, loc, phi = space.tables(self.energy_degree)
         dW = self.density.dw(self._grad_values(u))
-        loc = space.local_coords(pts)
-        phi = _batch_eval(space.exps_k, loc)
         coeffs = np.linalg.solve(space.grad_gram, space.grad_moments(
             loc, phi, w[..., None, None] * dW)).transpose(0, 2, 1)
         defect = lp_integral(w, space.grad_values(loc, phi, coeffs) - dW,

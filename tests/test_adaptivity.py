@@ -521,3 +521,37 @@ def test_zero_estimator_implies_consistency():
     from ahho.diagnostics import data_oscillations
     osc_f, osc_g, osc_z = data_oscillations(problem)
     assert osc_f == 0.0 and osc_g < 1e-12 and osc_z == 0.0
+
+
+@pytest.mark.parametrize("name, k", [("p-laplace-lshape", 1),
+                                     ("two-well-rect", 0)])
+def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
+    """Within one level of the loop no basis table is built twice: every
+    call of ``_batch_eval`` (in ``ahho.hho`` and wherever a module holds
+    a copy) is keyed by the basis size and a digest of the local
+    coordinates, and no key repeats before the next level starts."""
+    import hashlib
+
+    import ahho.diagnostics as diagnostics
+    import ahho.hho as hho
+    import ahho.solver as solver
+    from ahho.benchmarks import get_benchmark
+    levels = []
+    batch_eval = hho._batch_eval
+
+    def counted(exps, loc):
+        levels[-1].append((len(exps), loc.shape,
+                           hashlib.sha1(loc.tobytes()).hexdigest()))
+        return batch_eval(exps, loc)
+
+    for module in (hho, solver, diagnostics):
+        if hasattr(module, "_batch_eval"):
+            monkeypatch.setattr(module, "_batch_eval", counted)
+    bench = get_benchmark(name)
+    make_problem = bench.make_problem
+    bench.make_problem = lambda *a: levels.append([]) or make_problem(*a)
+    records = run_ahho(bench, k, EstimatorParams(
+        eps=(k + 1) / 100.0, kind=bench.indicator_kind), max_ndof=600)
+    assert len(records) == len(levels) >= 3
+    for level, keys in enumerate(levels):
+        assert len(set(keys)) == len(keys), level

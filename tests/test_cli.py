@@ -453,3 +453,23 @@ def test_companion_only_where_read(tmp_path, monkeypatch, name, unread):
     levels = len((out / "convergence.csv").read_text().splitlines()) - 1
     assert levels >= 3
     assert len(calls) == levels - unread
+
+
+@pytest.mark.parametrize("name, k", [("p-laplace-lshape", 1),
+                                     ("two-well-rect", 0)])
+def test_no_table_kept_past_its_level(name, k):
+    """The loop releases each level's kept tables once its record is
+    made, also those of the coarse space whose companion the next level
+    builds late (two-well: no conjugate), and the reports once the row
+    is made: no record's space holds a table afterwards."""
+    from ahho.adaptivity import EstimatorParams, run_ahho
+    from ahho.benchmarks import get_benchmark
+    from ahho.cli import build_reports
+    bench = get_benchmark(name)
+    records = run_ahho(bench, k, EstimatorParams(
+        eps=(k + 1) / 100.0, kind=bench.indicator_kind), max_ndof=600)
+    assert len(records) >= 3
+    assert not any(r.problem.space._tables for r in records)
+    rows = build_reports(records, bench)
+    assert all(row["leb"] is not None for row in rows)
+    assert not any(r.problem.space._tables for r in records)

@@ -167,7 +167,9 @@ def test_energy_table_matches_padded_contraction(variant, k):
 def test_triangle_rule_and_local_coords_match_broadcast_formulas():
     """``volume_rule`` and ``local_coords``: the per-component affine
     maps give the same bits as the maps broadcast over the trailing axis
-    of length 2."""
+    of length 2.  ``tables(d)`` is ``volume_rule(d)``, its ``local_coords``
+    and their P_k table, bit for bit, and the same objects until
+    ``release_tables``."""
     space = HhoSpace(refine_uniform(lshape_mesh()), 1)
     subset = np.array([5, 1, 1, 20])
     for degree in (3, 9):
@@ -190,6 +192,20 @@ def test_triangle_rule_and_local_coords_match_broadcast_formulas():
         c = space.centroid[tri].reshape((-1,) + (1,) * extra + (2,))
         h = space.h_t[tri].reshape((-1,) + (1,) * (extra + 1))
         assert np.array_equal(space.local_coords(pts, tri), (pts - c) / h)
+    for k in (0, 1, 2):
+        for variant in (RT, STABILIZED):
+            space = HhoSpace(refine_uniform(lshape_mesh()), k,
+                             variant=variant)
+            for degree in (2 * k, space.vol_deg, 2 * k + 8):
+                got = space.tables(degree)
+                pts, w = space.volume_rule(degree)
+                loc = space.local_coords(pts)
+                for a, b in zip(got, (pts, w, loc,
+                                      _batch_eval(space.exps_k, loc))):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert all(a is b for a, b in zip(space.tables(degree), got))
+            space.release_tables()
+            assert space.tables(2 * k + 8)[3] is not got[3]
 
 
 def test_ndof_layout():

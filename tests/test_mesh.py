@@ -750,8 +750,9 @@ def test_read_mesh_rejects_side_list_mismatch(tmp_path):
 
 def test_read_mesh_rejects_malformed_rows(tmp_path):
     """A row with the wrong number of values, a value that does not
-    parse, an unknown label or a bad header is a MeshError, in the first
-    row of a block, in a later one, or in all of them."""
+    parse, an unknown label, a byte outside ASCII or a bad header is a
+    MeshError, in the first row of a block, in a later one, or in all of
+    them."""
     m = refine_uniform(unit_square())
     nv, nt = m.num_vertices, m.num_triangles
     path = tmp_path / "mesh.txt"
@@ -778,6 +779,9 @@ def test_read_mesh_rejects_malformed_rows(tmp_path):
         (edit(first_side + 1, f"{s0} x {lab}"), "side row"),
         (edit(first_side + 1, f"{s0} {s1} {lab} {lab}"), "side row"),
         (edit(first_side + 1, f"{s0} {s1} wall"), "unknown side label"),
+        (edit(first_side + 1, f"{s0} {s1} dirichl\xe9t"),
+         "unknown side label"),
+        (edit(1, f"{x} {y}\xe9"), "vertex row"),
         ([head] + [" ".join(r.split()[:1]) for r in rows[:nv]]
          + rows[nv:], "vertex row"),
         ([head] + rows[:nv] + [" ".join(r.split()[:3])
@@ -789,7 +793,8 @@ def test_read_mesh_rejects_malformed_rows(tmp_path):
         (["vertices 0 / triangles 0 / sides 0"], "bad mesh header"),
     ]
     for lines, match in cases:
-        path.write_text("\n".join(lines) + "\n")
+        # one byte per character, so the e-acute cases hold the byte 0xE9
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         with pytest.raises(MeshError, match=match):
             read_mesh(path)
     # the unedited rows still read back, bit for bit
