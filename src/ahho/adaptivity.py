@@ -232,6 +232,13 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
     it must implement ``initial_mesh()`` and ``make_problem(mesh, k,
     variant)`` returning a DiscreteProblem.  Returns a list of
     LevelRecord, one per computed level.
+
+    A level's space is released (``HhoSpace.release_tables``) once its
+    companion exists: right after its record when the density has a
+    convex conjugate, otherwise right after the next level built the
+    companion for its prolongation, and the last level when the loop
+    ends.  The Newton tables of every level's problem stay until the
+    loop returns; a returned record builds them again on first use.
     """
     if mode not in ("adaptive", "uniform"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -268,8 +275,8 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
                           eta, stab, sol, problem, sigma, J, est,
                           time.perf_counter() - t0, sol.converged)
         records.append(rec)
-        # the tables this level read would otherwise stay with its record
-        space.release_tables()
+        if J is not None:
+            space.release_tables()
         if not sol.converged:
             break
         if eta <= 1e-16 * (1.0 + abs(sol.energy)):
@@ -282,4 +289,7 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
                 break
             mesh = mesh.refine_nvb(marked)
         prev = rec
+    for rec in records:
+        rec.problem.space.release_tables()
+        rec.problem.release_tables()
     return records

@@ -25,9 +25,15 @@ their integer lattice weights (:func:`lagrange_node_ids`), plus side and
 cell bubble corrections, interpolated at the P_{k+3} lattice.
 
 Full-mesh callers read a volume rule with its local coordinates and P_k
-table from :meth:`HhoSpace.tables`, kept with the P_{k+1}, energy and
-stabilization tables for one level: the loop and the reports call
-:meth:`HhoSpace.release_tables` once its record, and its row, is made.
+table from :meth:`HhoSpace.tables`.  One level cache keeps these with
+the P_{k+1}, energy and stabilization tables and the construction-only
+operators (``R_op``, ``grad_gram``, the side-point tables ``side_pts_t``
+and ``phi_k_side``, and the geometry rule ``vol_pts``, ``vol_w``,
+``phi_k_vol``); :meth:`HhoSpace.release_tables` drops them all, and each
+is built again, bit for bit, on its next read.  What a finished level's
+report reads stays: ``G_op``, ``S_op``, ``loc2glob`` and the geometry.
+The adaptive loop releases a level once its companion exists, and the
+reports once its row is made.
 """
 
 from __future__ import annotations
@@ -251,18 +257,20 @@ class HhoSpace:
         # the gradient space: RT_k, or P_k(T; R^2) when stabilized
         self.ng = (k + 1) * (k + 3) if variant == RT else 2 * self.ncb
 
-        # volume geometry rule, exact to degree 2k+3, and its P_k table
+        # the volume geometry rule is exact to degree 2k+3 (``vol_pts``,
+        # ``vol_w`` and ``phi_k_vol`` read its kept table), the side
+        # geometry rule to degree 2k+2
         self.vol_deg = 2 * k + 3
         self._tables = {}
-        self.vol_pts, self.vol_w, _, self.phi_k_vol = self.tables(self.vol_deg)
-        # side geometry rule, exact to degree 2k+2
         self.side_deg = 2 * k + 2
         self.side_pts, self.side_wref, self.chi_ref = self.side_rule(
             self.side_deg)
         self.side_w = self.h_f[:, None] * self.side_wref[None, :]
 
         self._build_local_maps()
-        self._build_potential_op(self._build_gradient_op())
+        rhs = self._gradient_rhs()
+        self.G_op = np.linalg.solve(self.grad_gram, rhs)   # (nt, ng, nloc)
+        self._kept("R", lambda: self._potential_op(rhs))
         if variant == STABILIZED:
             # S_{K,S} v = (delta_K v)|_S - delta_S v from the residuals of
             # the local unit vectors; delta_K v is in P_k, so the side
@@ -320,22 +328,80 @@ class HhoSpace:
         loc = self.local_coords(pts, tri)
         return pts, w, loc, _batch_eval(self.exps_k, loc)
 
+    # -- the level cache ---------------------------------------------------------
+
+    def _kept(self, key, build):
+        """The level-cache entry ``key``: ``build()`` on the first read
+        after the space is made or released, then kept."""
+        if key not in self._tables:
+            self._tables[key] = build()
+        return self._tables[key]
+
+    def release_tables(self):
+        """Drop every kept table and construction-only operator; the next
+        read builds it again, bit for bit."""
+        self._tables.clear()
+
     def tables(self, degree):
         """:meth:`rule_tables` of the volume rule exact to ``degree`` on all
         triangles, kept until :meth:`release_tables`."""
-        if degree not in self._tables:
-            self._tables[degree] = self.rule_tables(*self.volume_rule(degree))
-        return self._tables[degree]
+        return self._kept(degree, lambda: self.rule_tables(
+            *self.volume_rule(degree)))
 
     def _phi_k1_vol(self):
         """The P_{k+1} table at the geometry rule, kept like :meth:`tables`."""
-        if "k1" not in self._tables:
-            self._tables["k1"] = self.cell_eval(self.exps_k1, self.vol_pts)
-        return self._tables["k1"]
+        return self._kept("k1", lambda: self.cell_eval(self.exps_k1,
+                                                       self.vol_pts))
 
-    def release_tables(self):
-        """Drop every kept table; the next request builds it again."""
-        self._tables.clear()
+    def _side_tables(self):
+        """:meth:`rule_tables` of the side geometry rule seen from each
+        triangle, points (nt, 3, nqs, 2), kept like :meth:`tables`."""
+        return self._kept("side", lambda: self.rule_tables(
+            self.side_pts[self.sot]))
+
+    @property
+    def vol_pts(self):
+        """Points (nt, nq, 2) of the volume geometry rule."""
+        return self.tables(self.vol_deg)[0]
+
+    @property
+    def vol_w(self):
+        """Weights (nt, nq) of the volume geometry rule."""
+        return self.tables(self.vol_deg)[1]
+
+    @property
+    def phi_k_vol(self):
+        """The P_k table (nt, nq, ncb) at the volume geometry rule."""
+        return self.tables(self.vol_deg)[3]
+
+    @property
+    def side_pts_t(self):
+        """The side geometry rule's points seen from each triangle."""
+        return self._side_tables()[0]
+
+    @property
+    def phi_k_side(self):
+        """The P_k table (nt, 3, nqs, ncb) at :attr:`side_pts_t`."""
+        return self._side_tables()[3]
+
+    @property
+    def grad_gram(self):
+        """The gradient-space Gram matrix (nt, ng, ng) on the geometry
+        rule, kept like :meth:`tables`."""
+        def build():
+            _, w, loc, phi = self.tables(self.vol_deg)
+            ng = self.ng
+            eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
+            return self.grad_moments(
+                loc, phi, w[..., None, None] * self.grad_values(loc, phi, eye))
+        return self._kept("gram", build)
+
+    @property
+    def R_op(self):
+        """The potential reconstruction (nt, nk1, nloc), kept like
+        :meth:`tables`."""
+        return self._kept("R", lambda: self._potential_op(
+            self._gradient_rhs()))
 
     def cell_eval(self, exps, pts, tri=slice(None)):
         return _batch_eval(exps, self.local_coords(pts, tri))
@@ -423,39 +489,33 @@ class HhoSpace:
         gram = np.einsum("q,qi,qj->ij", w_ref, chi, chi)
         return mom, np.linalg.solve(gram, mom[..., None])[..., 0]
 
-    # -- P_k tables at the geometry rules, gradient reconstruction ----------------
+    # -- gradient reconstruction ---------------------------------------------------
 
-    def _build_gradient_op(self):
-        """The P_k table at the side points, and G from
+    def _gradient_rhs(self):
+        """The right-hand side (nt, ng, nloc) of G, from
         (G v, tau)_T = (grad v_T, tau)_T + sum_F (v_F - v_T, tau . nu_F)_F,
         where v_F - v_T is -phi_l for a cell unknown l and chi_n on the
-        unknown's own side; returns the right-hand side."""
+        unknown's own side; G solves it with :attr:`grad_gram`."""
         ncb, nsb = self.ncb, self.nsb
-        _, _, loc, phi = self.tables(self.vol_deg)
+        _, w, loc, phi = self.tables(self.vol_deg)
         # traces of the cell basis at the side points of each triangle
-        self.side_pts_t = self.side_pts[self.sot]     # (nt, 3, nqs, 2)
-        _, _, loc_side, self.phi_k_side = self.rule_tables(self.side_pts_t)
-        w = self.vol_w[..., None, None]
-        ng = self.ng
-        eye = np.broadcast_to(np.eye(ng), (len(loc), ng, ng))
-        self.grad_gram = self.grad_moments(
-            loc, phi, w * self.grad_values(loc, phi, eye))
-        trace = np.zeros(self.phi_k_side.shape[:-1] + (self.nloc,))
-        trace[..., :ncb] = -self.phi_k_side
+        _, _, loc_side, phi_side = self._side_tables()
+        trace = np.zeros(phi_side.shape[:-1] + (self.nloc,))
+        trace[..., :ncb] = -phi_side
         for j in range(3):
             trace[:, j, :, ncb + j * nsb:ncb + (j + 1) * nsb] = self.chi_ref
         wside = self.h_f[self.sot][..., None, None] * self.side_wref[:, None]
         rhs = self.grad_moments(
-            loc_side, self.phi_k_side,
+            loc_side, phi_side,
             (wside * trace)[..., None] * self.nu[:, :, None, None])
         rhs[:, :, :ncb] += self.grad_moments(
-            loc, phi, w * _batch_grad(self.exps_k, loc, self.h_t))
-        self.G_op = np.linalg.solve(self.grad_gram, rhs)   # (nt, ng, nloc)
+            loc, phi, w[..., None, None] * _batch_grad(self.exps_k, loc,
+                                                       self.h_t))
         return rhs
 
     # -- potential reconstruction --------------------------------------------------
 
-    def _build_potential_op(self, rhs_g):
+    def _potential_op(self, rhs_g):
         """grad R v is the L2 projection of G v onto grad P_{k+1}, a
         subspace of the gradient space, and R v has the mean of v_K:
         [D^T M D, mean; mean^T, 0] R = [D^T rhs_g; int phi_k] with M the
@@ -482,7 +542,7 @@ class HhoSpace:
         rhs_aug = np.zeros((nt, nk1 + 1, self.nloc))
         rhs_aug[:, :nk1] = Dt @ rhs_g
         rhs_aug[:, nk1, :self.ncb] = mean[:, :self.ncb]
-        self.R_op = np.linalg.solve(aug, rhs_aug)[:, :nk1]  # (nt, nk1, nloc)
+        return np.linalg.solve(aug, rhs_aug)[:, :nk1]
 
     # -- HHO residuals -------------------------------------------------------
 
@@ -508,13 +568,12 @@ class HhoSpace:
     def energy_data(self, degree):
         """The energy table "B" (nt, nq, 2, nloc), G of each local unit
         vector, with "pts" and "w" of ``tables(degree)``, kept like them."""
-        if ("B", degree) not in self._tables:
+        def build():
             pts, w, loc, phi = self.tables(degree)
             B = self.grad_values(loc, phi, self.G_op.transpose(0, 2, 1))
-            self._tables["B", degree] = {
-                "pts": pts, "w": w,
-                "B": np.ascontiguousarray(B.transpose(0, 1, 3, 2))}
-        return self._tables["B", degree]
+            return {"pts": pts, "w": w,
+                    "B": np.ascontiguousarray(B.transpose(0, 1, 3, 2))}
+        return self._kept(("B", degree), build)
 
     def stab_data(self, p):
         """The table of s_l for the exponent ``p``, on the side rule of
@@ -522,13 +581,12 @@ class HhoSpace:
         :meth:`tables`): "B" (nt, 3, nq, nloc), the responses of S_{K,S}
         at the side points, and "w" (nt, 3, nq), the weights
         h_S^(2-p) w_ref, the rule on the side (h_S w_ref) times h_S^(1-p)."""
-        if ("S", p) not in self._tables:
+        def build():
             _, w_ref, chi = self.side_rule(stabilization_degree(self.k, p))
             h = self.h_f[self.sot]
-            self._tables["S", p] = {
-                "B": np.einsum("qn,tjnl->tjql", chi, self.S_op),
-                "w": h[..., None] ** (2.0 - p) * w_ref}
-        return self._tables["S", p]
+            return {"B": np.einsum("qn,tjnl->tjql", chi, self.S_op),
+                    "w": h[..., None] ** (2.0 - p) * w_ref}
+        return self._kept(("S", p), build)
 
     # -- projection and interpolation ----------------------------------------
 

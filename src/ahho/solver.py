@@ -13,6 +13,14 @@ same energy over the vertex values.  Constrained (Dirichlet) dofs are
 eliminated: the optimizer acts on the free dofs only, so prescribed
 values are met exactly.
 
+The hybrid problem's terms hold its Newton tables (the energy table B,
+the stabilization table and the L2 term's table).  They are built with
+the problem and kept through the adaptive loop, which drops them
+(:meth:`DiscreteProblem.release_tables`) when it returns: a finished
+level keeps its load, oscillations and Dirichlet values, and the
+energy, gradient, Hessian and stress of a returned record build the
+terms again, bit for bit, on first use.
+
 One optimizer, damped Newton with a regularization ladder and an Armijo
 search (:func:`optimize`), minimizes every discrete energy through
 :func:`minimize`.
@@ -20,7 +28,9 @@ search (:func:`optimize`), minimizes every discrete energy through
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
@@ -198,6 +208,9 @@ class DiscreteProblem(TermProblem):
         self.data_degree = self.energy_degree + 4
 
         self._assemble_static()
+        # the Newton tables, built now (the prolongation reads the energy
+        # rule's kept table) and again on first use after a release
+        self._terms
 
     # -- static data -------------------------------------------------------------
 
@@ -255,17 +268,8 @@ class DiscreteProblem(TermProblem):
         self.free_mask[self.dirichlet_idx] = False
         self.free_idx = np.nonzero(self.free_mask)[0]
 
-        self._ed = space.energy_data(self.energy_degree)
-        # the energy terms (T, w, density): the density on G v, and when
-        # stabilized s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p
-        self._terms = [(self._ed["B"], self._ed["w"], self.density)]
-        if self.stabilized:
-            sd = space.stab_data(self.p)
-            nt, _, _, nloc = sd["B"].shape
-            self._terms.append((sd["B"].reshape(nt, -1, 1, nloc),
-                                sd["w"].reshape(nt, -1), p_laplace(self.p)))
-        # 0.5*l2_weight*||zeta - v_T||^2: |v_T|^2/2 at a rule exact for
-        # it, l2_weight*int zeta phi_i in the load, and the rest constant
+        # 0.5*l2_weight*||zeta - v_T||^2: l2_weight*int zeta phi_i in the
+        # load, int zeta^2 in the constant, and |v_T|^2/2 an energy term
         self.constant = 0.0
         if self.l2_weight > 0.0:
             zv = _values_at(self.l2_data, pts, m)
@@ -275,10 +279,39 @@ class DiscreteProblem(TermProblem):
                 np.einsum("tq,tqm,tqm->", w, zv, zv))
             self.zeta_osc = lp_integral(
                 w, zv - np.einsum("tqi,tmi->tqm", phi, piz), 2.0)
+
+    # -- Newton tables ---------------------------------------------------------------
+
+    @property
+    def _ed(self):
+        """``space.energy_data`` at the energy rule: "pts", "w" and B."""
+        return self.space.energy_data(self.energy_degree)
+
+    @functools.cached_property
+    def _terms(self):
+        """The energy terms (T, w, density), built with the problem and
+        again on first use after :meth:`release_tables`: the density on
+        G v, s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p when
+        stabilized, and |v_T|^2/2 at a rule exact for it when
+        l2_weight > 0."""
+        space = self.space
+        terms = [(self._ed["B"], self._ed["w"], self.density)]
+        if self.stabilized:
+            sd = space.stab_data(self.p)
+            nt, _, _, nloc = sd["B"].shape
+            terms.append((sd["B"].reshape(nt, -1, 1, nloc),
+                          sd["w"].reshape(nt, -1), p_laplace(self.p)))
+        if self.l2_weight > 0.0:
             pts_k, w_k = space.volume_rule(2 * space.k)
             T = np.zeros(w_k.shape + (1, space.nloc))
             T[:, :, 0, :space.ncb] = space.cell_eval(space.exps_k, pts_k)
-            self._terms.append((T, self.l2_weight * w_k, p_laplace(2.0)))
+            terms.append((T, self.l2_weight * w_k, p_laplace(2.0)))
+        return terms
+
+    def release_tables(self):
+        """Drop the Newton tables (the terms); the next energy, gradient,
+        Hessian or stress builds them again, bit for bit."""
+        self.__dict__.pop("_terms", None)
 
     def dirichlet_data_on(self, sides):
         """u_dirichlet at the data rule on constrained ``sides``,
@@ -368,14 +401,16 @@ def _colamd_order(key, n):
     """SuperLU's column order (``perm_c`` of ``splu``, COLAMD with the
     elimination-tree postorder) for the sorted entry keys of a
     structurally symmetric n x n pattern.  COLAMD reads the structure
-    only; the diagonally dominant values keep the factorization that
-    returns it from breaking down."""
+    only, so the incomplete factorization ``spilu`` with ``drop_tol=1``
+    and ``fill_factor=1`` returns the ``perm_c`` of ``splu`` in about two
+    thirds of its time; the diagonally dominant values keep it from
+    breaking down."""
     indptr, indices = _csc_structure(key, n)
     counts = np.diff(indptr)
     cols = np.repeat(np.arange(n), counts)
     data = np.where(indices == cols, counts[cols], -1.0)
     A = sp.csc_matrix((data, indices, indptr), shape=(n, n))
-    return spla.splu(A).perm_c.astype(np.int32)
+    return spla.spilu(A, drop_tol=1, fill_factor=1).perm_c.astype(np.int32)
 
 
 class CondensedHessian:

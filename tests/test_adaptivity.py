@@ -529,7 +529,11 @@ def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
     """Within one level of the loop no basis table is built twice: every
     call of ``_batch_eval`` (in ``ahho.hho`` and wherever a module holds
     a copy) is keyed by the basis size and a digest of the local
-    coordinates, and no key repeats before the next level starts."""
+    coordinates, and no key repeats before the next level starts.  Nor
+    is an entry of a space's level cache (tables, operators, energy
+    tables) built twice.  A companion built late (two-well: no
+    conjugate, so the next level builds it for its prolongation) counts
+    for the level of its space."""
     import hashlib
 
     import ahho.diagnostics as diagnostics
@@ -537,21 +541,94 @@ def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
     import ahho.solver as solver
     from ahho.benchmarks import get_benchmark
     levels = []
+    building = []           # the level of the space at work
+    level_of = {}           # id of each level's space -> its level
     batch_eval = hho._batch_eval
+    init, kept, companion = HhoSpace.__init__, HhoSpace._kept, \
+        HhoSpace.companion
 
     def counted(exps, loc):
-        levels[-1].append((len(exps), loc.shape,
-                           hashlib.sha1(loc.tobytes()).hexdigest()))
+        levels[building[-1]].append(
+            (len(exps), loc.shape, hashlib.sha1(loc.tobytes()).hexdigest()))
         return batch_eval(exps, loc)
+
+    def counted_init(self, *a, **kw):
+        levels.append([])
+        level_of[id(self)] = len(levels) - 1
+        building[:] = [len(levels) - 1]
+        init(self, *a, **kw)
+
+    def counted_kept(self, key, build):
+        if key not in self._tables:
+            levels[level_of[id(self)]].append(("kept", key))
+        return kept(self, key, build)
+
+    def own_level(self, v):
+        building.append(level_of[id(self)])
+        try:
+            return companion(self, v)
+        finally:
+            building.pop()
 
     for module in (hho, solver, diagnostics):
         if hasattr(module, "_batch_eval"):
             monkeypatch.setattr(module, "_batch_eval", counted)
+    monkeypatch.setattr(HhoSpace, "__init__", counted_init)
+    monkeypatch.setattr(HhoSpace, "_kept", counted_kept)
+    monkeypatch.setattr(HhoSpace, "companion", own_level)
     bench = get_benchmark(name)
-    make_problem = bench.make_problem
-    bench.make_problem = lambda *a: levels.append([]) or make_problem(*a)
     records = run_ahho(bench, k, EstimatorParams(
         eps=(k + 1) / 100.0, kind=bench.indicator_kind), max_ndof=600)
     assert len(records) == len(levels) >= 3
     for level, keys in enumerate(levels):
         assert len(set(keys)) == len(keys), level
+
+
+@pytest.mark.parametrize("name, k", [("p-laplace-lshape", 1),
+                                     ("two-well-rect", 0)])
+def test_finished_levels_keep_only_what_reports_read(name, k):
+    """Once ``run_ahho`` returns, no record's space holds a table or a
+    construction-only operator and no record's problem holds a Newton
+    table; G, which the reports read, stays."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark(name)
+    records = run_ahho(bench, k, EstimatorParams(
+        eps=(k + 1) / 100.0, kind=bench.indicator_kind), max_ndof=600)
+    assert len(records) >= 3
+    for rec in records:
+        space = rec.problem.space
+        assert not space._tables
+        assert not {"R_op", "grad_gram", "phi_k_side", "side_pts_t",
+                    "vol_pts", "vol_w", "phi_k_vol"} & set(vars(space))
+        assert not {"_terms", "_ed"} & set(vars(rec.problem))
+        assert space.G_op.shape == (space.mesh.num_triangles, space.ng,
+                                    space.nloc)
+
+
+@pytest.mark.parametrize("name, k, variant", [
+    ("p-laplace-lshape", 1, RT), ("p-laplace-lshape", 1, STABILIZED),
+    ("two-well-rect", 0, RT), ("fhm-rect", 1, STABILIZED)])
+def test_released_records_rebuild_bit_for_bit(name, k, variant):
+    """A returned record builds its tables and operators again on first
+    use: the energy, sigma and the companion are bitwise what the loop
+    computed before the release (the companion, without a conjugate,
+    what a problem freshly made on the record's mesh computes), and so
+    are the stress defect and the Newton system."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark(name)
+    records = run_ahho(bench, k, EstimatorParams(
+        eps=(k + 1) / 100.0, kind=bench.indicator_kind), max_ndof=600,
+        variant=variant)
+    assert len(records) >= 3
+    for rec in records:
+        problem, u = rec.problem, rec.solution.u
+        fresh = bench.make_problem(problem.space.mesh, k, variant)
+        assert problem.energy(u) == rec.energy == fresh.energy(u)
+        sigma, defect = problem.discrete_stress(u)
+        assert np.array_equal(sigma.coeffs, rec.sigma.coeffs)
+        assert np.array_equal(defect, fresh.discrete_stress(u)[1])
+        assert np.array_equal(problem.energy_hessian(u).H,
+                              fresh.energy_hessian(u).H)
+        J = problem.space.companion(u)
+        want = rec.companion or fresh.space.companion(u)
+        assert np.array_equal(J.coeffs, want.coeffs)
