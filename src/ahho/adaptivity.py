@@ -162,8 +162,11 @@ def estimate(problem, u, stress_defect, params):
 def mark_doerfler(values, theta):
     """Minimal-cardinality set M with sum over M >= theta * total.
 
-    Greedy on descending values is optimal for this objective; ties are
-    broken by the lower triangle index for determinism.
+    Greedy on descending values is optimal for this objective.  The
+    values are ordered snapped to a grid of 1e-12 times the largest, with
+    ties broken by the lower triangle index, so that indicators equal in
+    exact arithmetic (on symmetric meshes) are not ordered by their
+    rounding errors; the exact values are summed for the threshold.
     """
     if not (0 < theta < 1):
         raise ValueError("requires 0 < theta < 1")
@@ -173,7 +176,8 @@ def mark_doerfler(values, theta):
     total = values.sum()
     if total <= 0.0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((np.arange(len(values)), -values))
+    snapped = np.round(values / (1e-12 * values.max()))
+    order = np.lexsort((np.arange(len(values)), -snapped))
     csum = np.cumsum(values[order])
     count = int(np.searchsorted(csum, theta * total - 1e-14 * total) + 1)
     return np.sort(order[:count])

@@ -243,6 +243,20 @@ def test_doerfler_feasibility_and_ties():
     assert set(marked) == {0, 1}  # ties broken by index
 
 
+def test_doerfler_ties_survive_rounding():
+    """Indicators equal in exact arithmetic but perturbed by 1e-15
+    relative, as rounding leaves them on a symmetric mesh, are marked as
+    the exact ties are: by the lower index."""
+    rng = np.random.default_rng(5)
+    exact = np.array([0.7, 3.0, 2.0, 0.7, 2.0, 1.0, 2.0, 2.0, 0.7, 1.0])
+    for theta in (0.3, 0.5, 0.7, 0.9):
+        want = mark_doerfler(exact, theta)
+        for _ in range(200):
+            noisy = exact * (1.0 + 1e-15 * rng.uniform(-1.0, 1.0, len(exact)))
+            assert np.array_equal(mark_doerfler(noisy, theta), want)
+    assert set(mark_doerfler(exact, 0.5)) == {1, 2, 4, 6}
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_doerfler_rejects_non_finite(bad):
     with pytest.raises(ValueError, match="indicators must be finite"):
