@@ -15,7 +15,6 @@ from .mesh import _signed_area
 from .solver import minimize
 
 STANDARD = "standard"
-TWO_WELL = "two-well"
 FHM_VARIANT = "fhm"
 
 
@@ -23,12 +22,12 @@ FHM_VARIANT = "fhm"
 class EstimatorParams:
     eps: float
     theta: float = 0.5
-    kind: str = STANDARD        # standard | two-well | fhm
+    kind: str = STANDARD        # standard | fhm
 
     def validate(self, k, p, variant):
-        if self.kind not in (STANDARD, TWO_WELL, FHM_VARIANT):
+        if self.kind not in (STANDARD, FHM_VARIANT):
             raise ValueError(f"unknown estimator kind {self.kind!r}; expected "
-                             f"{STANDARD!r}, {TWO_WELL!r} or {FHM_VARIANT!r}")
+                             f"{STANDARD!r} or {FHM_VARIANT!r}")
         if not (0 < self.theta < 1):
             raise ValueError("bulk parameter requires 0 < theta < 1")
         limit = k + 1.0
@@ -62,8 +61,8 @@ def estimate(problem, u, stress_defect, params):
     Implements the residual functional with |T|-power weights
     (eps*p - p)/2, eps*p'/2, p'/2, 1/2 and (eps*p + 1 - p)/2 on the
     volume residual, stress projection defect, data oscillations, and
-    side terms; the two-well variant adds |T| times the projection
-    defect of the lower-order data, the component-map variant replaces
+    side terms, plus |T| times the projection defect of the lower-order
+    data (zero without an L2 term); the component-map variant replaces
     the Dirichlet terms by componentwise boundary residuals and drops the
     stress term.  ``stress_defect`` is what ``problem.discrete_stress(u)``
     returns next to sigma: per triangle int_T |sigma - DW(G u)|^p'.
@@ -127,7 +126,7 @@ def estimate(problem, u, stress_defect, params):
 
     def boundary_residual(label, comps, dirichlet):
         sel = mesh.boundary_sides(label)
-        if len(sel) == 0 or (dirichlet and problem.u_dirichlet is None):
+        if len(sel) == 0:
             return
         pts, w_ref, _ = space.side_rule(problem.data_degree, sel)
         diff = R.at_points(pts, tplus[sel])[..., comps]
@@ -149,8 +148,7 @@ def estimate(problem, u, stress_defect, params):
     jump_term = side_weight * jump_term_sides
     trace_term = side_weight * trace_term_sides
 
-    lower_term = (area * problem.zeta_osc if params.kind == TWO_WELL
-                  else np.zeros(mesh.num_triangles))
+    lower_term = area * problem.zeta_osc
 
     total = (vol_term + stress_term + f_term + g_term + dirichlet_term
              + jump_term + trace_term + lower_term)
@@ -183,12 +181,12 @@ def mark_doerfler(values, theta):
     return np.sort(order[:count])
 
 
-def prolong(fine_space, J, problem=None):
+def prolong(fine_space, J):
     """Initial guess on the refined mesh: I_{l+1} J, where J = J_l u_l is
-    the companion of the coarse solution, with the constrained dofs
-    overwritten by the fine-level Dirichlet values.  The fine mesh must
-    be a refinement of J's mesh: every parent index in range, and every
-    fine centroid in its parent (barycentric coordinates >= -1e-12)."""
+    the companion of the coarse solution (``minimize`` resets its
+    Dirichlet dofs).  The fine mesh must be a refinement of J's mesh:
+    every parent index in range, and every fine centroid in its parent
+    (barycentric coordinates >= -1e-12)."""
     mesh = fine_space.mesh
     coarse = J.space
     parent = mesh.parent
@@ -200,19 +198,16 @@ def prolong(fine_space, J, problem=None):
     if np.any(lam < -1e-12 * coarse.area[parent]):
         raise ValueError("fine mesh is not a refinement of the coarse mesh")
     # J evaluated through each fine triangle's coarse ancestor
-    v = fine_space.project(lambda pts, tri: J.at_points(pts, parent[tri]),
-                           2 * J.degree)
-    if problem is not None:
-        problem.apply_dirichlet(v)
-    return v
+    return fine_space.project(
+        lambda pts, tri: J.at_points(pts, parent[tri]), 2 * J.degree)
 
 
 @dataclass
 class LevelRecord:
     """Raw per-level output of the driver; diagnostics enrich it.
-    ``companion`` is J_l u_l, which both the prolongation to the next
-    level and the dual bound read; None for a density without a convex
-    conjugate, where only the prolongation needs it."""
+    ``companion`` is J_l u_l, which the prolongation to the next level
+    and the dual bound read; None where neither does (the last level of
+    a density without a convex conjugate)."""
     level: int
     ndof: int
     ntriangles: int
@@ -237,63 +232,59 @@ def run_ahho(family, k, params, max_ndof=20000, max_levels=30,
     variant)`` returning a DiscreteProblem.  Returns a list of
     LevelRecord, one per computed level.
 
-    A level's space is released (``HhoSpace.release_tables``) once its
-    companion exists: right after its record when the density has a
-    convex conjugate, otherwise right after the next level built the
-    companion for its prolongation, and the last level when the loop
-    ends.  The Newton tables of every level's problem stay until the
-    loop returns; a returned record builds them again on first use.
+    Each level solves, estimates, and then decides the next mesh: a next
+    level follows when this one converged, its estimator is nonzero,
+    ``max_levels`` allows it, the marked set is nonempty and the refined
+    mesh has at most ``max_ndof`` dofs.  J_l u_l is built when the dual
+    bound (a density with a convex conjugate) or the next level's
+    prolongation reads it, and the level's space is released
+    (``HhoSpace.release_tables``) right after.  The Newton tables of
+    every level's problem stay until the loop returns; a returned record
+    builds them again on first use.  ``LevelRecord.seconds`` spans the
+    level from its problem to its release.
     """
     if mode not in ("adaptive", "uniform"):
         raise ValueError(f"unknown mode {mode!r}")
     mesh = family.initial_mesh()
     records = []
-    prev = None         # the coarse level's record
+    J = None            # the coarse level's companion
     for level in range(max_levels):
         t0 = time.perf_counter()
-        if sum(dof_counts(mesh, k, family.m)) > max_ndof and level > 0:
-            break
         problem = family.make_problem(mesh, k, variant)
         params.validate(k, problem.p, variant)
         space = problem.space
-        if prev is not None:
-            J = prev.companion
-            if J is None:
-                J = prev.problem.space.companion(prev.solution.u)
-                prev.problem.space.release_tables()
-            initial = prolong(space, J, problem)
-        else:
-            initial = problem.initial_guess()
+        initial = problem.initial_guess() if J is None else prolong(space, J)
         sol = minimize(problem, initial, settings)
-        # the dual bound reads J_l u_l at every level; without a conjugate
-        # it is computed only when the next level prolongs it
-        J = None
-        if problem.density.conjugate is not None:
-            J = space.companion(sol.u)
         sigma, defect = problem.discrete_stress(sol.u)
         est, eta = estimate(problem, sol.u, defect, params)
         stab = None
         if variant == STABILIZED:
             stab = space.stabilization(sol.u, sol.u, problem.p)
-        rec = LevelRecord(level, space.ndof, mesh.num_triangles, sol.energy,
-                          eta, stab, sol, problem, sigma, J, est,
-                          time.perf_counter() - t0, sol.converged)
-        records.append(rec)
-        if J is not None:
-            space.release_tables()
-        if not sol.converged:
+        # the next mesh; None ends the loop after this level.  A zero
+        # estimator means the data is resolved exactly.
+        fine = None
+        if sol.converged and eta > 1e-16 * (1.0 + abs(sol.energy)) \
+                and level + 1 < max_levels:
+            if mode == "uniform":
+                fine = mesh.refine_uniform()
+            else:
+                marked = mark_doerfler(est.total, params.theta)
+                if len(marked):
+                    fine = mesh.refine_nvb(marked)
+            if fine is not None \
+                    and sum(dof_counts(fine, k, family.m)) > max_ndof:
+                fine = None
+        J = None
+        if fine is not None or problem.density.conjugate is not None:
+            J = space.companion(sol.u)
+        space.release_tables()
+        records.append(LevelRecord(
+            level, space.ndof, mesh.num_triangles, sol.energy, eta, stab,
+            sol, problem, sigma, J, est, time.perf_counter() - t0,
+            sol.converged))
+        if fine is None:
             break
-        if eta <= 1e-16 * (1.0 + abs(sol.energy)):
-            break  # estimator zero: the data is resolved exactly
-        if mode == "uniform":
-            mesh = mesh.refine_uniform()
-        else:
-            marked = mark_doerfler(est.total, params.theta)
-            if len(marked) == 0:
-                break
-            mesh = mesh.refine_nvb(marked)
-        prev = rec
+        mesh = fine
     for rec in records:
-        rec.problem.space.release_tables()
         rec.problem.release_tables()
     return records

@@ -9,7 +9,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import densities
-from .adaptivity import FHM_VARIANT, STANDARD, TWO_WELL
+from .adaptivity import FHM_VARIANT, STANDARD
 from .diagnostics import CourantProblem, ExactSolution
 from .hho import RT, HhoSpace
 from .mesh import (DIRICHLET, GAMMA1, GAMMA2, GAMMA3, NEUMANN,
@@ -283,7 +283,6 @@ def make_two_well_rect():
         exact=ExactSolution(u=two_well_u, grad_u=two_well_grad,
                             sigma=two_well_sigma, energy=0.1078147674),
         reference_energy=0.1078147674,
-        indicator_kind=TWO_WELL,
     )
 
 

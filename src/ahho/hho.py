@@ -30,10 +30,8 @@ the P_{k+1}, energy and stabilization tables and the construction-only
 operators (``R_op``, ``grad_gram``, the side-point tables ``side_pts_t``
 and ``phi_k_side``, and the geometry rule ``vol_pts``, ``vol_w``,
 ``phi_k_vol``); :meth:`HhoSpace.release_tables` drops them all, and each
-is built again, bit for bit, on its next read.  What a finished level's
-report reads stays: ``G_op``, ``S_op``, ``loc2glob`` and the geometry.
-The adaptive loop releases a level once its companion exists, and the
-reports once its row is made.
+is built again, bit for bit, on its next read.  ``G_op``, ``S_op``,
+``loc2glob`` and the geometry stay.
 """
 
 from __future__ import annotations
@@ -596,9 +594,7 @@ class HhoSpace:
         points (n, ..., 2) in the triangles ``tri``, which are all
         triangles for the cell points and each side's T_plus for the side
         points."""
-        # a kept table is read, but none is kept for the prolongation
-        pts, w, _, phi = self._tables.get(degree) \
-            or self.rule_tables(*self.volume_rule(degree))
+        pts, w, _, phi = self.tables(degree)
         spts, w_ref, chi = self.side_rule(degree)
         v = self.zero_vector()
         v.cells[:] = self.project_cells(

@@ -14,12 +14,8 @@ eliminated: the optimizer acts on the free dofs only, so prescribed
 values are met exactly.
 
 The hybrid problem's terms hold its Newton tables (the energy table B,
-the stabilization table and the L2 term's table).  They are built with
-the problem and kept through the adaptive loop, which drops them
-(:meth:`DiscreteProblem.release_tables`) when it returns: a finished
-level keeps its load, oscillations and Dirichlet values, and the
-energy, gradient, Hessian and stress of a returned record build the
-terms again, bit for bit, on first use.
+the stabilization table and the L2 term's table), built on first use
+and again, bit for bit, after :meth:`DiscreteProblem.release_tables`.
 
 One optimizer, damped Newton with a regularization ladder and an Armijo
 search (:func:`optimize`), minimizes every discrete energy through
@@ -208,9 +204,6 @@ class DiscreteProblem(TermProblem):
         self.data_degree = self.energy_degree + 4
 
         self._assemble_static()
-        # the Newton tables, built now (the prolongation reads the energy
-        # rule's kept table) and again on first use after a release
-        self._terms
 
     # -- static data -------------------------------------------------------------
 
@@ -220,8 +213,8 @@ class DiscreteProblem(TermProblem):
         rule.  ``f_osc`` and ``zeta_osc`` hold per triangle
         int_T |f - Pi_k f|^p' and int_T |zeta - Pi_k zeta|^2, ``g_osc`` per
         side int_F |g - Pi_k g|^p' (zero off the Neumann sides), and
-        ``dirichlet_data`` the values of u_dirichlet on the sides with a
-        constrained component, ``dirichlet_sides``."""
+        ``dirichlet_data`` the values of u_dirichlet (zero without it) on
+        the sides with a constrained component, ``dirichlet_sides``."""
         space = self.space
         mesh = space.mesh
         m = space.m
@@ -256,14 +249,18 @@ class DiscreteProblem(TermProblem):
         self.dirichlet_sides = np.nonzero(
             space.dirichlet_mask.any(axis=1))[0]
         self.dirichlet_data = None
-        if len(self.dirichlet_idx) and self.u_dirichlet is not None:
+        if len(self.dirichlet_idx):
             spts, w_ref, chi = space.side_rule(self.data_degree,
                                                self.dirichlet_sides)
-            self.dirichlet_data = _values_at(self.u_dirichlet, spts, m)
-            _, coeffs = space.project_sides(w_ref, chi, self.dirichlet_data)
-            # constrained (side, component) pairs in dirichlet_dofs order
-            self.dirichlet_values = coeffs[
-                space.dirichlet_mask[self.dirichlet_sides]].reshape(-1)
+            if self.u_dirichlet is None:    # the dofs are held at zero
+                self.dirichlet_data = np.zeros(spts.shape[:-1] + (m,))
+            else:
+                self.dirichlet_data = _values_at(self.u_dirichlet, spts, m)
+                _, coeffs = space.project_sides(w_ref, chi,
+                                                self.dirichlet_data)
+                # constrained (side, component) pairs in dirichlet_dofs order
+                self.dirichlet_values = coeffs[
+                    space.dirichlet_mask[self.dirichlet_sides]].reshape(-1)
         self.free_mask = np.ones(space.ndof, dtype=bool)
         self.free_mask[self.dirichlet_idx] = False
         self.free_idx = np.nonzero(self.free_mask)[0]
@@ -289,8 +286,8 @@ class DiscreteProblem(TermProblem):
 
     @functools.cached_property
     def _terms(self):
-        """The energy terms (T, w, density), built with the problem and
-        again on first use after :meth:`release_tables`: the density on
+        """The energy terms (T, w, density), built on first use and again
+        after :meth:`release_tables`: the density on
         G v, s(v; v)/p = sum h_S^(2-p) w_ref |S_{K,S} v|^p / p when
         stabilized, and |v_T|^2/2 at a rule exact for it when
         l2_weight > 0."""

@@ -204,6 +204,27 @@ def _poly_at(poly, t, pts):
     return poly.at_points(pts[None], np.array([t]))[0, :, 0]
 
 
+def test_estimator_dirichlet_residual_without_closure():
+    """Without a Dirichlet closure the constrained dofs are held at zero,
+    and the estimator's Dirichlet term measures R u against zero: the
+    indicators are those of the zero closure, bit for bit."""
+    from ahho.benchmarks import get_benchmark
+    bench = get_benchmark("odp-lshape")
+    mesh = bench.initial_mesh().refine_uniform().refine_uniform()
+    zero = bench.make_problem(mesh, 1)
+    bare = DiscreteProblem(zero.space, zero.density, f=zero.f)
+    params = EstimatorParams(eps=0.02)
+    totals = []
+    for problem in (zero, bare):
+        sol = minimize(problem)
+        assert sol.converged
+        est, eta = estimate(problem, sol.u, problem.discrete_stress(sol.u)[1],
+                            params)
+        assert est.dirichlet_trace.sum() > 0.0
+        totals.append(est.total)
+    np.testing.assert_array_equal(totals[0], totals[1])
+
+
 def test_estimator_rejects_bad_variant():
     family = AffineFamily()
     problem, sol, _, defect = solve_level(family, 0)
@@ -222,7 +243,7 @@ def test_estimator_params_validation():
     EstimatorParams(eps=1.0).validate(0, 2.0, RT)
     with pytest.warns(UserWarning):
         EstimatorParams(eps=0.0).validate(0, 2.0, RT)
-    with pytest.raises(ValueError, match="'standard', 'two-well' or 'fhm'"):
+    with pytest.raises(ValueError, match="'standard' or 'fhm'"):
         EstimatorParams(eps=0.02, kind="twowell").validate(1, 2.0, RT)
 
 
@@ -385,11 +406,12 @@ def test_energy_monotone_under_refinement_via_prolongation():
     prev = None
     for level in range(3):
         problem = fam.make_problem(mesh, 0)
-        init = (prolong(problem.space, prev.u.space.companion(prev.u),
-                        problem)
-                if prev else problem.initial_guess())
         if prev is not None:
+            init = prolong(problem.space, prev.u.space.companion(prev.u))
+            problem.apply_dirichlet(init)
             e_prolonged = problem.energy(init)
+        else:
+            init = problem.initial_guess()
         sol = minimize(problem, init)
         assert sol.converged
         if prev is not None:
@@ -408,7 +430,8 @@ def test_prolonged_energy_close_on_benchmark_levels():
     sol_c = minimize(coarse)
     fine_mesh = mesh.refine_uniform()
     fine = bench.make_problem(fine_mesh, 0)
-    init = prolong(fine.space, coarse.space.companion(sol_c.u), fine)
+    init = prolong(fine.space, coarse.space.companion(sol_c.u))
+    fine.apply_dirichlet(init)
     e_prolonged = fine.energy(init)
     assert np.isfinite(e_prolonged)
     assert abs(e_prolonged - sol_c.energy) <= 0.1 * abs(sol_c.energy)
@@ -537,6 +560,37 @@ def test_zero_estimator_implies_consistency():
     assert osc_f == 0.0 and osc_g < 1e-12 and osc_z == 0.0
 
 
+@pytest.mark.parametrize("mode", ["adaptive", "uniform"])
+@pytest.mark.parametrize("name, unread", [("p-laplace-lshape", 0),
+                                          ("two-well-rect", 1)])
+def test_run_ahho_capped_by_max_levels(monkeypatch, name, unread, mode):
+    """A run that ``max_levels`` ends refines no mesh and builds no
+    companion after its last level: one refinement per level that
+    follows, and J_l u_l of every level that the dual bound (p-Laplace)
+    or the next level's prolongation reads, so two-well builds
+    levels - 1."""
+    from ahho.benchmarks import get_benchmark
+    from ahho.mesh import Triangulation
+    refined, companions = [], []
+    for meth in ("refine_nvb", "refine_uniform"):
+        fn = getattr(Triangulation, meth)
+        monkeypatch.setattr(Triangulation, meth,
+                            lambda self, *a, fn=fn: refined.append(self)
+                            or fn(self, *a))
+    companion = HhoSpace.companion
+    monkeypatch.setattr(HhoSpace, "companion", lambda self, v:
+                        companions.append(self) or companion(self, v))
+    bench = get_benchmark(name)
+    records = run_ahho(bench, 0, EstimatorParams(eps=0.01),
+                       max_ndof=10 ** 6, max_levels=3, mode=mode)
+    assert len(records) == 3 and all(r.converged for r in records)
+    meshes = [r.problem.space.mesh for r in records]
+    assert refined == meshes[:-1]
+    spaces = [r.problem.space for r in records]
+    assert companions == spaces[:len(spaces) - unread]
+    assert (records[-1].companion is None) == bool(unread)
+
+
 @pytest.mark.parametrize("name, k", [("p-laplace-lshape", 1),
                                      ("two-well-rect", 0)])
 def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
@@ -545,9 +599,7 @@ def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
     a copy) is keyed by the basis size and a digest of the local
     coordinates, and no key repeats before the next level starts.  Nor
     is an entry of a space's level cache (tables, operators, energy
-    tables) built twice.  A companion built late (two-well: no
-    conjugate, so the next level builds it for its prolongation) counts
-    for the level of its space."""
+    tables) built twice."""
     import hashlib
 
     import ahho.diagnostics as diagnostics
@@ -558,8 +610,7 @@ def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
     building = []           # the level of the space at work
     level_of = {}           # id of each level's space -> its level
     batch_eval = hho._batch_eval
-    init, kept, companion = HhoSpace.__init__, HhoSpace._kept, \
-        HhoSpace.companion
+    init, kept = HhoSpace.__init__, HhoSpace._kept
 
     def counted(exps, loc):
         levels[building[-1]].append(
@@ -577,19 +628,11 @@ def test_run_ahho_builds_each_table_once_per_level(monkeypatch, name, k):
             levels[level_of[id(self)]].append(("kept", key))
         return kept(self, key, build)
 
-    def own_level(self, v):
-        building.append(level_of[id(self)])
-        try:
-            return companion(self, v)
-        finally:
-            building.pop()
-
     for module in (hho, solver, diagnostics):
         if hasattr(module, "_batch_eval"):
             monkeypatch.setattr(module, "_batch_eval", counted)
     monkeypatch.setattr(HhoSpace, "__init__", counted_init)
     monkeypatch.setattr(HhoSpace, "_kept", counted_kept)
-    monkeypatch.setattr(HhoSpace, "companion", own_level)
     bench = get_benchmark(name)
     records = run_ahho(bench, k, EstimatorParams(
         eps=(k + 1) / 100.0, kind=bench.indicator_kind), max_ndof=600)

@@ -458,10 +458,9 @@ def test_companion_only_where_read(tmp_path, monkeypatch, name, unread):
 @pytest.mark.parametrize("name, k", [("p-laplace-lshape", 1),
                                      ("two-well-rect", 0)])
 def test_no_table_kept_past_its_level(name, k):
-    """The loop releases each level's kept tables once its record is
-    made, also those of the coarse space whose companion the next level
-    builds late (two-well: no conjugate), and the reports once the row
-    is made: no record's space holds a table afterwards."""
+    """The loop releases each level's kept tables after its companion,
+    and the reports once the row is made: no record's space holds a
+    table afterwards."""
     from ahho.adaptivity import EstimatorParams, run_ahho
     from ahho.benchmarks import get_benchmark
     from ahho.cli import build_reports

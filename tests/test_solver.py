@@ -856,3 +856,140 @@ def test_condensed_cell_solve_matches_lapack(k, monkeypatch):
     assert sol.converged and ref.converged
     assert sol.iterations == ref.iterations
     np.testing.assert_allclose(sol.u.data, ref.u.data, rtol=1e-15, atol=0)
+
+
+# -- optimizer branches, driven by stubs on small quadratics ----------------------
+
+def _quadratic(A, b):
+    """fun_grad of 0.5 x.A x - b.x."""
+    def fun_grad(x, energy=True, gradient=True):
+        return (0.5 * x @ A @ x - b @ x if energy else None,
+                A @ x - b if gradient else None)
+    return fun_grad
+
+
+class _StubHessian:
+    """A Newton system whose ``solve`` records each shift and answers
+    ``answer(rhs, shift)``."""
+
+    def __init__(self, answer, shifts):
+        self.scale = 1.0
+        self.answer = answer
+        self.shifts = shifts
+
+    def solve(self, rhs, shift):
+        self.shifts.append(shift)
+        return self.answer(rhs, shift)
+
+
+@pytest.mark.parametrize("rung", [1e-10, 1e-6, 1e-2])
+def test_optimize_climbs_the_shift_ladder(rung):
+    """Below ``rung`` the solve fails in each way the ladder rejects: a
+    LinAlgError, a RuntimeError, a non-finite or an ascent direction.
+    The first step is the shifted Newton step of ``rung``."""
+    A = np.diag([1.0, 2.0])
+    b = np.array([0.5, -1.0])
+    x0 = np.array([1.0, 2.0])
+    failures = [np.linalg.LinAlgError, RuntimeError,
+                lambda rhs: np.full_like(rhs, np.nan), lambda rhs: -rhs]
+
+    def answer(rhs, shift):
+        if shift < rung:
+            fail = failures.pop(0)
+            failures.append(fail)
+            if isinstance(fail, type):
+                raise fail("singular")
+            return fail(rhs)
+        return np.linalg.solve(A + shift * np.eye(2), rhs)
+
+    shifts = []
+    hess = lambda x: _StubHessian(answer, shifts)
+    fun_grad = _quadratic(A, b)
+    ladder = [1e-14, 1e-10, 1e-6, 1e-2]
+    x, E, it, gnorm, conv = optimize(fun_grad, hess, x0,
+                                     SolverSettings(max_iter=1))
+    assert it == 1 and shifts == ladder[:ladder.index(rung) + 1]
+    d = np.linalg.solve(A + rung * np.eye(2), -fun_grad(x0)[1])
+    np.testing.assert_array_equal(x, x0 + d)
+    x, E, it, gnorm, conv = optimize(fun_grad, hess, x0, SolverSettings())
+    assert conv and gnorm <= 1e-10
+    np.testing.assert_allclose(x, np.linalg.solve(A, b), rtol=0, atol=1e-10)
+
+
+def test_optimize_falls_back_to_minus_gradient():
+    """Every rung fails: the direction is -g, and on 0.5|x|^2 - b.x its
+    full step lands on b."""
+    b = np.array([0.5, -1.0])
+    x0 = np.array([1.0, 2.0])
+
+    def answer(rhs, shift):
+        raise np.linalg.LinAlgError("singular")
+
+    shifts = []
+    x, E, it, gnorm, conv = optimize(
+        _quadratic(np.eye(2), b), lambda x: _StubHessian(answer, shifts),
+        x0, SolverSettings())
+    assert shifts == [1e-14, 1e-10, 1e-6, 1e-2]
+    assert conv and it == 1 and gnorm == 0.0
+    np.testing.assert_array_equal(x, b)
+
+
+def test_optimize_gradient_step_when_armijo_fails():
+    """A Newton system 1e30 times too stiff gives a descent direction no
+    Armijo trial accepts; the gradient step of length min(1, 1/|g|)
+    is taken instead, and the run still converges."""
+    b = np.array([0.5, -1.0])
+    x0 = np.array([4.0, 3.0])
+    fun_grad = _quadratic(np.eye(2), b)
+    hess = lambda x: _StubHessian(lambda rhs, shift: 1e30 * rhs, [])
+    x, E, it, gnorm, conv = optimize(fun_grad, hess, x0,
+                                     SolverSettings(max_iter=1))
+    g0 = fun_grad(x0)[1]
+    assert it == 1 and np.linalg.norm(g0) > 1.0
+    np.testing.assert_array_equal(x, x0 - (1.0 / np.linalg.norm(g0)) * g0)
+    x, E, it, gnorm, conv = optimize(fun_grad, hess, x0, SolverSettings())
+    assert conv
+    np.testing.assert_allclose(x, b, rtol=1e-12)
+
+
+def test_optimize_stops_when_the_gradient_step_fails():
+    """On 50|x|^2 with |g| < 50 the gradient step of length 1/|g| raises
+    the energy: the optimizer stops where it started, not converged."""
+    x0 = np.array([0.1, 0.2])
+    hess = lambda x: _StubHessian(lambda rhs, shift: 1e30 * rhs, [])
+    x, E, it, gnorm, conv = optimize(_quadratic(100.0 * np.eye(2),
+                                                np.zeros(2)),
+                                     hess, x0, SolverSettings())
+    assert it == 0 and not conv
+    np.testing.assert_array_equal(x, x0)
+
+
+def test_optimize_stops_when_no_trial_contracts_the_gradient():
+    """A slope below the energy's float64 resolution sends the step to
+    the gradient-contraction trials; a constant gradient contracts at
+    none of them, so the optimizer stops where it started."""
+    c = np.array([6e-9, 8e-9])
+
+    def fun_grad(x, energy=True, gradient=True):
+        return (0.0 if energy else None, c if gradient else None)
+
+    x0 = np.array([1.0, 2.0])
+    x, E, it, gnorm, conv = optimize(
+        fun_grad, lambda x: _StubHessian(lambda rhs, shift: rhs, []), x0,
+        SolverSettings())
+    assert it == 0 and not conv and gnorm == np.linalg.norm(c)
+    np.testing.assert_array_equal(x, x0)
+
+
+def test_optimize_stall_exit():
+    """Half Newton steps on 0.5|x|^2 lower the energy by less than
+    energy_tol (1 + |E|) when energy_tol = 1: the optimizer stops after
+    NEWTON_STALL_LIMIT such steps, not converged."""
+    from ahho.solver import NEWTON_STALL_LIMIT
+    x0 = np.array([0.25, 0.5])
+    hess = lambda x: _StubHessian(lambda rhs, shift: 0.5 * rhs, [])
+    x, E, it, gnorm, conv = optimize(
+        _quadratic(np.eye(2), np.zeros(2)), hess, x0,
+        SolverSettings(energy_tol=1.0))
+    assert it == NEWTON_STALL_LIMIT and not conv
+    np.testing.assert_array_equal(x, x0 / 2 ** NEWTON_STALL_LIMIT)
